@@ -10,8 +10,11 @@ fuzzing every kernel with NULL-heavy, empty, and extreme vectors:
   lane must yield NULL in that output lane (extra NULLs are allowed);
 * input immutability -- kernels never write into their argument arrays;
 * dtype conformance -- the produced array dtype is convertible to the
-  declared LogicalType; and
-* shape -- empty vectors round-trip without crashing, lengths match.
+  declared LogicalType;
+* shape -- empty vectors round-trip without crashing, lengths match; and
+* representation independence -- a kernel that accepts VARCHAR is run again
+  on dictionary-coded twins of its inputs (what storage hands out) and must
+  produce the same output as on the flat object arrays.
 
 Aggregates are additionally checked for skip-NULL semantics: the result
 over the full input must equal the result over the input with NULL rows
@@ -110,6 +113,48 @@ def _make_vector(logical: object, size: int, validity: np.ndarray,
         else:
             data[row] = poison
     return Vector(logical, data, validity.copy())
+
+
+def _coded_twins(vectors: Sequence[object]) -> Optional[List[object]]:
+    """The same inputs with every VARCHAR vector dictionary-coded (poison
+    lanes keep their own codes), or None when no input is VARCHAR."""
+    from ...types import StringDictionary, Vector
+
+    if not any(str(vector.dtype) == "VARCHAR"  # type: ignore[attr-defined]
+               for vector in vectors):
+        return None
+    twins: List[object] = []
+    for vector in vectors:
+        if str(vector.dtype) != "VARCHAR":  # type: ignore[attr-defined]
+            twins.append(vector)
+            continue
+        dictionary = StringDictionary()
+        twins.append(Vector.from_codes(
+            dictionary.encode(vector.data),  # type: ignore[attr-defined]
+            dictionary, vector.validity.copy()))  # type: ignore[attr-defined]
+    return twins
+
+
+def _check_coded(key: str, case: str, flat_result: object,
+                 rerun: Callable[[List[object]], object],
+                 vectors: Sequence[object],
+                 issues: List[ConformanceIssue]) -> None:
+    """Representation independence of one fuzz case."""
+    twins = _coded_twins(vectors)
+    if twins is None:
+        return
+    try:
+        coded_result = rerun(twins)
+    except Exception as error:
+        issues.append(ConformanceIssue(
+            key, "dictionary-equivalence",
+            f"{case}: crashed on dictionary-coded input: {error!r}"))
+        return
+    if not _valid_lanes_equal(flat_result, coded_result):
+        issues.append(ConformanceIssue(
+            key, "dictionary-equivalence",
+            f"{case}: output on dictionary-coded input differs from the "
+            "output on the flat twin"))
 
 
 def _snapshot(vectors: Sequence[object]) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -219,6 +264,9 @@ def _fuzz_scalar_case(fact: KernelFact, function: object, return_type: object,
                 "argument arrays"))
             return
         runs.append(result)
+    _check_coded(fact.key, f"size={size} validity={pattern}", runs[1],
+                 lambda twins: function.execute(twins, size),  # type: ignore[attr-defined]
+                 vectors, issues)
 
     first, second = runs
     if len(first) != size:
@@ -298,6 +346,12 @@ def _fuzz_aggregate_case(fact: KernelFact, star: bool, arg_type: object,
                 f"size={size} validity={pattern}: {error!r}"))
             return
         results.append(result)
+    if argument is not None:
+        _check_coded(fact.key, f"size={size} validity={pattern}", results[1],
+                     lambda twins: compute(fact.name, False, twins[0],
+                                           group_ids, group_count,
+                                           return_type),
+                     [argument], issues)
     if not _valid_lanes_equal(results[0], results[1]):
         issues.append(ConformanceIssue(
             fact.key, "garbage-independence",
@@ -331,6 +385,55 @@ def _fuzz_aggregate_case(fact: KernelFact, star: bool, arg_type: object,
 
 
 # -- builtin operators -------------------------------------------------------
+
+def _operator_expressions(fact: KernelFact) -> List[Tuple[object, List[object]]]:
+    """Every probe shape of one op: the generic one over column refs, plus
+    -- for the predicates evaluated over a dictionary's entries -- VARCHAR
+    columns against constants (both operand orders, a NULL list item)."""
+    from ...planner.expressions import (
+        BoundColumnRef,
+        BoundConstant,
+        BoundInList,
+        BoundIsNull,
+        BoundLike,
+        BoundOperator,
+    )
+    from ...types import BOOLEAN, VARCHAR
+
+    shapes = []
+    generic = _operator_expression(fact)
+    if generic is not None:
+        shapes.append(generic)
+    name = fact.name
+    column = BoundColumnRef(0, VARCHAR)
+
+    def constant(value: Optional[str]) -> object:
+        return BoundConstant(value, VARCHAR)
+
+    if name in ("=", "<>", "<", "<=", ">", ">="):
+        shapes += [
+            (BoundOperator(name, [column, constant("Hello")], BOOLEAN),
+             [VARCHAR]),
+            (BoundOperator(name, [constant("a"), column], BOOLEAN), [VARCHAR]),
+            (BoundOperator(name, [column, BoundColumnRef(1, VARCHAR)],
+                           BOOLEAN), [VARCHAR, VARCHAR]),
+        ]
+    elif name == "in_list":
+        shapes += [
+            (BoundInList(column, [constant("a"), constant("quack")], False),
+             [VARCHAR]),
+            (BoundInList(column, [constant("Zebra"), constant(None)], True),
+             [VARCHAR]),
+        ]
+    elif name == "like":
+        shapes += [
+            (BoundLike(column, constant("%o%"), False, False), [VARCHAR]),
+            (BoundLike(column, constant("h_llo"), True, True), [VARCHAR]),
+        ]
+    elif name in ("is_null", "is_not_null"):
+        shapes.append((BoundIsNull(column, name == "is_not_null"), [VARCHAR]))
+    return shapes
+
 
 def _operator_expression(fact: KernelFact) -> Optional[Tuple[object, List[object]]]:
     """(BoundExpression over column refs, argument LogicalTypes) for one op."""
@@ -382,11 +485,16 @@ def _check_operator(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
     from ...execution.expression_executor import ExpressionExecutor
     from ...types.chunk import DataChunk
 
-    built = _operator_expression(fact)
-    if built is None:
-        return
-    expression, arg_types = built
     executor = ExpressionExecutor()
+    for expression, arg_types in _operator_expressions(fact):
+        _fuzz_operator_shape(fact, executor, expression, arg_types, issues)
+
+
+def _fuzz_operator_shape(fact: KernelFact, executor: object,
+                         expression: object, arg_types: List[object],
+                         issues: List[ConformanceIssue]) -> None:
+    from ...types.chunk import DataChunk
+
     for size in _SIZES:
         if size == 0:
             continue  # DataChunk carries no empty-chunk constructor contract
@@ -403,7 +511,7 @@ def _check_operator(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
                 chunk = DataChunk(columns)
                 snapshots = _snapshot(columns)
                 try:
-                    result = executor.execute(expression, chunk)
+                    result = executor.execute(expression, chunk)  # type: ignore[attr-defined]
                 except Exception as error:
                     issues.append(ConformanceIssue(
                         fact.key, "crash",
@@ -420,6 +528,11 @@ def _check_operator(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
                 runs.append(result)
             if crashed:
                 return
+            _check_coded(
+                fact.key, f"size={size} validity={pattern}", runs[1],
+                lambda twins: executor.execute(  # type: ignore[attr-defined]
+                    expression, DataChunk(twins)),
+                columns, issues)
             if not _valid_lanes_equal(runs[0], runs[1]):
                 issues.append(ConformanceIssue(
                     fact.key, "garbage-independence",

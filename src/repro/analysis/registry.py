@@ -81,6 +81,12 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
     "repro/storage/buffer_manager.py": {
         "BufferManager": SharedClassSpec("_lock"),
     },
+    "repro/types/dictionary.py": {
+        # A column's string dictionary grows while appenders and updaters
+        # hold its table's lock (``lock`` *is* ``TableData.lock``); readers
+        # resolve codes lock-free, which append-only growth makes safe.
+        "StringDictionary": SharedClassSpec("lock"),
+    },
     "repro/catalog/catalog.py": {
         "Catalog": SharedClassSpec("_lock"),
     },

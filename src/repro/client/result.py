@@ -113,14 +113,16 @@ class QueryResult:
         """The next chunk in the engine's internal representation, or None.
 
         This is the paper's zero-copy hand-over: the returned chunk's NumPy
-        arrays are the engine's own vectors.
+        arrays are the engine's own vectors.  Dictionary-coded VARCHAR
+        columns are decoded here, once per chunk, so every export path
+        built on this one (rows, NumPy, cursors) reads plain arrays.
         """
         self._check_open()
         if self._source is None:
             return None
         for chunk in self._source:
             if chunk.size:
-                return chunk
+                return chunk.flatten()
         self._finish()
         return None
 

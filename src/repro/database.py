@@ -55,6 +55,7 @@ class Database:
         self.transaction_manager = TransactionManager()
         self.storage = StorageManager(path, self.config, self.buffer_manager)
         self.transaction_manager.pre_commit_hooks.append(self.storage.commit_hook)
+        self.transaction_manager.drop_commit_hooks.append(self.catalog.prune)
         #: Cooperation controller; swapped for a ReactiveController when
         #: reactive resources are enabled (see :meth:`enable_reactive_resources`).
         self.resource_controller = StaticController()

@@ -4,7 +4,9 @@ The interpreter of the "Vector Volcano" model: each node of a bound
 expression tree is evaluated once per 2048-value chunk, so the per-value
 interpretation overhead that makes tuple-at-a-time engines slow (paper §2,
 §6) is amortized away.  All kernels are NumPy operations; only VARCHAR
-comparisons and LIKE fall back to per-value Python over the valid subset.
+comparisons and LIKE fall back to per-value Python over the valid subset --
+and when the column is dictionary-coded and the other operands are
+constants, that subset is the dictionary's entries, not the rows.
 
 NULL semantics follow SQL's three-valued logic throughout.
 """
@@ -12,7 +14,7 @@ NULL semantics follow SQL's three-valued logic throughout.
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +50,16 @@ from ..types import (
 from ..types.chunk import DataChunk
 
 __all__ = ["ExpressionExecutor", "evaluate_standalone"]
+
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def _is_constant(expression: BoundExpression) -> bool:
+    """True for a literal or parameter (possibly cast): one value per query,
+    so it can be evaluated against a chunk of any size."""
+    while isinstance(expression, BoundCast):
+        expression = expression.child
+    return isinstance(expression, (BoundConstant, BoundParameterRef))
 
 
 class ExpressionExecutor:
@@ -125,6 +137,19 @@ class ExpressionExecutor:
         op = expression.op
         if op in ("and", "or"):
             return self._execute_conjunction(expression, chunk)
+        if op in _COMPARISONS \
+                and expression.args[0].return_type.id is LogicalTypeId.VARCHAR:
+            left, right = expression.args
+            if _is_constant(right):
+                return self._column_with_constants(
+                    self.execute(left, chunk), [right], chunk,
+                    lambda column, constant:
+                    self._execute_comparison(op, column, constant))
+            if _is_constant(left):
+                return self._column_with_constants(
+                    self.execute(right, chunk), [left], chunk,
+                    lambda column, constant:
+                    self._execute_comparison(op, constant, column))
         vectors = [self.execute(arg, chunk) for arg in expression.args]
         if op == "not":
             source = vectors[0]
@@ -133,7 +158,7 @@ class ExpressionExecutor:
         if op == "negate":
             source = vectors[0]
             return Vector(source.dtype, -source.data, source.validity.copy())
-        if op in ("=", "<>", "<", "<=", ">", ">="):
+        if op in _COMPARISONS:
             return self._execute_comparison(op, vectors[0], vectors[1])
         if op == "concat":
             left, right = vectors
@@ -169,6 +194,33 @@ class ExpressionExecutor:
                         | (right.validity & right_data))
             data = (left_data & left.validity) | (right_data & right.validity)
         return Vector(BOOLEAN, data, validity)
+
+    def _column_with_constants(self, column: Vector,
+                               constants: Sequence[BoundExpression],
+                               chunk: DataChunk,
+                               kernel: Callable[..., Vector]) -> Vector:
+        """``kernel(column, *constant vectors)`` for a row-wise predicate.
+
+        For a dictionary-coded column the kernel runs once per dictionary
+        *entry* and the verdicts are gathered through the codes: ``s = 'x'``
+        over 16k rows of a five-string column is five comparisons.  A
+        dictionary with more entries than the chunk has rows would cost
+        more than the rows themselves, so that case (and every flat
+        vector) takes the kernel directly.
+        """
+        codes = column.codes
+        size = column.dictionary.size if codes is not None else 0
+        if codes is None or size > len(codes):
+            return kernel(column, *[self.execute(constant, chunk)
+                                    for constant in constants])
+        # The dictionary itself as a vector: entry i has code i, 0 is NULL.
+        identity = np.arange(size, dtype=codes.dtype)
+        heap = DataChunk([Vector.from_codes(identity, column.dictionary,
+                                            identity != 0)])
+        verdict = kernel(heap.columns[0], *[self.execute(constant, heap)
+                                            for constant in constants])
+        validity = verdict.validity[codes] & column.validity
+        return Vector(BOOLEAN, verdict.data[codes] & validity, validity)
 
     def _execute_comparison(self, op: str, left: Vector, right: Vector) -> Vector:
         count = len(left)
@@ -248,7 +300,17 @@ class ExpressionExecutor:
 
     def _execute_in_list(self, expression: BoundInList, chunk: DataChunk) -> Vector:
         child = self.execute(expression.child, chunk)
-        items = [self.execute(item, chunk) for item in expression.items]
+        if all(_is_constant(item) for item in expression.items):
+            return self._column_with_constants(
+                child, expression.items, chunk,
+                lambda column, *items:
+                self._in_list(column, items, expression.negated))
+        return self._in_list(child, [self.execute(item, chunk)
+                                     for item in expression.items],
+                             expression.negated)
+
+    def _in_list(self, child: Vector, items: Sequence[Vector],
+                 negated: bool) -> Vector:
         count = len(child)
         matched = np.zeros(count, dtype=np.bool_)
         any_null_item = False
@@ -257,7 +319,7 @@ class ExpressionExecutor:
                 any_null_item = True
             equal = self._execute_comparison("=", child, item)
             matched |= equal.data & equal.validity
-        return self._in_semantics(child, matched, any_null_item, expression.negated)
+        return self._in_semantics(child, matched, any_null_item, negated)
 
     def _like_regex(self, pattern: str, case_insensitive: bool,
                     escape: Optional[str] = None):
@@ -273,9 +335,19 @@ class ExpressionExecutor:
 
     def _execute_like(self, expression: BoundLike, chunk: DataChunk) -> Vector:
         child = self.execute(expression.child, chunk)
-        pattern = self.execute(expression.pattern, chunk)
-        escape = self.execute(expression.escape, chunk) \
-            if expression.escape is not None else None
+        operands = [expression.pattern] if expression.escape is None \
+            else [expression.pattern, expression.escape]
+        if all(_is_constant(operand) for operand in operands):
+            return self._column_with_constants(
+                child, operands, chunk,
+                lambda column, pattern, escape=None:
+                self._like(expression, column, pattern, escape))
+        return self._like(expression, child,
+                          *[self.execute(operand, chunk)
+                            for operand in operands])
+
+    def _like(self, expression: BoundLike, child: Vector, pattern: Vector,
+              escape: Optional[Vector] = None) -> Vector:
         count = len(child)
         validity = child.validity & pattern.validity
         if escape is not None:

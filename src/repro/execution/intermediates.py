@@ -24,9 +24,8 @@ import struct
 import tempfile
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
-from ..storage.compression import CompressionLevel, decode_array, encode_array
+from ..storage.compression import (CompressionLevel, decode_vector,
+                                   encode_vector)
 from ..types import DataChunk, LogicalType, Vector
 
 __all__ = ["ChunkBuffer"]
@@ -83,11 +82,8 @@ class ChunkBuffer:
             entry.nbytes = chunk.nbytes()
         else:
             entry.level = level
-            entry.payloads = [
-                (encode_array(vector.data, level),
-                 encode_array(vector.validity, level))
-                for vector in chunk.columns
-            ]
+            entry.payloads = [encode_vector(vector, level)
+                              for vector in chunk.columns]
             entry.nbytes = sum(len(data) + len(validity)
                                for data, validity in entry.payloads)
             self.compressed_appends += 1
@@ -110,11 +106,8 @@ class ChunkBuffer:
             os.unlink(path)  # anonymous: vanishes when closed
         payloads = entry.payloads
         if payloads is None:
-            payloads = [
-                (encode_array(vector.data, CompressionLevel.LIGHT),
-                 encode_array(vector.validity, CompressionLevel.LIGHT))
-                for vector in chunk.columns
-            ]
+            payloads = [encode_vector(vector, CompressionLevel.LIGHT)
+                        for vector in chunk.columns]
         self._spill_file.seek(0, os.SEEK_END)
         entry.spill_offset = self._spill_file.tell()
         for data, validity in payloads:
@@ -136,18 +129,14 @@ class ChunkBuffer:
             for dtype in self.types:
                 data_length, validity_length = struct.unpack(
                     "<QQ", self._spill_file.read(16))
-                data = decode_array(self._spill_file.read(data_length))
-                validity = decode_array(
-                    self._spill_file.read(validity_length)).astype(np.bool_)
-                vectors.append(Vector(dtype, data, validity))
+                vectors.append(decode_vector(
+                    dtype, self._spill_file.read(data_length),
+                    self._spill_file.read(validity_length)))
             return DataChunk(vectors)
-        vectors = []
-        for dtype, (data_payload, validity_payload) in zip(self.types,
-                                                           entry.payloads):
-            data = decode_array(data_payload)
-            validity = decode_array(validity_payload).astype(np.bool_)
-            vectors.append(Vector(dtype, data, validity))
-        return DataChunk(vectors)
+        return DataChunk([
+            decode_vector(dtype, data_payload, validity_payload)
+            for dtype, (data_payload, validity_payload)
+            in zip(self.types, entry.payloads)])
 
     def scan(self) -> Iterator[DataChunk]:
         """Yield the buffered chunks in insertion order (decompressing)."""

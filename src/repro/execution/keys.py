@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InternalError
-from ..types import LogicalTypeId, Vector
+from ..types import LogicalTypeId, StringDictionary, Vector
 
 __all__ = ["factorize_for_groups", "BuildIndex"]
 
@@ -59,32 +59,24 @@ def _combine_codes(combined: Optional[np.ndarray], cardinality: int,
 _DENSE_CODE_LIMIT = 1 << 22
 
 
-def _factorize_object(data: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dict-based factorization for string columns.
-
-    ``np.unique`` on object arrays sorts with per-element Python
-    comparisons (O(n log n) interpreter calls); a single dict pass is both
-    O(n) and constant-factor faster for the few-distinct-values columns
-    typical of group keys.  Codes are in first-occurrence order.
-    """
-    table: dict = {}
-    codes = np.empty(len(data), dtype=np.int64)
-    setdefault = table.setdefault
-    for index, value in enumerate(data):
-        codes[index] = setdefault(value, len(table))
-    return codes, max(len(table), 1)
-
-
 def _column_codes(column: Vector) -> Tuple[np.ndarray, int]:
     """Bounded integer codes for one key column (equal values, equal codes).
 
     Integer-family columns with a narrow value range are coded by value
-    offset -- a single subtraction, no sort.  Strings use a dict pass;
-    everything else goes through ``np.unique``.  NULLs always get their own
-    dedicated code.
+    offset -- a single subtraction, no sort.  A string column's dictionary
+    codes *are* such integers (a flat one is coded first, with the same
+    dictionary pass storage uses); everything else goes through
+    ``np.unique``.  NULLs always get their own dedicated code.
     """
-    data = _column_arrays(column)
+    if column.dtype.id is LogicalTypeId.VARCHAR:
+        data = column.codes
+        if data is None:
+            data = StringDictionary().encode(column.data)
+    else:
+        data = column.data
     all_valid = column.all_valid()
+    if not all_valid:
+        data = np.where(column.validity, data, 0)
     if data.dtype.kind in "iub" and len(data):
         low = int(data.min())
         high = int(data.max())
@@ -95,12 +87,9 @@ def _column_codes(column: Vector) -> Tuple[np.ndarray, int]:
                 codes = np.where(column.validity, codes, span)
                 return codes, span + 1
             return codes, span
-    if data.dtype == object:
-        codes, cardinality = _factorize_object(data)
-    else:
-        _, codes = np.unique(data, return_inverse=True)
-        codes = codes.astype(np.int64).reshape(-1)
-        cardinality = int(codes.max()) + 1 if codes.size else 1
+    _, codes = np.unique(data, return_inverse=True)
+    codes = codes.astype(np.int64).reshape(-1)
+    cardinality = int(codes.max()) + 1 if codes.size else 1
     if not all_valid:
         codes = np.where(column.validity, codes, cardinality)
         return codes, cardinality + 1

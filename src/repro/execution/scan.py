@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..optimizer.rules import _remap_expression
 from ..planner.expressions import (
     BoundColumnRef,
     BoundConstant,
@@ -74,6 +75,11 @@ class PhysicalTableScan(PhysicalOperator):
     are skipped *without fetching them* -- the paper's §6 "skip irrelevant
     blocks of rows during a scan" -- and every filter is then evaluated on
     the chunks that do get fetched, before any parent operator sees them.
+
+    Filters run left to right over a *selection* (the surviving row
+    indices): each one sees only the columns it reads, cut down to the rows
+    every earlier filter kept, and the output columns are materialized once,
+    after the last filter -- not once per filter.
     """
 
     def __init__(self, context: ExecutionContext, table_entry, column_ids: List[int],
@@ -93,6 +99,10 @@ class PhysicalTableScan(PhysicalOperator):
         self.limit_hint = limit_hint
         self._zone_conditions = _extract_zone_conditions(self.filters,
                                                          column_ids)
+        #: Filter index -> (chunk positions it reads, the predicate rewritten
+        #: to read them from a chunk of just those columns); built on first
+        #: use, because most scans never narrow (see :meth:`_surviving`).
+        self._narrowed: Dict[int, Tuple[List[int], BoundExpression]] = {}
 
     def _range_predicate(self, start: int, end: int) -> bool:
         """False when zone bounds prove no row in [start, end) can match."""
@@ -115,6 +125,37 @@ class PhysicalTableScan(PhysicalOperator):
                 return False
         return True
 
+    def _surviving(self, executor: ExpressionExecutor,
+                   chunk: DataChunk) -> Optional[np.ndarray]:
+        """Row indices of ``chunk`` that pass every pushed filter, in filter
+        order; None when all rows do.  Until a filter rejects something the
+        predicates run on the chunk as it is; from then on each one sees
+        only its own columns, cut down to the survivors so far."""
+        selection: Optional[np.ndarray] = None
+        for index, predicate in enumerate(self.filters):
+            if selection is None:
+                mask = executor.execute_filter(predicate, chunk)
+            else:
+                narrowed = self._narrowed.get(index)
+                if narrowed is None:
+                    # A column-free predicate still needs one column, for
+                    # the row count.
+                    positions = sorted(predicate.referenced_columns()) or [0]
+                    narrowed = self._narrowed[index] = (
+                        positions, _remap_expression(predicate, {
+                            position: slot
+                            for slot, position in enumerate(positions)}))
+                positions, predicate = narrowed
+                mask = executor.execute_filter(predicate, DataChunk([
+                    chunk.columns[position].slice(selection)
+                    for position in positions]))
+            if not mask.all():
+                passed = np.flatnonzero(mask)
+                selection = passed if selection is None else selection[passed]
+                if not len(selection):
+                    break
+        return selection
+
     def execute(self) -> Iterator[DataChunk]:
         executor = ExpressionExecutor(self.context)
         range_predicate = self._range_predicate if self._zone_conditions \
@@ -129,12 +170,9 @@ class PhysicalTableScan(PhysicalOperator):
                                                 end_row=end_row):
             self.context.check_interrupted()
             self.context.bump_stat("rows_scanned", chunk.size)
-            for predicate in self.filters:
-                if chunk.size == 0:
-                    break
-                mask = executor.execute_filter(predicate, chunk)
-                if not mask.all():
-                    chunk = chunk.slice(mask)
+            selection = self._surviving(executor, chunk)
+            if selection is not None:
+                chunk = chunk.slice(selection)
             if chunk.size:
                 yield chunk
                 produced += chunk.size

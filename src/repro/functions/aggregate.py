@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BinderError, InternalError
+from ..errors import BinderError, ConversionError, InternalError
 from ..types import (
     BIGINT,
     DOUBLE,
@@ -65,6 +65,32 @@ def _group_counts(group_ids: np.ndarray, group_count: int,
     if mask is not None:
         group_ids = group_ids[mask]
     return np.bincount(group_ids, minlength=group_count)
+
+
+def _integer_sums(values: np.ndarray, group_ids: np.ndarray,
+                  group_count: int, return_type: LogicalType) -> np.ndarray:
+    """Exact per-group int64 sums; raises instead of wrapping on overflow.
+
+    int64 addition wraps silently but is exact modulo 2**64, so a sum that
+    fits is right whatever its partial sums did.  A float64 pass (off by a
+    relative 1e-9 at most) tells which groups came anywhere near the range;
+    only those are re-added with Python integers to decide.
+    """
+    if group_count == 1:
+        sums = values.sum(dtype=np.int64, keepdims=True)
+        approximate = values.sum(dtype=np.float64, keepdims=True)
+    else:
+        sums = np.zeros(group_count, dtype=np.int64)
+        np.add.at(sums, group_ids, values)
+        approximate = np.bincount(group_ids, weights=values,
+                                  minlength=group_count)
+    low, high = return_type.integer_range()
+    for group in np.flatnonzero(np.abs(approximate) >= 2.0 ** 62):
+        exact = sum(values[group_ids == group].tolist())
+        if not low <= exact <= high:
+            raise ConversionError(
+                f"Value {exact} out of range for {return_type}")
+    return sums
 
 
 def _segmented_extreme(data: np.ndarray, validity: np.ndarray,
@@ -163,14 +189,16 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
                       np.ones(group_count, dtype=np.bool_))
 
     if name == "sum":
-        weights = np.where(full_validity, data, 0).astype(np.float64)
-        sums = np.bincount(group_ids, weights=weights, minlength=group_count)
         counts = _group_counts(group_ids, group_count, full_validity)
         out_validity = counts > 0
         if return_type.is_integer():
-            out = np.zeros(group_count, dtype=np.int64)
-            out[out_validity] = np.rint(sums[out_validity]).astype(np.int64)
-            return Vector(return_type, out, out_validity)
+            values = np.where(full_validity, data, 0).astype(np.int64,
+                                                             copy=False)
+            return Vector(return_type,
+                          _integer_sums(values, group_ids, group_count,
+                                        return_type), out_validity)
+        weights = np.where(full_validity, data, 0).astype(np.float64)
+        sums = np.bincount(group_ids, weights=weights, minlength=group_count)
         return Vector(return_type, sums, out_validity)
 
     if name == "avg":

@@ -12,6 +12,10 @@ deliberately cheap to maintain:
   is worth -- the "HyperLogLog-or-exact" scheme from the issue.  Both paths
   consume whole NumPy arrays, never one value at a time on the hot path
   (``np.unique`` for the exact set, a vectorized splitmix64 for the sketch).
+* **VARCHAR** columns are dictionary-coded, so their summary widens from the
+  *new dictionary entries* an append or update produced (the
+  ``new_entries`` argument of the observation hooks), never from the rows:
+  a batch of 20,000 rows over eight tags costs nothing after the first.
 * **updates and deletes** cannot shrink min/max or NDV without a rescan, so
   they only *widen* the summary and flip :attr:`ColumnStatistics.stale`;
   the next checkpoint recomputes exact values for dirty columns (clean
@@ -130,14 +134,15 @@ class DistinctCounter:
     def approximate(self) -> bool:
         return self._sketch is not None
 
-    def add_array(self, values: np.ndarray) -> None:
+    def add_array(self, values: np.ndarray, distinct: bool = False) -> None:
+        """Fold ``values`` in; ``distinct`` promises they hold no duplicates."""
         if len(values) == 0:
             return
         if self._sketch is not None:
             self._sketch.add_array(values)
             return
         assert self._exact is not None
-        unique = np.unique(values)
+        unique = values if distinct else np.unique(values)
         if len(self._exact) + unique.size > self._limit:
             self._promote()
             assert self._sketch is not None
@@ -211,29 +216,37 @@ class ColumnStatistics:
         return self.min_value is not None and self.max_value is not None
 
     # -- observation hooks ----------------------------------------------
-    def observe_append(self, data: np.ndarray, validity: np.ndarray) -> None:
-        """Fold one appended chunk into the summary (vectorized)."""
-        self.row_count += len(data)
-        if validity.all():
-            valid = data
-        else:
-            valid = data[validity]
-            self.null_count += int(len(data) - len(valid))
-        if len(valid) == 0:
-            return
-        self._widen(valid)
-        if self.dtype.id is not LogicalTypeId.SQLNULL:
-            self.distinct.add_array(valid)
+    def observe_append(self, data: np.ndarray, validity: np.ndarray,
+                       new_entries: Optional[np.ndarray] = None) -> None:
+        """Fold one appended chunk into the summary (vectorized).
 
-    def observe_update(self, data: np.ndarray, validity: np.ndarray) -> None:
+        For a dictionary-coded column ``data`` is codes and ``new_entries``
+        the strings this chunk added to the column's dictionary: min/max/NDV
+        can only move through those, so only those are looked at.  (The
+        dictionary also keeps strings of aborted or overwritten rows, which
+        widens the summary and never narrows it.)
+        """
+        self.row_count += len(data)
+        self.null_count += int(len(data) - np.count_nonzero(validity))
+        self._fold(data, validity, new_entries)
+
+    def observe_update(self, data: np.ndarray, validity: np.ndarray,
+                       new_entries: Optional[np.ndarray] = None) -> None:
         """Fold updated values in.  Old values cannot be retracted, so the
         summary only widens and becomes stale until the next checkpoint."""
         self.stale = True
-        valid = data if validity.all() else data[validity]
-        if len(valid):
-            self._widen(valid)
-            if self.dtype.id is not LogicalTypeId.SQLNULL:
-                self.distinct.add_array(valid)
+        self._fold(data, validity, new_entries)
+
+    def _fold(self, data: np.ndarray, validity: np.ndarray,
+              new_entries: Optional[np.ndarray]) -> None:
+        if new_entries is not None:
+            values = new_entries
+        else:
+            values = data if validity.all() else data[validity]
+        if len(values) == 0 or self.dtype.id is LogicalTypeId.SQLNULL:
+            return
+        self._widen(values)
+        self.distinct.add_array(values, distinct=new_entries is not None)
 
     def mark_stale(self) -> None:
         """Deletes (and anything else that shrinks the data) leave the
@@ -241,8 +254,6 @@ class ColumnStatistics:
         self.stale = True
 
     def _widen(self, valid: np.ndarray) -> None:
-        if self.dtype.id is LogicalTypeId.SQLNULL:
-            return
         low = _scalar(valid.min(), self.dtype)
         high = _scalar(valid.max(), self.dtype)
         if self.min_value is None or low < self.min_value:
@@ -259,16 +270,19 @@ class ColumnStatistics:
 
 
 def compute_column_statistics(data: np.ndarray, validity: np.ndarray,
-                              dtype: LogicalType) -> ColumnStatistics:
+                              dtype: LogicalType,
+                              new_entries: Optional[np.ndarray] = None
+                              ) -> ColumnStatistics:
     """Exact statistics for a fully materialized column (checkpoint path).
 
     ``data``/``validity`` must already be trimmed to the live row count.
     NDV is exact via ``np.unique`` up to :data:`EXACT_NDV_LIMIT` distinct
     members, a sketch beyond -- same contract as the incremental path, but
-    with min/max/null counts always exact.
+    with min/max/null counts always exact.  For a dictionary-coded column
+    pass the referenced dictionary entries as ``new_entries``.
     """
     stats = ColumnStatistics(dtype)
-    stats.observe_append(data, validity)
+    stats.observe_append(data, validity, new_entries)
     return stats
 
 

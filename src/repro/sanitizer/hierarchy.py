@@ -102,6 +102,10 @@ CLASS_LOCK_ATTRS: Dict[str, Dict[str, Dict[str, str]]] = {
     "repro/storage/table_data.py": {
         "TableData": {"lock": "table_data"},
     },
+    "repro/types/dictionary.py": {
+        # A column dictionary shares its table's lock.
+        "StringDictionary": {"lock": "table_data"},
+    },
     "repro/storage/buffer_manager.py": {
         "BufferManager": {"_lock": "buffer_manager"},
     },

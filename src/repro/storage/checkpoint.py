@@ -30,12 +30,11 @@ import numpy as np
 from ..catalog.catalog import Catalog
 from ..catalog.entry import ColumnDefinition, TableEntry, ViewEntry
 from ..errors import CorruptionError, InternalError
-from ..optimizer.statistics import (compute_column_statistics,
-                                    restore_column_statistics)
+from ..optimizer.statistics import restore_column_statistics
 from ..types import DataChunk, Vector, cast_scalar, type_from_string, VARCHAR
 from .block_file import INVALID_BLOCK, BlockFile, MetaBlockReader, MetaBlockWriter
 from .buffer_manager import BufferManager
-from .compression import CompressionLevel, decode_array, encode_array
+from .compression import CompressionLevel, decode_vector, encode_vector
 from .serialize import BinaryReader, BinaryWriter
 from .table_data import SEGMENT_ROWS, ColumnData, TableData
 
@@ -128,10 +127,17 @@ class CheckpointWriter:
         writer = BinaryWriter()
         data_slice = column.data[row_start:row_start + row_count]
         validity_slice = column.validity[row_start:row_start + row_count]
+        if column.dictionary is not None:
+            vector = Vector.from_codes(data_slice, column.dictionary,
+                                       validity_slice)
+        else:
+            vector = Vector(column.dtype, data_slice, validity_slice)
+        data_payload, validity_payload = encode_vector(vector,
+                                                       CompressionLevel.LIGHT)
         writer.write_uint64(row_start)
         writer.write_uint64(row_count)
-        writer.write_bytes(encode_array(data_slice, CompressionLevel.LIGHT))
-        writer.write_bytes(encode_array(validity_slice, CompressionLevel.LIGHT))
+        writer.write_bytes(data_payload)
+        writer.write_bytes(validity_payload)
         payload = writer.getvalue()
         chain = MetaBlockWriter(self._file)
         chain.write(payload)
@@ -223,10 +229,8 @@ class CheckpointWriter:
                 # never re-scanned (paper §2).
                 stats = column_data.stats
                 if stats.stale or stats.row_count != data.row_count:
-                    column_data.stats = compute_column_statistics(
-                        column_data.data[:data.row_count],
-                        column_data.validity[:data.row_count],
-                        column_data.dtype)
+                    column_data.stats = column_data.exact_statistics(
+                        data.row_count)
                 column_data.persisted_segments = self._checkpoint_column(
                     column_data, data.row_count
                 )
@@ -293,12 +297,11 @@ class CheckpointReader:
                 f"{row_start}+{row_count}, catalog expected "
                 f"{segment.row_start}+{segment.row_count}"
             )
-        data = decode_array(reader.read_bytes())
-        validity = decode_array(reader.read_bytes()).astype(np.bool_)
-        if len(data) != row_count or len(validity) != row_count:
+        vector = decode_vector(column.dtype, reader.read_bytes(),
+                               reader.read_bytes())
+        if len(vector) != row_count:
             raise CorruptionError("Segment payload row count mismatch")
-        column.data[row_start:row_start + row_count] = data
-        column.validity[row_start:row_start + row_count] = validity
+        column.load_segment(row_start, vector)
 
     def load(self, catalog: Catalog, bootstrap_transaction) -> None:
         """Populate ``catalog`` from the file's current root pointer."""

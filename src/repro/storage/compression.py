@@ -20,8 +20,12 @@ HEAVY     :class:`ZlibCodec`      general-purpose entropy coding; highest
                                   ratio, highest CPU cost
 ========  ======================  =========================================
 
-Each codec converts a NumPy array to bytes and back.  VARCHAR (object)
-arrays are serialized as length-prefixed UTF-8.  All payloads are
+Each codec converts a NumPy array to bytes and back.  VARCHAR is written at
+every level as a *string dictionary*: the distinct strings of the segment or
+WAL chunk once, plus one width-reduced code per row -- the on-disk twin of
+the in-memory representation (:mod:`repro.types.dictionary`), so a coded
+vector is serialized without visiting a string per row.  The length-prefixed
+``STRINGS`` codecs of earlier files are still decoded.  All payloads are
 self-describing: :func:`decode_array` only needs the bytes.
 """
 
@@ -29,17 +33,21 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Dict, Optional, Tuple
+import zlib
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import CorruptionError, InternalError
+from ..types import LogicalType, StringDictionary, Vector
 
 __all__ = [
     "CompressionLevel",
     "CompressionType",
     "encode_array",
     "decode_array",
+    "encode_vector",
+    "decode_vector",
     "best_codec_for",
 ]
 
@@ -60,8 +68,9 @@ class CompressionType(enum.IntEnum):
     DICTIONARY = 2
     BITPACK = 3
     ZLIB = 4
-    STRINGS = 5        # length-prefixed UTF-8, uncompressed
-    STRINGS_ZLIB = 6   # length-prefixed UTF-8, zlib-compressed
+    STRINGS = 5        # length-prefixed UTF-8, uncompressed (read only)
+    STRINGS_ZLIB = 6   # length-prefixed UTF-8, zlib-compressed (read only)
+    STRING_DICT = 7    # distinct strings once + width-reduced codes
 
 
 _HEADER = struct.Struct("<BBQ")  # codec, dtype code, element count
@@ -82,20 +91,8 @@ _DTYPE_CODES = {
 _CODES_DTYPE = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
-def _encode_strings(array: np.ndarray) -> bytes:
-    """Length-prefixed UTF-8 for object arrays; None encoded as length -1."""
-    parts = []
-    for value in array:
-        if value is None:
-            parts.append(struct.pack("<i", -1))
-        else:
-            raw = value.encode("utf-8") if isinstance(value, str) else str(value).encode("utf-8")
-            parts.append(struct.pack("<i", len(raw)))
-            parts.append(raw)
-    return b"".join(parts)
-
-
 def _decode_strings(payload: bytes, count: int) -> np.ndarray:
+    """The legacy length-prefixed UTF-8 layout; None encoded as length -1."""
     out = np.empty(count, dtype=object)
     offset = 0
     for index in range(count):
@@ -107,6 +104,64 @@ def _decode_strings(payload: bytes, count: int) -> np.ndarray:
             out[index] = payload[offset:offset + length].decode("utf-8")
             offset += length
     return out
+
+
+#: Bytes per stored string code -> its dtype; the narrowest that fits wins.
+_CODE_WIDTHS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
+
+
+def _encode_string_dictionary(codes: np.ndarray, dictionary: StringDictionary,
+                              level: CompressionLevel) -> bytes:
+    """A complete ``STRING_DICT`` payload for ``codes`` of ``dictionary``.
+
+    After the header: a flag byte (1 = the rest is zlib-compressed), the
+    entry count, the entries' UTF-8 byte lengths, their concatenated bytes,
+    the code width in bytes, and the codes.  Only entries the codes
+    reference are written, renumbered from 1; code 0 stays NULL.
+    """
+    header = _HEADER.pack(CompressionType.STRING_DICT,
+                          _DTYPE_CODES[np.dtype(object)], len(codes))
+    local, codes = dictionary.referenced(codes)
+    raw = [entry.encode("utf-8") for entry in local.entries(1)]
+    width = next(width for width, dtype in _CODE_WIDTHS.items()
+                 if len(raw) <= np.iinfo(dtype).max)
+    body = b"".join([
+        struct.pack("<I", len(raw)),
+        np.fromiter(map(len, raw), dtype="<u4", count=len(raw)).tobytes(),
+        b"".join(raw),
+        struct.pack("<B", width),
+        codes.astype(_CODE_WIDTHS[width]).tobytes(),
+    ])
+    if level is CompressionLevel.HEAVY:
+        return header + b"\x01" + zlib.compress(body, 6)
+    return header + b"\x00" + body
+
+
+def _decode_string_dictionary(payload: bytes
+                              ) -> Tuple[np.ndarray, StringDictionary]:
+    """Codes and a private dictionary from a ``STRING_DICT`` payload."""
+    try:
+        _, _, count = _HEADER.unpack_from(payload, 0)
+        body = payload[_HEADER.size + 1:]
+        if payload[_HEADER.size] == 1:
+            body = zlib.decompress(body)
+        (entry_count,) = struct.unpack_from("<I", body, 0)
+        ends = np.cumsum(np.frombuffer(body, dtype="<u4", count=entry_count,
+                                       offset=4), dtype=np.int64).tolist()
+        offset = 4 + 4 * entry_count
+        blob = body[offset:offset + (ends[-1] if ends else 0)]
+        offset += len(blob)
+        entries = [blob[start:end].decode("utf-8")
+                   for start, end in zip([0] + ends, ends)]
+        (width,) = struct.unpack_from("<B", body, offset)
+        codes = np.frombuffer(body, dtype=_CODE_WIDTHS[width], count=count,
+                              offset=offset + 1).astype(np.int32)
+    except (ValueError, LookupError, struct.error, zlib.error) as exc:
+        raise CorruptionError(f"Segment payload is corrupted: {exc}") from None
+    if (ends and len(blob) != ends[-1]) \
+            or (count and int(codes.max()) > entry_count):
+        raise CorruptionError("String dictionary payload is inconsistent")
+    return codes, StringDictionary(entries)
 
 
 def _rle_encode(array: np.ndarray) -> Optional[bytes]:
@@ -186,19 +241,15 @@ def encode_array(array: np.ndarray, level: CompressionLevel = CompressionLevel.N
     that actually shrinks the payload; HEAVY additionally zlib-compresses.
     The result always round-trips through :func:`decode_array`.
     """
-    import zlib
-
     dtype_code = _DTYPE_CODES.get(array.dtype)
     if dtype_code is None:
         raise InternalError(f"Cannot serialize arrays of dtype {array.dtype}")
     count = len(array)
 
     if array.dtype == object:
-        payload = _encode_strings(array)
-        if level is CompressionLevel.HEAVY:
-            return _HEADER.pack(CompressionType.STRINGS_ZLIB, dtype_code, count) \
-                + zlib.compress(payload, 6)
-        return _HEADER.pack(CompressionType.STRINGS, dtype_code, count) + payload
+        dictionary = StringDictionary()
+        return _encode_string_dictionary(dictionary.encode(array), dictionary,
+                                         level)
 
     contiguous = np.ascontiguousarray(array)
     if level is CompressionLevel.NONE:
@@ -230,8 +281,6 @@ def encode_array(array: np.ndarray, level: CompressionLevel = CompressionLevel.N
 
 def decode_array(payload: bytes) -> np.ndarray:
     """Inverse of :func:`encode_array`; raises CorruptionError on bad data."""
-    import zlib
-
     if len(payload) < _HEADER.size:
         raise CorruptionError("Compressed segment shorter than its header")
     codec_code, dtype_code, count = _HEADER.unpack_from(payload, 0)
@@ -260,13 +309,52 @@ def decode_array(payload: bytes) -> np.ndarray:
             return _decode_strings(body, count)
         if codec is CompressionType.STRINGS_ZLIB:
             return _decode_strings(zlib.decompress(body), count)
+        if codec is CompressionType.STRING_DICT:
+            codes, dictionary = _decode_string_dictionary(payload)
+            return dictionary.take(codes)
     except (ValueError, struct.error, zlib.error) as exc:
         raise CorruptionError(f"Segment payload is corrupted: {exc}") from None
     raise InternalError(f"Unhandled codec {codec}")
 
 
+def encode_vector(vector: Vector, level: CompressionLevel = CompressionLevel.NONE
+                  ) -> Tuple[bytes, bytes]:
+    """``(data payload, validity payload)`` of one vector.
+
+    A coded VARCHAR vector goes straight from its codes to the string
+    dictionary codec; everything else is :func:`encode_array` of ``.data``.
+    """
+    if vector.codes is None:
+        data = encode_array(vector.data, level)
+    else:
+        data = _encode_string_dictionary(vector.codes, vector.dictionary,
+                                         level)
+    return data, encode_array(vector.validity, level)
+
+
+def decode_vector(dtype: LogicalType, data_payload: bytes,
+                  validity_payload: bytes) -> Vector:
+    """Inverse of :func:`encode_vector`; a ``STRING_DICT`` payload comes back
+    as a coded vector over a private dictionary, never flattened."""
+    validity = decode_array(validity_payload).astype(np.bool_)
+    if data_payload[:1] == bytes([CompressionType.STRING_DICT]):
+        codes, dictionary = _decode_string_dictionary(data_payload)
+        if len(codes) == len(validity):
+            return Vector.from_codes(codes, dictionary, validity)
+    else:
+        data = decode_array(data_payload)
+        if len(data) == len(validity):
+            return Vector(dtype, data, validity)
+    raise CorruptionError("Vector payload length mismatch")
+
+
 def best_codec_for(array: np.ndarray, level: CompressionLevel) -> Tuple[bytes, float]:
     """Encode and report the achieved compression ratio (orig/encoded)."""
     encoded = encode_array(array, level)
-    original = max(array.nbytes if array.dtype != object else len(_encode_strings(array)), 1)
-    return encoded, original / max(len(encoded), 1)
+    if array.dtype == object:
+        # What the flat layout costs: a length prefix plus UTF-8 per value.
+        original = sum(4 + (len(str(value).encode("utf-8"))
+                            if value is not None else 0) for value in array)
+    else:
+        original = array.nbytes
+    return encoded, max(original, 1) / max(len(encoded), 1)

@@ -9,6 +9,9 @@ Implements the paper's combined OLAP & ETL storage requirements (§2):
 * **in-place MVCC** -- updates overwrite the master copy immediately and park
   the pre-image in per-column undo buffers (HyPer-style, §6), so OLAP scans
   of the latest snapshot read plain contiguous NumPy arrays;
+* **coded strings** -- a VARCHAR column's master copy is ``int32`` codes into
+  one append-only per-column :class:`~repro.types.StringDictionary`; scans
+  hand the codes out as they are, and undo pre-images are codes too;
 * **dirty-range tracking** -- each column remembers which row range changed
   since the last checkpoint, letting the checkpointer skip rewriting
   unchanged columns ("unchanged columns should not be rewritten", §2).
@@ -27,7 +30,9 @@ from ..sanitizer import SanRLock, tracked_access
 from ..transaction.transaction import Transaction
 from ..transaction.undo import DeleteUndo, InsertUndo, UpdateUndo
 from ..transaction.version import ABORTED_MARKER, NOT_DELETED, versions_visible
-from ..types import DataChunk, LogicalType, LogicalTypeId, VECTOR_SIZE, Vector
+from ..types import (DataChunk, LogicalType, LogicalTypeId, StringDictionary,
+                     VECTOR_SIZE, Vector)
+from ..types.dictionary import CODE_DTYPE
 
 __all__ = ["ColumnData", "TableData", "SEGMENT_ROWS"]
 
@@ -46,22 +51,26 @@ _INITIAL_CAPACITY = 1024
 
 def _allocate(dtype: LogicalType, capacity: int) -> np.ndarray:
     if dtype.id is LogicalTypeId.VARCHAR:
-        array = np.empty(capacity, dtype=object)
-        return array
+        return np.zeros(capacity, dtype=CODE_DTYPE)  # code 0 = NULL
     return np.zeros(capacity, dtype=dtype.numpy_dtype)
 
 
 class ColumnData:
     """One column of a table: master copy, validity, undo chain, dirty range."""
 
-    __slots__ = ("dtype", "table", "data", "validity", "undo_entries",
-                 "dirty_lo", "dirty_hi", "persisted_segments", "_zone_cache",
-                 "stats")
+    __slots__ = ("dtype", "table", "data", "dictionary", "validity",
+                 "undo_entries", "dirty_lo", "dirty_hi", "persisted_segments",
+                 "_zone_cache", "stats")
 
     def __init__(self, dtype: LogicalType, table: "TableData") -> None:
         self.dtype = dtype
         self.table = table
         self.data = _allocate(dtype, _INITIAL_CAPACITY)
+        #: VARCHAR only: what the codes in ``data`` mean.  Grows under the
+        #: table lock, is replaced (never rewritten) by :meth:`compact`.
+        self.dictionary: Optional[StringDictionary] = \
+            StringDictionary(lock=table.lock) \
+            if dtype.id is LogicalTypeId.VARCHAR else None
         self.validity = np.zeros(_INITIAL_CAPACITY, dtype=np.bool_)
         #: Chronologically ordered undo entries (pre-images of updates).
         self.undo_entries: List[UpdateUndo] = []
@@ -110,13 +119,29 @@ class ColumnData:
         self.dirty_lo, self.dirty_hi = 0, -1
 
     # -- writes (caller holds the table lock) ----------------------------------
+    def _physical(self, vector: Vector) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``vector``'s values as this column stores them; for VARCHAR also
+        the entries they added to the dictionary (all the statistics need)."""
+        if self.dictionary is None:
+            return vector.data, None
+        known = self.dictionary.size
+        return vector.encode_into(self.dictionary), self.dictionary.entries(known)
+
     def write_at(self, row_start: int, vector: Vector) -> None:
         """Install freshly appended values (no undo needed: new rows)."""
         count = len(vector)
-        self.data[row_start:row_start + count] = vector.data
+        values, new_entries = self._physical(vector)
+        self.data[row_start:row_start + count] = values
         self.validity[row_start:row_start + count] = vector.validity
         self.mark_dirty(row_start, row_start + count - 1)
-        self.stats.observe_append(vector.data, vector.validity)
+        self.stats.observe_append(values, vector.validity, new_entries)
+
+    def load_segment(self, row_start: int, vector: Vector) -> None:
+        """Install checkpointed rows: no statistics (the checkpoint carries
+        its own), nothing to mark dirty."""
+        values, _ = self._physical(vector)
+        self.data[row_start:row_start + len(vector)] = values
+        self.validity[row_start:row_start + len(vector)] = vector.validity
 
     def update(self, transaction: Transaction, rows: np.ndarray, vector: Vector) -> UpdateUndo:
         """In-place update of ``rows`` with undo capture (rows must be sorted)."""
@@ -125,12 +150,22 @@ class ColumnData:
         prev_writer = self.table.last_writer[rows].copy()
         undo = UpdateUndo(transaction.transaction_id, self, rows,
                           old_data, old_validity, prev_writer)
-        self.data[rows] = vector.data
+        values, new_entries = self._physical(vector)
+        self.data[rows] = values
         self.validity[rows] = vector.validity
         self.undo_entries.append(undo)
         self.mark_dirty(int(rows[0]), int(rows[-1]))
-        self.stats.observe_update(vector.data, vector.validity)
+        self.stats.observe_update(values, vector.validity, new_entries)
         return undo
+
+    def exact_statistics(self, row_count: int) -> ColumnStatistics:
+        """Statistics recomputed from the first ``row_count`` rows."""
+        data = self.data[:row_count]
+        validity = self.validity[:row_count]
+        return compute_column_statistics(
+            data, validity, self.dtype,
+            None if self.dictionary is None
+            else self.dictionary.take(np.unique(data[validity])))
 
     def set_writer(self, rows: np.ndarray, version: int) -> None:
         """Flip the last-writer tags of ``rows`` (commit-time)."""
@@ -191,6 +226,8 @@ class ColumnData:
                 positions = undo.rows[lo:hi] - start
                 data[positions] = undo.old_data[lo:hi]
                 validity[positions] = undo.old_validity[lo:hi]
+        if self.dictionary is not None:
+            return Vector.from_codes(data, self.dictionary, validity)
         return Vector(self.dtype, data, validity)
 
     def undo_memory(self) -> int:
@@ -459,6 +496,12 @@ class TableData:
             for column in self.columns:
                 column.data = column.data[keep].copy()
                 column.validity = column.validity[keep].copy()
+                if column.dictionary is not None:
+                    # Drop entries no surviving row references.  A new
+                    # object, so vectors and result sets still holding the
+                    # old dictionary keep resolving their codes.
+                    column.dictionary, column.data = \
+                        column.dictionary.referenced(column.data, self.lock)
                 if new_count:
                     column.mark_dirty(0, new_count - 1)
                 else:
@@ -467,9 +510,7 @@ class TableData:
                     # must be cleared even without a dirty range.
                     column.mark_clean()
                     column._zone_cache.clear()
-                column.stats = compute_column_statistics(
-                    column.data[:new_count], column.validity[:new_count],
-                    column.dtype)
+                column.stats = column.exact_statistics(new_count)
                 column.persisted_segments = []
             self.inserted_by = np.zeros(max(new_count, _INITIAL_CAPACITY), dtype=np.int64)
             self.deleted_by = np.zeros(max(new_count, _INITIAL_CAPACITY), dtype=np.int64)
@@ -484,12 +525,9 @@ class TableData:
         with self.lock:
             total = self.inserted_by.nbytes + self.deleted_by.nbytes + self.last_writer.nbytes
             for column in self.columns:
-                if column.dtype.id is LogicalTypeId.VARCHAR:
-                    used = column.data[: self.row_count]
-                    total += sum(len(v) for v in used if isinstance(v, str))
-                    total += len(column.data) * 8
-                else:
-                    total += column.data.nbytes
+                total += column.data.nbytes
+                if column.dictionary is not None:
+                    total += column.dictionary.nbytes()
                 total += column.validity.nbytes
                 total += column.undo_memory()
             return total

@@ -26,9 +26,9 @@ import numpy as np
 
 from ..errors import CorruptionError, WALError
 from ..observability import engine_span, registry as metrics_registry
-from ..types import DataChunk, LogicalType, Vector, type_from_string
+from ..types import DataChunk, LogicalType, type_from_string
 from .checksum import checksum
-from .compression import CompressionLevel, decode_array, encode_array
+from .compression import decode_vector, encode_vector
 from .serialize import BinaryReader, BinaryWriter
 
 __all__ = ["WALRecordType", "WALRecord", "WriteAheadLog",
@@ -54,8 +54,9 @@ def serialize_chunk(writer: BinaryWriter, chunk: DataChunk) -> None:
     writer.write_uint64(chunk.size)
     for vector in chunk.columns:
         writer.write_string(str(vector.dtype))
-        writer.write_bytes(encode_array(vector.data, CompressionLevel.NONE))
-        writer.write_bytes(encode_array(vector.validity, CompressionLevel.NONE))
+        data, validity = encode_vector(vector)
+        writer.write_bytes(data)
+        writer.write_bytes(validity)
 
 
 def deserialize_chunk(reader: BinaryReader) -> DataChunk:
@@ -65,11 +66,10 @@ def deserialize_chunk(reader: BinaryReader) -> DataChunk:
     vectors = []
     for _ in range(column_count):
         dtype = type_from_string(reader.read_string())
-        data = decode_array(reader.read_bytes())
-        validity = decode_array(reader.read_bytes()).astype(np.bool_)
-        if len(data) != row_count or len(validity) != row_count:
+        vector = decode_vector(dtype, reader.read_bytes(), reader.read_bytes())
+        if len(vector) != row_count:
             raise CorruptionError("Chunk payload length mismatch in WAL")
-        vectors.append(Vector(dtype, data, validity))
+        vectors.append(vector)
     return DataChunk(vectors)
 
 

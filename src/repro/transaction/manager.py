@@ -40,6 +40,11 @@ class TransactionManager:
         #: Callbacks run (under the commit lock) with each committing
         #: transaction, before its tags flip -- the WAL hooks in here.
         self.pre_commit_hooks: List[Callable[[Transaction, int], None]] = []
+        #: Callbacks run (under the commit lock) after a commit that
+        #: dropped a catalog entry, with the oldest snapshot still in use:
+        #: the catalog prunes here, so a database that never checkpoints
+        #: (in-memory) still lets go of dropped tables.
+        self.drop_commit_hooks: List[Callable[[int], None]] = []
         #: Committed transactions whose undo buffers may still be needed by
         #: older active snapshots; cleaned up as snapshots advance.
         self._retired: List[Transaction] = []
@@ -93,6 +98,10 @@ class TransactionManager:
             if transaction.update_log:
                 self._retired.append(transaction)
             self._vacuum_locked()
+            if any(action == "drop" for _, action in transaction.catalog_log):
+                oldest = self._lowest_active_start_locked()
+                for hook in self.drop_commit_hooks:
+                    hook(oldest)
             return commit_id
 
     def rollback(self, transaction: Transaction) -> None:

@@ -30,7 +30,8 @@ class UpdateUndo:
     rows:
         Sorted int64 array of physical row indices that were overwritten.
     old_data / old_validity:
-        The values and validity bits those rows held before the update.
+        The values (dictionary codes for VARCHAR) and validity bits those
+        rows held before the update.
     prev_writer:
         Per-row version tags of the previous writers (restored on rollback so
         conflict detection keeps working after an abort).
@@ -50,10 +51,8 @@ class UpdateUndo:
 
     def nbytes(self) -> int:
         """Approximate memory held by this undo entry."""
-        base = self.rows.nbytes + self.old_validity.nbytes + self.prev_writer.nbytes
-        if self.old_data.dtype == object:
-            return base + sum(len(v) for v in self.old_data if isinstance(v, str)) + len(self.old_data) * 8
-        return base + self.old_data.nbytes
+        return (self.rows.nbytes + self.old_validity.nbytes
+                + self.prev_writer.nbytes + self.old_data.nbytes)
 
 
 class DeleteUndo:

@@ -25,6 +25,7 @@ from .logical import (
     infer_type_of_value,
     type_from_string,
 )
+from .dictionary import StringDictionary
 from .vector import VECTOR_SIZE, Vector
 from .chunk import DataChunk
 from .casts import cast_scalar, cast_vector
@@ -44,6 +45,7 @@ __all__ = [
     "TIMESTAMP",
     "SQLNULL",
     "Vector",
+    "StringDictionary",
     "DataChunk",
     "VECTOR_SIZE",
     "cast_vector",

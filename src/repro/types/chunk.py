@@ -100,6 +100,12 @@ class DataChunk:
     def copy(self) -> "DataChunk":
         return DataChunk([column.copy() for column in self.columns])
 
+    def flatten(self) -> "DataChunk":
+        """Decode every dictionary-coded column in place; returns self."""
+        for column in self.columns:
+            column.flatten()
+        return self
+
     def project(self, indices: Sequence[int]) -> "DataChunk":
         """A chunk containing only the given column positions (no copying)."""
         return DataChunk([self.columns[index] for index in indices])

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ConversionError, InternalError
 from . import logical
+from .dictionary import StringDictionary
 from .logical import (
     BOOLEAN,
     DATE,
@@ -97,9 +98,18 @@ class Vector:
     is True when row ``i`` holds a real value and False when it is NULL.
     The arrays are exposed directly (``vector.data``) for zero-copy transfer
     into client code, which is the transfer-efficiency story of the paper.
+
+    A VARCHAR vector has two physical forms.  *Flat* is an object array of
+    ``str`` (computed strings, CSV and client input).  *Coded* is ``int32``
+    ``codes`` into a shared append-only :class:`StringDictionary` (what
+    storage hands out): ``slice``/``copy``/``concat_many`` then move four
+    bytes per row and never touch a string.  Reading ``.data`` turns a coded
+    vector flat for good -- one ``entries[codes]`` gather -- so a kernel that
+    knows nothing about codes sees an ordinary object array, may write into
+    it, and can never leave stale codes behind.
     """
 
-    __slots__ = ("dtype", "data", "validity")
+    __slots__ = ("dtype", "_data", "validity", "codes", "dictionary")
 
     def __init__(self, dtype: LogicalType, data: np.ndarray, validity: Optional[np.ndarray] = None):
         if validity is None:
@@ -109,8 +119,62 @@ class Vector:
                 f"Vector data length {len(data)} != validity length {len(validity)}"
             )
         self.dtype = dtype
-        self.data = data
+        self._data: Optional[np.ndarray] = data
         self.validity = validity
+        #: ``int32`` dictionary codes while the vector is coded, else None.
+        self.codes: Optional[np.ndarray] = None
+        self.dictionary: Optional[StringDictionary] = None
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, dictionary: StringDictionary,
+                   validity: Optional[np.ndarray] = None) -> "Vector":
+        """A coded VARCHAR vector; ``codes`` index ``dictionary``."""
+        vector = cls(VARCHAR, codes, validity)
+        vector._data = None
+        vector.codes = codes
+        vector.dictionary = dictionary
+        return vector
+
+    def flatten(self) -> np.ndarray:
+        """The physical value array; a coded vector is decoded in place
+        first (see above) -- one gather, every later call is free."""
+        codes = self.codes
+        if codes is not None:
+            # ``_data`` is set before ``codes`` is cleared, so a concurrent
+            # reader that still sees codes merely repeats the gather.
+            self._data = self.dictionary.take(codes)
+            self.codes = None
+        return self._data
+
+    data = property(flatten)
+
+    def _flat(self) -> np.ndarray:
+        """The value array without changing this vector's form."""
+        codes = self.codes
+        return self._data if codes is None else self.dictionary.take(codes)
+
+    def encode_into(self, dictionary: StringDictionary) -> np.ndarray:
+        """Re-express this VARCHAR vector as codes of ``dictionary``.
+
+        Same values, NULL rows get code 0; returns the codes.  Storage calls
+        this on the vectors it is handed so that whoever serializes the same
+        chunk next (the WAL) finds codes instead of repeating the string pass.
+        """
+        codes = self.codes
+        if codes is None:
+            flat = self._data
+            if not self.all_valid():
+                flat = np.where(self.validity, flat, None)
+            codes = dictionary.encode(flat)
+        else:
+            if not self.all_valid():
+                codes = np.where(self.validity, codes, 0)
+            if self.dictionary is not dictionary:
+                codes = dictionary.recode(codes, self.dictionary)
+        self.dictionary = dictionary
+        self.codes = codes
+        self._data = None
+        return codes
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -182,17 +246,20 @@ class Vector:
 
     # -- basic accessors ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.validity)
 
     @property
     def count(self) -> int:
-        return len(self.data)
+        return len(self.validity)
 
     def get_value(self, index: int) -> Any:
         """The Python value at ``index`` (``None`` for NULL)."""
         if not self.validity[index]:
             return None
-        return _physical_to_python(self.data[index], self.dtype)
+        codes = self.codes
+        value = self._data[index] if codes is None \
+            else self.dictionary.take(codes[index])
+        return _physical_to_python(value, self.dtype)
 
     def set_value(self, index: int, value: Any) -> None:
         """Store a Python value (or ``None`` for NULL) at ``index``."""
@@ -206,6 +273,8 @@ class Vector:
 
     def to_pylist(self) -> List[Any]:
         """Materialize the vector as a list of Python values."""
+        if self.codes is not None:
+            return Vector(self.dtype, self._flat(), self.validity).to_pylist()
         return [self.get_value(index) for index in range(len(self))]
 
     def null_count(self) -> int:
@@ -217,20 +286,22 @@ class Vector:
     # -- transformations --------------------------------------------------
     def slice(self, selection: np.ndarray) -> "Vector":
         """A new vector containing the rows selected by index array or mask."""
-        return Vector(self.dtype, self.data[selection], self.validity[selection])
+        codes = self.codes
+        if codes is not None:
+            return Vector.from_codes(codes[selection], self.dictionary,
+                                     self.validity[selection])
+        return Vector(self.dtype, self._data[selection], self.validity[selection])
 
     def copy(self) -> "Vector":
-        return Vector(self.dtype, self.data.copy(), self.validity.copy())
+        codes = self.codes
+        if codes is not None:
+            return Vector.from_codes(codes.copy(), self.dictionary,
+                                     self.validity.copy())
+        return Vector(self.dtype, self._data.copy(), self.validity.copy())
 
     def concat(self, other: "Vector") -> "Vector":
         """This vector followed by ``other`` (types must match)."""
-        if other.dtype != self.dtype:
-            raise InternalError(f"concat of {self.dtype} with {other.dtype}")
-        return Vector(
-            self.dtype,
-            np.concatenate([self.data, other.data]),
-            np.concatenate([self.validity, other.validity]),
-        )
+        return Vector.concat_many([self, other])
 
     @classmethod
     def concat_many(cls, vectors: Iterable["Vector"]) -> "Vector":
@@ -242,11 +313,16 @@ class Vector:
         for vector in vectors[1:]:
             if vector.dtype != dtype:
                 raise InternalError(f"concat_many of {dtype} with {vector.dtype}")
-        return cls(
-            dtype,
-            np.concatenate([vector.data for vector in vectors]),
-            np.concatenate([vector.validity for vector in vectors]),
-        )
+        validity = np.concatenate([vector.validity for vector in vectors])
+        dictionary = vectors[0].dictionary
+        if all(vector.codes is not None and vector.dictionary is dictionary
+               for vector in vectors):
+            # One shared dictionary: only the codes move.
+            return cls.from_codes(
+                np.concatenate([vector.codes for vector in vectors]),
+                dictionary, validity)
+        return cls(dtype, np.concatenate([vector._flat() for vector in vectors]),
+                   validity)
 
     def nbytes(self) -> int:
         """Approximate memory footprint in bytes.
@@ -256,20 +332,24 @@ class Vector:
         full pass over every string would cost more than it protects.
         """
         if self.dtype.id is LogicalTypeId.VARCHAR:
+            # The same estimate in either form, so buffer accounting (and
+            # with it compression and spill decisions) does not depend on
+            # whether a vector happens to be coded.
             count = len(self)
-            if count == 0:
-                payload = 0
-            elif count <= 64:
-                payload = sum(len(value) for value in self.data
-                              if value is not None)
+            codes = self.codes
+            values = self._data if codes is None else codes
+            if count > 64:
+                values = values[::max(count // 64, 1)][:64]
+            if codes is not None:
+                values = self.dictionary.take(values)
+            sampled = [len(value) for value in values if value is not None]
+            if count <= 64:
+                payload = sum(sampled)
             else:
-                step = max(count // 64, 1)
-                sample = self.data[::step][:64]
-                sampled = [len(value) for value in sample if value is not None]
                 average = (sum(sampled) / len(sampled)) if sampled else 0
                 payload = int(average * count)
             return payload + count * 8 + self.validity.nbytes
-        return self.data.nbytes + self.validity.nbytes
+        return self._data.nbytes + self.validity.nbytes
 
     def __repr__(self) -> str:
         preview = self.to_pylist()[:8]

@@ -76,6 +76,54 @@ class TestUngrouped:
         assert result.types[0] == BIGINT
 
 
+class TestExactIntegerSum:
+    """sum() over integers accumulates in int64, not float64."""
+
+    @pytest.fixture
+    def big(self, con):
+        rng = np.random.default_rng(7)
+        values = (1 << 40) + rng.integers(0, 1 << 20, 200_000)
+        groups = rng.integers(0, 7, 200_000).astype(np.int32)
+        con.execute("CREATE TABLE big (g INTEGER, v BIGINT)")
+        with con.appender("big") as appender:
+            appender.append_numpy({"g": groups, "v": values},
+                                  {"v": np.arange(200_000) % 11 != 0})
+        values = np.where(np.arange(200_000) % 11 != 0, values, 0)
+        return con, groups, values
+
+    def test_matches_python_integer_arithmetic_above_2_53(self, big):
+        con, groups, values = big
+        total = sum(values.tolist())
+        assert total > 1 << 53
+        assert con.query_value("SELECT sum(v) FROM big") == total
+        assert con.execute("SELECT g, sum(v) FROM big GROUP BY g ORDER BY g"
+                           ).fetchall() \
+            == [(g, sum(values[groups == g].tolist())) for g in range(7)]
+
+    def test_parallel_partial_sums_are_exact_too(self, big):
+        con, _, values = big
+        con.execute("PRAGMA threads = 4")
+        assert con.query_value("SELECT sum(v) FROM big") == sum(values.tolist())
+
+    def test_overflow_raises_instead_of_wrapping(self, con):
+        con.execute("CREATE TABLE edge (g INTEGER, v BIGINT)")
+        top = (1 << 63) - 1
+        con.execute(f"INSERT INTO edge VALUES (1, {top}), (1, -5), (1, 3), "
+                    f"(2, {top}), (2, 1)")
+        assert con.query_value("SELECT sum(v) FROM edge WHERE g = 1") \
+            == top - 2
+        with pytest.raises(repro.ConversionError, match="out of range"):
+            con.execute("SELECT sum(v) FROM edge").fetchall()
+        with pytest.raises(repro.ConversionError, match="out of range"):
+            con.execute("SELECT g, sum(v) FROM edge GROUP BY g").fetchall()
+
+    def test_float_sums_and_avg_unchanged(self, con):
+        con.execute("CREATE TABLE f (i INTEGER, d DOUBLE)")
+        con.execute("INSERT INTO f VALUES (1, 0.5), (2, 0.25), (NULL, NULL)")
+        assert con.execute("SELECT sum(d), avg(i), sum(i) FROM f").fetchall() \
+            == [(0.75, 1.5, 3)]
+
+
 class TestGrouped:
     def test_group_by(self, populated):
         rows = populated.execute(

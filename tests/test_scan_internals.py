@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+import repro
 from repro.execution.joins import _batched
 from repro.execution.scan import _extract_zone_conditions
 from repro.planner.expressions import (
@@ -131,3 +132,39 @@ class TestProbeBatching:
         values = [value for batch in batches
                   for value in batch.columns[0].to_pylist()]
         assert values == [0, 1, 2, 0, 1, 2]
+
+
+class TestPushedFilterOrder:
+    """The scan carries a selection through its pushed filters: a later
+    filter only ever sees rows every earlier one kept."""
+
+    @pytest.fixture
+    def con(self):
+        connection = repro.connect()
+        connection.execute("CREATE TABLE t (id INTEGER, s VARCHAR, n INTEGER)")
+        connection.execute(
+            "INSERT INTO t VALUES (1, '1', 5), (2, 'x', 6), (3, '10', 7), "
+            "(4, NULL, 8), (5, '2', 9), (6, 'y', 1)")
+        yield connection
+        connection.close()
+
+    def test_cast_never_sees_rows_an_earlier_filter_rejected(self, con):
+        query = ("SELECT id, n FROM t WHERE s NOT IN ('x', 'y') "
+                 "AND CAST(s AS INTEGER) > 1 AND n < 9")
+        plan = "\n".join(row[0] for row in
+                         con.execute("EXPLAIN " + query).fetchall())
+        assert "TABLE_SCAN" in plan and "filters=3" in plan
+        assert con.execute(query).fetchall() == [(3, 7)]
+        # Evaluated first, the same cast meets 'x' and raises: the order
+        # of the pushed filters is the order they were written in.
+        with pytest.raises(repro.ConversionError):
+            con.execute("SELECT id FROM t WHERE CAST(s AS INTEGER) > 1 "
+                        "AND s NOT IN ('x', 'y')").fetchall()
+
+    def test_filters_over_different_columns_and_no_survivors(self, con):
+        assert con.execute("SELECT s FROM t WHERE n > 5 AND id < 5 AND n <> 7 "
+                           "ORDER BY id").fetchall() == [("x",), (None,)]
+        assert con.execute("SELECT id FROM t WHERE n > 100 AND "
+                           "CAST(s AS INTEGER) > 0").fetchall() == []
+        assert con.execute("SELECT count(*) FROM t WHERE 1 = 1 AND n >= 1"
+                           ).fetchall() == [(6,)]
