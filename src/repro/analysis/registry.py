@@ -97,17 +97,11 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # ``_active_context`` is published so Connection.interrupt() (called
         # from another thread) can set the cancellation flag; a stale read
         # merely misses an interrupt window, it cannot corrupt state.
-        # The accounting scratch (``_statement_seq``, ``_buffer_baseline``,
-        # ``last_accounting``) is written on the result-cache hit path,
-        # which deliberately skips the connection lock; a torn value can
-        # only mislabel one accounting estimate, never corrupt engine
-        # state, and guarding it would put a lock on the hottest path.
-        # ``_session_id`` is written once by SessionRegistry.create before
-        # the connection serves any statement.
+        # ``_session_id`` and ``_bill_sink`` are written once by
+        # Session.__init__ before the connection serves any statement.
         "Connection": SharedClassSpec(
             "_lock", frozenset({"_active_context", "_session_id",
-                                "_statement_seq", "_buffer_baseline",
-                                "last_accounting"})),
+                                "_bill_sink"})),
     },
     "repro/server/cache.py": {
         # Every connection thread looks up / stores through the shared

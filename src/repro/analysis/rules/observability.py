@@ -30,8 +30,8 @@ Two ways instrumentation itself becomes a bug:
   ``Session.execute`` epilogue are the two sanctioned emission sites).
 
 Pairing for QLO001 is checked at *class* scope: a span started in one
-method and closed in another (``Connection._execute_statement`` starts the
-query span, ``_finish_statement`` closes it) is a legitimate ownership
+method and closed in another (``Connection._run_statement`` starts the
+query span, ``_observe_statement`` closes it) is a legitimate ownership
 pattern, but a class that starts spans and never closes any is not.
 """
 

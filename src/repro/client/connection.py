@@ -11,10 +11,10 @@ transfer-efficiency design of paper §5/§6.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -29,7 +29,7 @@ from ..database import Database
 from ..observability import registry as metrics_registry
 from ..observability.accounting import StatementRecord
 from ..sanitizer import SanRLock
-from ..errors import ClosedHandleError, Error
+from ..errors import ClosedHandleError
 from ..errors import InvalidInputError, TransactionContextError
 from ..execution.executor import Executor, StatementResult
 from ..introspection.flight import is_engine_fault
@@ -38,7 +38,12 @@ from ..planner import bound_statements as bound
 from ..server.cache import CachedPlan, CachedResult, plan_result_cacheable
 from ..sql import ast, parse
 from ..types import DataChunk
-from .params import normalize_parameters, type_fingerprint, value_fingerprint
+from .params import (
+    execute_each,
+    normalize_parameters,
+    type_fingerprint,
+    value_fingerprint,
+)
 from .result import QueryResult
 
 if TYPE_CHECKING:
@@ -64,25 +69,14 @@ def connect(database: str = ":memory:",
     if isinstance(config, dict) or config is None:
         config = DatabaseConfig.from_dict(config)
     instance = Database(database, config)
-    connection = Connection(instance, owns_database=True, _internal=True)
-    return connection
+    return Connection(instance, owns_database=True)
 
 
 class Connection:
     """One client connection: a transaction context plus the execute API."""
 
     def __init__(self, database: Database, owns_database: bool = False,
-                 config: Optional[DatabaseConfig] = None,
-                 _internal: bool = False) -> None:
-        if not _internal:
-            # Deprecation shim (one release): the supported entry points are
-            # repro.connect(), Database.connect(), ConnectionPool, and
-            # QueryServer.session() -- direct construction bypasses session
-            # config handling and will lose access to it.
-            warnings.warn(
-                "Constructing Connection directly is deprecated; use "
-                "repro.connect(), Database.connect(), or a ConnectionPool",
-                DeprecationWarning, stacklevel=2)
+                 config: Optional[DatabaseConfig] = None) -> None:
         self._database = database
         self._owns_database = owns_database
         #: Effective session config.  Plain connections share the database's
@@ -96,7 +90,7 @@ class Connection:
         self._active_context: Optional["ExecutionContext"] = None
         # -- per-statement resource accounting ------------------------------
         # Serving session this connection belongs to (0 = direct embedded
-        # connection); set by SessionRegistry.create before any statement.
+        # connection); set by the owning Session before any statement.
         self._session_id = 0
         # Statements observed on this connection, the `statement_seq` half
         # of the accounting attribution key.
@@ -106,9 +100,10 @@ class Connection:
         buffers = database.buffer_manager
         self._buffer_baseline = (buffers.cache_hits, buffers.cache_misses,
                                  buffers.peak_bytes)
-        # Resource bill of the most recently finished statement (the
-        # serving session folds it into its stats).
-        self.last_accounting: Optional[StatementRecord] = None
+        # Receives every finished statement's resource bill; set by the
+        # serving Session that owns this connection, which folds the bills
+        # into its stats.
+        self._bill_sink: Optional[Callable[[StatementRecord], None]] = None
         self._closed = False
         # Outermost lock of the declared hierarchy: held while the engine
         # takes the checkpoint, transaction-manager, catalog, table, and
@@ -157,7 +152,7 @@ class Connection:
     def duplicate(self) -> "Connection":
         """Another connection to the same database (for concurrent use)."""
         self._check_open()
-        return Connection(self._database, _internal=True)
+        return Connection(self._database)
 
     # -- transaction control ------------------------------------------------------
     def begin(self) -> None:
@@ -200,50 +195,69 @@ class Connection:
         Autocommit SELECTs ride the database's shared plan cache (and,
         eager ones, the result cache) -- see :mod:`repro.server.cache`.
         """
+        return self._execute(sql, None, parameters, stream)
+
+    def _execute(self, sql: str, statements: Optional[List[ast.Statement]],
+                 parameters: Any, stream: bool) -> QueryResult:
+        """Resolve each statement of ``sql`` to a plan and run it.
+
+        The single entry of the statement pipeline.  ``statements`` is the
+        AST a :class:`PreparedStatement` retained; ``None`` means parse --
+        which a plan-cache hit skips along with bind and optimize.
+        """
         self._check_open()
         parameters = normalize_parameters(parameters)
-        served = self._execute_served(sql, parameters, stream)
-        if served is not None:
-            return served
-        return self._execute_parsed(parse(sql), sql, parameters, stream)
+        with self._lock:
+            cache_key = self._plan_cache_key(sql, parameters)
+            if cache_key is not None:
+                database = self._database
+                entry = database.plan_cache.lookup(
+                    cache_key, database.transaction_manager.catalog_version)
+                if entry is not None:
+                    return self._run_statement(sql, None, entry.plan,
+                                               parameters, stream, cache_key)
+            if statements is None:
+                statements = parse(sql)
+            if not statements:
+                raise InvalidInputError("No statement to execute")
+            if len(statements) > 1 \
+                    or not isinstance(statements[0], ast.SelectStatement):
+                cache_key = None
+            result: Optional[QueryResult] = None
+            for index, statement in enumerate(statements):
+                if result is not None:
+                    result.close()
+                is_last = index == len(statements) - 1
+                result = self._run_statement(sql, statement, None, parameters,
+                                             stream and is_last, cache_key)
+            assert result is not None
+            return result
 
-    def _execute_parsed(self, statements: List[ast.Statement], sql: str,
-                        parameters: Any, stream: bool) -> QueryResult:
-        """Run pre-parsed statements (shared with PreparedStatement)."""
-        if not statements:
-            raise InvalidInputError("No statement to execute")
-        if (len(statements) == 1 and self._transaction is None
-                and isinstance(statements[0], ast.SelectStatement)
-                and self._database.plan_cache.capacity > 0):
-            tfp = type_fingerprint(parameters)
-            if tfp is not None:
-                vfp = value_fingerprint(parameters) if not stream else None
-                filled = self._execute_select_fill(
-                    statements[0], parameters, stream, sql, tfp, vfp)
-                if filled is not None:
-                    return filled
-        result: Optional[QueryResult] = None
-        for index, statement in enumerate(statements):
-            if result is not None:
-                result.close()
-            is_last = index == len(statements) - 1
-            result = self._execute_statement(statement, parameters,
-                                             stream=stream and is_last,
-                                             sql_text=sql)
-        assert result is not None
-        return result
+    def _plan_cache_key(self, sql: str, parameters: Any) -> Optional[Any]:
+        """Plan-cache key of ``sql``, or None when it must not be cached.
+
+        Only autocommit statements are eligible: inside an explicit
+        transaction the session's snapshot may predate (or outpace) the
+        version counters the caches key on.
+        """
+        if self._transaction is not None \
+                or self._database.plan_cache.capacity <= 0:
+            return None
+        # Cheap statement-kind sniff: only SELECTs are ever cached (the
+        # parsed AST is checked before a fill), so skip the lookup -- and
+        # the miss it would count -- for DML/DDL text.
+        head = sql.lstrip()[:7].upper()
+        if not (head.startswith("SELECT") or head.startswith("WITH")
+                or head.startswith("(")):
+            return None
+        tfp = type_fingerprint(parameters)
+        return None if tfp is None else (sql.strip(), tfp)
 
     def executemany(self, sql: str,
                     parameter_sets: Iterable[Sequence[Any]]) -> QueryResult:
         """Run the same statement for each parameter tuple (or mapping)."""
-        result: Optional[QueryResult] = None
-        for parameters in parameter_sets:
-            if result is not None:
-                result.close()
-            result = self.execute(sql, parameters)
-        if result is None:
-            raise InvalidInputError("executemany() with no parameter sets")
-        return result
+        return execute_each(lambda parameters: self.execute(sql, parameters),
+                            parameter_sets)
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse a single statement once for repeated parameterized runs."""
@@ -251,88 +265,6 @@ class Connection:
         from .prepared import PreparedStatement
 
         return PreparedStatement(self, sql)
-
-    # -- cache fast paths ---------------------------------------------------
-    def _execute_served(self, sql: str, parameters: Any,
-                        stream: bool) -> Optional[QueryResult]:
-        """Serve from the plan/result caches, or None to take the slow path.
-
-        Only autocommit statements are eligible: inside an explicit
-        transaction the session's snapshot may predate (or outpace) the
-        version counters the caches key on.
-        """
-        if self._transaction is not None:
-            return None
-        database = self._database
-        if database.plan_cache.capacity <= 0:
-            return None
-        # Cheap statement-kind sniff: only SELECTs are ever cached (the fill
-        # path checks the parsed AST), so skip the lookup -- and the miss it
-        # would count -- for DML/DDL text.
-        head = sql.lstrip()[:7].upper()
-        if not (head.startswith("SELECT") or head.startswith("WITH")
-                or head.startswith("(")):
-            return None
-        tfp = type_fingerprint(parameters)
-        if tfp is None:
-            return None
-        key_sql = sql.strip()
-        manager = database.transaction_manager
-        entry = database.plan_cache.lookup((key_sql, tfp),
-                                           manager.catalog_version)
-        if entry is None:
-            return None
-        vfp = value_fingerprint(parameters) if not stream else None
-        if vfp is not None and database.result_cache.capacity > 0:
-            wall = time.perf_counter_ns()
-            hit = database.result_cache.lookup(
-                (key_sql, vfp, manager.data_version))
-            if hit is not None:
-                self._observe_statement(
-                    sql, None, None, time.perf_counter_ns() - wall,
-                    hit.rows,
-                    vectors=sum(chunk.column_count for chunk in hit.chunks))
-                return QueryResult(hit.names, hit.types, iter(hit.chunks),
-                                   hit.rowcount)
-        with self._lock:
-            transaction = manager.begin()
-            return self._run_select_locked(entry.plan, transaction,
-                                           parameters, stream, sql, key_sql,
-                                           vfp)
-
-    def _execute_select_fill(self, statement: ast.Statement, parameters: Any,
-                             stream: bool, sql: str, tfp: Any,
-                             vfp: Any) -> Optional[QueryResult]:
-        """Bind a SELECT with late-bound parameters and cache its plan.
-
-        Returns None when the statement cannot be parameterized (e.g.
-        ``LIMIT ?``, which must fold to a constant at bind time) -- the
-        caller falls back to the legacy value-inlining path, uncached.
-        """
-        database = self._database
-        manager = database.transaction_manager
-        key_sql = sql.strip()
-        with self._lock:
-            # Capture the catalog version BEFORE beginning: a DDL commit
-            # racing in between marks the fresh plan stale (conservative),
-            # never the reverse.
-            catalog_version = manager.catalog_version
-            transaction = manager.begin()
-            try:
-                binder = Binder(database.catalog, transaction, parameters,
-                                parameterize=True)
-                bound_statement = binder.bind_statement(statement)
-                executor = self._make_executor(transaction, parameters)
-                plan = executor.prepare_select(bound_statement)
-            except Error:
-                manager.rollback(transaction)
-                return None
-            database.plan_cache.store(
-                (key_sql, tfp),
-                CachedPlan(key_sql, plan, catalog_version,
-                           parameterized=bool(parameters)))
-            return self._run_select_locked(plan, transaction, parameters,
-                                           stream, sql, key_sql, vfp)
 
     def _make_executor(self, transaction: "Transaction",
                        parameters: Any = None) -> Executor:
@@ -343,61 +275,18 @@ class Connection:
             config=self._config,
             parameters=parameters if parameters is not None else ())
 
-    def _run_select_locked(self, plan: Any, transaction: "Transaction",
-                           parameters: Any, stream: bool, sql_text: str,
-                           key_sql: str, vfp: Any) -> QueryResult:
-        """Run an optimized SELECT plan in autocommit mode (lock held)."""
-        database = self._database
-        manager = database.transaction_manager
-        tracer = database.tracer
-        query_span = tracer.start_query(sql_text) \
-            if tracer is not None else None
-        wall = time.perf_counter_ns()
-        cpu = time.thread_time_ns()
-        try:
-            executor = self._make_executor(transaction, parameters)
-            outcome = executor.run_plan(plan)
-        except Exception as execute_error:
-            self._finish_statement(sql_text, tracer, query_span,
-                                   time.perf_counter_ns() - wall,
-                                   time.thread_time_ns() - cpu, 0,
-                                   error=execute_error)
-            manager.rollback(transaction)
-            raise
-        if stream:
-            return self._streaming_result(outcome, transaction, True,
-                                          sql_text, tracer, query_span,
-                                          wall, cpu)
-        try:
-            chunks = [chunk for chunk in outcome.chunks if chunk.size]
-        except Exception as drain_error:
-            self._finish_statement(sql_text, tracer, query_span,
-                                   time.perf_counter_ns() - wall,
-                                   time.thread_time_ns() - cpu, 0,
-                                   error=drain_error)
-            manager.rollback(transaction)
-            raise
-        start_version = transaction.start_data_version
-        manager.commit(transaction)
-        database.maybe_auto_checkpoint()
-        self._finish_statement(sql_text, tracer, query_span,
-                               time.perf_counter_ns() - wall,
-                               time.thread_time_ns() - cpu,
-                               sum(chunk.size for chunk in chunks),
-                               vectors=sum(chunk.column_count
-                                           for chunk in chunks))
-        if (vfp is not None and database.result_cache.capacity > 0
-                and plan_result_cacheable(plan)):
-            database.result_cache.store(
-                (key_sql, vfp, start_version),
-                CachedResult(outcome.names, outcome.types, tuple(chunks),
-                             outcome.rowcount))
-        return QueryResult(outcome.names, outcome.types, iter(chunks),
-                           outcome.rowcount)
+    def _run_statement(self, sql_text: str,
+                       statement: Optional[ast.Statement], plan: Any,
+                       parameters: Any, stream: bool,
+                       cache_key: Optional[Any]) -> QueryResult:
+        """Run one statement through the skeleton every statement shares
+        (connection lock held).
 
-    def _execute_statement(self, statement: ast.Statement,
-                           parameters: Optional[Sequence[Any]],
-                           stream: bool, sql_text: str = "") -> QueryResult:
+        begin -> trace -> bind -> optimize -> run -> drain or stream ->
+        commit or roll back -> observe.  ``plan`` is a plan-cache hit (then
+        ``statement`` is None); ``cache_key`` marks a cache-eligible
+        autocommit SELECT, the only kind the two caches hook into.
+        """
         # Transaction control never runs inside the executor.
         if isinstance(statement, ast.TransactionStatement):
             if statement.action == "begin":
@@ -415,70 +304,119 @@ class Connection:
             self._database.checkpoint(force=True)
             return QueryResult([], [], iter(()), 0)
 
-        with self._lock:
-            autocommit = self._transaction is None
-            transaction = self._transaction \
-                or self._database.transaction_manager.begin()
-            try:
-                binder = Binder(self._database.catalog, transaction, parameters)
-                bound_statement = binder.bind_statement(statement)
-            except Exception as bind_error:
-                # Binding performed no writes: an explicit transaction can
-                # keep going; an implicit one is simply discarded.
-                if autocommit:
-                    self._database.transaction_manager.rollback(transaction)
-                self._observe_statement(sql_text, None, None, 0, 0,
-                                        error=bind_error)
-                raise
-            tracer = self._database.tracer
-            query_span = tracer.start_query(sql_text) \
-                if tracer is not None else None
-            wall = time.perf_counter_ns()
-            cpu = time.thread_time_ns()
-            try:
-                executor = self._make_executor(transaction, parameters)
-                outcome = executor.execute(bound_statement)
-            except Exception as execute_error:
-                self._finish_statement(sql_text, tracer, query_span,
-                                       time.perf_counter_ns() - wall,
-                                       time.thread_time_ns() - cpu, 0,
-                                       error=execute_error)
-                # Execution may have performed partial writes; without
-                # savepoints the whole transaction must abort.
-                self._database.transaction_manager.rollback(transaction)
-                if not autocommit:
-                    self._transaction = None
-                raise
+        database = self._database
+        manager = database.transaction_manager
+        results = database.result_cache
+        autocommit = self._transaction is None
+        tracer = database.tracer
+        query_span = tracer.start_query(sql_text) \
+            if tracer is not None else None
+        wall = time.perf_counter_ns()
+        cpu = time.thread_time_ns()
+        # A new statement: interrupt() has no target until its executor
+        # publishes a context, and the bill must not re-read the previous
+        # statement's scan counters.
+        self._active_context = None
+        transaction: Optional["Transaction"] = None
+        executing = False
 
-            if stream:
-                return self._streaming_result(outcome, transaction, autocommit,
-                                              sql_text, tracer, query_span,
-                                              wall, cpu)
-            # Eager mode: drain the plan, then commit.
-            try:
-                chunks = [chunk for chunk in outcome.chunks if chunk.size]
-            except Exception as drain_error:
-                self._finish_statement(sql_text, tracer, query_span,
-                                       time.perf_counter_ns() - wall,
-                                       time.thread_time_ns() - cpu, 0,
-                                       error=drain_error)
-                if autocommit:
-                    self._database.transaction_manager.rollback(transaction)
-                else:
-                    self._database.transaction_manager.rollback(transaction)
-                    self._transaction = None
-                raise
-            if autocommit:
-                self._database.transaction_manager.commit(transaction)
-                self._database.maybe_auto_checkpoint()
-            self._finish_statement(sql_text, tracer, query_span,
-                                   time.perf_counter_ns() - wall,
-                                   time.thread_time_ns() - cpu,
-                                   sum(chunk.size for chunk in chunks),
-                                   vectors=sum(chunk.column_count
-                                               for chunk in chunks))
-            return QueryResult(outcome.names, outcome.types, iter(chunks),
-                               outcome.rowcount)
+        def end(rows: int = 0, vectors: int = 0,
+                error: Optional[BaseException] = None) -> None:
+            """The one commit-or-rollback decision, then observe.  A
+            streaming result calls this later, from the client's thread."""
+            with self._lock:
+                try:
+                    if (error is None and autocommit
+                            and transaction is not None
+                            and transaction.is_active):
+                        manager.commit(transaction)
+                        database.maybe_auto_checkpoint()
+                except Exception as commit_error:
+                    error = commit_error
+                    raise
+                finally:
+                    # Binding performs no writes, so a bind error leaves an
+                    # explicit transaction usable; once execution began it
+                    # may have written, and without savepoints the whole
+                    # transaction must abort -- eager or streaming alike.
+                    if error is not None and transaction is not None \
+                            and (autocommit or executing):
+                        if transaction.is_active:
+                            manager.rollback(transaction)
+                        if not autocommit:
+                            self._transaction = None
+                    self._observe_statement(
+                        sql_text, tracer, query_span,
+                        time.perf_counter_ns() - wall,
+                        time.thread_time_ns() - cpu, rows, vectors, error)
+
+        # Result cache, before: an eager cache-eligible SELECT may be
+        # answered without a transaction.
+        vfp = value_fingerprint(parameters) if cache_key is not None \
+            and not stream and results.capacity > 0 else None
+        try:
+            hit = results.lookup((cache_key[0], vfp, manager.data_version)) \
+                if vfp is not None else None
+            if hit is not None:
+                outcome = StatementResult(hit.names, hit.types,
+                                          iter(hit.chunks), hit.rowcount)
+            else:
+                # Captured BEFORE beginning: a DDL commit racing in between
+                # marks a fresh plan stale (conservative), never the reverse.
+                catalog_version = manager.catalog_version
+                transaction = self._transaction or manager.begin()
+                executor = self._make_executor(transaction, parameters)
+                if plan is None:
+                    assert statement is not None
+                    plan, bound_statement = self._bind(
+                        statement, executor, transaction, parameters,
+                        cache_key, catalog_version)
+                executing = True
+                outcome = executor.run_plan(plan) if plan is not None \
+                    else executor.execute(bound_statement)
+                if stream:
+                    # The root span must not stay on this thread's stack
+                    # while the client holds the lazy result (the next
+                    # statement would nest under it); end() closes it.
+                    if tracer is not None and query_span is not None:
+                        tracer.pop(query_span)
+                    return self._streaming_result(outcome, end)
+            chunks = [chunk for chunk in outcome.chunks if chunk.size]
+        except Exception as statement_error:
+            end(error=statement_error)
+            raise
+        end(sum(chunk.size for chunk in chunks),
+            sum(chunk.column_count for chunk in chunks))
+        # Result cache, after.
+        if vfp is not None and transaction is not None \
+                and plan_result_cacheable(plan):
+            results.store((cache_key[0], vfp, transaction.start_data_version),
+                          CachedResult(outcome.names, outcome.types,
+                                       tuple(chunks), outcome.rowcount))
+        return QueryResult(outcome.names, outcome.types, iter(chunks),
+                           outcome.rowcount)
+
+    def _bind(self, statement: ast.Statement, executor: Executor,
+              transaction: "Transaction", parameters: Any,
+              cache_key: Optional[Any], catalog_version: int) -> Any:
+        """Bind a statement -- once -- and return ``(plan, bound_statement)``.
+
+        A cache-eligible SELECT is bound with parameter slots and optimized
+        into a reusable plan, stored in the plan cache unless the binder had
+        to read a parameter's value (``LIMIT ?``).  Everything else is bound
+        with its values inlined and has no plan: the executor runs it.
+        """
+        binder = Binder(self._database.catalog, transaction, parameters,
+                        parameterize=cache_key is not None)
+        bound_statement = binder.bind_statement(statement)
+        if cache_key is None:
+            return None, bound_statement
+        plan = executor.prepare_select(bound_statement)
+        if not binder.value_dependent:
+            self._database.plan_cache.store(
+                cache_key, CachedPlan(cache_key[0], plan, catalog_version,
+                                      parameterized=bool(parameters)))
+        return plan, bound_statement
 
     def interrupt(self) -> None:
         """Request cancellation of in-flight query execution.
@@ -493,95 +431,48 @@ class Connection:
             context.interrupted = True
 
     def _streaming_result(self, outcome: StatementResult,
-                          transaction: "Transaction",
-                          autocommit: bool, sql_text: str = "",
-                          tracer: Optional["Tracer"] = None,
-                          query_span: Optional["Span"] = None,
-                          wall_start: int = 0,
-                          cpu_start: int = 0) -> QueryResult:
-        finished: Dict[str, Any] = {"done": False, "rows": 0, "vectors": 0,
-                                    "error": None}
-        # The root span must not stay on this thread's stack while the
-        # client holds the lazy result (the next statement would nest under
-        # it) -- pop now, close with final timing when the stream ends.
-        if tracer is not None and query_span is not None:
-            tracer.pop(query_span)
+                          end: Callable[..., None]) -> QueryResult:
+        """A lazy result that ends its statement when exhausted or closed."""
+        progress = {"done": False, "rows": 0, "vectors": 0}
 
-        def finish_observation() -> None:
-            wall_ns = time.perf_counter_ns() - wall_start
-            cpu_ns = time.thread_time_ns() - cpu_start
-            if query_span is not None:
-                query_span.add_timing(wall_ns, cpu_ns)
-                assert tracer is not None
-                tracer.end_span(query_span)
-            self._observe_statement(sql_text, tracer, query_span, wall_ns,
-                                    finished["rows"],
-                                    error=finished["error"], cpu_ns=cpu_ns,
-                                    vectors=finished["vectors"],
-                                    context=self._active_context)
-
-        def on_close() -> None:
-            if finished["done"]:
-                return
-            finished["done"] = True
-            finish_observation()
-            if autocommit:
-                if transaction.is_active:
-                    self._database.transaction_manager.commit(transaction)
-                self._database.maybe_auto_checkpoint()
+        def finish(error: Optional[BaseException] = None) -> None:
+            if not progress["done"]:
+                progress["done"] = True
+                end(progress["rows"], progress["vectors"], error)
 
         def guarded_chunks() -> Iterator[DataChunk]:
             try:
                 for chunk in outcome.chunks:
-                    finished["rows"] += chunk.size
-                    finished["vectors"] += chunk.column_count
+                    progress["rows"] += chunk.size
+                    progress["vectors"] += chunk.column_count
                     yield chunk
             except Exception as stream_error:
-                if autocommit and transaction.is_active:
-                    self._database.transaction_manager.rollback(transaction)
-                    finished["done"] = True
-                    finished["error"] = stream_error
-                    finish_observation()
+                finish(stream_error)
                 raise
 
         return QueryResult(outcome.names, outcome.types, guarded_chunks(),
-                           outcome.rowcount, on_close=on_close)
+                           outcome.rowcount, on_close=finish)
 
     # -- observability ------------------------------------------------------
-    def _finish_statement(self, sql_text: str, tracer: Optional["Tracer"],
-                          query_span: Optional["Span"], wall_ns: int,
-                          cpu_ns: int, rows: int,
-                          error: Optional[BaseException] = None,
-                          vectors: int = 0) -> None:
-        """Close the statement's root span and fold per-statement metrics."""
-        if tracer is not None and query_span is not None:
-            tracer.finish_query(query_span, wall_ns, cpu_ns)
-        self._observe_statement(sql_text, tracer, query_span, wall_ns, rows,
-                                error=error, cpu_ns=cpu_ns, vectors=vectors,
-                                context=self._active_context)
+    def _observe_statement(self, sql_text: str, tracer: Optional["Tracer"],
+                           query_span: Optional["Span"], wall_ns: int,
+                           cpu_ns: int, rows: int, vectors: int,
+                           error: Optional[BaseException]) -> None:
+        """The one after-statement hook: span, flight ring, metrics, bill.
 
-    def _flight(self, sql_text: str, wall_ns: int, rows: int,
-                error: Optional[BaseException] = None) -> None:
-        """Record the statement in the flight ring; dump on engine faults.
-
-        The dump is best-effort (``try_dump`` semantics): a recorder that
-        cannot write must never mask the engine error it is documenting.
+        Every finished statement -- success or error, cached or not --
+        passes here exactly once.
         """
         database = self._database
+        if tracer is not None and query_span is not None:
+            tracer.finish_query(query_span, wall_ns, cpu_ns)
+        # Flight dumps are best-effort (``try_dump`` semantics): a recorder
+        # that cannot write must never mask the engine error it documents.
         database.flight_recorder.record_statement(sql_text, wall_ns / 1e6,
                                                   rows, error)
         if error is not None and is_engine_fault(error):
             database.dump_flight(f"engine fault: {type(error).__name__}",
                                  error, best_effort=True)
-
-    def _observe_statement(self, sql_text: str, tracer: Optional["Tracer"],
-                           query_span: Optional["Span"], wall_ns: int,
-                           rows: int,
-                           error: Optional[BaseException] = None,
-                           cpu_ns: int = 0, vectors: int = 0,
-                           context: Optional["ExecutionContext"] = None,
-                           ) -> None:
-        self._flight(sql_text, wall_ns, rows, error)
         reg = metrics_registry()
         reg.counter("repro_queries_total", "Statements executed").inc()
         if rows:
@@ -589,7 +480,6 @@ class Connection:
                         "Rows handed to clients").inc(rows)
         reg.histogram("repro_statement_seconds",
                       "End-to-end statement latency").observe(wall_ns / 1e9)
-        database = self._database
         database.fold_metrics()
         seq = self._statement_seq + 1
         self._statement_seq = seq
@@ -602,11 +492,11 @@ class Connection:
         peak = buffers.peak_bytes
         base_hits, base_misses, base_peak = self._buffer_baseline
         self._buffer_baseline = (hits, misses, peak)
-        rows_scanned = 0
-        if context is not None:
-            # Lock-free read after the run, same idiom as the executor's
-            # post-run stats reads.
-            rows_scanned = int(context.stats.get("rows_scanned", 0))
+        # The statement is over: de-target interrupt().  Reading the stats
+        # lock-free after the run is the executor's own post-run idiom.
+        context, self._active_context = self._active_context, None
+        rows_scanned = int(context.stats.get("rows_scanned", 0)) \
+            if context is not None else 0
         memory = peak if peak > base_peak else buffers.used_bytes
         record = StatementRecord(
             self._session_id, seq, sql_text,
@@ -616,12 +506,9 @@ class Connection:
             buffer_misses=max(0, misses - base_misses),
             memory_bytes=memory,
             error=type(error).__name__ if error is not None else "")
-        self.last_accounting = record
         database.statement_log.record(record)
-        if context is not None and context is self._active_context:
-            # The statement is over: de-target interrupt() and keep the
-            # next statement's accounting from re-reading these stats.
-            self._active_context = None
+        if self._bill_sink is not None:
+            self._bill_sink(record)
         threshold = self._config.slow_query_ms
         if threshold > 0:
             duration_ms = wall_ns / 1e6
@@ -657,14 +544,16 @@ class Connection:
 
     def table_names(self) -> List[str]:
         """Names of all tables visible right now."""
-        transaction = self._transaction \
-            or self._database.transaction_manager.begin()
-        try:
-            return [table.name
-                    for table in self._database.catalog.tables(transaction)]
-        finally:
-            if transaction is not self._transaction:
-                self._database.transaction_manager.rollback(transaction)
+        self._check_open()
+        with self._lock:
+            transaction = self._transaction \
+                or self._database.transaction_manager.begin()
+            try:
+                return [table.name for table
+                        in self._database.catalog.tables(transaction)]
+            finally:
+                if transaction is not self._transaction:
+                    self._database.transaction_manager.rollback(transaction)
 
     def appender(self, table_name: str) -> "Appender":
         """A bulk :class:`~repro.client.appender.Appender` for a table."""

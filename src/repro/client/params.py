@@ -4,7 +4,8 @@
 ``PreparedStatement`` all accept the same two paramstyles -- qmark
 (``?`` bound from a sequence) and named (``:name`` bound from a mapping)
 -- and all funnel through :func:`normalize_parameters` so the binder and
-the caches see one canonical shape.
+the caches see one canonical shape; :func:`execute_each` is the loop every
+``executemany`` shares.
 
 The two fingerprint functions are what keep parameters from defeating the
 caches: the *type* fingerprint keys the plan cache (one plan per SQL text
@@ -18,12 +19,25 @@ cached cast.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..errors import InvalidInputError
 from ..types import infer_type_of_value
 
-__all__ = ["normalize_parameters", "type_fingerprint", "value_fingerprint"]
+if TYPE_CHECKING:
+    from .result import QueryResult
+
+__all__ = ["normalize_parameters", "type_fingerprint", "value_fingerprint",
+           "execute_each"]
 
 Parameters = Union[Tuple[Any, ...], dict, None]
 
@@ -50,6 +64,20 @@ def normalize_parameters(parameters: Any) -> Parameters:
         raise InvalidInputError(
             f"Parameters must be a sequence or a mapping, got "
             f"{type(parameters).__name__}") from None
+
+
+def execute_each(execute: Callable[[Any], "QueryResult"],
+                 parameter_sets: Iterable[Any]) -> "QueryResult":
+    """The one ``executemany`` loop: run ``execute`` once per parameter set,
+    closing every result but the last, which is returned."""
+    result: Optional["QueryResult"] = None
+    for parameters in parameter_sets:
+        if result is not None:
+            result.close()
+        result = execute(parameters)
+    if result is None:
+        raise InvalidInputError("executemany() with no parameter sets")
+    return result
 
 
 def type_fingerprint(parameters: Parameters) -> Optional[Tuple]:

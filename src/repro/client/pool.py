@@ -44,7 +44,7 @@ class ConnectionPool:
         # an engine lock (it nests nothing and nothing nests inside it).
         self._condition = threading.Condition(threading.Lock())
         self._free: List["Connection"] = [
-            Connection(database, config=self._fresh_config(), _internal=True)
+            Connection(database, config=self._fresh_config())
             for _ in range(size)
         ]
         self._borrowed = 0

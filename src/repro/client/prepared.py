@@ -11,11 +11,11 @@ the parameter *type* fingerprint, not the values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..errors import ClosedHandleError, InvalidInputError
 from ..sql import parse
-from .params import normalize_parameters
+from .params import execute_each
 
 if TYPE_CHECKING:
     from .connection import Connection
@@ -57,24 +57,12 @@ class PreparedStatement:
                 stream: bool = False) -> "QueryResult":
         """Run the statement with this execution's parameter values."""
         self._check_usable()
-        connection = self._connection
-        parameters = normalize_parameters(parameters)
-        served = connection._execute_served(self._sql, parameters, stream)
-        if served is not None:
-            return served
-        return connection._execute_parsed(self._statements, self._sql,
-                                          parameters, stream)
+        return self._connection._execute(self._sql, self._statements,
+                                         parameters, stream)
 
     def executemany(self, parameter_sets: Iterable[Any]) -> "QueryResult":
         """Run once per parameter set, returning the last result."""
-        result: Optional["QueryResult"] = None
-        for parameters in parameter_sets:
-            if result is not None:
-                result.close()
-            result = self.execute(parameters)
-        if result is None:
-            raise InvalidInputError("executemany() with no parameter sets")
-        return result
+        return execute_each(self.execute, parameter_sets)
 
     def close(self) -> None:
         self._closed = True

@@ -14,14 +14,10 @@ Transfer efficiency (paper §5/§6) is the whole point of this module:
 A streaming result keeps its transaction open until exhausted or closed --
 the client application literally acts as the root operator of the query
 plan, polling the engine for chunks.
-
-The legacy spelling ``fetchnumpy()`` still works but raises a
-``DeprecationWarning``; use :meth:`fetch_numpy`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -155,12 +151,6 @@ class QueryResult:
             else:
                 out[name] = np.ma.masked_array(vector.data, mask=~vector.validity)
         return out
-
-    def fetchnumpy(self) -> Dict[str, np.ndarray]:
-        """Deprecated spelling of :meth:`fetch_numpy`."""
-        warnings.warn("QueryResult.fetchnumpy() is deprecated; "
-                      "use fetch_numpy()", DeprecationWarning, stacklevel=2)
-        return self.fetch_numpy()
 
     def materialize(self) -> "QueryResult":
         """Drain the source eagerly; the result then owns plain chunks."""

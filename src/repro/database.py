@@ -286,7 +286,7 @@ class Database:
         self.check_open()
         from .client.connection import Connection
 
-        return Connection(self, _internal=True)
+        return Connection(self)
 
     def check_open(self) -> None:
         if self._closed:

@@ -182,6 +182,11 @@ class Binder:
         #: through the ExecutionContext) instead of being baked in as
         #: constants -- this is what makes the bound plan cacheable.
         self.parameterize = parameterize
+        #: Set (on the statement's top-level binder) once a parameter's
+        #: *value* was baked into the bound plan.  Such a plan answers only
+        #: this execution's values, so the connection does not cache it.
+        self.value_dependent = False
+        self._root: "Binder" = self
         self.cte_scope: Dict[str, ast.Statement] = dict(cte_scope or {})
         #: FROM-clause scopes of enclosing queries, innermost first.  Only
         #: consulted to *diagnose* correlated references -- this engine does
@@ -194,6 +199,7 @@ class Binder:
         child = Binder(self.catalog, self.transaction, self.parameters,
                        self.cte_scope, parameterize=self.parameterize)
         child.outer_contexts = list(self.outer_contexts)
+        child._root = self._root
         return child
 
     # ------------------------------------------------------------------ statements
@@ -540,7 +546,13 @@ class Binder:
         return LogicalLimit(plan, limit, offset)
 
     def _fold_to_int(self, expression: ast.Expression, clause: str) -> int:
-        bound_expression = self.bind_expression(expression, BindContext())
+        # LIMIT/OFFSET are compile-time integers of the plan, so a parameter
+        # here is read now rather than bound to a per-execution slot.
+        parameterize, self.parameterize = self.parameterize, False
+        try:
+            bound_expression = self.bind_expression(expression, BindContext())
+        finally:
+            self.parameterize = parameterize
         folded = _fold_constant(bound_expression)
         if not isinstance(folded, BoundConstant) or isinstance(folded.value, float) \
                 or not isinstance(folded.value, int):
@@ -723,6 +735,7 @@ class Binder:
             dtype = infer_type_of_value(value)
             if self.parameterize:
                 return BoundParameterRef(key, dtype)
+            self._root.value_dependent = True
             return BoundConstant(value, dtype)
         if isinstance(expression, ast.ColumnRef):
             match = context.try_resolve(expression.table_name,

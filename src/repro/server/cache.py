@@ -153,9 +153,22 @@ class CachedResult:
         self.rowcount = rowcount
         self.rows = sum(chunk.size for chunk in chunks)
 
+    def copy(self) -> "CachedResult":
+        """The same result over private copies of every chunk."""
+        return CachedResult(self.names, self.types,
+                            tuple(chunk.copy() for chunk in self.chunks),
+                            self.rowcount)
+
 
 class ResultCache:
-    """LRU cache of result sets keyed on SQL + parameter values + version."""
+    """LRU cache of result sets keyed on SQL + parameter values + version.
+
+    The cache owns its chunks: :meth:`store` keeps a private copy and every
+    :meth:`lookup` hit hands out a fresh one, because clients receive result
+    arrays zero-copy and may write to them (and ``fetch_chunk`` decodes
+    dictionary-coded vectors in place) -- a shared chunk would leak one
+    client's writes into every later hit.
+    """
 
     def __init__(self, config) -> None:
         self._config = config
@@ -181,12 +194,13 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+        return entry.copy()
 
     def store(self, key: Any, entry: CachedResult) -> None:
         capacity = self.capacity
         if capacity <= 0 or entry.rows > self.max_rows:
             return
+        entry = entry.copy()
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

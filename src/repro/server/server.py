@@ -60,8 +60,7 @@ class QueryServer:
         from ..client.connection import Connection
 
         session_config = dataclasses.replace(self.database.config)
-        connection = Connection(self.database, config=session_config,
-                                _internal=True)
+        connection = Connection(self.database, config=session_config)
         return self.sessions.create(connection, self.admission, name)
 
     def execute(self, sql: str, parameters: Any = None):

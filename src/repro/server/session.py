@@ -16,10 +16,11 @@ The :class:`SessionRegistry` hangs off the
 mutable stats (each session aliases it as ``_registry_lock``), so the
 system-table snapshot is one consistent critical section.  The lock is
 never held across engine work -- statistics are flipped before and after
-``connection.execute``, and a closing session leaves the registry's
-critical section before taking the connection lock (``connection`` sits
-*above* ``server.sessions`` in the declared hierarchy, so the nested order
-would be inverted).
+``connection.execute``, each statement's bill is folded in by the
+connection's observe site (which holds ``connection``, the lock *above*
+``server.sessions`` in the declared hierarchy), and a closing session
+leaves the registry's critical section before taking the connection lock
+(the nested order would be inverted).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..sanitizer import SanLock
 if TYPE_CHECKING:
     from ..client.connection import Connection
     from ..client.result import QueryResult
+    from ..observability.accounting import StatementRecord
     from .admission import AdmissionController
 
 __all__ = ["Session", "SessionRegistry"]
@@ -65,16 +67,22 @@ class Session:
         self.active_phase = ""
         self.active_since = 0.0
         self.active_seq = 0
-        # Accumulated resource accounting, folded from the connection's
-        # per-statement bills (see repro.observability.accounting).
+        # Accumulated resource accounting: the sums over this session's
+        # ``repro_statement_log()`` rows, one bill per statement.
         self.wall_ms = 0.0
         self.cpu_ms = 0.0
         self.rows_scanned = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
         self.peak_memory = 0
-        self._last_folded_seq = 0
+        # Last bill of the execute() call in flight (capture records it).
+        self._last_bill: Optional["StatementRecord"] = None
         self._closed = False
+        # Stamp the accounting attribution key onto the connection so every
+        # StatementRecord and slow-log entry carries (session_id, seq), and
+        # subscribe to the bills.
+        connection._session_id = session_id
+        connection._bill_sink = self._fold_bill
 
     # -- execution ----------------------------------------------------------
     def execute(self, sql: str, parameters: Any = None) -> "QueryResult":
@@ -96,6 +104,7 @@ class Session:
             self.active_phase = "admission"
             self.active_since = started
             self.active_seq = self.connection._statement_seq + 1
+            self._last_bill = None
         ticket = self._admission.admit() if self._admission is not None \
             else None
         config = self.connection.session_config
@@ -114,9 +123,6 @@ class Session:
                 self.active_phase = "executing"
             result = self.connection.execute(sql, parameters)
             captured_rows = result.rowcount
-            if result.rowcount > 0:
-                with self._registry_lock:
-                    self.rows_returned += result.rowcount
             return result
         except Exception as execute_error:
             captured_error = type(execute_error).__name__
@@ -133,52 +139,50 @@ class Session:
                 config.memory_limit = saved_memory
             if ticket is not None:
                 self._admission.release()
-            accounting = self.connection.last_accounting
-            fresh_bill = False
             with self._registry_lock:
                 self.active_sql = ""
                 self.active_phase = ""
                 self.active_since = 0.0
                 self.active_seq = 0
-                if (accounting is not None
-                        and accounting.statement_seq > self._last_folded_seq):
-                    # Multi-statement SQL leaves only its last bill visible;
-                    # the fold is an accumulated estimate, not a ledger.
-                    fresh_bill = True
-                    self._last_folded_seq = accounting.statement_seq
-                    self.wall_ms += accounting.wall_ms
-                    self.cpu_ms += accounting.cpu_ms
-                    self.rows_scanned += accounting.rows_scanned
-                    self.buffer_hits += accounting.buffer_hits
-                    self.buffer_misses += accounting.buffer_misses
-                    if accounting.memory_bytes > self.peak_memory:
-                        self.peak_memory = accounting.memory_bytes
+                bill = self._last_bill
                 if not self._closed:
                     self.state = "idle"
             # Workload capture writes to a file: strictly outside every
-            # engine lock (quacklint QLO004).  A stale bill (transaction
-            # control statements observe nothing) falls back to the
-            # result's own count.
+            # engine lock (quacklint QLO004).  Without a bill (transaction
+            # control statements observe nothing) the result's own count
+            # stands in.
             capture = self.connection.database.workload_capture
             if capture is not None:
                 capture.emit_statement(
                     self.name, self.session_id,
-                    accounting.statement_seq if fresh_bill else 0,
+                    bill.statement_seq if bill is not None else 0,
                     sql, parameters,
-                    accounting.rows_out if fresh_bill else captured_rows,
+                    bill.rows_out if bill is not None else captured_rows,
                     (time.time() - started) * 1000.0, captured_error)
 
-    def executemany(self, sql: str, parameter_sets: Any) -> "QueryResult":
-        result: Optional["QueryResult"] = None
-        for parameters in parameter_sets:
-            if result is not None:
-                result.close()
-            result = self.execute(sql, parameters)
-        if result is None:
-            from ..errors import InvalidInputError
+    def _fold_bill(self, bill: "StatementRecord") -> None:
+        """Add one finished statement's bill to the session totals.
 
-            raise InvalidInputError("executemany() with no parameter sets")
-        return result
+        Called by the connection's observe site for *every* statement, so a
+        multi-statement string or a streamed result is billed in full.
+        """
+        with self._registry_lock:
+            self._last_bill = bill
+            self.rows_returned += bill.rows_out
+            self.wall_ms += bill.wall_ms
+            self.cpu_ms += bill.cpu_ms
+            self.rows_scanned += bill.rows_scanned
+            self.buffer_hits += bill.buffer_hits
+            self.buffer_misses += bill.buffer_misses
+            if bill.memory_bytes > self.peak_memory:
+                self.peak_memory = bill.memory_bytes
+
+    def executemany(self, sql: str, parameter_sets: Any) -> "QueryResult":
+        # Imported here: repro.client imports this package at load time.
+        from ..client.params import execute_each
+
+        return execute_each(lambda parameters: self.execute(sql, parameters),
+                            parameter_sets)
 
     def stats(self) -> Dict[str, Any]:
         """Accumulated resource accounting of this session (one snapshot)."""
@@ -242,9 +246,6 @@ class SessionRegistry:
             self._next_id += 1
         session = Session(self, admission, connection, session_id,
                           name or f"session-{session_id}")
-        # Stamp the accounting attribution key onto the connection so every
-        # StatementRecord and slow-log entry carries (session_id, seq).
-        connection._session_id = session_id
         with self._lock:
             self._sessions[session_id] = session
             self.opened += 1

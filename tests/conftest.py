@@ -12,6 +12,7 @@ os.environ.setdefault("REPRO_VERIFY_PLANS", "1")
 import pytest
 
 import repro
+from repro import observability as obs
 from repro import sanitizer
 
 
@@ -29,6 +30,18 @@ def con():
     connection = repro.connect()
     yield connection
     connection.close()
+
+
+@pytest.fixture
+def traced():
+    """A fresh process-wide tracer (own sink); restores prior state."""
+    was_enabled = obs.tracing_enabled()
+    obs.disable_tracing()
+    tracer = obs.enable_tracing()
+    yield tracer
+    obs.disable_tracing()
+    if was_enabled:
+        obs.enable_tracing()
 
 
 @pytest.fixture

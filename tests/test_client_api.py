@@ -105,12 +105,6 @@ class TestResults:
             "SELECT i FROM sample WHERE i > 100").fetch_numpy()
         assert len(arrays["i"]) == 0
 
-    def test_fetchnumpy_deprecated_shim(self, populated):
-        with pytest.warns(DeprecationWarning):
-            arrays = populated.execute(
-                "SELECT i FROM sample ORDER BY i").fetchnumpy()
-        np.testing.assert_array_equal(arrays["i"], [1, 2, 3, 4, 5])
-
     def test_fetch_chunk_bulk_access(self, populated):
         result = populated.execute("SELECT i FROM sample")
         chunk = result.fetch_chunk()

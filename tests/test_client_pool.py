@@ -12,7 +12,6 @@ import pytest
 
 import repro
 from repro.client import Connection, ConnectionPool, PreparedStatement
-from repro.database import Database
 from repro.errors import (
     ClosedHandleError,
     InterfaceError,
@@ -192,6 +191,8 @@ def test_closed_connection_raises_interface_error():
         con.execute("SELECT 1")
     with pytest.raises(ClosedHandleError):
         con.cursor()
+    with pytest.raises(ClosedHandleError):
+        con.table_names()
 
 
 def test_closed_cursor_raises_interface_error(con):
@@ -203,24 +204,16 @@ def test_closed_cursor_raises_interface_error(con):
         cursor.fetchall()
 
 
-# -- migration shims --------------------------------------------------------
-
-def test_direct_connection_construction_warns():
-    database = Database(":memory:")
-    try:
-        with pytest.warns(DeprecationWarning):
-            con = Connection(database)
-        con.execute("SELECT 1")
-        con.close()
-    finally:
-        database.close()
-
+# -- construction paths -----------------------------------------------------
 
 def test_factory_paths_do_not_warn(recwarn):
     with repro.connect() as con:
         con.execute("SELECT 1")
         with con.duplicate() as dup:
             dup.execute("SELECT 1")
+        # Direct construction is just what Database.connect() builds.
+        with Connection(con.database) as direct:
+            direct.execute("SELECT 1")
     with repro.connect(pool_size=1) as pool:
         with pool.connection() as pooled:
             pooled.execute("SELECT 1")

@@ -27,18 +27,6 @@ from repro.observability import (
 
 
 @pytest.fixture
-def traced():
-    """A fresh process-wide tracer (own sink); restores prior state."""
-    was_enabled = obs.tracing_enabled()
-    obs.disable_tracing()
-    tracer = obs.enable_tracing()
-    yield tracer
-    obs.disable_tracing()
-    if was_enabled:
-        obs.enable_tracing()
-
-
-@pytest.fixture
 def untraced():
     """Process-wide tracing off for the test; restores prior state."""
     was_enabled = obs.tracing_enabled()

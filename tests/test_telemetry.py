@@ -181,7 +181,7 @@ class TestStatementAccounting:
             con.executemany("INSERT INTO t VALUES (?)",
                             [(i,) for i in range(1000)])
             con.execute("SELECT sum(a) FROM t").fetchall()
-            record = con.last_accounting
+            record = con.database.statement_log.records()[-1]
             assert record.sql == "SELECT sum(a) FROM t"
             assert record.rows_out == 1
             assert record.rows_scanned >= 1000
