@@ -4,7 +4,9 @@ The paper's core argument is that a vectorized engine amortizes
 interpretation overhead over whole vectors; a Python ``for`` loop over
 ``Vector``/``DataChunk`` element data reintroduces exactly the per-value
 overhead the engine exists to avoid.  Kernels under ``functions/`` and
-``execution/`` must express their work as NumPy array operations.
+``execution/`` must express their work as NumPy array operations, and the
+hand-over code under ``types/`` and ``client/`` must build rows per column
+(``to_pylist``/``to_rows``), not by calling ``get_value``/``row`` per index.
 
 Legitimate exceptions exist -- VARCHAR kernels operate on object-dtype
 arrays where no NumPy bulk primitive applies -- and are suppressed inline
@@ -16,7 +18,7 @@ it exists to *measure* the overhead this rule forbids.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence, Set
+from typing import Iterable, Iterator, Optional, Sequence, Set
 
 from ..core import AnalysisConfig, FileContext, Rule, Violation
 
@@ -24,6 +26,8 @@ __all__ = ["VectorizationRule"]
 
 #: Attributes that expose per-element engine data.
 _ELEMENT_ATTRS = frozenset({"data", "validity"})
+#: Methods that convert one value / one row per call.
+_PER_INDEX_METHODS = frozenset({"get_value", "row"})
 
 
 def _target_names(target: ast.AST) -> Set[str]:
@@ -83,8 +87,10 @@ class VectorizationRule(Rule):
         "QLV001": "loop body indexes vector element data with the loop "
                   "variable",
         "QLV002": "loop iterates directly over vector element data",
+        "QLV003": "loop calls get_value()/row() once per index",
     }
-    default_scope = ("repro/functions/", "repro/execution/")
+    default_scope = ("repro/functions/", "repro/execution/", "repro/types/",
+                     "repro/client/")
 
     def check(self, ctx: FileContext,
               config: AnalysisConfig) -> Iterator[Violation]:
@@ -94,7 +100,9 @@ class VectorizationRule(Rule):
                                             node.body)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                    ast.GeneratorExp)):
+                loop_vars: Set[str] = set()
                 for generator in node.generators:
+                    loop_vars |= _target_names(generator.target)
                     described = _iter_targets_element_data(generator.iter)
                     if described is not None:
                         yield Violation(
@@ -102,6 +110,8 @@ class VectorizationRule(Rule):
                             f"comprehension iterates over {described} "
                             f"element-by-element; use a NumPy bulk operation",
                         )
+                yield from self._check_per_index_calls(
+                    ctx, node, loop_vars, ast.iter_child_nodes(node))
 
     def _check_loop(self, ctx: FileContext, loop: ast.AST, target: ast.AST,
                     iter_expr: ast.AST,
@@ -117,6 +127,7 @@ class VectorizationRule(Rule):
         loop_vars = _target_names(target)
         if not loop_vars:
             return
+        yield from self._check_per_index_calls(ctx, loop, loop_vars, body)
         for stmt in body:
             for node in ast.walk(stmt):
                 if not isinstance(node, ast.Subscript):
@@ -130,6 +141,25 @@ class VectorizationRule(Rule):
                         f"for-loop indexes {described}[...] with its loop "
                         f"variable (element-at-a-time kernel); vectorize "
                         f"with NumPy bulk operations or suppress with a "
+                        f"justification",
+                    )
+                    return  # one finding per loop is enough
+
+    def _check_per_index_calls(self, ctx: FileContext, loop: ast.AST,
+                               loop_vars: Set[str],
+                               body: Iterable[ast.AST]) -> Iterator[Violation]:
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _PER_INDEX_METHODS \
+                        and any(loop_vars & _bare_names(arg)
+                                for arg in node.args):
+                    yield Violation(
+                        "QLV003", ctx.path, loop.lineno, loop.col_offset,
+                        f"loop calls .{node.func.attr}() once per index "
+                        f"(one Python call per value); convert per column "
+                        f"with to_pylist()/to_rows() or suppress with a "
                         f"justification",
                     )
                     return  # one finding per loop is enough

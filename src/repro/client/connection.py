@@ -39,8 +39,8 @@ from ..server.cache import CachedPlan, CachedResult, plan_result_cacheable
 from ..sql import ast, parse
 from ..types import DataChunk
 from .params import (
-    execute_each,
     normalize_parameters,
+    parameter_batches,
     type_fingerprint,
     value_fingerprint,
 )
@@ -254,10 +254,40 @@ class Connection:
         return None if tfp is None else (sql.strip(), tfp)
 
     def executemany(self, sql: str,
-                    parameter_sets: Iterable[Sequence[Any]]) -> QueryResult:
-        """Run the same statement for each parameter tuple (or mapping)."""
-        return execute_each(lambda parameters: self.execute(sql, parameters),
-                            parameter_sets)
+                    parameter_sets: Iterable[Any]) -> QueryResult:
+        """Run one statement over many parameter tuples (or mappings).
+
+        The call is *one* statement: parsed once, one transaction, one
+        ``repro_statement_log()`` row, and a result holding one ``Count``
+        row with the total rows affected (also its ``rowcount``).  In
+        autocommit a failing set leaves nothing behind.  An ``INSERT ...
+        VALUES`` of one row is bound once and appends one chunk per run of
+        sets whose parameter types agree (see
+        :func:`~repro.client.params.parameter_batches`).  No sets at all
+        parses the statement and runs nothing (``rowcount == 0``).
+        """
+        return self._executemany(sql, None, parameter_sets)
+
+    def _executemany(self, sql: str,
+                     statements: Optional[List[ast.Statement]],
+                     parameter_sets: Iterable[Any]) -> QueryResult:
+        """Every route's ``executemany`` (``statements`` as in _execute)."""
+        self._check_open()
+        sets = [parameters if parameters is not None else ()
+                for parameters in map(normalize_parameters, parameter_sets)]
+        with self._lock:
+            if statements is None:
+                statements = parse(sql)
+            if len(statements) != 1 or isinstance(
+                    statements[0], (ast.TransactionStatement,
+                                    ast.CheckpointStatement)):
+                raise InvalidInputError(
+                    "executemany() takes exactly one statement that can "
+                    "take parameters")
+            if not sets:
+                return QueryResult([], [], iter(()), 0)
+            return self._run_statement(sql, statements[0], None, None, False,
+                                       None, parameter_sets=sets)
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse a single statement once for repeated parameterized runs."""
@@ -266,19 +296,22 @@ class Connection:
 
         return PreparedStatement(self, sql)
 
-    def _make_executor(self, transaction: "Transaction",
-                       parameters: Any = None) -> Executor:
+    def _make_executor(self, transaction: "Transaction", parameters: Any = None,
+                       parameter_rows: Optional[int] = None) -> Executor:
         return Executor(
             self._database, transaction,
             on_context=lambda context: setattr(
                 self, "_active_context", context),
             config=self._config,
-            parameters=parameters if parameters is not None else ())
+            parameters=parameters if parameters is not None else (),
+            parameter_rows=parameter_rows)
 
     def _run_statement(self, sql_text: str,
                        statement: Optional[ast.Statement], plan: Any,
                        parameters: Any, stream: bool,
-                       cache_key: Optional[Any]) -> QueryResult:
+                       cache_key: Optional[Any],
+                       parameter_sets: Optional[List[Any]] = None,
+                       ) -> QueryResult:
         """Run one statement through the skeleton every statement shares
         (connection lock held).
 
@@ -286,6 +319,8 @@ class Connection:
         commit or roll back -> observe.  ``plan`` is a plan-cache hit (then
         ``statement`` is None); ``cache_key`` marks a cache-eligible
         autocommit SELECT, the only kind the two caches hook into.
+        ``parameter_sets`` makes it an ``executemany``: bind-and-run repeats
+        per batch of sets inside the one begin ... observe.
         """
         # Transaction control never runs inside the executor.
         if isinstance(statement, ast.TransactionStatement):
@@ -365,15 +400,33 @@ class Connection:
                 # marks a fresh plan stale (conservative), never the reverse.
                 catalog_version = manager.catalog_version
                 transaction = self._transaction or manager.begin()
-                executor = self._make_executor(transaction, parameters)
-                if plan is None:
+                if parameter_sets is not None:
                     assert statement is not None
-                    plan, bound_statement = self._bind(
-                        statement, executor, transaction, parameters,
-                        cache_key, catalog_version)
-                executing = True
-                outcome = executor.run_plan(plan) if plan is not None \
-                    else executor.execute(bound_statement)
+                    affected = 0
+                    for parameters, rows in parameter_batches(
+                            statement, parameter_sets):
+                        bound_statement = Binder(
+                            database.catalog, transaction, parameters,
+                            parameterize=rows is not None,
+                        ).bind_statement(statement)
+                        executing = True
+                        outcome = self._make_executor(
+                            transaction, parameters, rows,
+                        ).execute(bound_statement)
+                        for _ in outcome.chunks:  # run it; rows are not kept
+                            pass
+                        affected += max(outcome.rowcount, 0)
+                    outcome = StatementResult.count_result(affected)
+                else:
+                    executor = self._make_executor(transaction, parameters)
+                    if plan is None:
+                        assert statement is not None
+                        plan, bound_statement = self._bind(
+                            statement, executor, transaction, parameters,
+                            cache_key, catalog_version)
+                    executing = True
+                    outcome = executor.run_plan(plan) if plan is not None \
+                        else executor.execute(bound_statement)
                 if stream:
                     # The root span must not stay on this thread's stack
                     # while the client holds the lazy result (the next

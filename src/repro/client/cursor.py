@@ -11,12 +11,14 @@ This cursor serves two audiences at once:
   whose ``type_code`` is the column's
   :class:`~repro.types.LogicalTypeId`, context-manager support, and strict
   closed-cursor semantics.  ``repro.client`` exports the module-level
-  ``apilevel``/``threadsafety``/``paramstyle`` attributes.
+  ``apilevel``/``threadsafety``/``paramstyle`` attributes.  The row methods
+  delegate to the result's one row reader.
 * **the C3 transfer baseline** -- the deliberately traditional ``step()``
   advances one row and ``column_value(i)`` fetches one value per call, so
   the transfer experiment can measure exactly the per-value overhead the
   paper criticizes against the chunk-based bulk API of
-  :class:`~repro.client.result.QueryResult`.
+  :class:`~repro.client.result.QueryResult`.  These two are kept slow on
+  purpose; they move the same read position as the row methods.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class Cursor:
     def __init__(self, connection: "Connection") -> None:
         self._connection = connection
         self._result: Optional[QueryResult] = None
-        self._chunk: Optional[DataChunk] = None
-        self._row = -1
+        # Where step() stands: (chunk, row index), for column_value().
+        self._at: Optional[Tuple[DataChunk, int]] = None
         self._closed = False
         #: DB-API: how many rows :meth:`fetchmany` returns by default.
         self.arraysize: int = 1
@@ -78,91 +80,58 @@ class Cursor:
         self._result = self._connection.execute(sql, parameters, stream=True)
         self.rowcount = self._result.rowcount
         self.description = self._result.description or None
-        self._chunk = None
-        self._row = -1
         return self
 
     def executemany(self, sql: str,
                     parameter_sets: Iterable[Sequence[Any]]) -> "Cursor":
-        """Run the same statement once per parameter tuple (DB-API)."""
+        """Run one statement over many parameter sets (DB-API); see
+        :meth:`Connection.executemany <repro.client.connection.Connection.executemany>`."""
         self._check_usable()
         self.finalize()
-        total = 0
-        ran = False
-        for parameters in parameter_sets:
-            result = self._connection.execute(sql, parameters)
-            ran = True
-            if result.rowcount >= 0:
-                total += result.rowcount
-            result.close()
-        self.rowcount = total if ran else -1
+        self.rowcount = self._connection.executemany(sql, parameter_sets).rowcount
         self.description = None
         return self
+
+    def _reader(self, caller: str) -> QueryResult:
+        self._check_usable()
+        if self._result is None:
+            raise InvalidInputError(f"{caller}() before execute()")
+        return self._result
 
     # -- SQLite-style stepping API ------------------------------------------------
     def step(self) -> bool:
         """Advance to the next row; False when the result is exhausted."""
-        if self._result is None:
-            raise InvalidInputError("step() before execute()")
-        self._row += 1
-        while self._chunk is None or self._row >= self._chunk.size:
-            self._chunk = self._result.fetch_chunk()
-            self._row = 0
-            if self._chunk is None:
-                return False
-        return True
+        self._at = self._reader("step").step()
+        return self._at is not None
 
     def column_count(self) -> int:
-        if self._result is None:
-            raise InvalidInputError("column_count() before execute()")
-        return len(self._result.names)
+        return len(self._reader("column_count").names)
 
     def column_name(self, index: int) -> str:
-        if self._result is None:
-            raise InvalidInputError("column_name() before execute()")
-        return self._result.names[index]
+        return self._reader("column_name").names[index]
 
     def column_value(self, index: int) -> Any:
         """One value of the current row -- one function call per value."""
-        if self._chunk is None:
+        if self._at is None:
             raise InvalidInputError("column_value() before a successful step()")
-        return self._chunk.columns[index].get_value(self._row)
+        chunk, row = self._at
+        return chunk.columns[index].get_value(row)
 
     # -- DB-API row access -----------------------------------------------------
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._check_usable()
-        if not self.step():
-            return None
-        return tuple(self.column_value(index)
-                     for index in range(self.column_count()))
+        return self._reader("fetchone").fetchone()
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
         """Up to ``size`` rows (default :attr:`arraysize`), [] when done."""
-        self._check_usable()
-        count = self.arraysize if size is None else size
-        rows: List[Tuple[Any, ...]] = []
-        for _ in range(max(0, count)):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
-        return rows
+        return self._reader("fetchmany").fetchmany(
+            self.arraysize if size is None else size)
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
-        rows: List[Tuple[Any, ...]] = []
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return rows
-            rows.append(row)
+        return self._reader("fetchall").fetchall()
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         """Iterate over remaining rows (DB-API extension)."""
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
+        return iter(self._reader("iter"))
 
     # -- DB-API no-ops ---------------------------------------------------------
     def setinputsizes(self, sizes: Sequence[Any]) -> None:
@@ -177,8 +146,7 @@ class Cursor:
         if self._result is not None:
             self._result.close()
             self._result = None
-        self._chunk = None
-        self._row = -1
+        self._at = None
 
     def close(self) -> None:
         """Release resources and make the cursor unusable (DB-API)."""

@@ -4,8 +4,9 @@
 ``PreparedStatement`` all accept the same two paramstyles -- qmark
 (``?`` bound from a sequence) and named (``:name`` bound from a mapping)
 -- and all funnel through :func:`normalize_parameters` so the binder and
-the caches see one canonical shape; :func:`execute_each` is the loop every
-``executemany`` shares.
+the caches see one canonical shape; :func:`parameter_batches` decides what
+each bind-and-run of an ``executemany`` receives -- whole parameter
+*columns* for a plain ``INSERT ... VALUES``, one set at a time otherwise.
 
 The two fingerprint functions are what keep parameters from defeating the
 caches: the *type* fingerprint keys the plan cache (one plan per SQL text
@@ -19,33 +20,41 @@ cached cast.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import (
-    TYPE_CHECKING,
     Any,
-    Callable,
-    Iterable,
-    Mapping,
+    Iterator,
+    List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
-from ..errors import InvalidInputError
-from ..types import infer_type_of_value
+import numpy as np
 
-if TYPE_CHECKING:
-    from .result import QueryResult
+from ..errors import InvalidInputError
+from ..sql import ast
+from ..types import (
+    BIGINT,
+    INTEGER,
+    SQLNULL,
+    LogicalType,
+    Vector,
+    infer_type_of_value,
+)
+from ..types.logical import NATIVE_TYPES
 
 __all__ = ["normalize_parameters", "type_fingerprint", "value_fingerprint",
-           "execute_each"]
+           "parameter_batches"]
 
 Parameters = Union[Tuple[Any, ...], dict, None]
 
 
 def normalize_parameters(parameters: Any) -> Parameters:
     """Canonicalize user-supplied parameters to a tuple, a dict, or None."""
-    if parameters is None:
-        return None
+    if parameters is None or type(parameters) is tuple:
+        return parameters
     if isinstance(parameters, Mapping):
         out = {}
         for key in parameters:
@@ -66,18 +75,124 @@ def normalize_parameters(parameters: Any) -> Parameters:
             f"{type(parameters).__name__}") from None
 
 
-def execute_each(execute: Callable[[Any], "QueryResult"],
-                 parameter_sets: Iterable[Any]) -> "QueryResult":
-    """The one ``executemany`` loop: run ``execute`` once per parameter set,
-    closing every result but the last, which is returned."""
-    result: Optional["QueryResult"] = None
-    for parameters in parameter_sets:
-        if result is not None:
-            result.close()
-        result = execute(parameters)
-    if result is None:
-        raise InvalidInputError("executemany() with no parameter sets")
-    return result
+def parameter_batches(statement: ast.Statement,
+                      parameter_sets: Sequence[Parameters],
+                      ) -> Iterator[Tuple[Parameters, Optional[int]]]:
+    """What each bind-and-run of an ``executemany`` receives: ``(parameters,
+    rows)``.
+
+    ``INSERT ... VALUES (<one row>)`` is evaluated column-wise: the sets are
+    transposed into one :class:`~repro.types.Vector` per marker (``rows``
+    long), so its expressions run once and the table receives one chunk.
+    One binding fixes each marker's type, so only consecutive sets whose
+    per-position types agree share a batch (see :func:`_type_runs`).  A
+    subquery would see the table as it was before *any* set, so that, and
+    every other statement kind, gets the sets one at a time (``rows`` None).
+    """
+    if not (isinstance(statement, ast.InsertStatement)
+            and statement.values is not None and len(statement.values) == 1
+            and not _has_subquery(statement.values)):
+        for parameters in parameter_sets:
+            yield parameters, None
+        return
+    for keys, types, columns, rows in _type_runs(parameter_sets):
+        vectors = [Vector.from_values(column, dtype or SQLNULL)
+                   for column, dtype in zip(columns, types)]
+        yield (tuple(vectors) if keys is None else dict(zip(keys, vectors)),
+               rows)
+
+
+def _has_subquery(node: Any) -> bool:
+    """True when an expression tree (or a list of them) holds a statement."""
+    if isinstance(node, (list, tuple)):
+        return any(map(_has_subquery, node))
+    if isinstance(node, ast.Expression):
+        return any(_has_subquery(getattr(node, name))
+                   for name in type(node).__slots__)
+    return isinstance(node, ast.Statement)
+
+
+_Run = Tuple[Optional[Tuple[str, ...]], List[Optional[LogicalType]],
+             List[Tuple[Any, ...]], int]
+
+
+def _type_runs(sets: Sequence[Parameters]) -> Iterator[_Run]:
+    """Split ``sets`` into maximal runs of consecutive sets one binding can
+    serve, each as ``(keys or None for qmark, per-position types, the run's
+    values transposed into columns, its length)``.
+
+    Sets agree when they have the same shape (length, or keys in order) and
+    each position infers to the same type.  NULL agrees with anything (its
+    type is None until a value fills it in); INTEGER and BIGINT do not
+    agree, nor int and float -- widening would change what an expression
+    over the parameter computes relative to running the set alone.
+    """
+    # The common case -- one binding serves them all -- is decided per
+    # column, with no Python-level work per value.
+    whole = _transpose(sets)
+    if whole is not None:
+        column_types = [_column_type(column) for column in whole[1]]
+        if _MIXED not in column_types:
+            yield whole[0], column_types, whole[1], len(sets)
+            return
+    run: List[Parameters] = []
+    keys: Optional[Tuple[str, ...]] = None
+    types: List[Optional[LogicalType]] = []
+    for parameters in sets:
+        named = isinstance(parameters, dict)
+        values = parameters.values() if named else parameters
+        shape = tuple(parameters) if named else None
+        found = [None if value is None else infer_type_of_value(value)
+                 for value in values]
+        if run and shape == keys and len(found) == len(types) and all(
+                old is None or new is None or old == new
+                for old, new in zip(types, found)):
+            types = [old or new for old, new in zip(types, found)]
+        else:
+            if run:
+                yield keys, types, _transpose(run)[1], len(run)
+            run, keys, types = [], shape, found
+        run.append(parameters)
+    yield keys, types, _transpose(run)[1], len(run)
+
+
+def _transpose(sets: Sequence[Parameters]) -> Optional[
+        Tuple[Optional[Tuple[str, ...]], List[Tuple[Any, ...]]]]:
+    """``(keys or None, one tuple of values per position)`` of same-shaped
+    sets; None when their shapes differ."""
+    if isinstance(sets[0], dict):
+        keys = tuple(sets[0])
+        if any(not isinstance(parameters, dict) or tuple(parameters) != keys
+               for parameters in sets):
+            return None
+        return keys, list(zip(*(parameters.values() for parameters in sets)))
+    if set(map(type, sets)) != {tuple} or len(set(map(len, sets))) != 1:
+        return None
+    return None, list(zip(*sets))
+
+
+_MIXED = object()
+
+
+def _column_type(column: Tuple[Any, ...]) -> Any:
+    """The one type every non-NULL value of ``column`` infers to (None when
+    all are NULL), or ``_MIXED`` when they differ or only
+    :func:`infer_type_of_value` can tell."""
+    kinds = set(map(type, column))
+    kinds.discard(type(None))
+    if len(kinds) != 1:
+        return _MIXED if kinds else None
+    kind = kinds.pop()
+    if kind is not int:
+        return NATIVE_TYPES.get(kind, _MIXED)
+    try:
+        values = np.asarray([value for value in column if value is not None],
+                            dtype=np.int64)
+    except OverflowError:  # beyond BIGINT: the per-value path names it
+        return _MIXED
+    low, high = INTEGER.integer_range()
+    small = (values >= low) & (values <= high)
+    return INTEGER if small.all() else _MIXED if small.any() else BIGINT
 
 
 def type_fingerprint(parameters: Parameters) -> Optional[Tuple]:

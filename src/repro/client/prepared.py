@@ -15,8 +15,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from ..errors import ClosedHandleError, InvalidInputError
 from ..sql import parse
-from .params import execute_each
-
 if TYPE_CHECKING:
     from .connection import Connection
     from .result import QueryResult
@@ -61,8 +59,11 @@ class PreparedStatement:
                                          parameters, stream)
 
     def executemany(self, parameter_sets: Iterable[Any]) -> "QueryResult":
-        """Run once per parameter set, returning the last result."""
-        return execute_each(self.execute, parameter_sets)
+        """Run over many parameter sets as one statement; see
+        :meth:`Connection.executemany <repro.client.connection.Connection.executemany>`."""
+        self._check_usable()
+        return self._connection._executemany(self._sql, self._statements,
+                                             parameter_sets)
 
     def close(self) -> None:
         self._closed = True

@@ -8,8 +8,9 @@ Transfer efficiency (paper §5/§6) is the whole point of this module:
 * :meth:`QueryResult.fetch_numpy` exposes whole columns as NumPy arrays
   (zero-copy when the result is a single chunk);
 * :meth:`QueryResult.fetchone` / :meth:`fetchmany` / :meth:`fetchall`
-  provide the familiar DB-API row-oriented access, implemented on top of
-  the bulk path.
+  provide the familiar DB-API row-oriented access on top of the bulk path:
+  each chunk is turned into rows once, column by column, and the row
+  methods hand out slices of that list.
 
 A streaming result keeps its transaction open until exhausted or closed --
 the client application literally acts as the root operator of the query
@@ -18,6 +19,7 @@ plan, polling the engine for chunks.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +36,15 @@ ColumnDescription = Tuple[str, LogicalTypeId, Optional[int], Optional[int],
 
 
 class QueryResult:
-    """Result of one statement."""
+    """Result of one statement, and the engine's only row reader.
+
+    Every row-shaped read -- ``fetchone``/``fetchmany``/``fetchall``/
+    iteration here, a :class:`~repro.client.cursor.Cursor`'s methods of the
+    same names, and the cursor's value-at-a-time ``step()`` -- moves the one
+    position this object keeps, so they interleave freely and each row is
+    handed out once.  ``fetchmany()`` without a size returns one row: a
+    result has no ``arraysize``; the cursor passes its own.
+    """
 
     def __init__(self, names: List[str], types: List[LogicalType],
                  chunks: Iterator[DataChunk], rowcount: int = -1,
@@ -45,8 +55,10 @@ class QueryResult:
         self._source: Optional[Iterator[DataChunk]] = chunks
         self._on_close = on_close
         self._closed = False
-        # Row-access state.
+        # Row-access state: the chunk being read, its rows (built on first
+        # use, all at once) and the index of its next unread row.
         self._current: Optional[DataChunk] = None
+        self._rows: Optional[List[Tuple[Any, ...]]] = None
         self._position = 0
 
     # -- metadata ----------------------------------------------------------
@@ -91,7 +103,7 @@ class QueryResult:
         if self._closed:
             return
         self._closed = True
-        self._current = None
+        self._current = self._rows = None
         self._finish()
 
     def __enter__(self) -> "QueryResult":
@@ -130,22 +142,22 @@ class QueryResult:
                 return
             yield chunk
 
+    def _drain(self) -> DataChunk:
+        """Every remaining chunk as one (itself, when there is only one)."""
+        collected = list(self.chunks())
+        if len(collected) == 1:
+            return collected[0]
+        return DataChunk.concat_many(collected) if collected \
+            else DataChunk.empty(self.types)
+
     def fetch_numpy(self) -> Dict[str, np.ndarray]:
         """Columns as NumPy arrays (masked arrays when NULLs are present).
 
         Single-chunk results are exposed zero-copy; multi-chunk results are
         concatenated (one copy, still no per-value conversion).
         """
-        collected = [chunk for chunk in self.chunks()]
         out: Dict[str, np.ndarray] = {}
-        for index, name in enumerate(self.names):
-            vectors = [chunk.columns[index] for chunk in collected]
-            if not vectors:
-                vector = Vector.empty(self.types[index], 0)
-            elif len(vectors) == 1:
-                vector = vectors[0]
-            else:
-                vector = Vector.concat_many(vectors)
+        for name, vector in zip(self.names, self._drain().columns):
             if vector.all_valid():
                 out[name] = vector.data
             else:
@@ -159,39 +171,44 @@ class QueryResult:
         return self
 
     # -- row API ---------------------------------------------------------------
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        """The next row as a tuple of Python values, or None when done."""
+    def _advance(self) -> bool:
+        """Stand on an unread row, pulling chunks as needed; False when done."""
         self._check_open()
         while self._current is None or self._position >= self._current.size:
-            chunk = self.fetch_chunk()
-            if chunk is None:
-                return None
-            self._current = chunk
+            self._current = self.fetch_chunk()
+            self._rows = None
             self._position = 0
-        row = self._current.row(self._position)
+            if self._current is None:
+                return False
+        return True
+
+    def step(self) -> Optional[Tuple[DataChunk, int]]:
+        """Consume one row *without* converting it: the chunk and index it
+        sits at, or None when done (for value-at-a-time readers)."""
+        if not self._advance():
+            return None
         self._position += 1
-        return row
+        return self._current, self._position - 1
 
     def fetchmany(self, size: int = 1) -> List[Tuple[Any, ...]]:
-        rows = []
-        for _ in range(size):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
+        """Up to ``size`` rows as tuples of Python values, [] when done."""
+        rows: List[Tuple[Any, ...]] = []
+        while len(rows) < size and self._advance():
+            if self._rows is None:
+                self._rows = self._current.to_rows()
+            stop = min(self._position + size - len(rows), len(self._rows))
+            rows += self._rows[self._position:stop]
+            self._position = stop
         return rows
+
+    def fetchone(self) -> Optional[Tuple[Any, ...]]:
+        """The next row as a tuple of Python values, or None when done."""
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         """All remaining rows as Python tuples."""
-        rows: List[Tuple[Any, ...]] = []
-        if self._current is not None and self._position < self._current.size:
-            remainder = self._current.slice(
-                np.arange(self._position, self._current.size))
-            rows.extend(remainder.to_rows())
-            self._current = None
-        for chunk in self.chunks():
-            rows.extend(chunk.to_rows())
-        return rows
+        return self.fetchmany(sys.maxsize)
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """All remaining rows as Python tuples (alias of :meth:`fetchall`)."""
@@ -199,11 +216,7 @@ class QueryResult:
 
     def to_dict(self) -> Dict[str, List[Any]]:
         """All rows as ``{column_name: [python values]}``."""
-        columns: Dict[str, List[Any]] = {name: [] for name in self.names}
-        for chunk in self.chunks():
-            for name, column in zip(self.names, chunk.columns):
-                columns[name].extend(column.to_pylist())
-        return columns
+        return self._drain().to_pydict(self.names)
 
     def fetchvalue(self) -> Any:
         """First column of the first row (scalar convenience)."""
@@ -211,11 +224,7 @@ class QueryResult:
         return row[0] if row is not None else None
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
+        return iter(self.fetchone, None)
 
     def __repr__(self) -> str:
         columns = ", ".join(f"{name}:{dtype}"

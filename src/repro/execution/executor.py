@@ -75,7 +75,7 @@ class Executor:
     """Executes bound statements within one transaction context."""
 
     def __init__(self, database, transaction, on_context=None, config=None,
-                 parameters=None) -> None:
+                 parameters=None, parameter_rows=None) -> None:
         self.database = database
         self.transaction = transaction
         #: Callback invoked with each fresh ExecutionContext -- the client
@@ -84,13 +84,16 @@ class Executor:
         #: Effective configuration: the database's config unless a server
         #: session supplies its own copy (session PRAGMAs, admission quotas).
         self.config = config if config is not None else database.config
-        #: Late-bound values for BoundParameterRef slots (plan-cache path).
+        #: Late-bound values for BoundParameterRef slots (plan-cache path),
+        #: or -- with ``parameter_rows`` -- executemany's parameter columns.
         self.parameters = parameters
+        self.parameter_rows = parameter_rows
 
     def _context(self) -> ExecutionContext:
         context = ExecutionContext(self.transaction, self.database,
                                    parameters=self.parameters,
-                                   config=self.config)
+                                   config=self.config,
+                                   parameter_rows=self.parameter_rows)
         if self.on_context is not None:
             self.on_context(context)
         return context

@@ -80,6 +80,12 @@ class ExpressionExecutor:
             return chunk.columns[expression.position]
         if isinstance(expression, BoundParameterRef):
             value = self._parameter_value(expression)
+            if isinstance(value, Vector):
+                # executemany's parameter column: one value per VALUES row
+                # (VALUES reads no stored, coded column, so the once-per-
+                # dictionary-entry shortcut never meets it).  Each reference
+                # owns its copy, as it would own its Vector.constant.
+                return value.copy()
             return Vector.constant(value, count, expression.return_type)
         if isinstance(expression, BoundCast):
             return cast_vector(self.execute(expression.child, chunk),
@@ -123,6 +129,8 @@ class ExpressionExecutor:
         except (KeyError, IndexError, TypeError):
             raise InternalError(
                 f"No value bound for parameter {key!r} in this execution")
+        if isinstance(value, Vector):
+            return cast_vector(value, expression.return_type)
         return cast_scalar(value, expression.return_type)
 
     def execute_filter(self, predicate: BoundExpression,

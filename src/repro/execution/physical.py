@@ -24,12 +24,16 @@ class ExecutionContext:
     """Per-query execution state shared by all operators of one plan."""
 
     def __init__(self, transaction, database=None, parameters=None,
-                 config=None) -> None:
+                 config=None, parameter_rows=None) -> None:
         self.transaction = transaction
         self.database = database
         #: Late-bound parameter values for BoundParameterRef slots: a
         #: sequence for qmark parameters, a mapping for named parameters.
         self.parameters = parameters if parameters is not None else ()
+        #: None for scalar parameter values.  An ``executemany`` INSERT
+        #: binds parameter *columns* instead -- each value above is a Vector
+        #: this many rows long -- and its one VALUES row becomes that many.
+        self.parameter_rows = parameter_rows
         #: Effective configuration for this query.  Usually the database's
         #: config object itself, but a server session passes its own copy
         #: here so session-scoped PRAGMAs (threads, memory_limit,

@@ -13,7 +13,7 @@ from ..planner.expressions import (
     BoundExpression,
     BoundOperator,
 )
-from ..types import VECTOR_SIZE, DataChunk, Vector
+from ..types import VECTOR_SIZE, DataChunk, Vector, cast_vector
 from .expression_executor import ExpressionExecutor
 from .physical import ExecutionContext, PhysicalOperator
 
@@ -257,15 +257,15 @@ class PhysicalValues(PhysicalOperator):
         if not self.rows:
             return
         executor = ExpressionExecutor(self.context)
-        dummy = DataChunk([Vector.from_values([True])])
-        columns = []
-        for column_index, dtype in enumerate(self.types):
-            values = []
-            for row in self.rows:
-                vector = executor.execute(row[column_index], dummy)
-                values.append(vector.get_value(0))
-            columns.append(Vector.from_values(values, dtype))
-        yield DataChunk(columns)
+        # One pass per expression.  Over executemany's parameter columns a
+        # VALUES row stands for ``parameter_rows`` rows.
+        dummy = DataChunk([Vector.constant(
+            True, self.context.parameter_rows or 1)])
+        chunks = [DataChunk([
+            cast_vector(executor.execute(expression, dummy), dtype)
+            for expression, dtype in zip(row, self.types)])
+            for row in self.rows]
+        yield chunks[0] if len(chunks) == 1 else DataChunk.concat_many(chunks)
 
     def _explain_line(self) -> str:
         return f"VALUES ({len(self.rows)} rows)"

@@ -11,7 +11,9 @@ deliberately cheap to maintain:
   a HyperLogLog sketch once the set would cost more memory than the estimate
   is worth -- the "HyperLogLog-or-exact" scheme from the issue.  Both paths
   consume whole NumPy arrays, never one value at a time on the hot path
-  (``np.unique`` for the exact set, a vectorized splitmix64 for the sketch).
+  (one ``set`` or ``np.unique`` per batch for the exact set, and only of
+  a prefix once the batch is known to overflow it; a vectorized splitmix64
+  for the sketch).
 * **VARCHAR** columns are dictionary-coded, so their summary widens from the
   *new dictionary entries* an append or update produced (the
   ``new_entries`` argument of the observation hooks), never from the rows:
@@ -142,13 +144,26 @@ class DistinctCounter:
             self._sketch.add_array(values)
             return
         assert self._exact is not None
-        unique = values if distinct else np.unique(values)
-        if len(self._exact) + unique.size > self._limit:
+        room = self._limit - len(self._exact)
+        unique: Any = values
+        if not distinct:
+            if len(values) > self._limit:
+                # A prefix that overflows proves the batch does; only a
+                # batch of few distinct values is worth sorting in full.
+                unique = np.unique(values[:self._limit + 1])
+                if len(unique) <= room:
+                    unique = np.unique(values)
+            elif values.dtype.kind == "f" and np.isnan(values).any():
+                unique = np.unique(values)  # counts all NaNs once; a set would not
+            else:
+                unique = set(values.tolist())
+        if len(unique) > room:
             self._promote()
             assert self._sketch is not None
             self._sketch.add_array(values)
         else:
-            self._exact.update(unique.tolist())
+            self._exact.update(unique.tolist() if isinstance(unique, np.ndarray)
+                               else unique)
 
     def _promote(self) -> None:
         self._sketch = HyperLogLog()

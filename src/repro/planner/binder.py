@@ -26,6 +26,7 @@ from ..types import (
     LogicalTypeId,
     SQLNULL,
     VARCHAR,
+    Vector,
     cast_scalar,
     common_type,
     infer_type_of_value,
@@ -732,7 +733,9 @@ class Binder:
             return BoundConstant(expression.value, infer_type_of_value(expression.value))
         if isinstance(expression, ast.Parameter):
             value, key = self._parameter_value(expression)
-            dtype = infer_type_of_value(value)
+            # executemany binds a whole parameter column per marker.
+            dtype = value.dtype if isinstance(value, Vector) \
+                else infer_type_of_value(value)
             if self.parameterize:
                 return BoundParameterRef(key, dtype)
             self._root.value_dependent = True

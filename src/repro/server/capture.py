@@ -71,8 +71,13 @@ class WorkloadCapture:
 
     def emit_statement(self, session_name: str, session_id: int, seq: int,
                        sql: str, parameters: Any, rowcount: int,
-                       wall_ms: float, error: str = "") -> None:
-        """Record one served statement (no-op after close)."""
+                       wall_ms: float, error: str = "",
+                       many: bool = False) -> None:
+        """Record one served statement (no-op after close).
+
+        ``many`` marks an ``executemany``: ``parameters`` is then the list
+        of its parameter sets, and replay re-issues it the same way.
+        """
         head = sql.lstrip().lower()
         if head.startswith("pragma capture"):
             return
@@ -83,7 +88,9 @@ class WorkloadCapture:
             "session_id": session_id,
             "seq": seq,
             "sql": sql,
-            "params": _jsonable_params(parameters),
+            "params": list(map(_jsonable_params, parameters)) if many
+            else _jsonable_params(parameters),
+            "many": many,
             "rowcount": rowcount,
             "wall_ms": wall_ms,
             "error": error,
@@ -177,12 +184,15 @@ def replay_workload(path: str, *, speed: str = "max",
             if session is None:
                 session = server.session(name)
                 sessions[name] = session
-            params = _replay_params(record.get("params"))
+            many = record.get("many", False)
+            params = list(map(_replay_params, record["params"])) if many \
+                else _replay_params(record.get("params"))
             expected_rows = int(record.get("rowcount", 0))
             expected_error = record.get("error", "")
             start = time.perf_counter()
             try:
-                result = session.execute(record["sql"], params)
+                run = session.executemany if many else session.execute
+                result = run(record["sql"], params)
                 actual_rows = len(result.fetchall())
                 actual_error = ""
             except Exception as exc:  # quacklint: disable=QLE001 -- a replay harness records divergence, it must not die on it

@@ -92,6 +92,14 @@ class Session:
         memory grant) is released when this call returns, so the whole
         execution must happen inside it.
         """
+        return self._serve(sql, parameters, many=False)
+
+    def executemany(self, sql: str, parameter_sets: Any) -> "QueryResult":
+        """One statement over many parameter sets: one admission ticket,
+        one bill, one capture line (see ``Connection.executemany``)."""
+        return self._serve(sql, list(parameter_sets), many=True)
+
+    def _serve(self, sql: str, parameters: Any, many: bool) -> "QueryResult":
         if self._closed:
             raise ClosedHandleError(
                 f"Session {self.name!r} has been closed")
@@ -121,7 +129,9 @@ class Session:
                 config.memory_limit = granted_memory
             with self._registry_lock:
                 self.active_phase = "executing"
-            result = self.connection.execute(sql, parameters)
+            run = self.connection.executemany if many \
+                else self.connection.execute
+            result = run(sql, parameters)
             captured_rows = result.rowcount
             return result
         except Exception as execute_error:
@@ -158,7 +168,7 @@ class Session:
                     bill.statement_seq if bill is not None else 0,
                     sql, parameters,
                     bill.rows_out if bill is not None else captured_rows,
-                    (time.time() - started) * 1000.0, captured_error)
+                    (time.time() - started) * 1000.0, captured_error, many)
 
     def _fold_bill(self, bill: "StatementRecord") -> None:
         """Add one finished statement's bill to the session totals.
@@ -176,13 +186,6 @@ class Session:
             self.buffer_misses += bill.buffer_misses
             if bill.memory_bytes > self.peak_memory:
                 self.peak_memory = bill.memory_bytes
-
-    def executemany(self, sql: str, parameter_sets: Any) -> "QueryResult":
-        # Imported here: repro.client imports this package at load time.
-        from ..client.params import execute_each
-
-        return execute_each(lambda parameters: self.execute(sql, parameters),
-                            parameter_sets)
 
     def stats(self) -> Dict[str, Any]:
         """Accumulated resource accounting of this session (one snapshot)."""

@@ -82,7 +82,7 @@ def _varchar_from_physical(vector: Vector) -> np.ndarray:
     """Render a non-VARCHAR vector's values as strings (invalid entries -> None)."""
     out = np.empty(len(vector), dtype=object)
     source_id = vector.dtype.id
-    for index in range(len(vector)):
+    for index in range(len(vector)):  # quacklint: disable=QLV001 -- rendering values as text has no NumPy bulk primitive
         if not vector.validity[index]:
             out[index] = None
             continue
@@ -105,7 +105,7 @@ def _varchar_to_physical(vector: Vector, target: LogicalType) -> Vector:
     validity = vector.validity.copy()
     data = np.zeros(count, dtype=target.numpy_dtype)
     target_id = target.id
-    for index in range(count):
+    for index in range(count):  # quacklint: disable=QLV001 -- parsing text has no NumPy bulk primitive
         if not validity[index]:
             continue
         text = vector.data[index]

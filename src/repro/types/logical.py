@@ -211,6 +211,12 @@ def type_from_string(name: str) -> LogicalType:
     return resolved
 
 
+#: Exact Python types whose logical type does not depend on the value
+#: (``int`` does: INTEGER or BIGINT by magnitude), so a whole column of one
+#: of them is typed without looking at its values.
+NATIVE_TYPES = {bool: BOOLEAN, float: DOUBLE, str: VARCHAR}
+
+
 def infer_type_of_value(value: Any) -> LogicalType:
     """Infer the narrowest logical type that can hold a Python value."""
     if value is None:

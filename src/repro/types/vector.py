@@ -34,6 +34,18 @@ __all__ = ["VECTOR_SIZE", "Vector"]
 #: Number of values per vector -- DuckDB's STANDARD_VECTOR_SIZE.
 VECTOR_SIZE = 2048
 
+#: ``datetime64`` views whose ``tolist()`` yields ``date`` / ``datetime``.
+_DATETIME64_UNITS = {LogicalTypeId.DATE: "datetime64[D]",
+                     LogicalTypeId.TIMESTAMP: "datetime64[us]"}
+#: Physical values Python's ``date`` / ``datetime`` can represent.
+_PYTHON_TEMPORAL_RANGES = {
+    LogicalTypeId.DATE: (logical.date_to_days(datetime.date.min),
+                         logical.date_to_days(datetime.date.max)),
+    LogicalTypeId.TIMESTAMP: (
+        logical.timestamp_to_micros(datetime.datetime.min),
+        logical.timestamp_to_micros(datetime.datetime.max)),
+}
+
 
 def _coerce_scalar_for_storage(value: Any, dtype: LogicalType) -> Any:
     """Convert a Python value into the physical representation of ``dtype``."""
@@ -89,6 +101,63 @@ def _physical_to_python(value: Any, dtype: LogicalType) -> Any:
     if type_id is LogicalTypeId.SQLNULL:
         return None
     raise InternalError(f"Unhandled type in python conversion: {dtype}")
+
+
+def _infer_column_type(values: List[Any], kind: Optional[type]) -> LogicalType:
+    """The common type of a column's non-NULL values (SQLNULL if none).
+
+    ``kind`` is the column's one Python type, or None when it is mixed.
+    """
+    dtype = logical.NATIVE_TYPES.get(kind)
+    if dtype is not None:
+        return dtype
+    if kind is int:
+        # The extremes decide between INTEGER and BIGINT (or overflow).
+        values = [value for value in values if value is not None]
+        values = [min(values), max(values)]
+    dtype = SQLNULL
+    for value in values:
+        if value is None:
+            continue
+        value_type = infer_type_of_value(value)
+        unified = logical.common_type(dtype, value_type)
+        if unified is None:
+            raise ConversionError(
+                f"Values of incompatible types {dtype} and {value_type} in one column"
+            )
+        dtype = unified
+    return dtype
+
+
+def _native_column(values: List[Any], kind: Optional[type], dtype: LogicalType,
+                   has_null: bool) -> Optional[np.ndarray]:
+    """``values`` -- all of exact type ``kind``, or None -- as the physical
+    array of ``dtype`` in one NumPy call; None when ``dtype`` does not store
+    ``kind`` directly or a value does not fit (the caller's per-value path
+    converts, or raises naming the value)."""
+    if kind is str and dtype.id is LogicalTypeId.VARCHAR:
+        data = np.empty(len(values), dtype=object)  # all None
+        data[:] = values
+        return data
+    if kind is bool and dtype.id is LogicalTypeId.BOOLEAN:
+        physical = np.bool_
+    elif kind is float and dtype.is_float():
+        physical = np.float64
+    elif kind is int and dtype.is_integer():
+        physical = np.int64
+    else:
+        return None
+    if has_null:
+        values = [0 if value is None else value for value in values]
+    try:
+        data = np.asarray(values, dtype=physical)
+    except OverflowError:  # an int beyond 64 bits
+        return None
+    if kind is int and len(data):
+        low, high = dtype.integer_range()
+        if data.min() < low or data.max() > high:
+            return None
+    return data.astype(dtype.numpy_dtype, copy=False)
 
 
 class Vector:
@@ -192,32 +261,31 @@ class Vector:
 
         ``None`` entries become NULLs.  When ``dtype`` is omitted, the common
         type of all non-NULL values is inferred; an all-NULL sequence yields
-        a SQLNULL-typed vector.
+        a SQLNULL-typed vector.  A column holding one native Python type
+        (plus ``None``) that ``dtype`` stores directly converts in one NumPy
+        call; anything else takes the per-value path, which also raises the
+        exact error for a value that does not fit.
         """
         values = list(values)
-        if dtype is None:
-            dtype = SQLNULL
-            for value in values:
-                if value is None:
-                    continue
-                value_type = infer_type_of_value(value)
-                unified = logical.common_type(dtype, value_type)
-                if unified is None:
-                    raise ConversionError(
-                        f"Values of incompatible types {dtype} and {value_type} in one column"
-                    )
-                dtype = unified
         count = len(values)
-        validity = np.ones(count, dtype=np.bool_)
-        if dtype.id is LogicalTypeId.VARCHAR:
-            data = np.empty(count, dtype=object)
-        else:
-            data = np.zeros(count, dtype=dtype.numpy_dtype)
-        for index, value in enumerate(values):
-            if value is None:
-                validity[index] = False
-                continue
-            data[index] = _coerce_scalar_for_storage(value, dtype)
+        kinds = set(map(type, values))
+        has_null = type(None) in kinds
+        kinds.discard(type(None))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if dtype is None:
+            dtype = _infer_column_type(values, kind)
+        validity = np.fromiter((value is not None for value in values),
+                               np.bool_, count) if has_null \
+            else np.ones(count, dtype=np.bool_)
+        data = _native_column(values, kind, dtype, has_null)
+        if data is None:
+            if dtype.id is LogicalTypeId.VARCHAR:
+                data = np.empty(count, dtype=object)
+            else:
+                data = np.zeros(count, dtype=dtype.numpy_dtype)
+            for index, value in enumerate(values):
+                if value is not None:
+                    data[index] = _coerce_scalar_for_storage(value, dtype)
         return cls(dtype, data, validity)
 
     @classmethod
@@ -272,10 +340,31 @@ class Vector:
         self.validity[index] = True
 
     def to_pylist(self) -> List[Any]:
-        """Materialize the vector as a list of Python values."""
-        if self.codes is not None:
-            return Vector(self.dtype, self._flat(), self.validity).to_pylist()
-        return [self.get_value(index) for index in range(len(self))]
+        """Materialize the vector as a list of Python values.
+
+        One pass per column, not one call per value: NumPy converts the
+        physical array (as ``datetime64`` for DATE/TIMESTAMP, after one
+        ``entries[codes]`` gather for a coded VARCHAR) with ``None``
+        written at the NULL positions.  Equal to :meth:`get_value` at every
+        index, value and Python type.
+        """
+        type_id = self.dtype.id
+        if type_id is LogicalTypeId.SQLNULL:
+            return [None] * len(self)
+        data = self._flat()
+        unit = _DATETIME64_UNITS.get(type_id)
+        if unit is not None:
+            valid = data[self.validity]
+            low, high = _PYTHON_TEMPORAL_RANGES[type_id]
+            if len(valid) and not (low <= valid.min() and valid.max() <= high):
+                # tolist() would hand out bare integers for these.
+                raise OverflowError(
+                    f"{self.dtype} value outside Python's datetime range")
+            data = data.astype(unit)
+        if not self.all_valid():
+            data = data.astype(object)  # a copy: the vector keeps its values
+            data[~self.validity] = None
+        return data.tolist()  # quacklint: disable=QLZ002 -- Python objects are this method's contract; one tolist() per column is the bulk way to make them
 
     def null_count(self) -> int:
         return int(len(self) - np.count_nonzero(self.validity))
@@ -352,6 +441,6 @@ class Vector:
         return self._data.nbytes + self.validity.nbytes
 
     def __repr__(self) -> str:
-        preview = self.to_pylist()[:8]
+        preview = self.slice(slice(0, 8)).to_pylist()
         suffix = ", ..." if len(self) > 8 else ""
         return f"Vector({self.dtype}, {len(self)} values: {preview}{suffix})"

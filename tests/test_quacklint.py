@@ -532,6 +532,38 @@ class TestVectorizationRule:
         """
         assert rule_ids(check(source, self.PATH)) == ["QLV001"]
 
+    def test_per_index_get_value_or_row_flagged(self):
+        # The hand-over modules are in scope: rows are built per column.
+        source = """
+        def to_pylist(vector):
+            return [vector.get_value(index) for index in range(len(vector))]
+
+        def rows(chunk):
+            out = []
+            for index in range(chunk.size):
+                out.append(chunk.row(index))
+            return out
+        """
+        assert rule_ids(check(source, "repro/types/fixture.py")) \
+            == ["QLV003", "QLV003"]
+        assert rule_ids(check(source, "repro/client/fixture.py")) \
+            == ["QLV003", "QLV003"]
+
+    def test_single_value_access_and_suppressed_baseline_are_clean(self):
+        source = """
+        def column_value(chunk, index, row):
+            return chunk.columns[index].get_value(row)
+
+        def first_values(vectors):
+            return [vector.get_value(0) for vector in vectors]
+
+        def serialize(chunk, out):
+            for row in range(chunk.size):  # quacklint: disable=QLV003 -- the wire baseline is per value on purpose
+                for column in chunk.columns:
+                    out.append(column.get_value(row))
+        """
+        assert check(source, "repro/client/fixture.py") == []
+
 
 # -- QLZ: zero-copy ----------------------------------------------------------
 

@@ -86,11 +86,11 @@ class Route:
         return self.handle.execute(sql, parameters, stream=stream).fetchall()
 
     def run_many(self, sql, parameter_sets):
+        """The call's ``rowcount``."""
         if self.kind == "prepared":
             with self.connection.prepare(sql) as prepared:
-                prepared.executemany(parameter_sets)
-        else:
-            self.handle.executemany(sql, parameter_sets)
+                return prepared.executemany(parameter_sets).rowcount
+        return self.handle.executemany(sql, parameter_sets).rowcount
 
     def close(self):
         if self.kind in ("session", "pooled"):
@@ -159,9 +159,9 @@ def test_every_route_is_the_same_pipeline(traced, reference, kind, stream,
         outcomes, logged = transcript(route, stream, in_transaction)
         assert outcomes == expected_outcomes
         # One log row per executed statement (three for the multi-statement
-        # string, two for executemany), with the same error everywhere.
+        # string, one for executemany), with the same error everywhere.
         assert logged == expected_log
-        assert len(logged) == len(STATEMENTS) + 2 + 1
+        assert len(logged) == len(STATEMENTS) + 2
         assert [error for _, error in logged if error] \
             == ["BinderError", "ConversionError"]
         # ...and exactly one root query span each, result-cache hits too.
@@ -273,12 +273,13 @@ def test_session_totals_equal_its_statement_log_rows():
             bills = [record for record
                      in server.database.statement_log.records()
                      if record.session_id == session.session_id]
-            assert len(bills) == 8
+            assert len(bills) == 7  # executemany is one statement
             stats = session.stats()
-            assert stats["statements"] == 6 and stats["errors"] == 1
-            # One count row per CREATE/INSERT (5), plus the SELECTs' 2 + 4.
+            assert stats["statements"] == 5 and stats["errors"] == 1
+            # One count row per CREATE/INSERT/executemany (4), plus the
+            # SELECTs' 2 + 4.
             assert stats["rows_returned"] \
-                == sum(bill.rows_out for bill in bills) == 5 + 2 + 4
+                == sum(bill.rows_out for bill in bills) == 4 + 2 + 4
             for total in ("wall_ms", "cpu_ms", "rows_scanned",
                           "buffer_hits", "buffer_misses"):
                 assert stats[total] == pytest.approx(

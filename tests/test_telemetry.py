@@ -315,9 +315,10 @@ class TestTelemetryTables:
                     "peak_memory FROM repro_sessions() "
                     "WHERE name = 'worker'").fetchone()
                 statements, wall_ms, cpu_ms, rows_scanned, peak = row
-                # CREATE + 500 executemany items + SELECT sum + the
-                # in-flight repro_sessions query itself.
-                assert statements == 503
+                # CREATE + executemany (one statement, whatever its 500
+                # items) + SELECT sum + the in-flight repro_sessions query
+                # itself.
+                assert statements == 4
                 assert wall_ms > 0
                 assert rows_scanned >= 500
                 assert peak > 0
@@ -594,13 +595,14 @@ class TestWorkloadCapture:
 
         report = replay_workload(path, speed="max")
         replay = report["replay"]
-        assert replay["statements"] == 23  # CREATE + 20 inserts + 2 reads
-        assert replay["matches"] == 23
+        # CREATE + one executemany line carrying all 20 sets + 2 reads
+        assert replay["statements"] == 4
+        assert replay["matches"] == 4
         assert replay["mismatches"] == 0
         assert replay["mismatch_samples"] == []
         serving = report["serving"]
         assert serving["errors"] == 0
-        assert serving["statements"] == 23
+        assert serving["statements"] == 4
         assert serving["p99_ms"] >= serving["p50_ms"]
 
     def test_replay_recorded_speed_preserves_order(self, tmp_path):
