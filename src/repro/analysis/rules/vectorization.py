@@ -4,9 +4,10 @@ The paper's core argument is that a vectorized engine amortizes
 interpretation overhead over whole vectors; a Python ``for`` loop over
 ``Vector``/``DataChunk`` element data reintroduces exactly the per-value
 overhead the engine exists to avoid.  Kernels under ``functions/`` and
-``execution/`` must express their work as NumPy array operations, and the
+``execution/`` must express their work as NumPy array operations, the
 hand-over code under ``types/`` and ``client/`` must build rows per column
-(``to_pylist``/``to_rows``), not by calling ``get_value``/``row`` per index.
+(``to_pylist``/``to_rows``), not by calling ``get_value``/``row`` per index,
+and the CSV reader and writer under ``etl/`` convert text per column too.
 
 Legitimate exceptions exist -- VARCHAR kernels operate on object-dtype
 arrays where no NumPy bulk primitive applies -- and are suppressed inline
@@ -90,7 +91,7 @@ class VectorizationRule(Rule):
         "QLV003": "loop calls get_value()/row() once per index",
     }
     default_scope = ("repro/functions/", "repro/execution/", "repro/types/",
-                     "repro/client/")
+                     "repro/client/", "repro/etl/")
 
     def check(self, ctx: FileContext,
               config: AnalysisConfig) -> Iterator[Violation]:

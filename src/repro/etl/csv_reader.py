@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import operator
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -112,7 +114,7 @@ def sniff_csv(path: str, delimiter: Optional[str] = None,
               header: Optional[bool] = None) -> SniffResult:
     """Detect dialect, header, and column types from a file sample."""
     try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
+        with open(path, "r", newline="", encoding="utf-8-sig") as handle:
             sample_lines = []
             for _ in range(_SAMPLE_LINES):
                 line = handle.readline()
@@ -184,46 +186,61 @@ def sniff_csv(path: str, delimiter: Optional[str] = None,
     return SniffResult(delimiter, header, names, resolved)
 
 
-def _rows_to_chunk(rows: List[List[str]], types: Sequence[LogicalType]) -> DataChunk:
-    """Parse raw string rows into a typed chunk (NULL tokens -> NULL)."""
+def _text_column(rows: List[List[str]], index: int) -> Vector:
+    """Column ``index`` of ``rows`` as a VARCHAR vector, NULL tokens NULL."""
+    data = np.array(list(map(operator.itemgetter(index), rows)), dtype=object)
+    # _is_null_token's test, as C-level maps over the column.
+    validity = np.fromiter(map(_NULL_TOKENS.__contains__,
+                               map(str.lower, map(str.strip, data))),
+                           np.bool_, len(data))
+    np.logical_not(validity, out=validity)
+    data[~validity] = None
+    return Vector(VARCHAR, data, validity)
+
+
+def _rows_to_chunk(rows: List[List[str]], types: Sequence[LogicalType],
+                   first_record: int = 1) -> DataChunk:
+    """Parse raw string rows into a typed chunk (NULL tokens -> NULL).
+
+    Column by column: each column is cut out of the rows once and cast as
+    a whole.  Short rows are padded with NULL; a row wider than ``types``
+    is an error naming its record number (``first_record`` is the number
+    of ``rows[0]``).
+    """
     width = len(types)
-    count = len(rows)
-    raw_columns = []
-    for index in range(width):
-        data = np.empty(count, dtype=object)
-        validity = np.ones(count, dtype=np.bool_)
-        for row_index, row in enumerate(rows):
-            token = row[index] if index < len(row) else ""
-            if _is_null_token(token):
-                validity[row_index] = False
-                data[row_index] = None
-            else:
-                data[row_index] = token
-        raw_columns.append(Vector(VARCHAR, data, validity))
-    return DataChunk([
-        cast_vector(column, dtype) for column, dtype in zip(raw_columns, types)
-    ])
+    widths = set(map(len, rows))
+    if max(widths, default=0) > width:
+        offset = next(i for i, row in enumerate(rows) if len(row) > width)
+        raise InvalidInputError(
+            f"CSV record {first_record + offset} has {len(rows[offset])} "
+            f"fields, but only {width} are expected")
+    if min(widths, default=width) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return DataChunk([cast_vector(_text_column(rows, index), dtype)
+                      for index, dtype in enumerate(types)])
 
 
 def read_csv_chunks(path: str, types: Sequence[LogicalType],
                     delimiter: str = ",", header: bool = True,
                     chunk_size: int = 8 * VECTOR_SIZE) -> Iterator[DataChunk]:
-    """Stream a CSV file as typed chunks of at most ``chunk_size`` rows."""
+    """Stream a CSV file as typed chunks of at most ``chunk_size`` rows.
+
+    Records are numbered from 1 in error messages, counting neither the
+    header nor blank lines.
+    """
     try:
-        handle = open(path, "r", newline="", encoding="utf-8")
+        handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InvalidInputError(f"Cannot open CSV file {path!r}: {exc}") from None
     with handle:
         reader = csv.reader(handle, delimiter=delimiter)
         if header:
             next(reader, None)
-        batch: List[List[str]] = []
-        for row in reader:
-            if not row:
-                continue
-            batch.append(row)
-            if len(batch) >= chunk_size:
-                yield _rows_to_chunk(batch, types)
-                batch = []
-        if batch:
-            yield _rows_to_chunk(batch, types)
+        records = filter(None, reader)  # blank lines are skipped
+        first_record = 1
+        while True:
+            rows = list(itertools.islice(records, chunk_size))
+            if not rows:
+                return
+            yield _rows_to_chunk(rows, types, first_record)
+            first_record += len(rows)

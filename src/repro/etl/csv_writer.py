@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from ..errors import InvalidInputError
-from ..types import DataChunk, LogicalType, LogicalTypeId, VARCHAR, cast_vector
+from ..types import DataChunk, VARCHAR, Vector, cast_vector
 
 __all__ = ["write_csv"]
 
@@ -32,18 +34,16 @@ def write_csv(path: str, chunks: Iterable[DataChunk], names: Sequence[str],
         for chunk in chunks:
             if chunk.size == 0:
                 continue
-            rendered = [
-                cast_vector(column, VARCHAR)
-                if column.dtype.id is not LogicalTypeId.VARCHAR else column
-                for column in chunk.columns
-            ]
-            for row_index in range(chunk.size):
-                row = []
-                for column in rendered:
-                    if column.validity[row_index]:
-                        row.append(column.data[row_index])
-                    else:
-                        row.append(null_string)
-                writer.writerow(row)
+            writer.writerows(zip(*(_column_text(column, null_string)
+                                   for column in chunk.columns)))
             rows_written += chunk.size
     return rows_written
+
+
+def _column_text(column: Vector, null_string: str) -> List[str]:
+    """One column's CSV fields, rendered at once (NULL -> ``null_string``)."""
+    column = cast_vector(column, VARCHAR)
+    texts = column.data
+    if not column.all_valid():
+        texts = np.where(column.validity, texts, null_string)
+    return texts.tolist()

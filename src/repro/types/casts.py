@@ -9,7 +9,9 @@ value included in the message, which matters for ETL debugging).
 from __future__ import annotations
 
 import datetime
-from typing import Any, Optional
+import functools
+import operator
+from typing import Any, Callable, Iterable, List
 
 import numpy as np
 
@@ -66,6 +68,53 @@ def _parse_bool(text: str) -> bool:
     raise ConversionError(f"Could not parse {text!r} as BOOLEAN")
 
 
+def _parse_integer(target: LogicalType, text: str) -> int:
+    """Parse integer text, accepting ``"3.0"``-style text when exact."""
+    try:
+        parsed = int(text.strip())
+    except ValueError:
+        try:
+            as_float = float(text.strip())
+        except ValueError:
+            raise ConversionError(f"Could not parse {text!r} as {target}") from None
+        parsed = int(as_float)
+        if parsed != as_float:
+            raise ConversionError(
+                f"Could not parse {text!r} as {target} without loss"
+            ) from None
+    low, high = target.integer_range()
+    if not low <= parsed <= high:
+        raise ConversionError(f"Value {parsed} out of range for {target}")
+    return parsed
+
+
+def _parse_float(target: LogicalType, text: str) -> float:
+    try:
+        return float(text.strip())
+    except ValueError:
+        raise ConversionError(f"Could not parse {text!r} as {target}") from None
+
+
+def _parse_each(texts: Iterable[str], target: LogicalType) -> List[Any]:
+    """Parse text by text: the one definition of the spellings each type
+    accepts and of the error raised -- for the first offending text, in
+    order -- when one does not parse."""
+    target_id = target.id
+    if target_id is LogicalTypeId.BOOLEAN:
+        parse: Callable[[str], Any] = _parse_bool
+    elif target_id is LogicalTypeId.DATE:
+        parse = _parse_date
+    elif target_id is LogicalTypeId.TIMESTAMP:
+        parse = _parse_timestamp
+    elif target.is_integer():
+        parse = functools.partial(_parse_integer, target)
+    elif target.is_float():
+        parse = functools.partial(_parse_float, target)
+    else:
+        raise ConversionError(f"Unsupported cast VARCHAR -> {target}")
+    return list(map(parse, texts))
+
+
 def _check_integer_range(values: np.ndarray, validity: np.ndarray, target: LogicalType) -> None:
     """Raise if any *valid* value falls outside the target integer range."""
     low, high = target.integer_range()
@@ -79,69 +128,72 @@ def _check_integer_range(values: np.ndarray, validity: np.ndarray, target: Logic
 
 
 def _varchar_from_physical(vector: Vector) -> np.ndarray:
-    """Render a non-VARCHAR vector's values as strings (invalid entries -> None)."""
-    out = np.empty(len(vector), dtype=object)
+    """Render a non-VARCHAR vector's values as strings (invalid entries -> None).
+
+    One ``tolist()`` per column and one C-level ``map`` over it: ``str`` for
+    integers, ``repr`` for floats, ``isoformat`` for DATE / TIMESTAMP, one
+    ``where`` for booleans.  Values under NULL positions are never rendered.
+    """
+    validity = vector.validity
+    all_valid = vector.all_valid()
+    values = vector.data if all_valid else vector.data[validity]
     source_id = vector.dtype.id
-    for index in range(len(vector)):  # quacklint: disable=QLV001 -- rendering values as text has no NumPy bulk primitive
-        if not vector.validity[index]:
-            out[index] = None
-            continue
-        if source_id is LogicalTypeId.BOOLEAN:
-            out[index] = "true" if vector.data[index] else "false"
-        elif source_id is LogicalTypeId.DATE:
-            out[index] = logical.days_to_date(int(vector.data[index])).isoformat()
-        elif source_id is LogicalTypeId.TIMESTAMP:
-            out[index] = logical.micros_to_timestamp(int(vector.data[index])).isoformat(sep=" ")
-        elif vector.dtype.is_float():
-            out[index] = repr(float(vector.data[index]))
-        else:
-            out[index] = str(int(vector.data[index]))
+    if source_id is LogicalTypeId.BOOLEAN:
+        rendered = np.where(values, "true", "false").tolist()
+    elif source_id is LogicalTypeId.DATE:
+        rendered = list(map(datetime.date.isoformat,
+                            Vector(DATE, values).to_pylist()))
+    elif source_id is LogicalTypeId.TIMESTAMP:
+        rendered = list(map(operator.methodcaller("isoformat", " "),
+                            Vector(TIMESTAMP, values).to_pylist()))
+    elif vector.dtype.is_float():
+        rendered = list(map(repr, values.tolist()))
+    else:
+        rendered = list(map(str, values.tolist()))
+    out = np.empty(len(vector), dtype=object)  # all None
+    if all_valid:
+        out[:] = rendered
+    else:
+        out[validity] = rendered
     return out
 
 
-def _varchar_to_physical(vector: Vector, target: LogicalType) -> Vector:
-    """Parse a VARCHAR vector into any other type, value by value."""
-    count = len(vector)
-    validity = vector.validity.copy()
-    data = np.zeros(count, dtype=target.numpy_dtype)
-    target_id = target.id
-    for index in range(count):  # quacklint: disable=QLV001 -- parsing text has no NumPy bulk primitive
-        if not validity[index]:
-            continue
-        text = vector.data[index]
-        if target_id is LogicalTypeId.BOOLEAN:
-            data[index] = _parse_bool(text)
-        elif target_id is LogicalTypeId.DATE:
-            data[index] = _parse_date(text)
-        elif target_id is LogicalTypeId.TIMESTAMP:
-            data[index] = _parse_timestamp(text)
-        elif target.is_integer():
-            try:
-                parsed = int(text.strip())
-            except ValueError:
-                # Accept "3.0"-style text for integer casts when exact.
-                try:
-                    as_float = float(text.strip())
-                except ValueError:
-                    raise ConversionError(
-                        f"Could not parse {text!r} as {target}"
-                    ) from None
-                parsed = int(as_float)
-                if parsed != as_float:
-                    raise ConversionError(
-                        f"Could not parse {text!r} as {target} without loss"
-                    ) from None
+def _parse_column(texts: np.ndarray, target: LogicalType) -> np.ndarray:
+    """Non-NULL text -> the physical values of ``target``, one column at a time.
+
+    Integers and floats take one C-level pass through Python's own ``int`` /
+    ``float`` (so the spellings accepted are the scalar parse's) and one
+    min/max for the range.  Everything else -- BOOLEAN, DATE and TIMESTAMP,
+    and whatever the numeric pass cannot decide: ``"3.0"`` into an integer
+    column, a value out of range or beyond 64 bits, malformed text -- goes
+    through :func:`_parse_each`, which raises the error for the first
+    offending text in row order.
+    """
+    dtype = target.numpy_dtype
+    if target.is_integer() or target.is_float():
+        integer = target.is_integer()
+        try:
+            values = np.fromiter(map(int if integer else float, texts),
+                                 np.int64 if integer else np.float64, len(texts))
+        except (ValueError, OverflowError):
+            values = None
+        if values is not None and integer and len(values):
             low, high = target.integer_range()
-            if not low <= parsed <= high:
-                raise ConversionError(f"Value {parsed} out of range for {target}")
-            data[index] = parsed
-        elif target.is_float():
-            try:
-                data[index] = float(text.strip())
-            except ValueError:
-                raise ConversionError(f"Could not parse {text!r} as {target}") from None
-        else:
-            raise ConversionError(f"Unsupported cast VARCHAR -> {target}")
+            if values.min() < low or values.max() > high:
+                values = None
+        if values is not None:
+            return values.astype(dtype, copy=False)
+    return np.array(_parse_each(texts, target), dtype=dtype)
+
+
+def _varchar_to_physical(vector: Vector, target: LogicalType) -> Vector:
+    """Parse a VARCHAR vector into any other type (NULL entries stay NULL)."""
+    validity = vector.validity.copy()
+    if vector.all_valid():
+        data = _parse_column(vector.data, target)
+    else:
+        data = np.zeros(len(vector), dtype=target.numpy_dtype)
+        data[validity] = _parse_column(vector.data[validity], target)
     return Vector(target, data, validity)
 
 

@@ -357,9 +357,10 @@ class Vector:
             valid = data[self.validity]
             low, high = _PYTHON_TEMPORAL_RANGES[type_id]
             if len(valid) and not (low <= valid.min() and valid.max() <= high):
-                # tolist() would hand out bare integers for these.
-                raise OverflowError(
-                    f"{self.dtype} value outside Python's datetime range")
+                # tolist() would hand out bare integers for these; the scalar
+                # conversion raises its OverflowError for the first one.
+                _physical_to_python(valid[(valid < low) | (valid > high)][0],
+                                    self.dtype)
             data = data.astype(unit)
         if not self.all_valid():
             data = data.astype(object)  # a copy: the vector keeps its values

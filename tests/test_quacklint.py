@@ -549,6 +549,16 @@ class TestVectorizationRule:
         assert rule_ids(check(source, "repro/client/fixture.py")) \
             == ["QLV003", "QLV003"]
 
+    def test_per_row_csv_loop_flagged(self):
+        # The CSV reader/writer are in scope: text is converted per column.
+        source = """
+        def write_rows(chunk, writer):
+            for row_index in range(chunk.size):
+                writer.writerow([column.data[row_index]
+                                 for column in chunk.columns])
+        """
+        assert rule_ids(check(source, "repro/etl/fixture.py")) == ["QLV001"]
+
     def test_single_value_access_and_suppressed_baseline_are_clean(self):
         source = """
         def column_value(chunk, index, row):
