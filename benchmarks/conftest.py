@@ -3,35 +3,20 @@
 Every benchmark registers the table/series it regenerates (shaped like the
 paper's Table 1, Figure 1, or the §2-§6 claims) via :func:`record_experiment`.
 The collected reports are printed after the pytest run so they survive
-output capturing and land in ``bench_output.txt``.
-
-Benchmarks that time a workload additionally call :func:`record_timing`;
-the collected samples are written as machine-readable JSON
-(``BENCH_PR6.json`` by default, override with ``REPRO_BENCH_JSON``) so CI
-can archive timings as an artifact and diff them across runs.
+output capturing and land in ``bench_output.txt``.  Speed claims are
+measured by the ledger (``benchmarks/ledger/run.py``), not here.
 """
 
-import json
-import os
-import statistics
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro import sanitizer
 
 _REPORTS: List[Tuple[str, str, List[str]]] = []
-_TIMINGS: List[Dict[str, Any]] = []
-
-#: Default machine-readable timing report path (repo root under CI).
-BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_PR6.json")
 
 
 def pytest_sessionfinish(session, exitstatus):
     """Under ``REPRO_SANITIZE=1`` the benchmarks double as a sanitizer gate
     (the C2 concurrent OLAP/ETL bench is the interesting workload)."""
-    if _TIMINGS:
-        with open(BENCH_JSON, "w", encoding="utf-8") as handle:
-            json.dump({"format": "repro-bench-v1", "suites": _TIMINGS},
-                      handle, indent=2)
     if sanitizer.enabled():
         sanitizer.assert_clean()
 
@@ -39,24 +24,6 @@ def pytest_sessionfinish(session, exitstatus):
 def record_experiment(experiment_id: str, title: str, lines) -> None:
     """Register one experiment's regenerated output for the final report."""
     _REPORTS.append((experiment_id, title, list(lines)))
-
-
-def record_timing(suite: str, samples, rows: int = 0) -> None:
-    """Register one suite's wall-clock samples (seconds) for BENCH_JSON.
-
-    ``rows`` is the per-run workload size; rows/s is derived from the
-    median wall time.
-    """
-    samples = [float(sample) for sample in samples]
-    median_wall = statistics.median(samples) if samples else 0.0
-    _TIMINGS.append({
-        "suite": suite,
-        "samples": len(samples),
-        "median_wall_s": median_wall,
-        "min_wall_s": min(samples) if samples else 0.0,
-        "rows": rows,
-        "rows_per_s": rows / median_wall if rows and median_wall else None,
-    })
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_experiment, record_timing
+from conftest import record_experiment
 
 import repro
 from repro.execution.physical import ExecutionContext
@@ -178,8 +178,6 @@ def test_statistics_join_order_ablation(benchmark):
         f"{heur_ctx.get('join_build_rows', 0):,} hash-build rows",
         f"speedup           : {heur_s / stats_s:7.1f}x",
     ])
-    record_timing("ablation/join_order_stats", [stats_s], rows=ROWS)
-    record_timing("ablation/join_order_heuristic", [heur_s], rows=ROWS)
     # The stats-driven plan must never build on the fact table, so its
     # hash-build input is orders of magnitude smaller -- and faster.
     assert stats_ctx.get("join_build_rows", 0) < \

@@ -9,7 +9,7 @@ engine frame -- the physical operator whose method is on CPU (morsel
 workers included; they are ordinary threads) and a coarse engine phase
 derived from the module path.  The engine itself runs unmodified: zero
 instrumentation, zero per-operator cost, overhead bounded by the sampling
-rate (gated < 3% by ``benchmarks/test_profile_overhead.py``).
+rate (gated < 3% by ``benchmarks/test_overhead.py``).
 
 Sample buckets are queryable from SQL via ``repro_profile()`` and
 accumulate until :meth:`SamplingProfiler.reset`.  Enablement:

@@ -6,12 +6,12 @@ every statement that passes through a :class:`~repro.server.session.Session`
 -- SQL text, parameters, timing offset from capture start, row count, and
 error outcome -- as one JSON line.  :func:`replay_workload` (CLI:
 ``tools/replay_workload.py``) then replays the file against a *fresh*
-database at recorded or maximum speed and emits the same latency-summary
-shape as ``BENCH_PR9.json``, so captured traffic becomes a reproducible
-benchmark and a correctness check: statement counts always match, and
-row counts match exactly when the capture was serial (the CI smoke runs
-the load generator with ``workers=1`` for exactly this reason; concurrent
-captures interleave writes, so reader row counts are compared best-effort).
+database at recorded or maximum speed and summarises its latency, so
+captured traffic becomes a reproducible benchmark and a correctness
+check: statement counts always match, and row counts and error outcomes
+match exactly when the capture was serial (pinned by
+``tests/test_telemetry.py``); concurrent captures interleave writes, so
+reader row counts are compared best-effort.
 
 Capture is **instance-wide**: the PRAGMA plumbing flips the database
 config (not the session's private copy), because a capture that recorded
@@ -137,6 +137,14 @@ def load_capture(path: str) -> List[Dict[str, Any]]:
     return records
 
 
+def _percentile(sorted_samples: List[float], fraction: float) -> float:
+    if not sorted_samples:
+        return 0.0
+    index = min(len(sorted_samples) - 1,
+                int(fraction * (len(sorted_samples) - 1)))
+    return sorted_samples[index]
+
+
 def _replay_params(params: Any) -> Any:
     if params is None:
         return None
@@ -155,12 +163,11 @@ def replay_workload(path: str, *, speed: str = "max",
     Statements replay in file order through sessions recreated by name, so
     a serial capture reproduces the exact same database state -- the
     returned ``replay`` block counts row matches/mismatches against the
-    recorded counts, and the ``serving`` block has the ``BENCH_PR9.json``
-    latency-summary shape.
+    recorded counts, and the ``serving`` block summarises replay latency
+    (p50/p99/max) with the server's cache and admission statistics.
     """
     if speed not in ("max", "recorded"):
         raise ValueError(f"speed must be 'max' or 'recorded', not {speed!r}")
-    from .loadgen import _percentile
     from .server import QueryServer
 
     records = load_capture(path)
@@ -218,7 +225,6 @@ def replay_workload(path: str, *, speed: str = "max",
         plan_lookups = plan_stats["hits"] + plan_stats["misses"]
         merged = sorted(latencies)
         return {
-            "format": "repro-bench-v1",
             "serving": {
                 "sessions": len(sessions),
                 "workers": 1,

@@ -511,7 +511,6 @@ class TableData:
                     column.mark_clean()
                     column._zone_cache.clear()
                 column.stats = column.exact_statistics(new_count)
-                column.persisted_segments = []
             self.inserted_by = np.zeros(max(new_count, _INITIAL_CAPACITY), dtype=np.int64)
             self.deleted_by = np.zeros(max(new_count, _INITIAL_CAPACITY), dtype=np.int64)
             self.last_writer = np.zeros(max(new_count, _INITIAL_CAPACITY), dtype=np.int64)

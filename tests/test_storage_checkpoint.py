@@ -226,6 +226,34 @@ class TestCrashSafety:
         assert size_after_many < size_after_first * 3
         con.close()
 
+    def test_compaction_frees_the_segments_it_replaces(self, db_path):
+        # Rolling retention: append a batch, drop the oldest, checkpoint
+        # every 5th batch.  Each checkpoint compacts and rewrites the whole
+        # table; the blocks of the segments it replaces must return to the
+        # free list, so the file stops growing once the live window is full.
+        con = repro.connect(db_path, {"checkpoint_on_close": False})
+        con.execute("CREATE TABLE t (batch INTEGER, k INTEGER, v DOUBLE)")
+        rows = 30_000
+        sizes = []
+        for batch in range(30):
+            with con.appender("t") as appender:
+                appender.append_numpy({
+                    "batch": np.full(rows, batch, dtype=np.int32),
+                    "k": np.arange(rows, dtype=np.int32),
+                    "v": np.arange(rows, dtype=np.float64) * 0.5 + batch,
+                })
+            con.execute(f"DELETE FROM t WHERE batch <= {batch - 5}")
+            if batch % 5 == 4:
+                con.execute("CHECKPOINT")
+                sizes.append(os.path.getsize(db_path))
+        assert sizes[2:] == [sizes[1]] * (len(sizes) - 2), sizes
+        query = "SELECT count(*), sum(k), sum(v), min(batch) FROM t"
+        before = con.execute(query).fetchall()
+        con.close()
+        con = reopen(db_path)
+        assert con.execute(query).fetchall() == before
+        con.close()
+
     def test_checkpoint_requires_quiescence(self, db_path):
         con = repro.connect(db_path)
         con.execute("CREATE TABLE t (i INTEGER)")

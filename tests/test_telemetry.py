@@ -577,6 +577,9 @@ class TestWorkloadCapture:
             "SELECT 1"]
 
     def test_capture_replay_round_trip_exact_parity(self, tmp_path):
+        # Serial sessions mixing every statement shape a served client
+        # sends: `?` and `:name` reads, single INSERTs, one executemany,
+        # an UPDATE, and one statement that fails.
         path = str(tmp_path / "cap.jsonl")
         config = {"capture_enabled": True, "capture_path": path}
         with repro.serve(config=config) as server:
@@ -591,18 +594,41 @@ class TestWorkloadCapture:
                     "SELECT count(*) FROM events WHERE v > ?",
                     (5.0,)).fetchall()
                 session.execute(
+                    "SELECT avg(v), max(v) FROM events WHERE id < :n",
+                    {"n": 10}).fetchall()
+                session.execute(
                     "SELECT id, v FROM events ORDER BY id").fetchall()
+            with server.session("writer") as session:
+                session.execute("INSERT INTO events VALUES (?, ?)",
+                                (20, 20.0))
+                session.execute("INSERT INTO events VALUES (?, ?)",
+                                (21, 21.0))
+                session.execute(
+                    "UPDATE events SET v = v + ? WHERE id < ?", (1.0, 5))
+                with pytest.raises(repro.Error):
+                    session.execute("SELECT missing FROM events")
+            with server.session("dashboard") as session:
+                session.execute(
+                    "SELECT count(*), sum(v) FROM events WHERE v > :floor",
+                    {"floor": 3.0}).fetchall()
+                session.execute(
+                    "SELECT id FROM events WHERE v >= ? ORDER BY id",
+                    (19.0,)).fetchall()
 
+        records = load_capture(path)
+        assert len({record["session"] for record in records}) == 4
+        assert sum(bool(record["error"]) for record in records) == 1
+        assert sum(record["many"] for record in records) == 1
         report = replay_workload(path, speed="max")
         replay = report["replay"]
-        # CREATE + one executemany line carrying all 20 sets + 2 reads
-        assert replay["statements"] == 4
-        assert replay["matches"] == 4
+        assert replay["statements"] == len(records) == 11
+        assert replay["matches"] == replay["statements"]
         assert replay["mismatches"] == 0
         assert replay["mismatch_samples"] == []
         serving = report["serving"]
-        assert serving["errors"] == 0
-        assert serving["statements"] == 4
+        # The failing statement fails again on replay, and only it.
+        assert serving["errors"] == 1
+        assert serving["statements"] == 11
         assert serving["p99_ms"] >= serving["p50_ms"]
 
     def test_replay_recorded_speed_preserves_order(self, tmp_path):

@@ -1,23 +1,26 @@
 #!/usr/bin/env python
 """Replay a captured workload (JSONL) against a fresh QueryServer.
 
-Pair of the load generator's ``--capture`` flag::
+Capture served traffic with ``PRAGMA capture_enabled``, then replay it::
 
-    PYTHONPATH=src python tools/load_generator.py --sessions 13 --workers 1 \
-        --seed 5 --capture capture.jsonl
+    with repro.serve() as server, server.session("etl") as session:
+        session.execute("PRAGMA capture_path='capture.jsonl'")
+        session.execute("PRAGMA capture_enabled=1")
+        ...                                 # the statements to record
+        session.execute("PRAGMA capture_enabled=0")
+
     PYTHONPATH=src python tools/replay_workload.py --input capture.jsonl \
-        --strict --output BENCH_REPLAY.json
+        --strict --output replay_report.json
 
 Every captured statement is re-executed in file order on a session of the
 same name; row counts and error outcomes are compared against the recorded
 run.  ``--speed recorded`` honors the captured inter-statement gaps (for
 load-shape reproduction); the default ``max`` replays as fast as possible
-(for regression latency measurement).  The JSON summary has the same
-``repro-bench-v1`` serving shape the load generator emits, plus a
-``replay`` section with the match/mismatch tally.  ``--strict`` exits
-non-zero on any mismatch -- a capture taken with ``--workers 1`` is
-deterministic and must replay exactly; concurrent captures interleave
-writes and are compared best-effort.
+(for regression latency measurement).  The JSON summary has a ``serving``
+latency section and a ``replay`` section with the match/mismatch tally.
+``--strict`` exits non-zero on any mismatch -- a capture of serial
+sessions is deterministic and must replay exactly; concurrent captures
+interleave writes and are compared best-effort.
 """
 
 import argparse
@@ -32,8 +35,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Replay a captured JSONL workload against a fresh server")
     parser.add_argument("--input", required=True,
-                        help="capture file written by PRAGMA capture_path / "
-                             "load_generator --capture")
+                        help="capture file written under PRAGMA "
+                             "capture_enabled (path from capture_path)")
     parser.add_argument("--speed", choices=("max", "recorded"), default="max",
                         help="'max' replays back-to-back; 'recorded' sleeps "
                              "to reproduce the captured inter-statement gaps")
