@@ -134,8 +134,8 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
             "_lock", frozenset({"_span_watermark"})),
     },
     "repro/observability/accounting.py": {
-        # Every connection thread appends statement bills; introspection
-        # snapshots them concurrently.
+        # Every connection thread appends statement records; introspection,
+        # the slow-query log and flight dumps snapshot them concurrently.
         "StatementLog": SharedClassSpec("_lock"),
     },
     "repro/observability/export.py": {
@@ -146,10 +146,6 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
     "repro/server/capture.py": {
         # Sessions on many worker threads emit captured statements.
         "WorkloadCapture": SharedClassSpec("_lock"),
-    },
-    "repro/introspection/flight.py": {
-        # Every connection thread appends to the statement ring.
-        "FlightRecorder": SharedClassSpec("_lock"),
     },
     "repro/verifier/verifier.py": {
         # quackplan is shared engine state: statements on concurrent

@@ -48,7 +48,6 @@ from .result import QueryResult
 
 if TYPE_CHECKING:
     from ..execution.physical import ExecutionContext
-    from ..observability.slowlog import SlowQueryRecord
     from ..observability.trace import Span, Tracer
     from ..transaction.transaction import Transaction
     from .appender import Appender
@@ -511,29 +510,16 @@ class Connection:
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException]) -> None:
-        """The one after-statement hook: span, flight ring, metrics, bill.
+        """The one after-statement hook: span, record, fault dump, metrics,
+        bill.
 
         Every finished statement -- success or error, cached or not --
-        passes here exactly once.
+        passes here exactly once and is stored once, as one
+        :class:`StatementRecord` in the database's statement log.
         """
         database = self._database
         if tracer is not None and query_span is not None:
             tracer.finish_query(query_span, wall_ns, cpu_ns)
-        # Flight dumps are best-effort (``try_dump`` semantics): a recorder
-        # that cannot write must never mask the engine error it documents.
-        database.flight_recorder.record_statement(sql_text, wall_ns / 1e6,
-                                                  rows, error)
-        if error is not None and is_engine_fault(error):
-            database.dump_flight(f"engine fault: {type(error).__name__}",
-                                 error, best_effort=True)
-        reg = metrics_registry()
-        reg.counter("repro_queries_total", "Statements executed").inc()
-        if rows:
-            reg.counter("repro_rows_returned_total",
-                        "Rows handed to clients").inc(rows)
-        reg.histogram("repro_statement_seconds",
-                      "End-to-end statement latency").observe(wall_ns / 1e9)
-        database.fold_metrics()
         seq = self._statement_seq + 1
         self._statement_seq = seq
         # Per-statement resource bill.  Buffer traffic and peak memory are
@@ -551,27 +537,37 @@ class Connection:
         rows_scanned = int(context.stats.get("rows_scanned", 0)) \
             if context is not None else 0
         memory = peak if peak > base_peak else buffers.used_bytes
+        wall_ms = wall_ns / 1e6
         record = StatementRecord(
             self._session_id, seq, sql_text,
-            wall_ms=wall_ns / 1e6, cpu_ms=cpu_ns / 1e6, rows_out=rows,
+            wall_ms=wall_ms, cpu_ms=cpu_ns / 1e6, rows_out=rows,
             rows_scanned=rows_scanned, vectors=vectors,
             buffer_hits=max(0, hits - base_hits),
             buffer_misses=max(0, misses - base_misses),
             memory_bytes=memory,
-            error=type(error).__name__ if error is not None else "")
+            error=type(error).__name__ if error is not None else "",
+            message=str(error) if error is not None else "")
+        threshold = self._config.slow_query_ms
+        if 0 < threshold <= wall_ms:
+            spans = tracer.sink.trace(query_span.trace_id) \
+                if tracer is not None and query_span is not None else None
+            record.mark_slow(threshold, spans)
         database.statement_log.record(record)
+        # Flight dumps are best-effort (``try_dump`` semantics): a recorder
+        # that cannot write must never mask the engine error it documents.
+        if error is not None and is_engine_fault(error):
+            database.dump_flight(f"engine fault: {type(error).__name__}",
+                                 error, best_effort=True)
+        reg = metrics_registry()
+        reg.counter("repro_queries_total", "Statements executed").inc()
+        if rows:
+            reg.counter("repro_rows_returned_total",
+                        "Rows handed to clients").inc(rows)
+        reg.histogram("repro_statement_seconds",
+                      "End-to-end statement latency").observe(wall_ns / 1e9)
+        database.fold_metrics()
         if self._bill_sink is not None:
             self._bill_sink(record)
-        threshold = self._config.slow_query_ms
-        if threshold > 0:
-            duration_ms = wall_ns / 1e6
-            if duration_ms >= threshold:
-                spans = tracer.sink.trace(query_span.trace_id) \
-                    if tracer is not None and query_span is not None else None
-                database.slow_log.record(sql_text, duration_ms, threshold,
-                                         spans,
-                                         session_id=self._session_id,
-                                         statement_seq=seq)
 
     def metrics(self) -> Dict[str, Any]:
         """Snapshot of the process-wide engine metrics (plain dict)."""
@@ -585,10 +581,10 @@ class Connection:
         self._database.fold_metrics()
         return metrics_registry().render_text()
 
-    def slow_queries(self) -> List["SlowQueryRecord"]:
-        """Captured slow-query records, oldest first."""
+    def slow_queries(self) -> List[StatementRecord]:
+        """Statements over ``slow_query_ms``, oldest first."""
         self._check_open()
-        return self._database.slow_log.records()
+        return self._database.statement_log.slow()
 
     # -- convenience -------------------------------------------------------------
     def query_value(self, sql: str, parameters: Optional[Sequence[Any]] = None) -> Any:

@@ -157,11 +157,6 @@ class DatabaseConfig:
         at its default cadence.  The ``REPRO_TELEMETRY_PATH`` environment
         variable provides the default for configs built via
         :meth:`from_dict`.
-    statement_log_entries:
-        Capacity of the per-statement resource-accounting ring
-        (``repro_statement_log()``): wall/CPU, rows in/out, buffer
-        traffic, and peak-memory estimate per ``(session_id,
-        statement_seq)``.  ``0`` disables statement accounting.
     capture_enabled:
         Record every served statement (SQL + parameters + timing offset)
         into the workload-capture JSONL at ``capture_path`` for later
@@ -194,7 +189,6 @@ class DatabaseConfig:
     admission_timeout_ms: float = 30000.0
     telemetry_interval_ms: float = 0.0
     telemetry_path: str = ""
-    statement_log_entries: int = 512
     capture_enabled: bool = False
     capture_path: str = ""
 
@@ -281,11 +275,6 @@ class DatabaseConfig:
             self.telemetry_interval_ms = interval
         elif name in ("telemetry_path", "capture_path"):
             setattr(self, name, str(value))
-        elif name == "statement_log_entries":
-            entries = int(value)
-            if entries < 0:
-                raise InvalidInputError("statement_log_entries must be >= 0")
-            self.statement_log_entries = entries
         elif name == "capture_enabled":
             self.capture_enabled = _coerce_bool(value)
         else:

@@ -25,7 +25,6 @@ from .introspection.profiler import SamplingProfiler
 from .observability.accounting import StatementLog
 from .observability.export import JsonlTelemetrySink
 from .observability.history import DEFAULT_INTERVAL_MS, TelemetrySampler
-from .observability.slowlog import SlowQueryLog
 from .observability.trace import Tracer
 from .optimizer.cost import OptimizerLog
 from .sanitizer import SanLock
@@ -66,10 +65,8 @@ class Database:
         #: order is forbidden everywhere.
         self._checkpoint_lock = SanLock("database.checkpoint")
         self._closed = False
-        #: In-process slow-query log (see config.slow_query_ms).
-        self.slow_log = SlowQueryLog()
-        #: Crash flight recorder: bounded ring of recent statements plus
-        #: metric baselines, dumped as JSON on engine faults and on
+        #: Crash flight recorder: metric baselines plus the statement
+        #: log's tail, dumped as JSON on engine faults and on
         #: ``PRAGMA flight_dump`` (see :meth:`dump_flight`).
         self.flight_recorder = FlightRecorder()
         #: Sampling wall-clock profiler; idle until ``profile_enabled``.
@@ -97,9 +94,9 @@ class Database:
         #: Last buffer-manager counter values folded into the metrics
         #: registry (see :meth:`fold_metrics`).
         self._metrics_baseline: Dict[str, int] = {}
-        #: Per-statement resource-accounting ring, served by the
-        #: ``repro_statement_log()`` system table.
-        self.statement_log = StatementLog(self.config.statement_log_entries)
+        #: The one per-statement record store: ``repro_statement_log()``,
+        #: the slow-query log and the flight dump all read it.
+        self.statement_log = StatementLog()
         #: Continuous-telemetry sampler + ring-buffer metrics history,
         #: served by ``repro_metrics_history()`` (see :meth:`sync_telemetry`).
         self.telemetry = TelemetrySampler(self)
@@ -204,7 +201,7 @@ class Database:
 
     def dump_flight(self, reason: str, error: Optional[BaseException] = None,
                     best_effort: bool = False) -> Optional[str]:
-        """Write the flight-recorder ring to ``repro_flight_<pid>.json``.
+        """Write the flight recorder's dump to ``repro_flight_<pid>.json``.
 
         Persistent databases dump next to their data file; in-memory ones
         dump into the current directory.  With ``best_effort`` the dump
@@ -220,13 +217,14 @@ class Database:
         if not self.storage.in_memory:
             directory = os.path.dirname(os.path.abspath(self.path)) or None
         config = dataclasses.asdict(self.config)
+        statements = self.statement_log.records()
         if best_effort:
             return self.flight_recorder.try_dump(
                 directory=directory, reason=reason, error=error, spans=spans,
-                config=config)
+                config=config, statements=statements)
         return self.flight_recorder.dump(
             directory=directory, reason=reason, error=error, spans=spans,
-            config=config)
+            config=config, statements=statements)
 
     def fold_metrics(self) -> None:
         """Fold this instance's cheap counters into the process registry.

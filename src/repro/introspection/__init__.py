@@ -23,8 +23,8 @@ engine internals three ways:
   queryable via ``repro_profile()``; enabled by ``PRAGMA enable_profiling``
   or ``REPRO_PROFILE=1``.
 
-* a **flight recorder** (:mod:`.flight`) -- a bounded ring of recent
-  statements plus metric deltas, dumped as ``repro_flight_<pid>.json`` on
+* a **flight recorder** (:mod:`.flight`) -- the statement log's newest
+  records plus metric deltas, dumped as ``repro_flight_<pid>.json`` on
   unhandled engine faults and on ``PRAGMA flight_dump``.
 """
 

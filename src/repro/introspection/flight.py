@@ -2,19 +2,20 @@
 
 The resilience pillar (paper §6) assumes consumer hardware and unattended
 deployments: when an embedded engine fails there is no server log to pull,
-only whatever the process left behind.  This module keeps a bounded ring of
-recent statements (SQL, duration, rows, outcome) at near-zero cost, and on
-demand -- ``PRAGMA flight_dump``, or automatically when an *engine fault*
-escapes execution -- writes a single self-contained JSON file
-(``repro_flight_<pid>.json``) holding the statement ring, metric deltas
-since the recorder started, recent trace spans (when tracing is on), and
-the active configuration.
+only whatever the process left behind.  On demand -- ``PRAGMA
+flight_dump``, or automatically when an *engine fault* escapes execution --
+this module writes a single self-contained JSON file
+(``repro_flight_<pid>.json``) holding the newest statements of the
+database's :class:`~repro.observability.accounting.StatementLog` (SQL,
+duration, rows, outcome), metric deltas since the recorder started, recent
+trace spans (when tracing is on), and the active configuration.  The
+recorder keeps no statements of its own.
 
 An engine fault is an error that indicts the engine rather than the query:
 internal errors, detected corruption, memory faults, hardware faults -- or
 any exception that is not part of the :mod:`repro.errors` hierarchy at all
 (an escaping ``KeyError`` is by definition an engine bug).  User errors
-(parser, binder, constraint, ...) are recorded in the ring but never
+(parser, binder, constraint, ...) are in the statement log but never
 trigger a dump.
 """
 
@@ -23,10 +24,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from .. import observability
 from ..errors import (
@@ -37,15 +36,18 @@ from ..errors import (
     MemoryFaultError,
 )
 
-__all__ = ["FlightRecorder", "is_engine_fault", "DEFAULT_CAPACITY",
-           "MAX_SQL_CHARS", "MAX_DUMPED_SPANS"]
+if TYPE_CHECKING:
+    from ..observability.accounting import StatementRecord
+
+__all__ = ["FlightRecorder", "is_engine_fault", "statement_entry",
+           "MAX_DUMPED_STATEMENTS", "MAX_SQL_CHARS", "MAX_DUMPED_SPANS"]
 
 logger = logging.getLogger("repro.flight")
 
-#: Statements retained in the ring before the oldest fall out.
-DEFAULT_CAPACITY = 128
-#: SQL text is truncated in the ring: the recorder must stay cheap even
-#: when the application sends megabyte statements.
+#: Most-recent statements included in a dump.
+MAX_DUMPED_STATEMENTS = 128
+#: SQL text is truncated in the dump: it must stay small even when the
+#: application sends megabyte statements.
 MAX_SQL_CHARS = 500
 #: Most-recent trace spans included in a dump.
 MAX_DUMPED_SPANS = 200
@@ -66,39 +68,25 @@ def is_engine_fault(error: BaseException) -> bool:
     return isinstance(error, Exception)
 
 
+def statement_entry(record: "StatementRecord") -> Dict[str, Any]:
+    """One statement of a dump, rendered from its statement-log record."""
+    entry: Dict[str, Any] = {
+        "sql": record.sql[:MAX_SQL_CHARS],
+        "timestamp": record.timestamp,
+        "duration_ms": round(record.wall_ms, 3),
+        "rows": record.rows_out,
+        "status": "error" if record.error else "ok",
+    }
+    if record.error:
+        entry["error"] = f"{record.error}: {record.message}"
+    return entry
+
+
 class FlightRecorder:
-    """Bounded, thread-safe ring of recent statements plus JSON dumping."""
+    """Metric baseline plus JSON dumping of the statement log's tail."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._lock = threading.Lock()
-        self._statements: Deque[Dict[str, Any]] = deque(
-            maxlen=max(1, capacity))
+    def __init__(self) -> None:
         self._baseline: Dict[str, float] = self._scalar_metrics()
-        self._dumps_written = 0
-
-    # -- recording ---------------------------------------------------------
-    def record_statement(self, sql: str, duration_ms: float, rows: int,
-                         error: Optional[BaseException] = None) -> None:
-        entry: Dict[str, Any] = {
-            "sql": sql[:MAX_SQL_CHARS],
-            "timestamp": time.time(),
-            "duration_ms": round(duration_ms, 3),
-            "rows": rows,
-            "status": "ok" if error is None else "error",
-        }
-        if error is not None:
-            entry["error"] = f"{type(error).__name__}: {error}"
-        with self._lock:
-            self._statements.append(entry)
-
-    def statements(self) -> List[Dict[str, Any]]:
-        """Snapshot of the ring, oldest first."""
-        with self._lock:
-            return [dict(entry) for entry in self._statements]
-
-    @property
-    def dumps_written(self) -> int:
-        return self._dumps_written
 
     # -- metric deltas -----------------------------------------------------
     @staticmethod
@@ -124,14 +112,20 @@ class FlightRecorder:
     def dump(self, directory: Optional[str] = None, reason: str = "",
              error: Optional[BaseException] = None,
              spans: Optional[Sequence[Any]] = None,
-             config: Optional[Dict[str, Any]] = None) -> str:
-        """Write ``repro_flight_<pid>.json``; returns the file path."""
+             config: Optional[Dict[str, Any]] = None,
+             statements: Sequence["StatementRecord"] = ()) -> str:
+        """Write ``repro_flight_<pid>.json``; returns the file path.
+
+        ``statements`` is the statement log, oldest first; the newest
+        :data:`MAX_DUMPED_STATEMENTS` of it are written.
+        """
         payload: Dict[str, Any] = {
             "format": "repro-flight-recorder-v1",
             "pid": os.getpid(),
             "created_at": time.time(),
             "reason": reason,
-            "statements": self.statements(),
+            "statements": [statement_entry(record) for record
+                           in statements[-MAX_DUMPED_STATEMENTS:]],
             "metric_deltas": self.metric_deltas(),
         }
         if error is not None:
@@ -150,19 +144,20 @@ class FlightRecorder:
                             f"repro_flight_{os.getpid()}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, default=str)
-        with self._lock:
-            self._dumps_written += 1
         return path
 
     def try_dump(self, directory: Optional[str] = None, reason: str = "",
                  error: Optional[BaseException] = None,
                  spans: Optional[Sequence[Any]] = None,
-                 config: Optional[Dict[str, Any]] = None) -> Optional[str]:
+                 config: Optional[Dict[str, Any]] = None,
+                 statements: Sequence["StatementRecord"] = ()
+                 ) -> Optional[str]:
         """Best-effort :meth:`dump` for failure paths: a recorder that
         cannot write (read-only filesystem, disk full) must never mask the
         original engine error it is documenting."""
         try:
-            return self.dump(directory, reason, error, spans, config)
+            return self.dump(directory, reason, error, spans, config,
+                             statements)
         except OSError as dump_error:
             logger.warning("flight-recorder dump failed: %s", dump_error)
             return None

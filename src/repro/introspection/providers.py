@@ -60,8 +60,8 @@ def traces_rows(database: Any, transaction: Any) -> List[Row]:
 
 def slow_queries_rows(database: Any, transaction: Any) -> List[Row]:
     rows: List[Row] = []
-    for record in database.slow_log.records():
-        rows.append((record.sql, record.duration_ms, record.threshold_ms,
+    for record in database.statement_log.slow():
+        rows.append((record.sql, record.wall_ms, record.threshold_ms,
                      record.timestamp, record.span_count,
                      record.session_id, record.statement_seq))
     return rows

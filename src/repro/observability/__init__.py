@@ -15,9 +15,10 @@ application-facing answer, three coordinated pieces:
   :class:`MetricsRegistry` (counters/gauges/histograms with fixed bucket
   bounds) exported via ``connection.metrics()`` and a Prometheus-style text
   dump.
-* **surfacing** (:mod:`.render`, :mod:`.slowlog`) -- ``EXPLAIN ANALYZE``
-  operator trees built from real spans, a slow-query log with a
-  configurable threshold, and :func:`render_trace` for pretty-printing.
+* **surfacing** (:mod:`.render`, :mod:`.accounting`) -- ``EXPLAIN
+  ANALYZE`` operator trees built from real spans, the statement log (one
+  record per statement, with a slow-query view over a configurable
+  threshold), and :func:`render_trace` for pretty-printing.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .metrics import (
     registry,
 )
 from .render import render_span_tree, render_trace, worker_summary
-from .slowlog import SlowQueryLog, SlowQueryRecord
 from .trace import Span, TraceSink, Tracer
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "render_trace",
     "render_span_tree",
     "worker_summary",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "tracing_enabled",
     "enable_tracing",
     "disable_tracing",

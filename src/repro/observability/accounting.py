@@ -1,48 +1,69 @@
-"""Per-statement resource accounting: who spent what, attributed.
+"""The statement log: one record per finished statement, every view of it.
 
 Aggregate metrics say the buffer cache missed 10k times; this module says
 *which statement* of *which session* caused them.  Every statement a
 connection finishes -- success or error, served or direct -- produces one
 :class:`StatementRecord` carrying wall/CPU time, rows in (scanned) and out
 (returned), vectors touched, buffer-manager hits/misses over the
-statement's window, and a peak-memory estimate, attributed to
-``(session_id, statement_seq)``.  Records land in a bounded
-:class:`StatementLog` ring queryable as ``repro_statement_log()`` and are
-folded into the owning :class:`~repro.server.session.Session`'s stats.
+statement's window, a peak-memory estimate and, on error, the exception,
+attributed to ``(session_id, statement_seq)``.  It is appended once to the
+:class:`StatementLog`, and every per-statement surface reads that log:
 
-Sizing: the ring holds ``config.statement_log_entries`` records (default
-512, 0 disables).  Like the trace sink, it is deliberately lossy --
-accounting must never become the memory leak it exists to find.  Appends
-take the innermost ``telemetry.history`` sanitizer lock, so any engine
-thread may record while holding its own locks.
+* ``repro_statement_log()`` -- the last :data:`RECENT_ENTRIES` statements;
+* the slow-query log (``repro_slow_queries()``, ``con.slow_queries()``) --
+  the last :data:`SLOW_ENTRIES` statements over their connection's
+  ``slow_query_ms``, each carrying its rendered trace when tracing was on.
+  Slow statements are also written to the :mod:`logging` channel
+  ``repro.slowlog`` so existing application log pipelines pick them up;
+* the crash flight recorder's dump (:mod:`repro.introspection.flight`) --
+  the newest of the recent statements.
+
+Both rings are bounded and hold the *same* record objects.  The slow ring
+is kept apart so a burst of fast statements cannot evict a slow one.
+Appends take the innermost ``telemetry.history`` sanitizer lock, so any
+engine thread may record while holding its own locks.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..sanitizer import SanLock
+from .render import render_trace
+from .trace import Span
 
-__all__ = ["StatementRecord", "StatementLog", "DEFAULT_LOG_ENTRIES"]
+__all__ = ["StatementRecord", "StatementLog", "RECENT_ENTRIES",
+           "SLOW_ENTRIES"]
 
-#: Default bounded capacity of the statement log ring.
-DEFAULT_LOG_ENTRIES = 512
+logger = logging.getLogger("repro.slowlog")
+
+#: Statements retained for ``repro_statement_log()`` and the flight dump.
+RECENT_ENTRIES = 512
+#: Over-threshold statements retained for the slow-query log.
+SLOW_ENTRIES = 256
 
 
 class StatementRecord:
-    """Resource bill of one finished statement."""
+    """Resource bill of one finished statement.
+
+    ``error``/``message`` are the exception's type name and text (empty on
+    success).  ``threshold_ms``, ``trace_text`` and ``span_count`` are set
+    by :meth:`mark_slow` only; ``threshold_ms > 0`` marks a slow statement.
+    """
 
     __slots__ = ("session_id", "statement_seq", "sql", "timestamp", "wall_ms",
                  "cpu_ms", "rows_out", "rows_scanned", "vectors",
-                 "buffer_hits", "buffer_misses", "memory_bytes", "error")
+                 "buffer_hits", "buffer_misses", "memory_bytes", "error",
+                 "message", "threshold_ms", "trace_text", "span_count")
 
     def __init__(self, session_id: int, statement_seq: int, sql: str,
                  wall_ms: float = 0.0, cpu_ms: float = 0.0,
                  rows_out: int = 0, rows_scanned: int = 0, vectors: int = 0,
                  buffer_hits: int = 0, buffer_misses: int = 0,
-                 memory_bytes: int = 0, error: str = "",
+                 memory_bytes: int = 0, error: str = "", message: str = "",
                  timestamp: Optional[float] = None) -> None:
         self.session_id = session_id
         self.statement_seq = statement_seq
@@ -57,6 +78,18 @@ class StatementRecord:
         self.buffer_misses = buffer_misses
         self.memory_bytes = memory_bytes
         self.error = error
+        self.message = message
+        self.threshold_ms = 0.0
+        self.trace_text: Optional[str] = None
+        self.span_count = 0
+
+    def mark_slow(self, threshold_ms: float,
+                  spans: Optional[Sequence[Span]] = None) -> None:
+        """Flag the statement as over ``threshold_ms``, keeping its trace."""
+        self.threshold_ms = threshold_ms
+        if spans:
+            self.span_count = len(spans)
+            self.trace_text = render_trace(spans)
 
     def as_row(self) -> Tuple[int, int, str, float, float, float, int, int,
                               int, int, int, int, str]:
@@ -66,6 +99,14 @@ class StatementRecord:
                 self.rows_scanned, self.vectors, self.buffer_hits,
                 self.buffer_misses, self.memory_bytes, self.error)
 
+    def render(self) -> str:
+        """The slow-query log line: header plus the trace when captured."""
+        header = (f"slow query ({self.wall_ms:.2f} ms, threshold "
+                  f"{self.threshold_ms:g} ms): {self.sql}")
+        if self.trace_text:
+            return header + "\n" + self.trace_text
+        return header
+
     def __repr__(self) -> str:
         return (f"StatementRecord(session={self.session_id}, "
                 f"seq={self.statement_seq}, wall={self.wall_ms:.3f}ms, "
@@ -73,24 +114,18 @@ class StatementRecord:
 
 
 class StatementLog:
-    """Bounded ring of the most recent statement bills.
+    """Bounded rings of the most recent and the most recent slow statements.
 
     Thread-safe behind the ``telemetry.history`` sanitizer lock (innermost
     in the declared hierarchy; see :mod:`repro.sanitizer.hierarchy`).
-    A capacity of 0 disables recording entirely -- :meth:`record` returns
-    before allocating anything.
+    Readers copy under the lock and work on the copy.
     """
 
-    def __init__(self, capacity: int = DEFAULT_LOG_ENTRIES) -> None:
-        self.capacity = max(0, int(capacity))
+    def __init__(self) -> None:
         self._lock = SanLock("telemetry.history")
-        self._records: Deque[StatementRecord] = deque(
-            maxlen=self.capacity if self.capacity else 1)
+        self._recent: Deque[StatementRecord] = deque(maxlen=RECENT_ENTRIES)
+        self._slow: Deque[StatementRecord] = deque(maxlen=SLOW_ENTRIES)
         self._total_recorded = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
 
     @property
     def total_recorded(self) -> int:
@@ -98,16 +133,25 @@ class StatementLog:
         return self._total_recorded
 
     def record(self, record: StatementRecord) -> None:
-        if not self.capacity:
-            return
+        """Append one finished statement (to both rings when slow)."""
+        slow = record.threshold_ms > 0
         with self._lock:
-            self._records.append(record)
+            self._recent.append(record)
+            if slow:
+                self._slow.append(record)
             self._total_recorded += 1
+        if slow:
+            logger.warning("%s", record.render())
 
     def records(self) -> List[StatementRecord]:
-        """Snapshot, oldest first (copy-then-release)."""
+        """Recent statements, oldest first (copy-then-release)."""
         with self._lock:
-            return list(self._records)
+            return list(self._recent)
+
+    def slow(self) -> List[StatementRecord]:
+        """Slow statements, oldest first (copy-then-release)."""
+        with self._lock:
+            return list(self._slow)
 
     def rows(self) -> List[Tuple[int, int, str, float, float, float, int,
                                  int, int, int, int, int, str]]:
@@ -116,8 +160,9 @@ class StatementLog:
 
     def clear(self) -> None:
         with self._lock:
-            self._records.clear()
+            self._recent.clear()
+            self._slow.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._recent)

@@ -18,7 +18,8 @@ code path must acquire nested locks in (a subsequence of) that order:
                         -> morsel_driver  (execution/parallel.py MorselDriver._lock)
                           -> operator_stats (execution/physical.py ExecutionContext._stats_lock)
                             -> telemetry.history (observability/history.py MetricsHistory._lock,
-                                                  observability/accounting.py StatementLog._lock)
+                                                  observability/accounting.py StatementLog._lock,
+                                                  the one lock over every per-statement record)
 
 The four ``server.*`` locks of the serving front end sit between the
 connection lock and the engine proper: a connection may consult a cache or

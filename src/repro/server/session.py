@@ -79,8 +79,8 @@ class Session:
         self._last_bill: Optional["StatementRecord"] = None
         self._closed = False
         # Stamp the accounting attribution key onto the connection so every
-        # StatementRecord and slow-log entry carries (session_id, seq), and
-        # subscribe to the bills.
+        # StatementRecord carries (session_id, seq), and subscribe to the
+        # bills.
         connection._session_id = session_id
         connection._bill_sink = self._fold_bill
 

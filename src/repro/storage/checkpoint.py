@@ -15,15 +15,17 @@ Both requirements shape the design:
   rows fall inside the column's dirty range; clean segments keep the block
   ids of the previous checkpoint, so an ``UPDATE`` of one column never
   rewrites its neighbors, and appends rewrite only the tail segment.
-* Blocks freed by this checkpoint (replaced segments, the old metadata
-  chain) are *quarantined* until the header flip: a crash mid-checkpoint
-  must leave every block of the previous checkpoint intact, so the old
-  header still describes a fully valid database.
+* Blocks freed by this checkpoint are *quarantined* until the header flip:
+  a crash mid-checkpoint must leave every block of the previous checkpoint
+  intact, so the old header still describes a fully valid database.  The
+  freed segment blocks are those live after the previous checkpoint and
+  not after this one -- one rule for replaced segments, shrunk tables and
+  dropped tables -- plus the old metadata and free-list chains.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import AbstractSet, List, Optional, Set
 
 import numpy as np
 
@@ -152,7 +154,7 @@ class CheckpointWriter:
         new_segments: List[PersistedSegment] = []
         for row_start in range(0, max(row_count, 0), SEGMENT_ROWS):
             segment_rows = min(SEGMENT_ROWS, row_count - row_start)
-            old = old_segments.pop(row_start, None)
+            old = old_segments.get(row_start)
             dirty = (column.is_dirty()
                      and column.dirty_lo < row_start + segment_rows
                      and column.dirty_hi >= row_start)
@@ -160,12 +162,7 @@ class CheckpointWriter:
                 new_segments.append(old)
                 self.segments_reused += 1
             else:
-                if old is not None:
-                    self._pending_frees.extend(old.block_ids)
                 new_segments.append(self._write_segment(column, row_start, segment_rows))
-        # Segments past the new row count (after compaction shrink) are freed.
-        for old in old_segments.values():
-            self._pending_frees.extend(old.block_ids)
         return new_segments
 
     # -- metadata ------------------------------------------------------------------
@@ -209,14 +206,17 @@ class CheckpointWriter:
         return writer.getvalue()
 
     def write(self, catalog: Catalog, transaction, old_metadata_blocks: List[int],
-              old_free_list_blocks: List[int]) -> tuple:
+              old_free_list_blocks: List[int],
+              old_segment_blocks: AbstractSet[int]) -> tuple:
         """Write all dirty data + metadata, flip the header, apply frees.
 
         ``transaction`` supplies the snapshot (the caller guarantees it sees
         all committed data and that no other transaction is active).
-        Returns ``(metadata_blocks, free_list_blocks)`` for the next round.
+        Returns ``(metadata_blocks, free_list_blocks, segment_blocks)`` for
+        the next round.
         """
         # Phase 1: table data.  Compaction first (it dirties everything).
+        segment_blocks: Set[int] = set()
         for table in catalog.tables(transaction):
             data: TableData = table.data
             if data.needs_compaction:
@@ -235,6 +235,12 @@ class CheckpointWriter:
                     column_data, data.row_count
                 )
                 column_data.mark_clean()
+                for segment in column_data.persisted_segments:
+                    segment_blocks.update(segment.block_ids)
+        # The one free rule: a segment block live after the previous
+        # checkpoint and not after this one -- replaced, shrunk away, or of
+        # a dropped table -- is freed.
+        self._pending_frees.extend(old_segment_blocks - segment_blocks)
 
         # Phase 2: catalog metadata chain.
         metadata = self._serialize_catalog(catalog, transaction)
@@ -273,7 +279,8 @@ class CheckpointWriter:
         for block_id in self._pending_frees:
             self._file.free_block(block_id)
         self._buffers.invalidate_cache()
-        return meta_chain.written_blocks, free_chain.written_blocks
+        return (meta_chain.written_blocks, free_chain.written_blocks,
+                segment_blocks)
 
 
 class CheckpointReader:
@@ -284,6 +291,7 @@ class CheckpointReader:
         self._buffers = buffer_manager
         self.metadata_blocks: List[int] = []
         self.free_list_blocks: List[int] = []
+        self.segment_blocks: Set[int] = set()
 
     def _read_segment(self, column: ColumnData, segment: PersistedSegment,
                       row_count_check: int) -> None:
@@ -338,6 +346,7 @@ class CheckpointReader:
                     head_block = reader.read_int64()
                     block_count = reader.read_uint32()
                     block_ids = [reader.read_int64() for _ in range(block_count)]
+                    self.segment_blocks.update(block_ids)
                     segments.append(
                         PersistedSegment(row_start, segment_rows, head_block, block_ids)
                     )

@@ -17,7 +17,7 @@ file disabled.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..catalog.catalog import Catalog
 from ..catalog.entry import ColumnDefinition, TableEntry, ViewEntry
@@ -61,6 +61,9 @@ class StorageManager:
             self.wal = WriteAheadLog(path + ".wal")
         self._metadata_blocks: List[int] = []
         self._free_list_blocks: List[int] = []
+        #: Segment blocks live as of the last checkpoint (see
+        #: :meth:`CheckpointWriter.write` for the free rule they feed).
+        self._segment_blocks: Set[int] = set()
         self.checkpoints_written = 0
         #: Filled by the last checkpoint, for the C1 experiment report.
         self.last_checkpoint_stats: dict = {}
@@ -76,6 +79,7 @@ class StorageManager:
             reader.load(catalog, bootstrap)
             self._metadata_blocks = reader.metadata_blocks
             self._free_list_blocks = reader.free_list_blocks
+            self._segment_blocks = reader.segment_blocks
             transaction_manager.commit(bootstrap)
         except Error:
             # Engine errors (CorruptionError, ...) already carry context.
@@ -187,9 +191,10 @@ class StorageManager:
 
         def write_snapshot(bootstrap: Transaction) -> None:
             writer = CheckpointWriter(self.block_file, self.buffer_manager)
-            self._metadata_blocks, self._free_list_blocks = writer.write(
-                catalog, bootstrap, self._metadata_blocks, self._free_list_blocks
-            )
+            (self._metadata_blocks, self._free_list_blocks,
+             self._segment_blocks) = writer.write(
+                catalog, bootstrap, self._metadata_blocks,
+                self._free_list_blocks, self._segment_blocks)
             self.last_checkpoint_stats = {
                 "segments_written": writer.segments_written,
                 "segments_reused": writer.segments_reused,

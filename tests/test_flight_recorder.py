@@ -1,4 +1,4 @@
-"""Crash flight recorder: statement ring, fault classification, JSON dumps.
+"""Crash flight recorder: dumped statements, fault classification, JSON dumps.
 
 ISSUE 5's resilience satellite: an embedded engine has no server log, so
 when it faults the process must leave a self-contained JSON post-mortem
@@ -21,11 +21,26 @@ from repro.errors import (
 )
 from repro.execution.executor import Executor
 from repro.introspection.flight import (
-    DEFAULT_CAPACITY,
     FlightRecorder,
+    MAX_DUMPED_STATEMENTS,
     MAX_SQL_CHARS,
     is_engine_fault,
+    statement_entry,
 )
+from repro.observability import StatementRecord
+
+
+def _record(sql, wall_ms=0.0, rows=0, error=None):
+    return StatementRecord(
+        0, 0, sql, wall_ms=wall_ms, rows_out=rows,
+        error=type(error).__name__ if error is not None else "",
+        message=str(error) if error is not None else "")
+
+
+def _dumped_statements(tmp_path, records):
+    path = FlightRecorder().dump(directory=str(tmp_path), statements=records)
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["statements"]
 
 
 class TestFaultClassification:
@@ -49,39 +64,44 @@ class TestFaultClassification:
 
 
 class TestRing:
-    def test_records_success_and_error(self):
-        recorder = FlightRecorder()
-        recorder.record_statement("SELECT 1", 1.5, 1)
-        recorder.record_statement("SELECT broken", 0.2, 0,
-                                  error=BinderError("no such column"))
-        ok, bad = recorder.statements()
+    """The dump renders statement-log records into its statement entries."""
+
+    def test_records_success_and_error(self, tmp_path):
+        error = BinderError("no such column")
+        ok, bad = _dumped_statements(tmp_path, [
+            _record("SELECT 1", wall_ms=1.23456, rows=1),
+            _record("SELECT broken", wall_ms=0.2, error=error)])
+        assert set(ok) == {"sql", "timestamp", "duration_ms", "rows",
+                           "status"}
         assert ok["status"] == "ok" and ok["rows"] == 1
+        assert ok["duration_ms"] == 1.235
         assert bad["status"] == "error"
+        assert bad["error"] == f"BinderError: {error}"
         assert "no such column" in bad["error"]
 
-    def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=4)
-        for index in range(10):
-            recorder.record_statement(f"SELECT {index}", 0.0, 0)
-        statements = recorder.statements()
-        assert len(statements) == 4
-        assert statements[0]["sql"] == "SELECT 6"
+    def test_ring_is_bounded(self, tmp_path):
+        records = [_record(f"SELECT {index}")
+                   for index in range(MAX_DUMPED_STATEMENTS + 10)]
+        statements = _dumped_statements(tmp_path, records)
+        assert len(statements) == MAX_DUMPED_STATEMENTS
+        assert statements[0]["sql"] == "SELECT 10"
+        assert statements[-1]["sql"] == \
+            f"SELECT {MAX_DUMPED_STATEMENTS + 9}"
 
-    def test_sql_is_truncated(self):
-        recorder = FlightRecorder()
-        recorder.record_statement("SELECT " + "x" * 10000, 0.0, 0)
-        (entry,) = recorder.statements()
+    def test_sql_is_truncated(self, tmp_path):
+        (entry,) = _dumped_statements(
+            tmp_path, [_record("SELECT " + "x" * 10000)])
         assert len(entry["sql"]) == MAX_SQL_CHARS
 
-    def test_default_capacity(self):
-        recorder = FlightRecorder()
-        for index in range(DEFAULT_CAPACITY + 10):
-            recorder.record_statement("SELECT 1", 0.0, 0)
-        assert len(recorder.statements()) == DEFAULT_CAPACITY
+    def test_default_capacity(self, tmp_path):
+        assert MAX_DUMPED_STATEMENTS == 128
+        records = [_record("SELECT 1") for _ in range(3)]
+        assert len(_dumped_statements(tmp_path, records)) == 3
 
 
 class TestConnectionRecording:
-    def test_statements_land_in_ring(self):
+    def test_statements_land_in_ring(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         con = repro.connect()
         try:
             con.execute("CREATE TABLE t (a INTEGER)")
@@ -89,7 +109,9 @@ class TestConnectionRecording:
             con.execute("SELECT * FROM t").fetchall()
             with pytest.raises(BinderError):
                 con.execute("SELECT nope FROM t")
-            statements = con._database.flight_recorder.statements()
+            (path,) = con.execute("PRAGMA flight_dump").fetchone()
+            with open(path, encoding="utf-8") as handle:
+                statements = json.load(handle)["statements"]
             by_sql = {entry["sql"]: entry for entry in statements}
             assert by_sql["SELECT * FROM t"]["status"] == "ok"
             assert by_sql["SELECT * FROM t"]["rows"] == 2
@@ -154,7 +176,24 @@ class TestDump:
             last = payload["statements"][-1]
             assert last["sql"] == "SELECT * FROM t"
             assert last["status"] == "error"
-            assert con._database.flight_recorder.dumps_written == 1
+        finally:
+            con.close()
+
+    def test_dump_statements_are_the_statement_log_tail(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        con = repro.connect()
+        try:
+            for index in range(MAX_DUMPED_STATEMENTS + 22):
+                con.execute(f"SELECT {index}").fetchall()
+            (path,) = con.execute("PRAGMA flight_dump").fetchone()
+            with open(path, encoding="utf-8") as handle:
+                statements = json.load(handle)["statements"]
+            # The PRAGMA's own record lands after the dump was written.
+            records = con.database.statement_log.records()[:-1]
+            assert statements == [statement_entry(record) for record
+                                  in records[-MAX_DUMPED_STATEMENTS:]]
+            assert statements[0]["sql"] == "SELECT 22"
         finally:
             con.close()
 
@@ -176,7 +215,6 @@ class TestDump:
 
         monkeypatch.setattr("builtins.open", refuse)
         assert recorder.try_dump(reason="test") is None
-        assert recorder.dumps_written == 0
 
     def test_metric_deltas_since_creation(self):
         recorder = FlightRecorder()

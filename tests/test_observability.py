@@ -16,7 +16,8 @@ from repro import observability as obs
 from repro.observability import (
     MetricsRegistry,
     Span,
-    SlowQueryLog,
+    StatementLog,
+    StatementRecord,
     TraceSink,
     Tracer,
     engine_span,
@@ -24,6 +25,7 @@ from repro.observability import (
     render_trace,
     worker_summary,
 )
+from repro.observability.accounting import SLOW_ENTRIES
 
 
 @pytest.fixture
@@ -318,15 +320,27 @@ class TestExpositionFormat:
         assert "g_nan NaN" in text
 
 
-class TestSlowQueryLog:
+def _slow_record(sql, wall_ms, threshold_ms=1.0):
+    record = StatementRecord(0, 0, sql, wall_ms=wall_ms)
+    record.mark_slow(threshold_ms)
+    return record
+
+
+class TestSlowLog:
     def test_record_and_render(self):
-        log = SlowQueryLog(capacity=2)
-        log.record("SELECT 1", duration_ms=12.5, threshold_ms=1.0)
-        log.record("SELECT 2", duration_ms=20.0, threshold_ms=1.0)
-        log.record("SELECT 3", duration_ms=30.0, threshold_ms=1.0)
-        records = log.records()
-        assert [r.sql for r in records] == ["SELECT 2", "SELECT 3"]
-        assert "slow query (30.00 ms" in records[-1].render()
+        log = StatementLog()
+        for index in range(SLOW_ENTRIES + 2):
+            log.record(_slow_record(f"SELECT {index}", 10.0 + index))
+        log.record(StatementRecord(0, 0, "SELECT fast", wall_ms=0.1))
+        records = log.slow()
+        # Bounded, oldest first, and only the statements marked slow.
+        assert len(records) == SLOW_ENTRIES
+        assert records[0].sql == "SELECT 2"
+        assert records[-1].sql == f"SELECT {SLOW_ENTRIES + 1}"
+        assert log.records()[-1].sql == "SELECT fast"
+        assert records[-1].render() == (
+            f"slow query ({10.0 + SLOW_ENTRIES + 1:.2f} ms, threshold 1 ms): "
+            f"SELECT {SLOW_ENTRIES + 1}")
 
     def test_threshold_triggers_slow_log(self, traced):
         con = repro.connect(config={"slow_query_ms": 1e-6})
@@ -337,7 +351,7 @@ class TestSlowQueryLog:
             records = con.slow_queries()
             assert records
             select = [r for r in records if r.sql.startswith("SELECT")]
-            assert select and select[-1].duration_ms > 0
+            assert select and select[-1].wall_ms > 0
             # Tracing was on, so the record carries the rendered trace.
             assert select[-1].span_count > 0
             assert "kind=query" not in (select[-1].trace_text or "")
@@ -349,10 +363,13 @@ class TestSlowQueryLog:
         assert populated.slow_queries() == []
 
     def test_slow_log_emits_logging_warning(self, caplog):
-        log = SlowQueryLog()
+        log = StatementLog()
         with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
-            log.record("SELECT slow", duration_ms=99.0, threshold_ms=1.0)
+            log.record(_slow_record("SELECT slow", 99.0))
+            log.record(StatementRecord(0, 0, "SELECT fast", wall_ms=0.1))
         assert any("SELECT slow" in message for message in caplog.messages)
+        assert not any("SELECT fast" in message
+                       for message in caplog.messages)
 
 
 class TestParallelTracing:

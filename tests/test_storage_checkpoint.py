@@ -254,6 +254,38 @@ class TestCrashSafety:
         assert con.execute(query).fetchall() == before
         con.close()
 
+    def test_drop_table_frees_its_segments(self, db_path):
+        # CREATE, bulk append, CHECKPOINT, DROP, CHECKPOINT in a loop: the
+        # dropped table's blocks return to the free list, so the next turn
+        # reuses them and the file stops growing after the first turn.
+        def turn(con):
+            con.execute("CREATE TABLE t (k BIGINT, v DOUBLE)")
+            with con.appender("t") as appender:
+                appender.append_numpy({
+                    "k": np.arange(200_000, dtype=np.int64),
+                    "v": np.arange(200_000, dtype=np.float64) * 0.5,
+                })
+            con.execute("CHECKPOINT")
+            con.execute("DROP TABLE t")
+            con.execute("CHECKPOINT")
+            return os.path.getsize(db_path)
+
+        con = repro.connect(db_path, {"checkpoint_on_close": False})
+        # A table that lives through every turn: its segments stay live.
+        con.execute("CREATE TABLE kept (k BIGINT)")
+        con.execute("INSERT INTO kept VALUES (1), (2), (3)")
+        sizes = [turn(con) for _ in range(5)]
+        assert sizes[1:] == [sizes[0]] * (len(sizes) - 1), sizes
+        con.close()
+        con = reopen(db_path, checkpoint_on_close=False)
+        assert con.execute("SELECT sum(k) FROM kept").fetchvalue() == 6
+        assert con.table_names() == ["kept"]
+        # The reopened file knows its live segments: another turn reuses
+        # the freed blocks instead of growing the file.
+        assert turn(con) == sizes[0]
+        assert con.execute("SELECT sum(k) FROM kept").fetchvalue() == 6
+        con.close()
+
     def test_checkpoint_requires_quiescence(self, db_path):
         con = repro.connect(db_path)
         con.execute("CREATE TABLE t (i INTEGER)")

@@ -23,6 +23,7 @@ from repro.observability import (
     StatementRecord,
     TelemetrySink,
 )
+from repro.observability.accounting import RECENT_ENTRIES
 from repro.observability.history import DEFAULT_INTERVAL_MS, RETENTION_TIERS
 from repro.observability.metrics import registry
 from repro.server import WorkloadCapture, load_capture, replay_workload
@@ -132,18 +133,14 @@ class TestStatementLog:
                                wall_ms=1.0, rows_out=seq)
 
     def test_bounded_ring(self):
-        log = StatementLog(capacity=3)
-        for seq in range(1, 6):
+        log = StatementLog()
+        for seq in range(1, RECENT_ENTRIES + 3):
             log.record(self._record(seq))
-        assert [record.statement_seq for record in log.records()] == [3, 4, 5]
-        assert log.total_recorded == 5
-        assert len(log) == 3
-
-    def test_capacity_zero_disables(self):
-        log = StatementLog(capacity=0)
-        log.record(self._record(1))
-        assert log.records() == []
-        assert log.total_recorded == 0
+        assert [record.statement_seq for record in log.records()] \
+            == list(range(3, RECENT_ENTRIES + 3))
+        assert log.total_recorded == RECENT_ENTRIES + 2
+        assert len(log) == RECENT_ENTRIES
+        assert log.slow() == []
 
     def test_row_shape(self):
         log = StatementLog()
@@ -204,12 +201,32 @@ class TestStatementAccounting:
         finally:
             con.close()
 
-    def test_statement_log_entries_zero_disables(self):
-        con = repro.connect(config={"statement_log_entries": 0})
+    def test_statement_log_size_is_not_an_option(self):
+        # The statement log feeds the flight dump and the slow-query log,
+        # so its bound is a constant, not a knob that could switch them off.
+        with pytest.raises(InvalidInputError):
+            repro.connect(config={"statement_log_entries": 0})
+        con = repro.connect()
         try:
-            con.execute("SELECT 1").fetchall()
-            assert con.execute(
-                "SELECT count(*) FROM repro_statement_log()").fetchvalue() == 0
+            with pytest.raises(InvalidInputError):
+                con.execute("PRAGMA statement_log_entries = 0")
+        finally:
+            con.close()
+
+    def test_slow_statement_outlives_fast_ones(self):
+        con = repro.connect()
+        try:
+            con.execute("PRAGMA slow_query_ms = 0.0001")
+            con.execute("SELECT 42").fetchall()
+            con.execute("PRAGMA slow_query_ms = 0")
+            for _ in range(600):
+                con.execute("SELECT 1").fetchall()
+            slow = [sql for (sql,) in con.execute(
+                "SELECT sql FROM repro_slow_queries()").fetchall()]
+            assert "SELECT 42" in slow and "SELECT 1" not in slow
+            # ... although the recent ring has long since dropped it.
+            assert "SELECT 42" not in {
+                record.sql for record in con.database.statement_log.records()}
         finally:
             con.close()
 

@@ -17,8 +17,8 @@ import pytest
 import repro
 from repro import observability as obs
 from repro import sanitizer
-from repro.introspection.flight import FlightRecorder
 from repro.introspection.profiler import SamplingProfiler
+from repro.observability.accounting import StatementLog, StatementRecord
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 
@@ -158,18 +158,25 @@ class TestIntrospectionHammer:
             con.close()
 
     def test_flight_ring_and_profiler_race_free(self):
-        recorder = FlightRecorder()
+        # The flight dump's statements are the statement log's recent ring.
+        log = StatementLog()
         profiler = SamplingProfiler()
 
         def worker(index):
             for step in range(ITERATIONS):
-                recorder.record_statement(f"SELECT {index}", 0.1, step)
-                recorder.statements()
+                record = StatementRecord(index, step, f"SELECT {index}",
+                                         wall_ms=0.1, rows_out=step)
+                if step % 10 == 0:
+                    record.mark_slow(0.05)
+                log.record(record)
+                log.records()
+                log.slow()
                 profiler.sample_once()
                 profiler.snapshot()
 
         _hammer(worker, threads=4)
-        assert len(recorder.statements()) > 0
+        assert log.total_recorded == 4 * ITERATIONS
+        assert len(log.slow()) == 4 * ITERATIONS // 10
         assert profiler.total_samples == 4 * ITERATIONS
         assert _sanitizer_violations() == []
 
