@@ -147,13 +147,6 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # Sessions on many worker threads emit captured statements.
         "WorkloadCapture": SharedClassSpec("_lock"),
     },
-    "repro/verifier/verifier.py": {
-        # quackplan is shared engine state: statements on concurrent
-        # connections (and subquery lowerings mid-execution) report their
-        # check results here.
-        "PlanVerifier": SharedClassSpec("_lock"),
-        "PlanCheckLog": SharedClassSpec("_lock"),
-    },
 }
 
 #: Modules whose functions run on morsel worker threads (or are called from

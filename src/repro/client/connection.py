@@ -295,7 +295,8 @@ class Connection:
 
         return PreparedStatement(self, sql)
 
-    def _make_executor(self, transaction: "Transaction", parameters: Any = None,
+    def _make_executor(self, transaction: "Transaction",
+                       record: StatementRecord, parameters: Any = None,
                        parameter_rows: Optional[int] = None) -> Executor:
         return Executor(
             self._database, transaction,
@@ -303,7 +304,7 @@ class Connection:
                 self, "_active_context", context),
             config=self._config,
             parameters=parameters if parameters is not None else (),
-            parameter_rows=parameter_rows)
+            parameter_rows=parameter_rows, record=record)
 
     def _run_statement(self, sql_text: str,
                        statement: Optional[ast.Statement], plan: Any,
@@ -347,6 +348,9 @@ class Connection:
             if tracer is not None else None
         wall = time.perf_counter_ns()
         cpu = time.thread_time_ns()
+        # The statement's one record: optimizer decisions and plan checks
+        # land on it while it runs; observe fills in the bill and logs it.
+        record = StatementRecord(self._session_id, 0, sql_text)
         # A new statement: interrupt() has no target until its executor
         # publishes a context, and the bill must not re-read the previous
         # statement's scan counters.
@@ -380,7 +384,7 @@ class Connection:
                         if not autocommit:
                             self._transaction = None
                     self._observe_statement(
-                        sql_text, tracer, query_span,
+                        record, tracer, query_span,
                         time.perf_counter_ns() - wall,
                         time.thread_time_ns() - cpu, rows, vectors, error)
 
@@ -410,14 +414,15 @@ class Connection:
                         ).bind_statement(statement)
                         executing = True
                         outcome = self._make_executor(
-                            transaction, parameters, rows,
+                            transaction, record, parameters, rows,
                         ).execute(bound_statement)
                         for _ in outcome.chunks:  # run it; rows are not kept
                             pass
                         affected += max(outcome.rowcount, 0)
                     outcome = StatementResult.count_result(affected)
                 else:
-                    executor = self._make_executor(transaction, parameters)
+                    executor = self._make_executor(transaction, record,
+                                                   parameters)
                     if plan is None:
                         assert statement is not None
                         plan, bound_statement = self._bind(
@@ -506,7 +511,8 @@ class Connection:
                            outcome.rowcount, on_close=finish)
 
     # -- observability ------------------------------------------------------
-    def _observe_statement(self, sql_text: str, tracer: Optional["Tracer"],
+    def _observe_statement(self, record: StatementRecord,
+                           tracer: Optional["Tracer"],
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException]) -> None:
@@ -514,8 +520,9 @@ class Connection:
         bill.
 
         Every finished statement -- success or error, cached or not --
-        passes here exactly once and is stored once, as one
-        :class:`StatementRecord` in the database's statement log.
+        passes here exactly once: its :class:`StatementRecord`, created
+        when it began, gets the bill and is stored once in the database's
+        statement log.
         """
         database = self._database
         if tracer is not None and query_span is not None:
@@ -536,17 +543,20 @@ class Connection:
         context, self._active_context = self._active_context, None
         rows_scanned = int(context.stats.get("rows_scanned", 0)) \
             if context is not None else 0
-        memory = peak if peak > base_peak else buffers.used_bytes
         wall_ms = wall_ns / 1e6
-        record = StatementRecord(
-            self._session_id, seq, sql_text,
-            wall_ms=wall_ms, cpu_ms=cpu_ns / 1e6, rows_out=rows,
-            rows_scanned=rows_scanned, vectors=vectors,
-            buffer_hits=max(0, hits - base_hits),
-            buffer_misses=max(0, misses - base_misses),
-            memory_bytes=memory,
-            error=type(error).__name__ if error is not None else "",
-            message=str(error) if error is not None else "")
+        record.statement_seq = seq
+        record.timestamp = time.time()
+        record.wall_ms = wall_ms
+        record.cpu_ms = cpu_ns / 1e6
+        record.rows_out = rows
+        record.rows_scanned = rows_scanned
+        record.vectors = vectors
+        record.buffer_hits = max(0, hits - base_hits)
+        record.buffer_misses = max(0, misses - base_misses)
+        record.memory_bytes = peak if peak > base_peak else buffers.used_bytes
+        if error is not None:
+            record.error = type(error).__name__
+            record.message = str(error)
         threshold = self._config.slow_query_ms
         if 0 < threshold <= wall_ms:
             spans = tracer.sink.trace(query_span.trace_id) \

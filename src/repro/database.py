@@ -26,7 +26,6 @@ from .observability.accounting import StatementLog
 from .observability.export import JsonlTelemetrySink
 from .observability.history import DEFAULT_INTERVAL_MS, TelemetrySampler
 from .observability.trace import Tracer
-from .optimizer.cost import OptimizerLog
 from .sanitizer import SanLock
 from .server.admission import AdmissionController
 from .server.cache import PlanCache, ResultCache
@@ -34,7 +33,7 @@ from .server.session import SessionRegistry
 from .storage.buffer_manager import BufferManager
 from .storage.storage_manager import StorageManager
 from .transaction.manager import TransactionManager
-from .verifier import PlanCheckLog, PlanVerifier
+from .verifier import PlanVerifier
 
 if TYPE_CHECKING:
     from .server.capture import WorkloadCapture
@@ -71,15 +70,9 @@ class Database:
         self.flight_recorder = FlightRecorder()
         #: Sampling wall-clock profiler; idle until ``profile_enabled``.
         self.profiler = SamplingProfiler()
-        #: Decisions taken while optimizing the most recent statement,
-        #: served by the ``repro_optimizer()`` system table.
-        self.optimizer_log = OptimizerLog()
-        #: quackplan results for the most recently verified statement,
-        #: served by the ``repro_plan_checks()`` system table.
-        self.plan_check_log = PlanCheckLog()
         #: Static plan verifier; consulted by the optimizer and the
         #: physical planner only while ``config.verify_plans`` is on.
-        self.plan_verifier = PlanVerifier(self.plan_check_log)
+        self.plan_verifier = PlanVerifier()
         #: Shared plan cache: bound+optimized SELECT plans keyed on
         #: (SQL, parameter-type fingerprint), invalidated by DDL commits.
         self.plan_cache = PlanCache(self.config)
@@ -95,7 +88,8 @@ class Database:
         #: registry (see :meth:`fold_metrics`).
         self._metrics_baseline: Dict[str, int] = {}
         #: The one per-statement record store: ``repro_statement_log()``,
-        #: the slow-query log and the flight dump all read it.
+        #: the slow-query log, the flight dump, ``repro_optimizer()`` and
+        #: ``repro_plan_checks()`` all read it.
         self.statement_log = StatementLog()
         #: Continuous-telemetry sampler + ring-buffer metrics history,
         #: served by ``repro_metrics_history()`` (see :meth:`sync_telemetry`).

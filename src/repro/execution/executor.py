@@ -75,7 +75,7 @@ class Executor:
     """Executes bound statements within one transaction context."""
 
     def __init__(self, database, transaction, on_context=None, config=None,
-                 parameters=None, parameter_rows=None) -> None:
+                 parameters=None, parameter_rows=None, record=None) -> None:
         self.database = database
         self.transaction = transaction
         #: Callback invoked with each fresh ExecutionContext -- the client
@@ -88,12 +88,16 @@ class Executor:
         #: or -- with ``parameter_rows`` -- executemany's parameter columns.
         self.parameters = parameters
         self.parameter_rows = parameter_rows
+        #: The running statement's StatementRecord (None records nothing):
+        #: the optimizer's decisions and quackplan's checks land on it.
+        self.record = record
 
     def _context(self) -> ExecutionContext:
         context = ExecutionContext(self.transaction, self.database,
                                    parameters=self.parameters,
                                    config=self.config,
-                                   parameter_rows=self.parameter_rows)
+                                   parameter_rows=self.parameter_rows,
+                                   record=self.record)
         if self.on_context is not None:
             self.on_context(context)
         return context
@@ -135,7 +139,7 @@ class Executor:
         cache shares it across concurrent executions, each of which lowers
         it into its own physical operator tree via :meth:`run_plan`.
         """
-        return optimize(statement.plan, self.database)
+        return optimize(statement.plan, self.database, self.record)
 
     def run_plan(self, plan) -> StatementResult:
         """Lower an optimized logical plan and stream its chunks."""
@@ -161,7 +165,7 @@ class Executor:
 
     def execute_insert(self, statement: bound.BoundInsert) -> StatementResult:
         table = statement.table
-        plan = optimize(statement.source, self.database)
+        plan = optimize(statement.source, self.database, self.record)
         context = self._context()
         physical = create_physical_plan(plan, context)
         wal_enabled = self.database.storage.wal.enabled
@@ -319,7 +323,7 @@ class Executor:
     def execute_copy_to(self, statement: bound.BoundCopyTo) -> StatementResult:
         from ..etl.csv_writer import write_csv
 
-        plan = optimize(statement.source, self.database)
+        plan = optimize(statement.source, self.database, self.record)
         context = self._context()
         physical = create_physical_plan(plan, context)
         options = statement.options
@@ -416,7 +420,7 @@ class Executor:
     def execute_explain(self, statement: bound.BoundExplain) -> StatementResult:
         inner = statement.inner
         if isinstance(inner, bound.BoundSelect):
-            plan = optimize(inner.plan, self.database)
+            plan = optimize(inner.plan, self.database, self.record)
             context = self._context()
             physical = create_physical_plan(plan, context)
             text = ("-- logical plan --\n" + plan.explain()

@@ -24,9 +24,13 @@ class ExecutionContext:
     """Per-query execution state shared by all operators of one plan."""
 
     def __init__(self, transaction, database=None, parameters=None,
-                 config=None, parameter_rows=None) -> None:
+                 config=None, parameter_rows=None, record=None) -> None:
         self.transaction = transaction
         self.database = database
+        #: The statement's StatementRecord, or None: quackplan appends the
+        #: checks of every root lowering -- subquery plans lowered
+        #: mid-execution included -- to this statement's own record.
+        self.record = record
         #: Late-bound parameter values for BoundParameterRef slots: a
         #: sequence for qmark parameters, a mapping for named parameters.
         self.parameters = parameters if parameters is not None else ()

@@ -187,7 +187,7 @@ def create_physical_plan(plan: LogicalOperator,
     if root:
         verifier = active_verifier(context.database)
         if verifier is not None:
-            verifier.check_lowering(plan, physical)
+            verifier.check_lowering(plan, physical, context.record)
     return physical
 
 

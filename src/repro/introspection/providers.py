@@ -163,32 +163,31 @@ def locks_rows(database: Any, transaction: Any) -> List[Row]:
 # -- optimizer ---------------------------------------------------------------
 
 def optimizer_rows(database: Any, transaction: Any) -> List[Row]:
-    """Decisions the optimizer took for the most recent statement.
+    """Decisions of the newest logged statement that ran the optimizer.
 
-    Statements that themselves read ``repro_optimizer()`` do not overwrite
-    the log, so the report always describes the last *other* statement.
+    Plan-cache and result-cache hits skip the optimizer, and statements
+    reading a system table record no decisions, so neither replaces the
+    report.  Only the statement log's window is searched.
     """
-    rows: List[Row] = []
-    for decision in database.optimizer_log.snapshot():
-        rows.append((decision.statement_id, decision.seq, decision.phase,
-                     decision.decision, decision.detail,
-                     decision.estimated_rows))
-    return rows
+    record = database.statement_log.newest_with("decisions")
+    if record is None:
+        return []
+    return [(record.statement_seq, seq) + decision
+            for seq, decision in enumerate(record.decisions)]
 
 
 def plan_checks_rows(database: Any, transaction: Any) -> List[Row]:
-    """quackplan results for the most recently verified statement.
+    """quackplan results of the newest logged statement that has any.
 
-    Empty unless the database runs with ``verify_plans``.  Statements that
-    themselves read ``repro_plan_checks()`` are verified but do not reset
-    the log, so the report always describes the last *other* statement.
+    Empty unless the database runs with ``verify_plans``.  A plan-cache
+    hit's checks are its own lowering; statements reading a system table
+    are verified but record nothing, so reading never replaces the report.
     """
-    rows: List[Row] = []
-    for record in database.plan_check_log.snapshot():
-        rows.append((record.statement_id, record.seq, record.stage,
-                     record.invariant, record.status, record.operator,
-                     record.detail))
-    return rows
+    record = database.statement_log.newest_with("plan_checks")
+    if record is None:
+        return []
+    return [(record.statement_seq, seq) + check
+            for seq, check in enumerate(record.plan_checks)]
 
 
 def column_stats_rows(database: Any, transaction: Any) -> List[Row]:
@@ -373,14 +372,15 @@ def register_builtin_functions() -> None:
          ("self_seconds", DOUBLE)],
         profile_rows))
     register(SystemTableFunction(
-        "repro_optimizer", "optimizer decisions for the last statement",
+        "repro_optimizer",
+        "optimizer decisions of the last statement that ran the optimizer",
         [("statement", BIGINT), ("seq", BIGINT), ("phase", VARCHAR),
          ("decision", VARCHAR), ("detail", VARCHAR),
          ("estimated_rows", DOUBLE)],
         optimizer_rows))
     register(SystemTableFunction(
         "repro_plan_checks",
-        "quackplan verification results for the last statement",
+        "quackplan verification results of the last verified statement",
         [("statement", BIGINT), ("seq", BIGINT), ("stage", VARCHAR),
          ("invariant", VARCHAR), ("status", VARCHAR),
          ("operator", VARCHAR), ("detail", VARCHAR)],

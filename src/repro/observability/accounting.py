@@ -5,11 +5,15 @@ Aggregate metrics say the buffer cache missed 10k times; this module says
 connection finishes -- success or error, served or direct -- produces one
 :class:`StatementRecord` carrying wall/CPU time, rows in (scanned) and out
 (returned), vectors touched, buffer-manager hits/misses over the
-statement's window, a peak-memory estimate and, on error, the exception,
-attributed to ``(session_id, statement_seq)``.  It is appended once to the
-:class:`StatementLog`, and every per-statement surface reads that log:
+statement's window, a peak-memory estimate, on error the exception, and
+the optimizer decisions and plan checks taken while it ran, attributed to
+``(session_id, statement_seq)``.  The record is created when the statement
+starts and appended once to the :class:`StatementLog` when it ends, and
+every per-statement surface reads that log:
 
 * ``repro_statement_log()`` -- the last :data:`RECENT_ENTRIES` statements;
+* ``repro_optimizer()`` -- the newest of those that ran the optimizer;
+* ``repro_plan_checks()`` -- the newest of those that carries plan checks;
 * the slow-query log (``repro_slow_queries()``, ``con.slow_queries()``) --
   the last :data:`SLOW_ENTRIES` statements over their connection's
   ``slow_query_ms``, each carrying its rendered trace when tracing was on.
@@ -47,17 +51,22 @@ SLOW_ENTRIES = 256
 
 
 class StatementRecord:
-    """Resource bill of one finished statement.
+    """Resource bill of one statement, created when it starts.
 
     ``error``/``message`` are the exception's type name and text (empty on
     success).  ``threshold_ms``, ``trace_text`` and ``span_count`` are set
     by :meth:`mark_slow` only; ``threshold_ms > 0`` marks a slow statement.
+    While the statement runs, the optimizer appends ``(phase, decision,
+    detail, estimated_rows)`` tuples to ``decisions`` and quackplan appends
+    ``(stage, invariant, status, operator, detail)`` tuples to
+    ``plan_checks``; each stays None when that stage never ran.
     """
 
     __slots__ = ("session_id", "statement_seq", "sql", "timestamp", "wall_ms",
                  "cpu_ms", "rows_out", "rows_scanned", "vectors",
                  "buffer_hits", "buffer_misses", "memory_bytes", "error",
-                 "message", "threshold_ms", "trace_text", "span_count")
+                 "message", "threshold_ms", "trace_text", "span_count",
+                 "decisions", "plan_checks")
 
     def __init__(self, session_id: int, statement_seq: int, sql: str,
                  wall_ms: float = 0.0, cpu_ms: float = 0.0,
@@ -82,6 +91,10 @@ class StatementRecord:
         self.threshold_ms = 0.0
         self.trace_text: Optional[str] = None
         self.span_count = 0
+        self.decisions: Optional[List[Tuple[str, str, str,
+                                            Optional[float]]]] = None
+        self.plan_checks: Optional[List[Tuple[str, str, str, str,
+                                              str]]] = None
 
     def mark_slow(self, threshold_ms: float,
                   spans: Optional[Sequence[Span]] = None) -> None:
@@ -147,6 +160,13 @@ class StatementLog:
         """Recent statements, oldest first (copy-then-release)."""
         with self._lock:
             return list(self._recent)
+
+    def newest_with(self, attribute: str) -> Optional[StatementRecord]:
+        """The newest recorded statement whose ``attribute`` is not None."""
+        for record in reversed(self.records()):
+            if getattr(record, attribute) is not None:
+                return record
+        return None
 
     def slow(self) -> List[StatementRecord]:
         """Slow statements, oldest first (copy-then-release)."""

@@ -18,8 +18,9 @@ never a wrong answer.  When statistics are missing (fresh table, stats
 disabled for ablation) every path falls back to the textbook default
 selectivities, which reproduce the old heuristic behavior.
 
-The module also owns :class:`OptimizerLog` -- the bounded in-memory record
-of the last optimized statement's decisions, surfaced in-band through the
+The module also owns :class:`DecisionRecorder`, which collects the
+decisions the optimizer takes for one statement; they end up on that
+statement's record and are surfaced in-band through the
 ``repro_optimizer()`` system table function (paper §4/§5: the application
 is the only DBA an embedded database has).
 """
@@ -62,8 +63,7 @@ __all__ = [
     "DEFAULT_EQUALITY_SELECTIVITY",
     "DEFAULT_RANGE_SELECTIVITY",
     "DEFAULT_SELECTIVITY",
-    "OptimizerDecision",
-    "OptimizerLog",
+    "DecisionRecorder",
     "annotate",
     "column_ndv",
     "estimated_rows",
@@ -518,35 +518,14 @@ def annotate(plan: LogicalOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the optimizer decision log
+# optimizer decisions
 # ---------------------------------------------------------------------------
-
-class OptimizerDecision:
-    """One recorded decision of one optimized statement."""
-
-    __slots__ = ("statement_id", "seq", "phase", "decision", "detail",
-                 "estimated_rows")
-
-    def __init__(self, statement_id: int, seq: int, phase: str,
-                 decision: str, detail: str,
-                 estimated_rows: Optional[float]) -> None:
-        self.statement_id = statement_id
-        self.seq = seq
-        self.phase = phase
-        self.decision = decision
-        self.detail = detail
-        self.estimated_rows = estimated_rows
-
-    def __repr__(self) -> str:
-        return (f"OptimizerDecision({self.phase}: {self.decision}"
-                f"{' -- ' + self.detail if self.detail else ''})")
-
 
 class DecisionRecorder:
     """Collects decisions while one statement is being optimized.
 
-    Single-threaded (one statement, one optimizer invocation); the
-    thread-safe handoff to :class:`OptimizerLog` happens once at the end.
+    Single-threaded (one statement, one optimizer invocation); the entries
+    are ``(phase, decision, detail, estimated_rows)`` tuples.
     """
 
     def __init__(self) -> None:
@@ -555,33 +534,3 @@ class DecisionRecorder:
     def record(self, phase: str, decision: str, detail: str = "",
                estimated_rows: Optional[float] = None) -> None:
         self.entries.append((phase, decision, detail, estimated_rows))
-
-
-class OptimizerLog:
-    """Decisions of the most recently optimized statement.
-
-    Thread-safe with the copy-then-release discipline of every other
-    introspection store: writers replace the whole record list atomically,
-    readers get a snapshot copy.  Statements that *query* the log (any plan
-    scanning ``repro_optimizer()``) do not replace it -- otherwise looking
-    at the last statement's decisions would destroy them.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._statement_id = 0
-        self._records: List[OptimizerDecision] = []
-
-    def publish(self, recorder: DecisionRecorder) -> None:
-        with self._lock:
-            self._statement_id += 1
-            self._records = [
-                OptimizerDecision(self._statement_id, seq, phase, decision,
-                                  detail, est)
-                for seq, (phase, decision, detail, est)
-                in enumerate(recorder.entries)
-            ]
-
-    def snapshot(self) -> List[OptimizerDecision]:
-        with self._lock:
-            return list(self._records)

@@ -28,8 +28,9 @@ Five rewrite passes, run in order:
 
 After the passes, every node is annotated with ``estimated_rows`` and the
 decisions taken (join order, build sides, pushdowns, scan selectivities)
-are published to the database's :class:`~repro.optimizer.cost.OptimizerLog`
-for the ``repro_optimizer()`` system table.
+are appended to the statement's
+:class:`~repro.observability.accounting.StatementRecord`, which the
+``repro_optimizer()`` system table reads.
 
 When the database runs with ``verify_plans`` (quackplan,
 :mod:`repro.verifier`), every pass executes inside a verification session:
@@ -58,7 +59,6 @@ from ..planner.logical import (
     LogicalEmpty,
     LogicalFilter,
     LogicalGet,
-    LogicalIntrospectionScan,
     LogicalJoin,
     LogicalLimit,
     LogicalOperator,
@@ -66,6 +66,7 @@ from ..planner.logical import (
     LogicalProjection,
     LogicalSetOp,
     LogicalValues,
+    reads_system_table,
 )
 from ..types import BOOLEAN
 from ..verifier import active_verifier
@@ -82,17 +83,22 @@ def _run_pass(session, name, fn, plan):
     return session.run_pass(name, fn, plan)
 
 
-def optimize(plan: LogicalOperator, database=None) -> LogicalOperator:
+def optimize(plan: LogicalOperator, database=None,
+             record=None) -> LogicalOperator:
     """Apply all rewrite passes to a bound logical plan.
 
-    ``database`` (optional) receives the decision record on its
-    ``optimizer_log`` -- the backing store of ``repro_optimizer()`` -- and,
-    when ``config.verify_plans`` is on, supplies the quackplan verifier
-    that checks the plan after every pass.
+    ``database`` (optional), when ``config.verify_plans`` is on, supplies
+    the quackplan verifier that checks the plan after every pass.
+    ``record`` (optional) is the running statement's
+    :class:`~repro.observability.accounting.StatementRecord`: the
+    decisions -- and the plan checks -- are appended to it, unless the
+    plan reads a system table.
     """
+    if record is not None and reads_system_table(plan):
+        record = None
     recorder = DecisionRecorder()
     verifier = active_verifier(database)
-    session = verifier.begin(plan) if verifier is not None else None
+    session = verifier.begin(plan, record) if verifier is not None else None
     plan = _run_pass(session, "constant_folding", _fold_operator, plan)
     plan = _run_pass(session, "filter_pushdown",
                      lambda p: _push_filters(p, []), plan)
@@ -107,23 +113,9 @@ def optimize(plan: LogicalOperator, database=None) -> LogicalOperator:
     if session is not None:
         session.check_annotated(plan)
     _record_scans(plan, recorder)
-    if database is not None and not _scans_system_table(plan,
-                                                        "repro_optimizer"):
-        database.optimizer_log.publish(recorder)
+    if record is not None:
+        record.decisions = (record.decisions or []) + recorder.entries
     return plan
-
-
-def _scans_system_table(plan: LogicalOperator, name: str) -> bool:
-    """True when the plan reads the named system table function -- such
-    statements must not overwrite the very log they are reporting."""
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LogicalIntrospectionScan) \
-                and node.function.name == name:
-            return True
-        stack.extend(node.children)
-    return False
 
 
 def _record_scans(plan: LogicalOperator, recorder: DecisionRecorder) -> None:

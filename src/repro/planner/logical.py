@@ -19,6 +19,7 @@ __all__ = [
     "LogicalValues", "LogicalFilter", "LogicalProjection", "LogicalAggregate",
     "LogicalJoin", "LogicalOrder", "LogicalLimit", "LogicalDistinct",
     "LogicalSetOp", "BoundOrderByItem", "JoinCondition", "LogicalEmpty",
+    "reads_system_table",
 ]
 
 
@@ -122,6 +123,20 @@ class LogicalIntrospectionScan(LogicalOperator):
 
     def _explain_line(self) -> str:
         return f"INTROSPECT {self.function.name}()"
+
+
+def reads_system_table(plan: LogicalOperator) -> bool:
+    """True when the plan scans a system table function.  Such a statement
+    records no optimizer decisions or plan checks of its own, so reading
+    ``repro_optimizer()`` or ``repro_plan_checks()`` reports the last
+    statement that did the work, not the read."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LogicalIntrospectionScan):
+            return True
+        stack.extend(node.children)
+    return False
 
 
 class LogicalValues(LogicalOperator):

@@ -10,24 +10,17 @@ into Sort/Top-N, and cardinality sanity (see
 :mod:`repro.verifier.invariants` for the full invariant list).
 
 Off by default with near-zero overhead; ``REPRO_VERIFY_PLANS=1`` (or
-``PRAGMA verify_plans = 1``) turns it on, in which case every violation is
-recorded to the ``repro_plan_checks()`` system table and raised as
+``PRAGMA verify_plans = 1``) turns it on, in which case every stage's
+outcome is recorded on the statement's own record (read back through the
+``repro_plan_checks()`` system table) and any violation is raised as
 :class:`~repro.errors.PlanVerificationError` with the offending pass named
 and before/after plan snippets attached.
 """
 
 from .invariants import PlanViolation
-from .verifier import (
-    PlanCheckLog,
-    PlanCheckRecord,
-    PlanVerifier,
-    VerificationSession,
-    active_verifier,
-)
+from .verifier import PlanVerifier, VerificationSession, active_verifier
 
 __all__ = [
-    "PlanCheckLog",
-    "PlanCheckRecord",
     "PlanVerifier",
     "PlanViolation",
     "VerificationSession",

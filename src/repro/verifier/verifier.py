@@ -1,47 +1,44 @@
-"""quackplan orchestration: sessions, the check log, and loud failure.
+"""quackplan orchestration: sessions and loud failure.
 
 :class:`PlanVerifier` is the engine-facing object (one per
 :class:`~repro.database.Database`, consulted only when
 ``config.verify_plans`` is on -- the disabled cost is one attribute test in
 the optimizer).  The optimizer opens a :class:`VerificationSession` per
 statement and runs every rewrite pass through it; the physical planner
-reports each root lowering.  Results land in the :class:`PlanCheckLog`
-behind the ``repro_plan_checks()`` system table, and -- in strict mode,
-which is what ``REPRO_VERIFY_PLANS=1`` enables -- any violation raises
+reports each root lowering, subquery lowerings mid-execution included.
+Every stage's outcome is appended to the running statement's own
+:class:`~repro.observability.accounting.StatementRecord` -- the store
+behind the ``repro_plan_checks()`` system table -- and any violation raises
 :class:`~repro.errors.PlanVerificationError` carrying the offending pass
 name and before/after plan snippets.
 
-Thread safety: one session belongs to one statement on one thread, but the
-verifier and its log are shared engine state -- subquery lowerings verified
-mid-execution and statements on concurrent connections all report here, so
-both classes serialize behind instance locks (see the thread-safety
-registry in :mod:`repro.analysis.registry`).
+Thread safety: the verifier holds no state.  A record belongs to one
+statement, whose stages all run on the thread driving it, so the appends
+need no lock; the record is published to other threads only when the
+statement log takes it at the statement's end.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import PlanVerificationError
-from ..planner.logical import LogicalIntrospectionScan, LogicalOperator
+from ..planner.logical import LogicalOperator, reads_system_table
 from . import invariants
 from .invariants import PlanViolation
 
 __all__ = [
-    "PlanCheckLog",
-    "PlanCheckRecord",
     "PlanVerifier",
     "VerificationSession",
     "active_verifier",
 ]
 
-#: Cap on plan-snippet length inside one log record (plans can be big; the
-#: exception carries the full text, the table carries the gist).
+#: Cap on plan-snippet length inside one recorded check (plans can be big;
+#: the exception carries the full text, the table carries the gist).
 _SNIPPET_CHARS = 400
 
-#: The system table fed by the log; statements reading it must not reset it.
-_PLAN_CHECKS_FUNCTION = "repro_plan_checks"
+#: One recorded check: ``(stage, invariant, status, operator, detail)``.
+Check = Tuple[str, str, str, str, str]
 
 
 def _snippet(text: str) -> str:
@@ -49,16 +46,6 @@ def _snippet(text: str) -> str:
     if len(flat) > _SNIPPET_CHARS:
         flat = flat[:_SNIPPET_CHARS - 3] + "..."
     return flat
-
-
-def _scans_plan_checks(plan: LogicalOperator) -> bool:
-    """True when the plan reads ``repro_plan_checks()`` -- such statements
-    are still verified but must not overwrite the log they report."""
-    for node in invariants.iter_nodes(plan):
-        if isinstance(node, LogicalIntrospectionScan) \
-                and node.function.name == _PLAN_CHECKS_FUNCTION:
-            return True
-    return False
 
 
 def active_verifier(database) -> Optional["PlanVerifier"]:
@@ -75,130 +62,63 @@ def active_verifier(database) -> Optional["PlanVerifier"]:
     return database.plan_verifier
 
 
-class PlanCheckRecord:
-    """One check outcome of one verified statement."""
-
-    __slots__ = ("statement_id", "seq", "stage", "invariant", "status",
-                 "operator", "detail")
-
-    def __init__(self, statement_id: int, seq: int, stage: str,
-                 invariant: str, status: str, operator: str,
-                 detail: str) -> None:
-        self.statement_id = statement_id
-        self.seq = seq
-        self.stage = stage
-        self.invariant = invariant
-        self.status = status
-        self.operator = operator
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return (f"PlanCheckRecord({self.stage}/{self.invariant}: "
-                f"{self.status})")
+def _checks_of(record, plan: LogicalOperator) -> Optional[List[Check]]:
+    """The statement record's check list, or None when ``plan``'s checks
+    are not recorded (no record, or a statement reading a system table)."""
+    if record is None or reads_system_table(plan):
+        return None
+    if record.plan_checks is None:
+        record.plan_checks = []
+    return record.plan_checks
 
 
-class PlanCheckLog:
-    """Verification results of the most recently verified statement.
-
-    Unlike :class:`~repro.optimizer.cost.OptimizerLog` (which atomically
-    *replaces* its records once), records accumulate per statement: the
-    optimizer stages land first, the lowering stage(s) -- including
-    subquery lowerings that happen mid-execution -- append to the same
-    statement.  Readers get a snapshot copy (copy-then-release)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._statement_id = 0
-        self._records: List[PlanCheckRecord] = []
-
-    def start_statement(self) -> int:
-        with self._lock:
-            self._statement_id += 1
-            self._records = []
-            return self._statement_id
-
-    def record(self, stage: str, invariant: str, status: str,
-               operator: str, detail: str) -> None:
-        with self._lock:
-            self._records.append(PlanCheckRecord(
-                self._statement_id, len(self._records), stage, invariant,
-                status, operator, detail))
-
-    def snapshot(self) -> List[PlanCheckRecord]:
-        with self._lock:
-            return list(self._records)
+def _finish_stage(stage: str, violations: List[PlanViolation], before: str,
+                  after: str, checks: Optional[List[Check]]) -> None:
+    if checks is not None:
+        if not violations:
+            checks.append((stage, "all", "ok", "", ""))
+        for violation in violations:
+            checks.append((
+                stage, violation.invariant, "violation", violation.operator,
+                f"{violation.message} | before: {_snippet(before)} | "
+                f"after: {_snippet(after)}"))
+    if violations:
+        first = violations[0]
+        raise PlanVerificationError(
+            f"quackplan: {len(violations)} plan invariant violation(s) "
+            f"after {stage!r}: [{first.invariant}] {first.operator}: "
+            f"{first.message}\n"
+            f"-- plan before {stage} --\n{before}\n"
+            f"-- plan after {stage} --\n{after}")
 
 
 class PlanVerifier:
     """Static plan checks after every optimizer pass and at lowering."""
 
-    def __init__(self, log: Optional[PlanCheckLog] = None,
-                 strict: bool = True) -> None:
-        self.log = log if log is not None else PlanCheckLog()
-        #: Raise :class:`PlanVerificationError` on any violation.  The
-        #: non-strict mode records violations to the log only (used by
-        #: tests that inspect ``repro_plan_checks()`` output).
-        self.strict = strict
-        self._lock = threading.Lock()
-        self._checks_run = 0
-        self._violations_found = 0
-
-    # -- entry points --------------------------------------------------------
-
-    def begin(self, plan: LogicalOperator) -> "VerificationSession":
-        """Start verifying one statement; checks the binder's output too."""
-        publish = not _scans_plan_checks(plan)
-        if publish:
-            self.log.start_statement()
-        session = VerificationSession(self, publish)
+    def begin(self, plan: LogicalOperator,
+              record) -> "VerificationSession":
+        """Start verifying one statement; checks the binder's output too.
+        ``record`` is the statement's record (None records nothing)."""
+        checks = _checks_of(record, plan)
         text = plan.explain()
-        session._report("binder", invariants.check_logical(plan), text, text)
-        return session
+        _finish_stage("binder", invariants.check_logical(plan), text, text,
+                      checks)
+        return VerificationSession(checks)
 
-    def check_lowering(self, logical: LogicalOperator, physical) -> None:
-        """Verify one root logical->physical translation."""
-        violations = invariants.check_lowering(logical, physical)
-        self._finish_stage("lowering", violations,
-                           logical.explain(), physical.explain(),
-                           publish=not _scans_plan_checks(logical))
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"checks_run": self._checks_run,
-                    "violations_found": self._violations_found}
-
-    # -- internals -----------------------------------------------------------
-
-    def _finish_stage(self, stage: str, violations: List[PlanViolation],
-                      before: str, after: str, publish: bool) -> None:
-        with self._lock:
-            self._checks_run += 1
-            self._violations_found += len(violations)
-        if publish:
-            if not violations:
-                self.log.record(stage, "all", "ok", "", "")
-            for violation in violations:
-                self.log.record(
-                    stage, violation.invariant, "violation",
-                    violation.operator,
-                    f"{violation.message} | before: {_snippet(before)} | "
-                    f"after: {_snippet(after)}")
-        if violations and self.strict:
-            first = violations[0]
-            raise PlanVerificationError(
-                f"quackplan: {len(violations)} plan invariant violation(s) "
-                f"after {stage!r}: [{first.invariant}] {first.operator}: "
-                f"{first.message}\n"
-                f"-- plan before {stage} --\n{before}\n"
-                f"-- plan after {stage} --\n{after}")
+    def check_lowering(self, logical: LogicalOperator, physical,
+                       record) -> None:
+        """Verify one root logical->physical translation; ``record`` as in
+        :meth:`begin`."""
+        _finish_stage("lowering", invariants.check_lowering(logical, physical),
+                      logical.explain(), physical.explain(),
+                      _checks_of(record, logical))
 
 
 class VerificationSession:
     """Per-statement driver: wraps each optimizer pass with checks."""
 
-    def __init__(self, verifier: PlanVerifier, publish: bool) -> None:
-        self._verifier = verifier
-        self._publish = publish
+    def __init__(self, checks: Optional[List[Check]]) -> None:
+        self._checks = checks
 
     def run_pass(self, name: str,
                  fn: Callable[[LogicalOperator], LogicalOperator],
@@ -224,16 +144,12 @@ class VerificationSession:
                 f"{'unbounded' if after_bound is None else format(after_bound, 'g')}"
                 f" rows -- ancestors may now see more rows than the "
                 f"original LIMIT allowed"))
-        self._report(name, violations, before_text, result.explain())
+        _finish_stage(name, violations, before_text, result.explain(),
+                      self._checks)
         return result
 
     def check_annotated(self, plan: LogicalOperator) -> None:
         """Cardinality sanity after ``cost.annotate`` stamped the tree."""
         text = plan.explain()
-        self._report("annotate", invariants.check_cardinality(plan),
-                     text, text)
-
-    def _report(self, stage: str, violations: List[PlanViolation],
-                before: str, after: str) -> None:
-        self._verifier._finish_stage(stage, violations, before, after,
-                                     self._publish)
+        _finish_stage("annotate", invariants.check_cardinality(plan),
+                      text, text, self._checks)

@@ -10,7 +10,8 @@ Three layers of coverage:
   check is ``ok``;
 * **plumbing** -- the ``repro_plan_checks()`` system table, the
   off-by-default behavior, PRAGMA toggling, the stale-estimate EXPLAIN
-  marker, and thread safety of the shared verifier state.
+  marker, and checks staying with the statement that produced them --
+  across plan-cache hits, streamed results and concurrent connections.
 """
 
 import threading
@@ -27,7 +28,7 @@ from repro.planner.logical import (
     LogicalProjection,
 )
 from repro.types import INTEGER
-from repro.verifier import PlanVerifier, active_verifier
+from repro.verifier import active_verifier
 from repro.verifier.invariants import check_logical, output_bound
 
 
@@ -148,10 +149,8 @@ class TestSeededCorruptions:
         assert "-- plan before filter_pushdown --" in message
         assert "-- plan after filter_pushdown --" in message
 
-    def test_non_strict_mode_records_instead_of_raising(self, populated,
-                                                        corrupt):
-        # The inflated limit is benign downstream (execution just returns
-        # more rows), so non-strict mode can run the query to completion.
+    def test_violating_statement_records_its_checks(self, populated,
+                                                    corrupt):
         def inflate(plan):
             limit = _find(plan, LogicalLimit)
             if limit is None or limit.limit is None:
@@ -162,17 +161,18 @@ class TestSeededCorruptions:
                 get.limit_hint = limit.limit + limit.offset
 
         corrupt("_push_limits", inflate)
-        populated.database.plan_verifier.strict = False
-        try:
+        with pytest.raises(PlanVerificationError):
             populated.execute("SELECT i FROM sample LIMIT 3").fetchall()
-        finally:
-            populated.database.plan_verifier.strict = True
-        records = populated.database.plan_check_log.snapshot()
-        bad = [r for r in records if r.status == "violation"]
-        assert bad, [r.stage for r in records]
-        assert bad[0].stage == "limit_pushdown"
-        assert bad[0].invariant == "limit_monotonic"
-        assert "before:" in bad[0].detail and "after:" in bad[0].detail
+        # The failed statement's own record names the pass; the reading
+        # statement has no LIMIT, so the corruption leaves it alone.
+        rows = populated.execute(
+            "SELECT stage, invariant, status, detail FROM repro_plan_checks() "
+            "ORDER BY seq").fetchall()
+        bad = [row for row in rows if row[2] == "violation"]
+        assert bad, [row[0] for row in rows]
+        assert bad[0][:2] == ("limit_pushdown", "limit_monotonic")
+        assert "before:" in bad[0][3] and "after:" in bad[0][3]
+        assert all(row[2] == "ok" for row in rows[:rows.index(bad[0])])
 
 
 # -- pure invariant checks ----------------------------------------------------
@@ -243,6 +243,38 @@ class TestPlanChecksTable:
         # Root lowering plus the subquery's mid-execution lowering.
         assert sum(1 for row in rows if row[1] == "lowering") == 2
 
+    def test_plan_cache_hit_reports_only_its_own_lowering(self, populated):
+        select = "SELECT i FROM sample WHERE i > 1"
+        populated.execute(select).fetchall()
+        populated.execute("INSERT INTO sample VALUES (9, 'nine', 9.0)")
+        populated.execute(select).fetchall()  # a plan-cache hit
+        rows = populated.execute(
+            "SELECT stage, status FROM repro_plan_checks()").fetchall()
+        assert rows == [("lowering", "ok")]
+
+    def test_streamed_subquery_lowering_stays_with_its_statement(
+            self, populated):
+        other = populated.duplicate()
+        try:
+            result = populated.execute(
+                "SELECT i FROM sample WHERE i > (SELECT min(i) FROM sample)",
+                stream=True)
+            other.execute("SELECT s FROM sample").fetchall()
+            # The first fetch lowers the subquery; the statement stays open.
+            assert result.fetchone() is not None
+            rows = other.execute(
+                "SELECT stage FROM repro_plan_checks() ORDER BY seq"
+            ).fetchall()
+            assert [row[0] for row in rows] == list(self.STAGES)
+            result.fetchall()
+            rows = other.execute(
+                "SELECT stage FROM repro_plan_checks() ORDER BY seq"
+            ).fetchall()
+            assert [row[0] for row in rows] == list(self.STAGES) \
+                + ["lowering"]
+        finally:
+            other.close()
+
 
 # -- enablement ---------------------------------------------------------------
 
@@ -312,9 +344,10 @@ class TestCleanSweep:
     def test_query_verifies_clean(self, populated, query):
         # conftest exports REPRO_VERIFY_PLANS=1: a violation would raise.
         populated.execute(query).fetchall()
-        records = populated.database.plan_check_log.snapshot()
-        assert records, "verification did not run"
-        assert all(record.status == "ok" for record in records)
+        statuses = populated.execute(
+            "SELECT status FROM repro_plan_checks()").fetchall()
+        assert statuses, "verification did not run"
+        assert all(status == ("ok",) for status in statuses)
 
 
 # -- stale estimates in EXPLAIN ----------------------------------------------
@@ -363,7 +396,6 @@ class TestThreadSafety:
         # result caches would legitimately skip the work being counted here.
         database.config.plan_cache_entries = 0
         database.config.result_cache_entries = 0
-        before = database.plan_verifier.stats()
         errors = []
 
         def worker():
@@ -382,14 +414,12 @@ class TestThreadSafety:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert errors == []
-        stats = database.plan_verifier.stats()
-        assert stats["violations_found"] == before["violations_found"]
-        # 4 threads x 10 statements x 8 stages of new checks, at least.
-        assert stats["checks_run"] >= before["checks_run"] + 4 * 10 * 8
-
-    def test_verifier_stats_shape(self):
-        verifier = PlanVerifier()
-        stats = verifier.stats()
-        assert stats == {"checks_run": 0, "violations_found": 0}
+        records = [record for record in database.statement_log.records()
+                   if record.sql.startswith("SELECT s, count(*)")]
+        assert len(records) == 4 * 10
+        # Every statement carries its own 8 stages, all ok.
+        for record in records:
+            assert [check[2] for check in record.plan_checks] == ["ok"] * 8

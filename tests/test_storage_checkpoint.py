@@ -8,10 +8,52 @@ import pytest
 
 import repro
 from repro.errors import CorruptionError, TransactionContextError
+from repro.storage.block_file import INVALID_BLOCK, MetaBlockReader
 
 
 def reopen(path, **config):
     return repro.connect(path, config or None)
+
+
+def assert_blocks_accounted(con):
+    """Every block of the file is in exactly one place: the metadata chain,
+    the free-list chain, a live table's segment chains, or the free set.
+
+    The chains are walked from the header and the catalog, not taken from
+    the checkpoint's own bookkeeping, so an orphaned or doubly-owned block
+    shows up here."""
+    database = con.database
+    block_file = database.storage.block_file
+
+    def chain(head):
+        if head == INVALID_BLOCK:
+            return set()
+        return set(MetaBlockReader(block_file, head).blocks_read)
+
+    segments = set()
+    transaction = database.transaction_manager.begin()
+    try:
+        for table in database.catalog.tables(transaction):
+            for column in table.data.columns:
+                for segment in column.persisted_segments:
+                    segments |= chain(segment.head_block)
+    finally:
+        database.transaction_manager.rollback(transaction)
+    parts = {
+        "metadata": chain(block_file.root_block),
+        "free_list_chain": chain(block_file.free_list_root),
+        "segments": segments,
+        "free": set(block_file.free_blocks),
+    }
+    names = sorted(parts)
+    for index, name in enumerate(names):
+        for other in names[index + 1:]:
+            assert not parts[name] & parts[other], \
+                (name, other, sorted(parts[name] & parts[other]))
+    owned = set().union(*parts.values())
+    everything = set(range(block_file.block_count))
+    assert owned == everything, {"orphaned": sorted(everything - owned),
+                                 "out_of_range": sorted(owned - everything)}
 
 
 class TestRoundTrip:
@@ -245,12 +287,14 @@ class TestCrashSafety:
             con.execute(f"DELETE FROM t WHERE batch <= {batch - 5}")
             if batch % 5 == 4:
                 con.execute("CHECKPOINT")
+                assert_blocks_accounted(con)
                 sizes.append(os.path.getsize(db_path))
         assert sizes[2:] == [sizes[1]] * (len(sizes) - 2), sizes
         query = "SELECT count(*), sum(k), sum(v), min(batch) FROM t"
         before = con.execute(query).fetchall()
         con.close()
         con = reopen(db_path)
+        assert_blocks_accounted(con)
         assert con.execute(query).fetchall() == before
         con.close()
 
@@ -266,8 +310,10 @@ class TestCrashSafety:
                     "v": np.arange(200_000, dtype=np.float64) * 0.5,
                 })
             con.execute("CHECKPOINT")
+            assert_blocks_accounted(con)
             con.execute("DROP TABLE t")
             con.execute("CHECKPOINT")
+            assert_blocks_accounted(con)
             return os.path.getsize(db_path)
 
         con = repro.connect(db_path, {"checkpoint_on_close": False})
@@ -278,6 +324,7 @@ class TestCrashSafety:
         assert sizes[1:] == [sizes[0]] * (len(sizes) - 1), sizes
         con.close()
         con = reopen(db_path, checkpoint_on_close=False)
+        assert_blocks_accounted(con)
         assert con.execute("SELECT sum(k) FROM kept").fetchvalue() == 6
         assert con.table_names() == ["kept"]
         # The reopened file knows its live segments: another turn reuses
