@@ -120,28 +120,10 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # section.  ``_closed``/``state`` transitions happen under it too.
         "Session": SharedClassSpec("_registry_lock"),
     },
-    "repro/introspection/profiler.py": {
-        # The sampler daemon writes buckets while any connection thread may
-        # snapshot them through repro_profile().
-        "SamplingProfiler": SharedClassSpec("_lock"),
-    },
-    "repro/observability/history.py": {
-        # The telemetry daemon appends samples while any connection thread
-        # snapshots them through repro_metrics_history().
-        # ``_span_watermark`` is sampler-thread-only state on the sampler.
-        "MetricsHistory": SharedClassSpec("_lock"),
-        "TelemetrySampler": SharedClassSpec(
-            "_lock", frozenset({"_span_watermark"})),
-    },
     "repro/observability/accounting.py": {
         # Every connection thread appends statement records; introspection,
         # the slow-query log and flight dumps snapshot them concurrently.
         "StatementLog": SharedClassSpec("_lock"),
-    },
-    "repro/observability/export.py": {
-        # The sampler daemon and the closing coordinator may emit into the
-        # sink concurrently.
-        "JsonlTelemetrySink": SharedClassSpec("_lock"),
     },
     "repro/server/capture.py": {
         # Sessions on many worker threads emit captured statements.

@@ -21,13 +21,13 @@ Two ways instrumentation itself becomes a bug:
   ``repro/introspection/`` must copy-then-release: extract plain data under
   the lock, release it, then return (or yield from) the copy.
 * **telemetry emitted while holding an engine lock** (QLO004) couples the
-  engine's critical sections to file-system latency: every ``emit_*``
-  method (``emit_sample``, ``emit_span``, ``emit_statement``) ends in a
-  blocking ``write()``+``flush()``, so one slow disk stalls whatever lock
-  the caller was holding -- and every thread queued behind it.  Telemetry
-  export is fed copy-then-release, exactly like QLO003: snapshot under the
-  lock, release, then emit from the copy (the sampler thread and the
-  ``Session.execute`` epilogue are the two sanctioned emission sites).
+  engine's critical sections to file-system latency: an ``emit_*`` method
+  (the workload capture's ``emit_statement``) ends in a blocking
+  ``write()``+``flush()``, so one slow disk stalls whatever lock the caller
+  was holding -- and every thread queued behind it.  Emission is fed
+  copy-then-release, exactly like QLO003: snapshot under the lock,
+  release, then emit from the copy (the ``Session.execute`` epilogue is
+  the sanctioned emission site).
 
 Pairing for QLO001 is checked at *class* scope: a span started in one
 method and closed in another (``Connection._run_statement`` starts the

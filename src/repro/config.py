@@ -101,17 +101,6 @@ class DatabaseConfig:
         Statements slower than this many milliseconds are captured in the
         in-process slow-query log (with their full trace when tracing is
         enabled).  ``0`` disables the log.
-    profile_enabled:
-        Run the sampling wall-clock profiler (see
-        :mod:`repro.introspection.profiler`): a background thread samples
-        worker stacks ``profile_hz`` times per second into per-operator/
-        per-phase self time, queryable via ``repro_profile()``.  Also
-        reachable as ``PRAGMA enable_profiling``/``disable_profiling``; the
-        ``REPRO_PROFILE`` environment variable provides the default for
-        configs built via :meth:`from_dict`.
-    profile_hz:
-        Stack samples per second while profiling is enabled (clamped to
-        [1, 1000] by the profiler).
     verify_plans:
         Run quackplan (see :mod:`repro.verifier`) on every statement: each
         optimizer pass and every logical->physical lowering is checked
@@ -143,20 +132,6 @@ class DatabaseConfig:
     admission_timeout_ms:
         How long an admitted-over-limit query may wait in the admission
         queue, in milliseconds.
-    telemetry_interval_ms:
-        Cadence of the continuous-telemetry sampler (see
-        :mod:`repro.observability.history`): every interval the background
-        sampler snapshots the metrics registry into the ring-buffer
-        metrics history (``repro_metrics_history()``) and exports to the
-        telemetry sink when one is configured.  ``0`` (the default) keeps
-        the sampler off entirely -- the ~0-overhead state.
-    telemetry_path:
-        When non-empty, telemetry samples and completed trace spans are
-        exported as structured JSON lines appended to this file.  Setting
-        a path with ``telemetry_interval_ms`` still 0 starts the sampler
-        at its default cadence.  The ``REPRO_TELEMETRY_PATH`` environment
-        variable provides the default for configs built via
-        :meth:`from_dict`.
     capture_enabled:
         Record every served statement (SQL + parameters + timing offset)
         into the workload-capture JSONL at ``capture_path`` for later
@@ -179,16 +154,12 @@ class DatabaseConfig:
     checkpoint_on_close: bool = True
     trace_enabled: bool = False
     slow_query_ms: float = 0.0
-    profile_enabled: bool = False
-    profile_hz: float = 97.0
     verify_plans: bool = False
     plan_cache_entries: int = 256
     result_cache_entries: int = 128
     result_cache_max_rows: int = 16384
     max_concurrent_queries: int = 0
     admission_timeout_ms: float = 30000.0
-    telemetry_interval_ms: float = 0.0
-    telemetry_path: str = ""
     capture_enabled: bool = False
     capture_path: str = ""
 
@@ -208,18 +179,10 @@ class DatabaseConfig:
             env_trace = os.environ.get("REPRO_TRACE")
             if env_trace:
                 config.set_option("trace_enabled", env_trace)
-        if "profile_enabled" not in given:
-            env_profile = os.environ.get("REPRO_PROFILE")
-            if env_profile:
-                config.set_option("profile_enabled", env_profile)
         if "verify_plans" not in given:
             env_verify = os.environ.get("REPRO_VERIFY_PLANS")
             if env_verify:
                 config.set_option("verify_plans", env_verify)
-        if "telemetry_path" not in given:
-            env_telemetry = os.environ.get("REPRO_TELEMETRY_PATH")
-            if env_telemetry:
-                config.set_option("telemetry_path", env_telemetry)
         if "capture_path" not in given:
             env_capture = os.environ.get("REPRO_CAPTURE_PATH")
             if env_capture:
@@ -242,19 +205,13 @@ class DatabaseConfig:
                 raise InvalidInputError("morsel_size must be >= 1")
             self.morsel_size = morsel_size
         elif name in ("verify_checksums", "buffer_memtest", "reactive_resources",
-                      "checkpoint_on_close", "trace_enabled",
-                      "profile_enabled", "verify_plans"):
+                      "checkpoint_on_close", "trace_enabled", "verify_plans"):
             setattr(self, name, _coerce_bool(value))
         elif name == "slow_query_ms":
             threshold = float(value)
             if threshold < 0:
                 raise InvalidInputError("slow_query_ms must be >= 0")
             self.slow_query_ms = threshold
-        elif name == "profile_hz":
-            hz = float(value)
-            if hz <= 0:
-                raise InvalidInputError("profile_hz must be > 0")
-            self.profile_hz = hz
         elif name == "wal_autocheckpoint":
             self.wal_autocheckpoint = parse_memory_size(value) if value else 0
         elif name in ("plan_cache_entries", "result_cache_entries",
@@ -268,13 +225,8 @@ class DatabaseConfig:
             if timeout < 0:
                 raise InvalidInputError("admission_timeout_ms must be >= 0")
             self.admission_timeout_ms = timeout
-        elif name == "telemetry_interval_ms":
-            interval = float(value)
-            if interval < 0:
-                raise InvalidInputError("telemetry_interval_ms must be >= 0")
-            self.telemetry_interval_ms = interval
-        elif name in ("telemetry_path", "capture_path"):
-            setattr(self, name, str(value))
+        elif name == "capture_path":
+            self.capture_path = str(value)
         elif name == "capture_enabled":
             self.capture_enabled = _coerce_bool(value)
         else:

@@ -21,10 +21,7 @@ from .cooperation.monitor import ResourceMonitor, SimulatedApplication
 from .errors import ConnectionError as DatabaseConnectionError
 from .errors import InvalidInputError
 from .introspection.flight import FlightRecorder
-from .introspection.profiler import SamplingProfiler
 from .observability.accounting import StatementLog
-from .observability.export import JsonlTelemetrySink
-from .observability.history import DEFAULT_INTERVAL_MS, TelemetrySampler
 from .observability.trace import Tracer
 from .sanitizer import SanLock
 from .server.admission import AdmissionController
@@ -68,8 +65,6 @@ class Database:
         #: log's tail, dumped as JSON on engine faults and on
         #: ``PRAGMA flight_dump`` (see :meth:`dump_flight`).
         self.flight_recorder = FlightRecorder()
-        #: Sampling wall-clock profiler; idle until ``profile_enabled``.
-        self.profiler = SamplingProfiler()
         #: Static plan verifier; consulted by the optimizer and the
         #: physical planner only while ``config.verify_plans`` is on.
         self.plan_verifier = PlanVerifier()
@@ -91,17 +86,11 @@ class Database:
         #: the slow-query log, the flight dump, ``repro_optimizer()`` and
         #: ``repro_plan_checks()`` all read it.
         self.statement_log = StatementLog()
-        #: Continuous-telemetry sampler + ring-buffer metrics history,
-        #: served by ``repro_metrics_history()`` (see :meth:`sync_telemetry`).
-        self.telemetry = TelemetrySampler(self)
         #: Workload capture (JSONL statement recorder) when
         #: ``config.capture_enabled`` (see :meth:`sync_capture`).
         self.workload_capture: Optional["WorkloadCapture"] = None
         if self.config.trace_enabled:
             observability.enable_tracing()
-        if self.config.profile_enabled:
-            self.profiler.start(self.config.profile_hz)
-        self.sync_telemetry()
         self.sync_capture()
         self.storage.load(self.catalog, self.transaction_manager)
 
@@ -116,46 +105,6 @@ class Database:
         if self.config.trace_enabled:
             return observability.enable_tracing()
         return observability.get_tracer()
-
-    def sync_profiler(self) -> None:
-        """Bring the sampling profiler in line with the current config.
-
-        Called after ``PRAGMA enable_profiling`` / ``profile_enabled`` /
-        ``profile_hz`` changes: starts (or retunes) the sampler when
-        profiling is on, stops it otherwise.  Accumulated buckets survive a
-        stop so ``repro_profile()`` stays queryable after disabling.
-        """
-        if self.config.profile_enabled and not self._closed:
-            self.profiler.start(self.config.profile_hz)
-        else:
-            self.profiler.stop()
-
-    def sync_telemetry(self) -> None:
-        """Bring the telemetry sampler in line with the current config.
-
-        Called at open and after ``PRAGMA telemetry_interval_ms`` /
-        ``telemetry_path`` changes.  An interval > 0 starts (or retunes)
-        the background sampler; a configured path additionally attaches a
-        JSONL export sink (and implies the default cadence when no
-        interval was set).  Interval 0 with no path stops the sampler --
-        collected history stays queryable.
-        """
-        if self._closed:
-            return
-        path = self.config.telemetry_path
-        sink = self.telemetry.sink
-        if path:
-            if sink is None or getattr(sink, "path", None) != path:
-                self.telemetry.set_sink(JsonlTelemetrySink(path))
-        elif sink is not None:
-            self.telemetry.set_sink(None)
-        interval = self.config.telemetry_interval_ms
-        if interval > 0:
-            self.telemetry.start(interval)
-        elif path:
-            self.telemetry.start(DEFAULT_INTERVAL_MS)
-        else:
-            self.telemetry.stop()
 
     def sync_capture(self) -> None:
         """Bring the workload capture in line with the current config.
@@ -182,16 +131,6 @@ class Database:
         elif self.workload_capture is not None:
             capture, self.workload_capture = self.workload_capture, None
             capture.close()
-
-    def telemetry_sample(self):
-        """Force one synchronous telemetry sample (tests, PRAGMA).
-
-        Returns the recorded
-        :class:`~repro.observability.history.MetricsSample` (or ``None``
-        once the database is closed) so callers can assert against exactly
-        the state they sampled instead of racing the background thread.
-        """
-        return self.telemetry.sample_once()
 
     def dump_flight(self, reason: str, error: Optional[BaseException] = None,
                     best_effort: bool = False) -> Optional[str]:
@@ -285,11 +224,7 @@ class Database:
             raise DatabaseConnectionError("The database has been closed")
 
     def close(self) -> None:
-        # Telemetry shuts down before the checkpoint lock is taken: the
-        # final flush samples the registry (innermost telemetry.history
-        # lock only) and must not race a sampler tick against teardown.
         if not self._closed:
-            self.telemetry.close()
             capture, self.workload_capture = self.workload_capture, None
             if capture is not None:
                 capture.close()
@@ -302,7 +237,6 @@ class Database:
             if self._closed:
                 return
             self._closed = True
-            self.profiler.stop()
             self.storage.close(self.catalog, self.transaction_manager)
 
     def __enter__(self) -> "Database":

@@ -377,19 +377,6 @@ class Executor:
         if name == "flight_dump":
             path = database.dump_flight("PRAGMA flight_dump")
             return StatementResult.text_result("flight_dump", [str(path)])
-        if name in ("enable_profiling", "disable_profiling"):
-            self.config.set_option("profile_enabled",
-                                   name == "enable_profiling")
-            if self.config is database.config:
-                database.sync_profiler()
-            return StatementResult.empty()
-        if name == "telemetry_sample":
-            # Force one synchronous telemetry sample -- deterministic
-            # history/export points for tests and dashboards.
-            sample = database.telemetry_sample()
-            count = len(sample.entries) if sample is not None else 0
-            return StatementResult.text_result(
-                "telemetry_sample", [f"sampled {count} metrics"])
         if name in ("capture_enabled", "capture_path") \
                 and statement.value is not None:
             # Capture is instance-wide by design: a session recording only
@@ -405,16 +392,8 @@ class Executor:
             value = self.config.get_option(name)
             return StatementResult.text_result(name, [str(value)])
         # A session-scoped config (server sessions, pooled connections)
-        # takes the PRAGMA locally; only a connection running on the
-        # database's own config mutates process-wide behaviour like the
-        # profiler daemon.
+        # takes the PRAGMA locally.
         self.config.set_option(name, statement.value)
-        if name in ("profile_enabled", "profile_hz") \
-                and self.config is database.config:
-            database.sync_profiler()
-        if name in ("telemetry_interval_ms", "telemetry_path") \
-                and self.config is database.config:
-            database.sync_telemetry()
         return StatementResult.empty()
 
     def execute_explain(self, statement: bound.BoundExplain) -> StatementResult:

@@ -18,20 +18,18 @@ engine internals three ways:
   Providers snapshot engine state copy-then-release under the declared
   lock hierarchy (quacklint QLO003 enforces the discipline).
 
-* a **sampling profiler** (:mod:`.profiler`) -- a background thread walking
-  worker stacks at ``profile_hz`` into per-operator/per-phase self time,
-  queryable via ``repro_profile()``; enabled by ``PRAGMA enable_profiling``
-  or ``REPRO_PROFILE=1``.
-
 * a **flight recorder** (:mod:`.flight`) -- the statement log's newest
   records plus metric deltas, dumped as ``repro_flight_<pid>.json`` on
   unhandled engine faults and on ``PRAGMA flight_dump``.
+
+Per-operator self time is a query, not a daemon: with tracing on, a
+self-join of ``repro_traces()`` on ``parent_id = span_id`` subtracts each
+span's children from its own ``wall_ms`` (see README).
 """
 
 from __future__ import annotations
 
 from .flight import FlightRecorder, is_engine_fault
-from .profiler import SamplingProfiler
 from .providers import register_builtin_functions
 from .registry import (
     SystemTableFunction,
@@ -50,7 +48,6 @@ __all__ = [
     "function_names",
     "functions",
     "register_builtin_functions",
-    "SamplingProfiler",
     "FlightRecorder",
     "is_engine_fault",
 ]

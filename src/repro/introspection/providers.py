@@ -2,9 +2,11 @@
 
 Every provider turns one slice of engine state into a list of plain row
 tuples.  The sources are the same structures the Python-level APIs expose
-(``connection.metrics()``, the trace sink, the slow-query log, quacksan's
-lock statistics, the catalog, the transaction manager, the storage layer)
--- this module only flattens them into relational shape.
+(``connection.metrics()``, the trace sink, the statement log, quacksan's
+lock statistics, the catalog, the transaction manager, the storage layer,
+the serving registry) -- this module only flattens them into relational
+shape.  Every table is a pull snapshot taken when it is scanned; nothing
+behind them samples in the background.
 
 All providers follow the copy-then-release rule (quacklint QLO003): state
 guarded by an engine lock is copied into the result list inside the lock's
@@ -67,18 +69,6 @@ def slow_queries_rows(database: Any, transaction: Any) -> List[Row]:
     return rows
 
 
-def metrics_history_rows(database: Any, transaction: Any) -> List[Row]:
-    """Time-series metrics samples across every retention tier.
-
-    Each row is one instrument at one sample point: ``value`` is the
-    instrument's level at that moment, ``delta`` its movement over the
-    tier's window (one interval for ``raw``, the summed window for the
-    downsampled tiers).  Empty until the telemetry sampler has run
-    (``telemetry_interval_ms`` > 0 or ``PRAGMA telemetry_sample``).
-    """
-    return list(database.telemetry.history.rows())
-
-
 def statement_log_rows(database: Any, transaction: Any) -> List[Row]:
     """Per-statement resource bills, oldest first (bounded ring)."""
     return list(database.statement_log.rows())
@@ -97,11 +87,6 @@ def activity_rows(database: Any, transaction: Any) -> List[Row]:
                      info["started_at"], info["elapsed_ms"],
                      info["rows_so_far"]))
     return rows
-
-
-def profile_rows(database: Any, transaction: Any) -> List[Row]:
-    """Sampling-profiler buckets (empty until ``PRAGMA enable_profiling``)."""
-    return list(database.profiler.snapshot())
 
 
 # -- configuration -----------------------------------------------------------
@@ -206,27 +191,6 @@ def column_stats_rows(database: Any, transaction: Any) -> List[Row]:
     return rows
 
 
-# -- kernels -----------------------------------------------------------------
-
-def kernels_rows(database: Any, transaction: Any) -> List[Row]:
-    """Kernel capability manifest rows (quackkernel static analysis).
-
-    Backed by the committed ``kernel_manifest.json`` -- the same facts the
-    ``--check-manifest`` drift gate verifies -- so the table reflects what
-    was analyzed and reviewed, not a live re-analysis on every query.
-    """
-    from ..analysis.kernelcheck import manifest_entries
-    rows: List[Row] = []
-    for fact in manifest_entries():
-        rows.append((fact.name, fact.kind, fact.arity, fact.signature,
-                     fact.declared_type, fact.inferred_dtype,
-                     fact.null_contract, fact.copy_behaviour,
-                     bool(fact.vectorized), bool(fact.pure),
-                     bool(fact.thread_safe), bool(fact.fusable),
-                     fact.source))
-    return rows
-
-
 # -- storage -----------------------------------------------------------------
 
 def storage_rows(database: Any, transaction: Any) -> List[Row]:
@@ -310,13 +274,6 @@ def register_builtin_functions() -> None:
          ("session_id", BIGINT), ("statement_seq", BIGINT)],
         slow_queries_rows))
     register(SystemTableFunction(
-        "repro_metrics_history",
-        "time-series metrics samples across retention tiers",
-        [("tier", VARCHAR), ("sample", BIGINT), ("timestamp", DOUBLE),
-         ("name", VARCHAR), ("kind", VARCHAR), ("value", DOUBLE),
-         ("delta", DOUBLE)],
-        metrics_history_rows))
-    register(SystemTableFunction(
         "repro_statement_log",
         "per-statement resource accounting, oldest first",
         [("session_id", BIGINT), ("statement_seq", BIGINT), ("sql", VARCHAR),
@@ -367,11 +324,6 @@ def register_builtin_functions() -> None:
         [("name", VARCHAR), ("value", BIGINT)],
         storage_rows))
     register(SystemTableFunction(
-        "repro_profile", "sampling-profiler self time per operator and phase",
-        [("operator", VARCHAR), ("phase", VARCHAR), ("samples", BIGINT),
-         ("self_seconds", DOUBLE)],
-        profile_rows))
-    register(SystemTableFunction(
         "repro_optimizer",
         "optimizer decisions of the last statement that ran the optimizer",
         [("statement", BIGINT), ("seq", BIGINT), ("phase", VARCHAR),
@@ -385,16 +337,6 @@ def register_builtin_functions() -> None:
          ("invariant", VARCHAR), ("status", VARCHAR),
          ("operator", VARCHAR), ("detail", VARCHAR)],
         plan_checks_rows))
-    register(SystemTableFunction(
-        "repro_kernels",
-        "kernel capability manifest: dtype, NULL, copy, and purity contracts",
-        [("name", VARCHAR), ("kind", VARCHAR), ("arity", VARCHAR),
-         ("signature", VARCHAR), ("declared_type", VARCHAR),
-         ("inferred_dtype", VARCHAR), ("null_contract", VARCHAR),
-         ("copy_behaviour", VARCHAR), ("vectorized", BOOLEAN),
-         ("pure", BOOLEAN), ("thread_safe", BOOLEAN), ("fusable", BOOLEAN),
-         ("source", VARCHAR)],
-        kernels_rows))
     register(SystemTableFunction(
         "repro_sessions",
         "live serving sessions and their per-session statistics",

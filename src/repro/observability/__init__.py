@@ -19,6 +19,10 @@ application-facing answer, three coordinated pieces:
   ANALYZE`` operator trees built from real spans, the statement log (one
   record per statement, with a slow-query view over a configurable
   threshold), and :func:`render_trace` for pretty-printing.
+
+Everything here is pull-only: the package starts no thread and opens no
+socket or file of its own.  A host that wants history scrapes
+``metrics_text()`` (or ``QueryServer.scrape()``) on its own schedule.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import os
 from typing import Any, ContextManager, Optional
 
 from .accounting import StatementLog, StatementRecord
-from .export import JsonlTelemetrySink, TelemetrySink
-from .history import MetricsHistory, MetricsSample, TelemetrySampler
 from .metrics import (
     Counter,
     Gauge,
@@ -48,13 +50,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "registry",
-    "MetricsHistory",
-    "MetricsSample",
-    "TelemetrySampler",
     "StatementLog",
     "StatementRecord",
-    "TelemetrySink",
-    "JsonlTelemetrySink",
     "render_trace",
     "render_span_tree",
     "worker_summary",

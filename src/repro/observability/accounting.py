@@ -24,7 +24,7 @@ every per-statement surface reads that log:
 
 Both rings are bounded and hold the *same* record objects.  The slow ring
 is kept apart so a burst of fast statements cannot evict a slow one.
-Appends take the innermost ``telemetry.history`` sanitizer lock, so any
+Appends take the innermost ``statement_log`` sanitizer lock, so any
 engine thread may record while holding its own locks.
 """
 
@@ -129,13 +129,13 @@ class StatementRecord:
 class StatementLog:
     """Bounded rings of the most recent and the most recent slow statements.
 
-    Thread-safe behind the ``telemetry.history`` sanitizer lock (innermost
+    Thread-safe behind the ``statement_log`` sanitizer lock (innermost
     in the declared hierarchy; see :mod:`repro.sanitizer.hierarchy`).
     Readers copy under the lock and work on the copy.
     """
 
     def __init__(self) -> None:
-        self._lock = SanLock("telemetry.history")
+        self._lock = SanLock("statement_log")
         self._recent: Deque[StatementRecord] = deque(maxlen=RECENT_ENTRIES)
         self._slow: Deque[StatementRecord] = deque(maxlen=SLOW_ENTRIES)
         self._total_recorded = 0

@@ -281,26 +281,6 @@ class MetricsRegistry:
             out.setdefault(name, {})[labels["lock"]] = value
         return out
 
-    def flat_snapshot(self) -> List[Tuple[str, str, float]]:
-        """Flat ``(name, kind, value)`` rows for time-series sampling.
-
-        Histograms flatten to their ``_count``/``_sum`` scalars -- the
-        moments a delta-series can be built from -- rather than per-bucket
-        rows, keeping each metrics-history sample O(instruments), not
-        O(instruments x buckets).  Sanitizer lock gauges are excluded: they
-        are themselves derived telemetry and would double the sample width
-        under REPRO_SANITIZE for no time-series value.
-        """
-        rows: List[Tuple[str, str, float]] = []
-        for name, counter in sorted(self.counters.items()):
-            rows.append((name, "counter", counter.value))
-        for name, gauge in sorted(self.gauges.items()):
-            rows.append((name, "gauge", gauge.value))
-        for name, histogram in sorted(self.histograms.items()):
-            rows.append((f"{name}_count", "counter", float(histogram.count)))
-            rows.append((f"{name}_sum", "counter", histogram.sum))
-        return rows
-
     def render_text(self) -> str:
         """Prometheus exposition format (one scrape page)."""
         lines: List[str] = []

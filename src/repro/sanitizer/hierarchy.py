@@ -17,9 +17,8 @@ code path must acquire nested locks in (a subsequence of) that order:
                       -> buffer_manager (storage/buffer_manager.py BufferManager._lock)
                         -> morsel_driver  (execution/parallel.py MorselDriver._lock)
                           -> operator_stats (execution/physical.py ExecutionContext._stats_lock)
-                            -> telemetry.history (observability/history.py MetricsHistory._lock,
-                                                  observability/accounting.py StatementLog._lock,
-                                                  the one lock over every per-statement record)
+                            -> statement_log (observability/accounting.py StatementLog._lock,
+                                              the one lock over every per-statement record)
 
 The four ``server.*`` locks of the serving front end sit between the
 connection lock and the engine proper: a connection may consult a cache or
@@ -68,7 +67,7 @@ LOCK_HIERARCHY: Tuple[str, ...] = (
     "buffer_manager",
     "morsel_driver",
     "operator_stats",
-    "telemetry.history",
+    "statement_log",
 )
 
 _LEVELS: Dict[str, int] = {name: level
@@ -116,15 +115,10 @@ CLASS_LOCK_ATTRS: Dict[str, Dict[str, Dict[str, str]]] = {
     "repro/execution/physical.py": {
         "ExecutionContext": {"_stats_lock": "operator_stats"},
     },
-    # Innermost telemetry ring locks: any engine thread may append a
-    # metrics sample or statement bill while holding its own locks.  The
-    # two classes deliberately share one hierarchy name -- LockSan keys its
-    # order graph by name, and the rings never nest in each other.
-    "repro/observability/history.py": {
-        "MetricsHistory": {"_lock": "telemetry.history"},
-    },
+    # Innermost: any engine thread may append a statement record while
+    # holding its own locks.
     "repro/observability/accounting.py": {
-        "StatementLog": {"_lock": "telemetry.history"},
+        "StatementLog": {"_lock": "statement_log"},
     },
 }
 

@@ -13,6 +13,7 @@ from repro.errors import (
     OutOfMemoryError,
 )
 from repro.errors import ConnectionError as ClosedError
+from repro.server import QueryServer
 
 
 class TestLifecycle:
@@ -181,6 +182,46 @@ class TestPersistenceLifecycle:
         con.execute("CHECKPOINT")
         assert con.execute("PRAGMA wal_size").fetchvalue() == 0
         con.close()
+
+
+class TestCooperation:
+    def test_engine_owns_no_thread_between_statements(self, db_path):
+        # The host owns the process: once a statement returns, no thread
+        # the engine started is still alive.  Morsel workers are named
+        # ``repro-morsel`` and are joined when their pipeline ends.
+        def check_no_engine_threads():
+            names = [thread.name for thread in threading.enumerate()
+                     if thread.name.startswith("repro-")]
+            assert names == []
+
+        aggregate = "SELECT g, count(*), sum(v) FROM t GROUP BY g"
+        con = repro.connect(db_path, {"threads": 4, "morsel_size": 4096})
+        try:
+            check_no_engine_threads()
+            con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+            with con.appender("t") as appender:
+                index = np.arange(50_000)
+                appender.append_numpy({"g": (index % 7).astype(np.int32),
+                                       "v": index.astype(np.int32)})
+            check_no_engine_threads()
+            analyze = "\n".join(line for (line,) in con.execute(
+                f"EXPLAIN ANALYZE {aggregate}").fetchall())
+            assert "parallel_workers: 4" in analyze
+            check_no_engine_threads()
+            assert len(con.execute(aggregate).fetchall()) == 7
+            check_no_engine_threads()
+            con.execute("INSERT INTO t VALUES (7, 1)")
+            check_no_engine_threads()
+            con.execute("CHECKPOINT")
+            check_no_engine_threads()
+            with QueryServer(con.database) as server:
+                with server.session("host") as session:
+                    assert len(session.execute(aggregate).fetchall()) == 8
+                    check_no_engine_threads()
+            check_no_engine_threads()
+        finally:
+            con.close()
+        check_no_engine_threads()
 
 
 class TestCatalogMaintenance:

@@ -1,13 +1,12 @@
-"""In-band introspection: system table functions, profiler, SQL composability.
+"""In-band introspection: system table functions and SQL composability.
 
-ISSUE 5's tentpole contract: engine state is a relation.  Every registered
-``repro_*()`` function must be usable anywhere a table is -- filtered,
-joined, ordered, aggregated -- through the ordinary binder/planner/executor
-path, with no special-case client API.
+Engine state is a relation.  Every registered ``repro_*()`` function must
+be usable anywhere a table is -- filtered, joined, ordered, aggregated --
+through the ordinary binder/planner/executor path, with no special-case
+client API.
 """
 
-import threading
-import time
+from collections import defaultdict
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro import observability as obs
 from repro import introspection
 from repro.errors import BinderError, CatalogError
 from repro.introspection import SystemTableFunction, register, unregister
-from repro.introspection.profiler import SamplingProfiler
 from repro.types import VECTOR_SIZE
 from repro.types.logical import BIGINT
 
@@ -169,148 +167,42 @@ class TestTraceAgreement:
                 return
             obs.disable_tracing()
 
-
-class TestProfiler:
-    def test_profile_rows_accumulate_under_load(self, con):
-        import numpy as np
-
-        con.execute("CREATE TABLE t (v INTEGER)")
-        with con.appender("t") as appender:
-            appender.append_numpy({"v": np.arange(50000, dtype=np.int32)})
-        con.execute("PRAGMA enable_profiling")
+    def test_self_time_per_operator_from_traces(self):
+        # Per-operator self time is a self-join: a span's wall time minus
+        # the wall time of its children (operator spans are inclusive).
+        workload = "SELECT g, sum(v) FROM t WHERE v % 3 = 0 GROUP BY g"
+        was_tracing = obs.tracing_enabled()
+        con = repro.connect(config={"threads": 1, "trace_enabled": True})
         try:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                con.execute("SELECT count(*), sum(v) FROM t WHERE v % 3 = 0"
-                            ).fetchall()
-                rows = con.execute(
-                    "SELECT * FROM repro_profile()").fetchall()
-                if rows:
-                    break
-            assert rows, "no samples attributed within 10s of load"
-            for operator, phase, samples, self_seconds in rows:
-                assert samples > 0
-                assert self_seconds > 0
-        finally:
-            con.execute("PRAGMA disable_profiling")
-
-    def test_pragma_toggles_sampler_thread(self, con):
-        profiler = con._database.profiler
-        assert not profiler.running
-        con.execute("PRAGMA enable_profiling")
-        assert profiler.running
-        con.execute("PRAGMA disable_profiling")
-        assert not profiler.running
-
-    def test_sample_once_attributes_engine_frames(self):
-        profiler = SamplingProfiler()
-        release = threading.Event()
-        ready = threading.Event()
-
-        def engine_work():
-            con = repro.connect()
-            try:
-                con.execute("CREATE TABLE t (v INTEGER)")
-
-                def hold(database, transaction):
-                    ready.set()
-                    release.wait(timeout=10.0)
-                    return [(1,)]
-
-                register(SystemTableFunction(
-                    "repro_test_hold", "fixture", (("v", BIGINT),), hold))
-                try:
-                    # The provider blocks inside PhysicalIntrospectionScan's
-                    # pull, so a sample taken now sees an engine stack.
-                    con.execute("SELECT * FROM repro_test_hold()").fetchall()
-                finally:
-                    unregister("repro_test_hold")
-            finally:
-                con.close()
-
-        worker = threading.Thread(target=engine_work, daemon=True)
-        worker.start()
-        assert ready.wait(timeout=10.0)
-        try:
-            hits = profiler.sample_once()
-            assert hits >= 1
-        finally:
-            release.set()
-            worker.join(timeout=10.0)
-        snapshot = profiler.snapshot()
-        assert snapshot
-        assert any(phase == "execute" for _, phase, _, _ in snapshot)
-
-    def test_env_var_enables_profiling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        con = repro.connect()
-        try:
-            assert con._database.config.profile_enabled
-            assert con._database.profiler.running
+            con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+            con.executemany("INSERT INTO t VALUES (?, ?)",
+                            [(i % 7, i) for i in range(5000)])
+            for _ in range(3):
+                con.execute(workload).fetchall()
+            rows = con.execute(
+                "SELECT p.trace_id, p.name, "
+                "       p.wall_ms - coalesce(sum(c.wall_ms), 0) AS self_ms "
+                "FROM repro_traces() p "
+                "LEFT JOIN repro_traces() c ON c.parent_id = p.span_id "
+                "WHERE p.trace_id IN (SELECT span_id FROM repro_traces() "
+                "                     WHERE kind = 'query' AND name = ?) "
+                "GROUP BY p.trace_id, p.span_id, p.name, p.wall_ms",
+                [workload]).fetchall()
+            roots = dict(con.execute(
+                "SELECT trace_id, wall_ms FROM repro_traces() "
+                "WHERE kind = 'query' AND name = ?", [workload]).fetchall())
         finally:
             con.close()
-        assert not con._database.profiler.running
-
-    def test_reset_clears_buckets(self):
-        profiler = SamplingProfiler()
-        profiler._buckets[("X", "execute")] = 5
-        profiler._total_samples = 5
-        profiler.reset()
-        assert profiler.snapshot() == []
-        assert profiler.total_samples == 0
-
-
-class TestKernelManifestTable:
-    """``repro_kernels()``: the kernel capability manifest as a relation."""
-
-    def test_row_count_matches_committed_manifest(self, con):
-        from repro.analysis.kernelcheck import manifest_entries
-        count = con.execute(
-            "SELECT count(*) FROM repro_kernels()").fetchvalue()
-        assert count == len(manifest_entries())
-
-    def test_where_on_null_contract(self, con):
-        rows = con.execute(
-            "SELECT name FROM repro_kernels() "
-            "WHERE null_contract <> 'propagate' AND kind = 'scalar' "
-            "ORDER BY name").fetchall()
-        names = [name for (name,) in rows]
-        # The conditional family rewrites validity itself.
-        assert "coalesce" in names
-        assert "nullif" in names
-        assert "abs" not in names
-
-    def test_order_by_and_limit(self, con):
-        rows = con.execute(
-            "SELECT kind, name FROM repro_kernels() "
-            "ORDER BY kind, name LIMIT 3").fetchall()
-        assert rows == sorted(rows)
-        assert all(kind == "aggregate" for kind, _ in rows)
-
-    def test_aggregate_contract_census(self, con):
-        rows = dict(con.execute(
-            "SELECT null_contract, count(*) FROM repro_kernels() "
-            "WHERE kind = 'aggregate' GROUP BY null_contract").fetchall())
-        assert set(rows) == {"skip-nulls"}
-
-    def test_join_against_other_system_tables(self, con):
-        # Engine state is a relation: the manifest joins against the
-        # settings snapshot through the ordinary executor path.
-        rows = con.execute(
-            "SELECT k.name, s.value FROM repro_kernels() k "
-            "JOIN repro_settings() s ON s.name = 'threads' "
-            "WHERE k.name = 'round'").fetchall()
-        assert len(rows) == 1
-        assert rows[0][0] == "round"
-
-    def test_fusable_kernels_are_vectorized_and_pure(self, con):
-        rows = con.execute(
-            "SELECT count(*) FROM repro_kernels() "
-            "WHERE fusable AND NOT (vectorized AND pure AND thread_safe)"
-        ).fetchvalue()
-        assert rows == 0
-
-    def test_no_unchecked_kernels_ship(self, con):
-        assert con.execute(
-            "SELECT count(*) FROM repro_kernels() "
-            "WHERE null_contract = 'unchecked'").fetchvalue() == 0
+            if not was_tracing:
+                obs.disable_tracing()
+        assert len(roots) == 3
+        names = {name for _, name, _ in rows}
+        assert any(name.startswith("TABLE_SCAN t") for name in names)
+        assert any("AGGREGATE" in name for name in names)
+        per_trace = defaultdict(float)
+        for trace_id, name, self_ms in rows:
+            assert self_ms >= -1e-6, name
+            per_trace[trace_id] += self_ms
+        assert set(per_trace) == set(roots)
+        for trace_id, total in per_trace.items():
+            assert total == pytest.approx(roots[trace_id], abs=1e-6)

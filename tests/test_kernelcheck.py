@@ -1,11 +1,10 @@
 """quackkernel: static kernel-contract analysis and the capability manifest.
 
-ISSUE 8's tentpole contract: every registered kernel carries verified,
-committed facts -- dtype, NULL contract, copy behaviour, purity -- and the
-engine consumes them (the ``repro_kernels()`` table, the planner's fusable
-marking, the ``--check-manifest`` drift gate).  These tests pin the
-analyzer's inferences on known kernels, prove the drift gate trips on a
-stale manifest, and exercise the fusion consumer end to end.
+Every registered kernel carries verified, committed facts -- dtype, NULL
+contract, copy behaviour, purity -- and the engine consumes them (the
+planner's fusable marking, the ``--check-manifest`` drift gate).  These
+tests pin the analyzer's inferences on known kernels, prove the drift gate
+trips on a stale manifest, and exercise the fusion consumer end to end.
 """
 
 import json
@@ -142,6 +141,17 @@ class TestAnalyzerInferences:
     def test_every_kernel_is_pure(self, facts):
         for fact in facts.values():
             assert fact.pure, fact.key
+
+    def test_committed_fusable_implies_vectorized_pure_thread_safe(self):
+        for fact in manifest_entries():
+            if fact.fusable:
+                assert fact.vectorized and fact.pure and fact.thread_safe, \
+                    fact.key
+
+    def test_committed_no_unchecked_kernels(self):
+        unchecked = [fact.key for fact in manifest_entries()
+                     if fact.null_contract == "unchecked"]
+        assert unchecked == []
 
     def test_no_unchecked_null_contracts_in_tree(self, facts):
         unchecked = [fact.key for fact in facts.values()

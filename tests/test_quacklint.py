@@ -242,7 +242,7 @@ class TestConcurrencyRule:
     def test_registry_lock_hierarchy(self):
         registry = ThreadSafetyRegistry()
         assert registry.lock_level("connection") == 0
-        assert registry.lock_level("telemetry.history") == \
+        assert registry.lock_level("statement_log") == \
             len(registry.lock_hierarchy) - 1
         assert registry.lock_level("operator_stats") == \
             len(registry.lock_hierarchy) - 2

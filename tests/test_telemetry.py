@@ -1,5 +1,5 @@
-"""Continuous telemetry: metrics history, statement accounting, capture/replay,
-and telemetry export (ISSUE 10).
+"""Pull-only telemetry: statement accounting, live activity and session
+tables, scrape pages, and workload capture/replay.
 
 The process-wide metrics registry is shared across the test session, so
 assertions compare *deltas* and structural invariants rather than absolute
@@ -7,121 +7,16 @@ counter values wherever another test could have moved a counter.
 """
 
 import json
-import os
 import re
-import threading
 
 import pytest
 
 import repro
 from repro.config import DatabaseConfig
 from repro.errors import InvalidInputError
-from repro.observability import (
-    JsonlTelemetrySink,
-    MetricsHistory,
-    StatementLog,
-    StatementRecord,
-    TelemetrySink,
-)
+from repro.observability import StatementLog, StatementRecord
 from repro.observability.accounting import RECENT_ENTRIES
-from repro.observability.history import DEFAULT_INTERVAL_MS, RETENTION_TIERS
-from repro.observability.metrics import registry
 from repro.server import WorkloadCapture, load_capture, replay_workload
-
-
-# -- metrics history ---------------------------------------------------------
-
-#: Tiny tiers so downsampling and eviction are testable in a few appends.
-TEST_TIERS = (("raw", 1, 4), ("mid", 2, 3), ("coarse", 4, 2))
-
-
-def _flat(value, gauge=0.0):
-    return [("queries", "counter", float(value)),
-            ("inflight", "gauge", float(gauge))]
-
-
-class TestMetricsHistory:
-    def test_deltas_against_previous_sample(self):
-        history = MetricsHistory(TEST_TIERS)
-        history.record(_flat(10, gauge=5))
-        sample = history.record(_flat(17, gauge=2))
-        entries = {name: (value, delta)
-                   for name, _, value, delta in sample.entries}
-        assert entries["queries"] == (17.0, 7.0)
-        assert entries["inflight"] == (2.0, -3.0)
-
-    def test_first_sample_delta_is_full_value(self):
-        history = MetricsHistory(TEST_TIERS)
-        sample = history.record(_flat(10))
-        assert sample.entries[0][3] == 10.0
-
-    def test_downsampled_delta_is_sum_value_is_latest(self):
-        history = MetricsHistory(TEST_TIERS)
-        history.record(_flat(10, gauge=1))
-        history.record(_flat(25, gauge=9))  # mid stride=2: emit here
-        mid = history.samples("mid")
-        assert len(mid) == 1
-        entries = {name: (value, delta)
-                   for name, _, value, delta in mid[0].entries}
-        # value = latest raw value in the window; delta = sum of raw deltas.
-        assert entries["queries"] == (25.0, 25.0)
-        assert entries["inflight"] == (9.0, 9.0)
-
-    def test_delta_conservation_across_tiers(self):
-        # sum(delta) over any tier == true counter movement, any stride.
-        history = MetricsHistory(TEST_TIERS)
-        values = [3, 7, 7, 12, 20, 21, 30, 44]
-        for value in values:
-            history.record(_flat(value))
-        # Per tier: sum(delta) over the retained ring == the counter's true
-        # movement across the window the ring still covers, whatever the
-        # stride.  raw keeps the last 4 of 8 samples (12 -> 44); mid keeps
-        # the last 3 of its 4 stride-2 windows (7 -> 44); coarse keeps both
-        # stride-4 windows (0 -> 44).
-        expected = {"raw": 44 - 12, "mid": 44 - 7, "coarse": 44}
-        for tier in ("raw", "mid", "coarse"):
-            moved = sum(
-                dict((name, delta)
-                     for name, _, _, delta in sample.entries)["queries"]
-                for sample in history.samples(tier))
-            assert moved == expected[tier], tier
-
-    def test_ring_capacity_bounds_memory(self):
-        history = MetricsHistory(TEST_TIERS)
-        for value in range(100):
-            history.record(_flat(value))
-        assert len(history.samples("raw")) == 4
-        assert len(history.samples("mid")) == 3
-        assert len(history.samples("coarse")) == 2
-        assert history.total_samples == 100
-
-    def test_rows_shape_and_latest(self):
-        history = MetricsHistory(TEST_TIERS)
-        history.record(_flat(1), timestamp=123.0)
-        assert history.latest().timestamp == 123.0
-        rows = history.rows()
-        assert ("raw", 1, 123.0, "queries", "counter", 1.0, 1.0) in rows
-        tiers = {row[0] for row in rows}
-        assert tiers == {"raw"}  # strides 2/4 have not emitted yet
-
-    def test_unknown_tier_raises(self):
-        with pytest.raises(KeyError):
-            MetricsHistory(TEST_TIERS).samples("minutely")
-
-    def test_clear(self):
-        history = MetricsHistory(TEST_TIERS)
-        history.record(_flat(5))
-        history.clear()
-        assert history.rows() == []
-        assert history.latest() is None
-        # After clear the next delta is the full value again.
-        assert history.record(_flat(5)).entries[0][3] == 5.0
-
-    def test_default_tiers_match_documented_horizons(self):
-        assert RETENTION_TIERS == (("raw", 1, 240), ("mid", 8, 180),
-                                   ("coarse", 64, 120))
-        # 240 raw samples at the 250 ms default cadence = the last minute.
-        assert 240 * DEFAULT_INTERVAL_MS / 1000.0 == 60.0
 
 
 # -- statement accounting ----------------------------------------------------
@@ -201,17 +96,32 @@ class TestStatementAccounting:
         finally:
             con.close()
 
-    def test_statement_log_size_is_not_an_option(self):
-        # The statement log feeds the flight dump and the slow-query log,
-        # so its bound is a constant, not a knob that could switch them off.
+    # The statement log feeds the flight dump and the slow-query log, so its
+    # bound is a constant, not a knob that could switch them off.  The other
+    # names drove the sampling profiler and the metrics-history sampler:
+    # the engine starts no thread of its own, so none of them is an option
+    # or a PRAGMA verb, on a direct connection or in a served session.
+    @pytest.mark.parametrize("name", [
+        "statement_log_entries",
+        "profile_enabled", "profile_hz",
+        "telemetry_interval_ms", "telemetry_path",
+        "enable_profiling", "disable_profiling", "telemetry_sample",
+    ])
+    def test_removed_option_raises(self, name):
         with pytest.raises(InvalidInputError):
-            repro.connect(config={"statement_log_entries": 0})
+            repro.connect(config={name: 1})
         con = repro.connect()
         try:
-            with pytest.raises(InvalidInputError):
-                con.execute("PRAGMA statement_log_entries = 0")
+            for pragma in (f"PRAGMA {name}", f"PRAGMA {name} = 1"):
+                with pytest.raises(InvalidInputError):
+                    con.execute(pragma)
         finally:
             con.close()
+        with repro.serve() as server:
+            with server.session("ops") as session:
+                for pragma in (f"PRAGMA {name}", f"PRAGMA {name} = 1"):
+                    with pytest.raises(InvalidInputError):
+                        session.execute(pragma)
 
     def test_slow_statement_outlives_fast_ones(self):
         con = repro.connect()
@@ -246,55 +156,9 @@ class TestStatementAccounting:
             con.close()
 
 
-# -- system tables + sampler -------------------------------------------------
+# -- live system tables ------------------------------------------------------
 
 class TestTelemetryTables:
-    def test_pragma_telemetry_sample_populates_history(self):
-        con = repro.connect()
-        try:
-            con.execute("SELECT 1").fetchall()
-            message = con.execute("PRAGMA telemetry_sample").fetchvalue()
-            assert re.fullmatch(r"sampled \d+ metrics", message)
-            rows = con.execute(
-                "SELECT tier, name, kind, value, delta "
-                "FROM repro_metrics_history()").fetchall()
-            assert rows, "one forced sample must be queryable"
-            assert {tier for tier, *_ in rows} == {"raw"}
-            assert all(kind in ("counter", "gauge")
-                       for _, _, kind, _, _ in rows)
-        finally:
-            con.close()
-
-    def test_history_agrees_with_live_registry(self):
-        con = repro.connect()
-        try:
-            con.execute("CREATE TABLE t (a INTEGER)")
-            con.execute("INSERT INTO t VALUES (1), (2)")
-            sample = con.database.telemetry_sample()
-            # No engine activity between the sample and this snapshot, so
-            # every sampled value must equal the live registry value.
-            live = {name: value
-                    for name, _, value in registry().flat_snapshot()}
-            for name, _, value, _ in sample.entries:
-                assert live[name] == value
-        finally:
-            con.close()
-
-    def test_history_counters_never_exceed_repro_metrics(self):
-        con = repro.connect()
-        try:
-            con.execute("SELECT 1").fetchall()
-            con.execute("PRAGMA telemetry_sample")
-            # Counters are monotonic: the sampled past <= the folded now.
-            stale = con.execute(
-                "SELECT count(*) FROM repro_metrics_history() h "
-                "JOIN repro_metrics() m ON h.name = m.name "
-                "WHERE h.kind = 'counter' AND h.value > m.value"
-            ).fetchvalue()
-            assert stale == 0
-        finally:
-            con.close()
-
     def test_activity_observes_running_statement(self):
         with repro.serve() as server:
             with server.session("watcher") as session:
@@ -349,94 +213,11 @@ class TestTelemetryTables:
                     "WHERE sql LIKE 'INSERT INTO t%'").fetchall()
                 assert logged == [(session.session_id,)]
 
-    def test_sampler_lifecycle_and_interval_clamp(self):
-        # Explicitly blank telemetry_path: the CI telemetry job exports
-        # REPRO_TELEMETRY_PATH, which would auto-start the sampler.
-        con = repro.connect(config={"telemetry_path": ""})
-        try:
-            sampler = con.database.telemetry
-            assert not sampler.running
-            sampler.start(0.0001)  # clamps to 1 ms, must not spin at 0
-            assert sampler.running
-            assert sampler._interval == 0.001
-            sampler.start(500)  # idempotent retune
-            assert sampler._interval == 0.5
-            assert threading.active_count() >= 2
-            sampler.stop()
-            assert not sampler.running
-            sampler.stop()  # idempotent
-        finally:
-            con.close()
 
-    def test_background_sampler_fills_history(self):
-        con = repro.connect(config={"telemetry_interval_ms": 5,
-                                    "telemetry_path": ""})
-        try:
-            assert con.database.telemetry.running
-            stop = threading.Event()
-            while not stop.wait(0.01):
-                if con.database.telemetry.history.total_samples >= 3:
-                    break
-            assert con.database.telemetry.history.total_samples >= 3
-            con.execute("PRAGMA telemetry_interval_ms=0")
-            assert not con.database.telemetry.running
-            # History survives the sampler stopping.
-            assert con.execute(
-                "SELECT count(*) FROM repro_metrics_history()"
-            ).fetchvalue() > 0
-        finally:
-            con.close()
-
-
-# -- export sinks ------------------------------------------------------------
+# -- getting telemetry out ---------------------------------------------------
 
 class TestTelemetryExport:
-    def test_jsonl_sink_writes_samples_and_spans(self, tmp_path):
-        path = str(tmp_path / "telemetry.jsonl")
-        sink = JsonlTelemetrySink(path)
-        sink.emit_sample({"type": "metric_sample", "sample": 1})
-        sink.emit_span({"type": "span", "span_id": 2})
-        sink.close()
-        lines = [json.loads(line)
-                 for line in open(path, encoding="utf-8")]
-        assert [line["type"] for line in lines] == ["metric_sample", "span"]
-        assert sink.samples_written == 1
-        assert sink.spans_written == 1
-        sink.close()  # idempotent
-        sink.emit_sample({"ignored": True})  # after close: dropped, no raise
-        assert sink.samples_written == 1
-
-    def test_base_sink_is_noop(self):
-        sink = TelemetrySink()
-        sink.emit_sample({})
-        sink.emit_span({})
-        sink.flush()
-        sink.close()
-
-    def test_pragma_telemetry_path_attaches_sink(self, tmp_path):
-        path = str(tmp_path / "telemetry.jsonl")
-        con = repro.connect()
-        try:
-            con.execute(f"PRAGMA telemetry_path='{path}'")
-            assert con.database.telemetry.running  # path implies cadence
-            con.execute("SELECT 1").fetchall()
-            con.execute("PRAGMA telemetry_sample")
-        finally:
-            con.close()
-        lines = [json.loads(line)
-                 for line in open(path, encoding="utf-8")]
-        samples = [line for line in lines if line["type"] == "metric_sample"]
-        # At least the forced sample and the final close-time sample.
-        assert len(samples) >= 2
-        metrics = samples[-1]["metrics"]
-        assert all(set(entry) == {"kind", "value", "delta"}
-                   for entry in metrics.values())
-
-    def test_env_default_telemetry_path(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "env.jsonl")
-        monkeypatch.setenv("REPRO_TELEMETRY_PATH", path)
-        config = DatabaseConfig.from_dict({})
-        assert config.telemetry_path == path
+    def test_env_default_capture_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAPTURE_PATH", "cap.jsonl")
         assert DatabaseConfig.from_dict({}).capture_path == "cap.jsonl"
 
@@ -447,19 +228,6 @@ class TestTelemetryExport:
             page = server.scrape()
         assert "# TYPE repro_queries_total counter" in page
         assert page.endswith("\n")
-
-    def test_set_sink_closes_previous(self, tmp_path):
-        con = repro.connect()
-        try:
-            first = JsonlTelemetrySink(str(tmp_path / "a.jsonl"))
-            con.database.telemetry.set_sink(first)
-            second = JsonlTelemetrySink(str(tmp_path / "b.jsonl"))
-            con.database.telemetry.set_sink(second)
-            assert first.closed
-            assert not second.closed
-        finally:
-            con.close()
-        assert second.closed  # database close flushes and closes the sink
 
 
 # -- metrics_text round-trip -------------------------------------------------
@@ -510,21 +278,6 @@ class TestMetricsTextRoundTrip:
                 assert rendered[bound] == cumulative
             assert scalars[f"{name}_sum"] == pytest.approx(
                 snapshot[name]["sum"])
-
-    def test_flat_snapshot_matches_views(self):
-        con = repro.connect()
-        try:
-            con.execute("SELECT 1").fetchall()
-            con.database.fold_metrics()
-            flat = {name: (kind, value)
-                    for name, kind, value in registry().flat_snapshot()}
-            for name, counter in registry().counters.items():
-                assert flat[name] == ("counter", counter.value)
-            for name, histogram in registry().histograms.items():
-                assert flat[f"{name}_count"][1] == float(histogram.count)
-                assert flat[f"{name}_sum"][1] == histogram.sum
-        finally:
-            con.close()
 
 
 # -- workload capture and replay ---------------------------------------------
