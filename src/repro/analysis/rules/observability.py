@@ -2,12 +2,12 @@
 
 Two ways instrumentation itself becomes a bug:
 
-* **a span that never closes** never reaches the sink -- the trace silently
-  loses an operator (or leaks the span on the tracer's thread-local stack,
-  corrupting parent links for every later query on that thread).  Manual
-  ``start_span()``/``start_query()`` calls must be paired with
-  ``end_span()``/``finish_query()``; the context-manager forms
-  (``tracer.span(...)``, ``engine_span(...)``) are always safe.
+* **a span that never closes** never reaches the tracer's span ring -- the
+  trace silently loses an operator (or leaks the span on the tracer's
+  thread-local stack, corrupting parent links for every later query on that
+  thread).  Manual ``start_span()``/``start_query()`` calls must be paired
+  with ``end_span()``/``finish_query()``; the context-manager form
+  (``with tracer.span(...)``) is always safe.
 * **a metric object constructed off-registry** is invisible: it never shows
   up in ``connection.metrics()`` or the Prometheus dump, so the counter
   mutates but nobody can read it.  All instruments must come from the
@@ -120,8 +120,7 @@ class ObservabilityRule(Rule):
                     "QLO001", ctx.path, call.lineno, call.col_offset,
                     f"span opened here is never closed in {scope_name}; "
                     f"call end_span()/finish_query(), or use the "
-                    f"'with tracer.span(...)' / engine_span() context "
-                    f"manager forms",
+                    f"'with tracer.span(...)' context manager form",
                 )
 
     @staticmethod

@@ -48,7 +48,7 @@ from .result import QueryResult
 
 if TYPE_CHECKING:
     from ..execution.physical import ExecutionContext
-    from ..observability.trace import Span, Tracer
+    from ..observability.trace import Span
     from ..transaction.transaction import Transaction
     from .appender import Appender
     from .cursor import Cursor
@@ -343,7 +343,10 @@ class Connection:
         manager = database.transaction_manager
         results = database.result_cache
         autocommit = self._transaction is None
-        tracer = database.tracer
+        # Traced or not is this statement's own config's call: a served
+        # session's PRAGMA scopes it to the session, a plain connection's
+        # to the whole database.
+        tracer = database.tracer if self._config.trace_enabled else None
         query_span = tracer.start_query(sql_text) \
             if tracer is not None else None
         wall = time.perf_counter_ns()
@@ -351,6 +354,8 @@ class Connection:
         # The statement's one record: optimizer decisions and plan checks
         # land on it while it runs; observe fills in the bill and logs it.
         record = StatementRecord(self._session_id, 0, sql_text)
+        if query_span is not None:
+            record.trace_id = query_span.trace_id
         # A new statement: interrupt() has no target until its executor
         # publishes a context, and the bill must not re-read the previous
         # statement's scan counters.
@@ -384,8 +389,7 @@ class Connection:
                         if not autocommit:
                             self._transaction = None
                     self._observe_statement(
-                        record, tracer, query_span,
-                        time.perf_counter_ns() - wall,
+                        record, query_span, time.perf_counter_ns() - wall,
                         time.thread_time_ns() - cpu, rows, vectors, error)
 
         # Result cache, before: an eager cache-eligible SELECT may be
@@ -435,7 +439,7 @@ class Connection:
                     # The root span must not stay on this thread's stack
                     # while the client holds the lazy result (the next
                     # statement would nest under it); end() closes it.
-                    if tracer is not None and query_span is not None:
+                    if query_span is not None:
                         tracer.pop(query_span)
                     return self._streaming_result(outcome, end)
             chunks = [chunk for chunk in outcome.chunks if chunk.size]
@@ -512,7 +516,6 @@ class Connection:
 
     # -- observability ------------------------------------------------------
     def _observe_statement(self, record: StatementRecord,
-                           tracer: Optional["Tracer"],
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException]) -> None:
@@ -525,8 +528,8 @@ class Connection:
         statement log.
         """
         database = self._database
-        if tracer is not None and query_span is not None:
-            tracer.finish_query(query_span, wall_ns, cpu_ns)
+        if query_span is not None:
+            database.tracer.finish_query(query_span, wall_ns, cpu_ns)
         seq = self._statement_seq + 1
         self._statement_seq = seq
         # Per-statement resource bill.  Buffer traffic and peak memory are
@@ -559,9 +562,7 @@ class Connection:
             record.message = str(error)
         threshold = self._config.slow_query_ms
         if 0 < threshold <= wall_ms:
-            spans = tracer.sink.trace(query_span.trace_id) \
-                if tracer is not None and query_span is not None else None
-            record.mark_slow(threshold, spans)
+            record.mark_slow(threshold, database.tracer)
         database.statement_log.record(record)
         # Flight dumps are best-effort (``try_dump`` semantics): a recorder
         # that cannot write must never mask the engine error it documents.

@@ -32,25 +32,30 @@ _SIZE_SUFFIXES = {
 
 
 def parse_memory_size(value: Any) -> int:
-    """Parse ``"256MB"``-style strings (or plain ints) into a byte count."""
+    """Parse ``"256MB"``-style strings (or plain ints) into a positive
+    byte count."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value <= 0:
-            raise InvalidInputError("memory size must be positive")
-        return int(value)
-    if not isinstance(value, str):
+        size = value
+    elif isinstance(value, str):
+        size = _parse_size_text(value)
+    else:
         raise InvalidInputError(f"Cannot parse memory size from {value!r}")
+    if size <= 0:
+        raise InvalidInputError("memory size must be positive")
+    return int(size)
+
+
+def _parse_size_text(value: str) -> int:
     text = value.strip().upper()
-    for suffix in sorted(_SIZE_SUFFIXES, key=len, reverse=True):
-        if text.endswith(suffix):
-            number = text[: -len(suffix)].strip()
-            try:
-                return int(float(number) * _SIZE_SUFFIXES[suffix])
-            except ValueError:
-                raise InvalidInputError(f"Cannot parse memory size from {value!r}") from None
     try:
+        for suffix in sorted(_SIZE_SUFFIXES, key=len, reverse=True):
+            if text.endswith(suffix):
+                number = text[: -len(suffix)].strip()
+                return int(float(number) * _SIZE_SUFFIXES[suffix])
         return int(text)
     except ValueError:
-        raise InvalidInputError(f"Cannot parse memory size from {value!r}") from None
+        raise InvalidInputError(
+            f"Cannot parse memory size from {value!r}") from None
 
 
 @dataclasses.dataclass
@@ -91,10 +96,11 @@ class DatabaseConfig:
     checkpoint_on_close:
         Write a checkpoint when the database is cleanly closed.
     trace_enabled:
-        Enable the quacktrace span tracer (see :mod:`repro.observability`):
-        every statement is profiled into an operator span tree.  Off by
-        default -- the disabled tracer costs one ``is None`` test per
-        operator.  The ``REPRO_TRACE`` environment variable provides the
+        Trace statements run under this config (see
+        :mod:`repro.observability`): each is profiled into an operator span
+        tree kept by its database's tracer.  Off by default -- an untraced
+        statement costs one ``is None`` test per operator.  The
+        ``REPRO_TRACE`` environment variable provides the
         default for configs built via :meth:`from_dict` when the option is
         not given explicitly.
     slow_query_ms:
@@ -213,7 +219,9 @@ class DatabaseConfig:
                 raise InvalidInputError("slow_query_ms must be >= 0")
             self.slow_query_ms = threshold
         elif name == "wal_autocheckpoint":
-            self.wal_autocheckpoint = parse_memory_size(value) if value else 0
+            # 0 (or '0') turns auto-checkpointing off.
+            off = not value or str(value).strip() == "0"
+            self.wal_autocheckpoint = 0 if off else parse_memory_size(value)
         elif name in ("plan_cache_entries", "result_cache_entries",
                       "result_cache_max_rows", "max_concurrent_queries"):
             count = int(value)

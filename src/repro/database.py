@@ -48,7 +48,13 @@ class Database:
         self.buffer_manager = BufferManager(self.config)
         self.catalog = Catalog()
         self.transaction_manager = TransactionManager()
-        self.storage = StorageManager(path, self.config, self.buffer_manager)
+        #: This database's quacktrace tracer and span ring.  A statement
+        #: records into it when its connection's config has
+        #: ``trace_enabled``; the spans stay readable (``repro_traces()``)
+        #: after tracing is turned off, until the ring evicts them.
+        self.tracer = Tracer()
+        self.storage = StorageManager(path, self.config, self.buffer_manager,
+                                      self.tracer)
         self.transaction_manager.pre_commit_hooks.append(self.storage.commit_hook)
         self.transaction_manager.drop_commit_hooks.append(self.catalog.prune)
         #: Cooperation controller; swapped for a ReactiveController when
@@ -89,23 +95,10 @@ class Database:
         #: Workload capture (JSONL statement recorder) when
         #: ``config.capture_enabled`` (see :meth:`sync_capture`).
         self.workload_capture: Optional["WorkloadCapture"] = None
-        if self.config.trace_enabled:
-            observability.enable_tracing()
         self.sync_capture()
         self.storage.load(self.catalog, self.transaction_manager)
 
     # -- observability --------------------------------------------------------
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The active quacktrace tracer, or ``None`` while tracing is off.
-
-        ``PRAGMA trace_enabled = 1`` takes effect on the next statement:
-        the property installs the process-wide tracer on demand.
-        """
-        if self.config.trace_enabled:
-            return observability.enable_tracing()
-        return observability.get_tracer()
-
     def sync_capture(self) -> None:
         """Bring the workload capture in line with the current config.
 
@@ -142,10 +135,7 @@ class Database:
         engine error) and returns ``None`` on failure.
         """
         self.fold_metrics()
-        spans = None
-        tracer = self.tracer
-        if tracer is not None:
-            spans = tracer.sink.spans()
+        spans = self.tracer.spans()
         directory = None
         if not self.storage.in_memory:
             directory = os.path.dirname(os.path.abspath(self.path)) or None

@@ -406,9 +406,9 @@ class Executor:
                     + "\n-- physical plan --\n" + physical.explain())
             if statement.analyze:
                 # EXPLAIN ANALYZE: run the plan under a forced tracer and
-                # report per-operator spans plus engine statistics.  The
-                # private tracer means ANALYZE profiles even when tracing is
-                # globally disabled, without flipping the process switch.
+                # report per-operator spans plus engine statistics.  An
+                # untraced statement gets a private tracer, so ANALYZE
+                # profiles without leaving spans in the database's ring.
                 import time
 
                 from ..observability.render import render_span_tree
@@ -432,7 +432,7 @@ class Executor:
                 text += f"\nelapsed: {root.wall_ms:.2f} ms"
                 for name in sorted(context.stats):
                     text += f"\n{name}: {context.stats[name]}"
-                profile = render_span_tree(tracer.sink.trace(root.trace_id),
+                profile = render_span_tree(tracer.trace(root.trace_id),
                                            root)
                 text += "\n-- operator profile (quacktrace) --"
                 for line in profile:

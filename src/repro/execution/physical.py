@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ..errors import InterruptError
-from ..observability import get_tracer
 from ..sanitizer import SanLock, tracked_access
 from ..types import DataChunk, LogicalType
 
@@ -45,10 +44,12 @@ class ExecutionContext:
         #: mutating global state.
         self.config = config if config is not None \
             else (database.config if database is not None else None)
-        #: The quacktrace tracer, or None while tracing is disabled.  The
-        #: hot path (PhysicalOperator.run) pays one ``is None`` test;
-        #: EXPLAIN ANALYZE swaps in a private, forced tracer per query.
-        self.tracer = get_tracer()
+        #: The database's tracer when this query's config has
+        #: ``trace_enabled``, else None.  The hot path
+        #: (PhysicalOperator.run) pays one ``is None`` test; EXPLAIN
+        #: ANALYZE swaps in a private tracer when this is None.
+        self.tracer = database.tracer \
+            if database is not None and self.config.trace_enabled else None
         #: Uncorrelated subqueries are evaluated once and cached by plan id.
         self._subquery_results = {}
         #: Set (from any thread) to interrupt the query.  Morsel workers poll
@@ -153,9 +154,9 @@ class PhysicalOperator:
     def run(self) -> Iterator[DataChunk]:
         """Entry point callers use: ``execute()`` wrapped in a trace span.
 
-        With tracing disabled this *is* ``execute()`` -- no wrapper
+        For an untraced query this *is* ``execute()`` -- no wrapper
         generator, no allocation, just one ``is None`` test per operator
-        per query.  With tracing enabled the chunk stream is accounted to
+        per query.  For a traced one the chunk stream is accounted to
         an operator span whose parent is the span current at call time
         (the parent operator's span, a morsel span on a worker thread, or
         the query root span).

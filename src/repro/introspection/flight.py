@@ -7,9 +7,9 @@ flight_dump``, or automatically when an *engine fault* escapes execution --
 this module writes a single self-contained JSON file
 (``repro_flight_<pid>.json``) holding the newest statements of the
 database's :class:`~repro.observability.accounting.StatementLog` (SQL,
-duration, rows, outcome), metric deltas since the recorder started, recent
-trace spans (when tracing is on), and the active configuration.  The
-recorder keeps no statements of its own.
+duration, rows, outcome), metric deltas since the recorder started, the
+database's recent trace spans, and the active configuration.  The
+recorder keeps no statements or spans of its own.
 
 An engine fault is an error that indicts the engine rather than the query:
 internal errors, detected corruption, memory faults, hardware faults -- or

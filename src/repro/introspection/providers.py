@@ -2,11 +2,11 @@
 
 Every provider turns one slice of engine state into a list of plain row
 tuples.  The sources are the same structures the Python-level APIs expose
-(``connection.metrics()``, the trace sink, the statement log, quacksan's
-lock statistics, the catalog, the transaction manager, the storage layer,
-the serving registry) -- this module only flattens them into relational
-shape.  Every table is a pull snapshot taken when it is scanned; nothing
-behind them samples in the background.
+(``connection.metrics()``, the tracer's span ring, the statement log,
+quacksan's lock statistics, the catalog, the transaction manager, the
+storage layer, the serving registry) -- this module only flattens them
+into relational shape.  Every table is a pull snapshot taken when it is
+scanned; nothing behind them samples in the background.
 
 All providers follow the copy-then-release rule (quacklint QLO003): state
 guarded by an engine lock is copied into the result list inside the lock's
@@ -48,12 +48,9 @@ def metrics_rows(database: Any, transaction: Any) -> List[Row]:
 
 
 def traces_rows(database: Any, transaction: Any) -> List[Row]:
-    """Completed quacktrace spans (empty while tracing is disabled)."""
-    tracer = database.tracer
-    if tracer is None:
-        return []
+    """The database's completed quacktrace spans, oldest first."""
     rows: List[Row] = []
-    for span in tracer.sink.spans():
+    for span in database.tracer.spans():
         rows.append((span.span_id, span.parent_id, span.trace_id, span.name,
                      span.kind, span.thread_ident, span.wall_ms, span.cpu_ms,
                      span.rows, span.chunks, span.bytes_processed))
@@ -281,7 +278,7 @@ def register_builtin_functions() -> None:
          ("rows_out", BIGINT), ("rows_scanned", BIGINT),
          ("vectors", BIGINT), ("buffer_hits", BIGINT),
          ("buffer_misses", BIGINT), ("memory_bytes", BIGINT),
-         ("error", VARCHAR)],
+         ("error", VARCHAR), ("trace_id", BIGINT)],
         statement_log_rows))
     register(SystemTableFunction(
         "repro_activity",

@@ -33,11 +33,11 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..sanitizer import SanLock
 from .render import render_trace
-from .trace import Span
+from .trace import Tracer
 
 __all__ = ["StatementRecord", "StatementLog", "RECENT_ENTRIES",
            "SLOW_ENTRIES"]
@@ -54,8 +54,10 @@ class StatementRecord:
     """Resource bill of one statement, created when it starts.
 
     ``error``/``message`` are the exception's type name and text (empty on
-    success).  ``threshold_ms``, ``trace_text`` and ``span_count`` are set
-    by :meth:`mark_slow` only; ``threshold_ms > 0`` marks a slow statement.
+    success).  ``trace_id`` is the statement's root span id in its
+    database's tracer, 0 when it ran untraced.  ``threshold_ms``,
+    ``trace_text`` and ``span_count`` are set by :meth:`mark_slow` only;
+    ``threshold_ms > 0`` marks a slow statement.
     While the statement runs, the optimizer appends ``(phase, decision,
     detail, estimated_rows)`` tuples to ``decisions`` and quackplan appends
     ``(stage, invariant, status, operator, detail)`` tuples to
@@ -66,7 +68,7 @@ class StatementRecord:
                  "cpu_ms", "rows_out", "rows_scanned", "vectors",
                  "buffer_hits", "buffer_misses", "memory_bytes", "error",
                  "message", "threshold_ms", "trace_text", "span_count",
-                 "decisions", "plan_checks")
+                 "decisions", "plan_checks", "trace_id")
 
     def __init__(self, session_id: int, statement_seq: int, sql: str,
                  wall_ms: float = 0.0, cpu_ms: float = 0.0,
@@ -95,22 +97,27 @@ class StatementRecord:
                                             Optional[float]]]] = None
         self.plan_checks: Optional[List[Tuple[str, str, str, str,
                                               str]]] = None
+        self.trace_id = 0
 
     def mark_slow(self, threshold_ms: float,
-                  spans: Optional[Sequence[Span]] = None) -> None:
-        """Flag the statement as over ``threshold_ms``, keeping its trace."""
+                  tracer: Optional[Tracer] = None) -> None:
+        """Flag the statement as over ``threshold_ms``, keeping its trace:
+        the spans ``tracer`` holds under this statement's ``trace_id``."""
         self.threshold_ms = threshold_ms
+        spans = tracer.trace(self.trace_id) \
+            if tracer is not None and self.trace_id else None
         if spans:
             self.span_count = len(spans)
             self.trace_text = render_trace(spans)
 
     def as_row(self) -> Tuple[int, int, str, float, float, float, int, int,
-                              int, int, int, int, str]:
+                              int, int, int, int, str, int]:
         """Row shape of the ``repro_statement_log()`` system table."""
         return (self.session_id, self.statement_seq, self.sql,
                 self.timestamp, self.wall_ms, self.cpu_ms, self.rows_out,
                 self.rows_scanned, self.vectors, self.buffer_hits,
-                self.buffer_misses, self.memory_bytes, self.error)
+                self.buffer_misses, self.memory_bytes, self.error,
+                self.trace_id)
 
     def render(self) -> str:
         """The slow-query log line: header plus the trace when captured."""
@@ -174,7 +181,7 @@ class StatementLog:
             return list(self._slow)
 
     def rows(self) -> List[Tuple[int, int, str, float, float, float, int,
-                                 int, int, int, int, int, str]]:
+                                 int, int, int, int, int, str, int]]:
         """System-table rows, oldest first."""
         return [record.as_row() for record in self.records()]
 

@@ -8,13 +8,14 @@ the raw material: every executed statement becomes a tree of
 rows, chunks, and bytes processed, plus morsel and worker identifiers for
 parallel pipelines.
 
-Discipline (same as the quacksan wrappers): when tracing is disabled the
-engine pays **no allocation and no indirection** on the hot path --
-``ExecutionContext.tracer`` is ``None`` and
-:meth:`~repro.execution.physical.PhysicalOperator.run` returns the raw
-``execute()`` generator untouched.  Spans only exist while a
-:class:`Tracer` is installed (``REPRO_TRACE=1``, ``config.trace_enabled``,
-or the per-query tracer ``EXPLAIN ANALYZE`` forces).
+Each :class:`~repro.database.Database` owns one :class:`Tracer`, which
+also keeps that database's completed spans.  A statement is traced when
+its effective config has ``trace_enabled`` (``EXPLAIN ANALYZE`` profiles
+with a private tracer otherwise).  Discipline (same as the quacksan
+wrappers): an untraced statement pays **no allocation and no
+indirection** on the hot path -- ``ExecutionContext.tracer`` is ``None``
+and :meth:`~repro.execution.physical.PhysicalOperator.run` returns the raw
+``execute()`` generator untouched.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional
+from typing import (TYPE_CHECKING, Any, ContextManager, Deque, Dict,
+                    Iterator, List, Optional)
 
 if TYPE_CHECKING:
     from ..types import DataChunk
 
-__all__ = ["Span", "TraceSink", "Tracer", "DEFAULT_SINK_CAPACITY"]
+__all__ = ["Span", "Tracer", "CAPACITY"]
 
-#: Completed spans kept by a ring-buffer sink before the oldest fall out.
-DEFAULT_SINK_CAPACITY = 8192
+#: Completed spans a tracer keeps before the oldest fall out.
+CAPACITY = 8192
 
 _span_ids = itertools.count(1)
 
@@ -93,24 +95,27 @@ class Span:
                 f"wall={self.wall_ms:.3f}ms)")
 
 
-class TraceSink:
-    """Bounded ring buffer of completed spans.
+class Tracer:
+    """Creates spans, tracks the per-thread current span, keeps the
+    completed ones.
 
-    The sink is deliberately lossy: observability must never become the
-    memory leak it exists to diagnose.  ``capacity`` bounds retained spans;
-    the oldest fall out first.  Thread-safe -- morsel workers close spans
-    concurrently with the coordinator.
+    The current-span stack is thread-local: a worker thread entering a
+    morsel span nests fragment-operator spans under it without touching the
+    coordinator's stack.  Parent links therefore stay correct across the
+    generator-chain pull model *and* the morsel worker pool.
+
+    Completed spans land in a bounded ring of :data:`CAPACITY` spans, the
+    oldest falling out first: observability must never become the memory
+    leak it exists to diagnose.  The ring is thread-safe -- morsel workers
+    close spans concurrently with the coordinator.
     """
 
-    def __init__(self, capacity: int = DEFAULT_SINK_CAPACITY) -> None:
-        self.capacity = max(1, int(capacity))
-        self._spans: Deque[Span] = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._spans: Deque[Span] = deque(maxlen=CAPACITY)
         self._lock = threading.Lock()
 
-    def append(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-
+    # -- completed spans ---------------------------------------------------
     def spans(self) -> List[Span]:
         """Snapshot of all retained spans, oldest first."""
         with self._lock:
@@ -128,20 +133,6 @@ class TraceSink:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-
-class Tracer:
-    """Creates spans and tracks the per-thread current span.
-
-    The current-span stack is thread-local: a worker thread entering a
-    morsel span nests fragment-operator spans under it without touching the
-    coordinator's stack.  Parent links therefore stay correct across the
-    generator-chain pull model *and* the morsel worker pool.
-    """
-
-    def __init__(self, sink: Optional[TraceSink] = None) -> None:
-        self.sink = sink if sink is not None else TraceSink()
-        self._local = threading.local()
 
     # -- current-span stack ------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -174,7 +165,8 @@ class Tracer:
     def end_span(self, span: Span) -> None:
         if not span.closed:
             span.closed = True
-            self.sink.append(span)
+            with self._lock:
+                self._spans.append(span)
 
     def start_query(self, sql: str) -> Span:
         """Open the root span of one statement (caller: the connection)."""
@@ -190,8 +182,15 @@ class Tracer:
 
     # -- instrumentation helpers ------------------------------------------
     def span(self, name: str, kind: str = "span",
-             **attrs: Any) -> "_SpanContext":
-        """Context manager for one-shot engine work (WAL write, checkpoint)."""
+             **attrs: Any) -> ContextManager[Optional[Span]]:
+        """Context manager for one-shot engine work (WAL write, checkpoint)
+        inside a traced statement.
+
+        Outside one -- no span current on this thread -- it returns one
+        shared no-op context: a thread-local read, and no span is created.
+        """
+        if self.current() is None:
+            return _NOOP_SPAN_CONTEXT
         return _SpanContext(self, name, kind, attrs)
 
     def trace_operator(self, operator: Any,
@@ -228,6 +227,21 @@ class Tracer:
         finally:
             source.close()
             self.end_span(span)
+
+
+class _NoopSpanContext:
+    """``tracer.span(...)`` outside a traced statement: does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
+
+
+_NOOP_SPAN_CONTEXT = _NoopSpanContext()
 
 
 class _SpanContext:

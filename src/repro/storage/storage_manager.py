@@ -30,7 +30,8 @@ from ..errors import (
     TransactionContextError,
     WALError,
 )
-from ..observability import engine_span, registry as metrics_registry
+from ..observability import registry as metrics_registry
+from ..observability.trace import Tracer
 from ..transaction.manager import TransactionManager
 from ..transaction.transaction import Transaction
 from ..types import DataChunk, cast_vector, type_from_string
@@ -47,18 +48,21 @@ class StorageManager:
     """Owns persistence for one database instance."""
 
     def __init__(self, path: str, config: DatabaseConfig,
-                 buffer_manager: BufferManager) -> None:
+                 buffer_manager: BufferManager, tracer: Tracer) -> None:
         self.path = path
         self.config = config
         self.buffer_manager = buffer_manager
+        #: The owning database's tracer: checkpoints and WAL commit groups
+        #: run inside a traced statement record a span nested under it.
+        self.tracer = tracer
         self.in_memory = path == ":memory:"
         if self.in_memory:
             self.block_file: Optional[BlockFile] = None
-            self.wal = WriteAheadLog(None)
+            self.wal = WriteAheadLog(None, tracer)
         else:
             self.block_file = BlockFile(path, create=True,
                                         verify_checksums=config.verify_checksums)
-            self.wal = WriteAheadLog(path + ".wal")
+            self.wal = WriteAheadLog(path + ".wal", tracer)
         self._metadata_blocks: List[int] = []
         self._free_list_blocks: List[int] = []
         #: Segment blocks live as of the last checkpoint (see
@@ -208,7 +212,8 @@ class StorageManager:
             self.wal.truncate()
 
         try:
-            with engine_span("checkpoint", kind="checkpoint", path=self.path):
+            with self.tracer.span("checkpoint", kind="checkpoint",
+                                  path=self.path):
                 transaction_manager.run_quiesced(write_snapshot)
         except TransactionContextError:
             if force:

@@ -25,7 +25,8 @@ from typing import Any, List, Optional
 import numpy as np
 
 from ..errors import CorruptionError, WALError
-from ..observability import engine_span, registry as metrics_registry
+from ..observability import registry as metrics_registry
+from ..observability.trace import Tracer
 from ..types import DataChunk, LogicalType, type_from_string
 from .checksum import checksum
 from .compression import decode_vector, encode_vector
@@ -200,9 +201,12 @@ class WALRecord:
 class WriteAheadLog:
     """Append-only, checksummed record log in a sidecar file."""
 
-    def __init__(self, path: Optional[str]) -> None:
+    def __init__(self, path: Optional[str], tracer: Tracer) -> None:
         #: ``None`` path disables the WAL (in-memory databases).
         self.path = path
+        #: The owning database's tracer: a commit group written inside a
+        #: traced statement records a span nested under its root.
+        self.tracer = tracer
         self._file = open(path, "ab") if path else None
 
     @property
@@ -225,8 +229,8 @@ class WriteAheadLog:
             frames.append(_FRAME.pack(len(payload), checksum(payload)))
             frames.append(payload)
         data = b"".join(frames)
-        with engine_span("wal.commit_group", kind="wal",
-                         records=len(records), bytes=len(data)):
+        with self.tracer.span("wal.commit_group", kind="wal",
+                              records=len(records), bytes=len(data)):
             self._file.write(data)
             self._file.flush()
             os.fsync(self._file.fileno())

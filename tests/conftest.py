@@ -12,7 +12,6 @@ os.environ.setdefault("REPRO_VERIFY_PLANS", "1")
 import pytest
 
 import repro
-from repro import observability as obs
 from repro import sanitizer
 
 
@@ -33,15 +32,10 @@ def con():
 
 
 @pytest.fixture
-def traced():
-    """A fresh process-wide tracer (own sink); restores prior state."""
-    was_enabled = obs.tracing_enabled()
-    obs.disable_tracing()
-    tracer = obs.enable_tracing()
-    yield tracer
-    obs.disable_tracing()
-    if was_enabled:
-        obs.enable_tracing()
+def traced(con):
+    """Tracing on for ``con``'s database; yields that database's tracer."""
+    con.session_config.trace_enabled = True
+    return con.database.tracer
 
 
 @pytest.fixture

@@ -24,7 +24,9 @@ class TestMemorySizeParsing:
     def test_valid(self, text, expected):
         assert parse_memory_size(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "lots", "12XB", -5, 0, "MB"])
+    @pytest.mark.parametrize("bad", ["", "lots", "12XB", -5, 0, "MB",
+                                     "-1GB", pytest.param("0", id="'0'"),
+                                     "0KB"])
     def test_invalid(self, bad):
         with pytest.raises(InvalidInputError):
             parse_memory_size(bad)
@@ -68,8 +70,14 @@ class TestDatabaseConfig:
             config.get_option("nonsense")
 
     def test_wal_autocheckpoint_zero_disables(self):
-        config = DatabaseConfig.from_dict({"wal_autocheckpoint": 0})
-        assert config.wal_autocheckpoint == 0
+        for off in (0, "0"):
+            config = DatabaseConfig.from_dict({"wal_autocheckpoint": off})
+            assert config.wal_autocheckpoint == 0
+
+    def test_pragma_rejects_negative_memory_limit(self, con):
+        with pytest.raises(InvalidInputError):
+            con.execute("PRAGMA memory_limit = '-1GB'")
+        assert con.database.config.memory_limit == 1 << 31
 
 
 class TestBinarySerialization:

@@ -206,7 +206,9 @@ class TestCooperation:
             check_no_engine_threads()
             analyze = "\n".join(line for (line,) in con.execute(
                 f"EXPLAIN ANALYZE {aggregate}").fetchall())
-            assert "parallel_workers: 4" in analyze
+            # A 4-worker pool ran the pipeline.  How many of its workers
+            # got one of the few morsels is timing, so it is not pinned.
+            assert "workers=4" in analyze and "parallel_workers:" in analyze
             check_no_engine_threads()
             assert len(con.execute(aggregate).fetchall()) == 7
             check_no_engine_threads()

@@ -239,6 +239,3 @@ class TestDump:
             assert "SELECT * FROM t" in span_names
         finally:
             con.close()
-            from repro import observability as obs
-
-            obs.disable_tracing()

@@ -599,14 +599,15 @@ class TestOneContractOnEveryRoute:
         assert not connection.in_transaction
         assert route.count() == 0
 
-    def test_one_log_row_one_root_span(self, route, traced):
+    def test_one_log_row_one_root_span(self, route):
+        route.connection.session_config.trace_enabled = True
         route.database.statement_log.clear()
-        traced.sink.clear()
+        route.database.tracer.clear()
         route.run_many(self.INSERT, [(index, "x") for index in range(50)])
         records = route.database.statement_log.records()
         assert [(record.sql, record.rows_out, record.error)
                 for record in records] == [(self.INSERT, 1, "")]
-        assert [span.name for span in traced.sink.spans()
+        assert [span.name for span in route.database.tracer.spans()
                 if span.kind == "query"] == [self.INSERT]
 
 

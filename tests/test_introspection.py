@@ -11,7 +11,6 @@ from collections import defaultdict
 import pytest
 
 import repro
-from repro import observability as obs
 from repro import introspection
 from repro.errors import BinderError, CatalogError
 from repro.introspection import SystemTableFunction, register, unregister
@@ -163,15 +162,11 @@ class TestTraceAgreement:
                 assert f"rows_out={rows}" in line
         finally:
             con.close()
-            if not obs.tracing_enabled():
-                return
-            obs.disable_tracing()
 
     def test_self_time_per_operator_from_traces(self):
         # Per-operator self time is a self-join: a span's wall time minus
         # the wall time of its children (operator spans are inclusive).
         workload = "SELECT g, sum(v) FROM t WHERE v % 3 = 0 GROUP BY g"
-        was_tracing = obs.tracing_enabled()
         con = repro.connect(config={"threads": 1, "trace_enabled": True})
         try:
             con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
@@ -193,8 +188,6 @@ class TestTraceAgreement:
                 "WHERE kind = 'query' AND name = ?", [workload]).fetchall())
         finally:
             con.close()
-            if not was_tracing:
-                obs.disable_tracing()
         assert len(roots) == 3
         names = {name for _, name, _ in rows}
         assert any(name.startswith("TABLE_SCAN t") for name in names)

@@ -1,11 +1,14 @@
 """quacktrace: spans, metrics registry, slow-query log, EXPLAIN ANALYZE.
 
-Tests here toggle the *process-wide* tracer, so every toggle goes through
-the ``traced``/``untraced`` fixtures, which restore whatever state the
-session started with (the CI trace job runs the whole suite under
-``REPRO_TRACE=1``).
+Tracing is per database: each ``Database`` owns one ``Tracer`` and a
+statement is traced when its connection's config has ``trace_enabled``.
+Tests that need spans turn it on for their own connection (the ``traced``
+fixture, or ``config={"trace_enabled": True}``); tests that need none say
+``trace_enabled: False`` explicitly, since the CI trace job runs the whole
+suite under ``REPRO_TRACE=1``.
 """
 
+import json
 import logging
 
 import numpy as np
@@ -15,27 +18,15 @@ import repro
 from repro import observability as obs
 from repro.observability import (
     MetricsRegistry,
-    Span,
     StatementLog,
     StatementRecord,
-    TraceSink,
     Tracer,
-    engine_span,
     render_span_tree,
     render_trace,
     worker_summary,
 )
 from repro.observability.accounting import SLOW_ENTRIES
-
-
-@pytest.fixture
-def untraced():
-    """Process-wide tracing off for the test; restores prior state."""
-    was_enabled = obs.tracing_enabled()
-    obs.disable_tracing()
-    yield
-    if was_enabled:
-        obs.enable_tracing()
+from repro.observability.trace import CAPACITY
 
 
 class TestSpanCore:
@@ -48,7 +39,7 @@ class TestSpanCore:
         tracer.end_span(child)
         tracer.finish_query(root, wall_ns=1000, cpu_ns=500)
         assert tracer.current() is None
-        spans = tracer.sink.trace(root.trace_id)
+        spans = tracer.trace(root.trace_id)
         assert [span.name for span in spans] == ["child", "SELECT 1"]
 
     def test_end_span_is_idempotent(self):
@@ -56,23 +47,37 @@ class TestSpanCore:
         span = tracer.start_span("once")
         tracer.end_span(span)
         tracer.end_span(span)
-        assert len(tracer.sink) == 1
+        assert len(tracer) == 1
 
     def test_span_context_manager_times_and_closes(self):
         tracer = Tracer()
+        root = tracer.start_query("INSERT INTO t VALUES (1)")
         with tracer.span("wal.commit_group", kind="wal") as span:
             assert tracer.current() is span
         assert span.closed
+        assert span.parent_id == root.span_id
         assert span.wall_ns >= 0
-        assert tracer.current() is None
+        assert tracer.current() is root
+        tracer.finish_query(root, 0, 0)
+
+    def test_span_outside_a_traced_statement_is_a_shared_noop(self):
+        # Outside a traced statement the WAL and checkpoint paths pay one
+        # thread-local read: the same shared no-op context every time.
+        tracer = Tracer()
+        first = tracer.span("checkpoint", kind="checkpoint")
+        second = tracer.span("wal.commit_group", kind="wal")
+        assert first is second
+        with first as span:
+            assert span is None
+        assert len(tracer) == 0
 
     def test_sink_is_a_ring_buffer(self):
-        sink = TraceSink(capacity=3)
-        tracer = Tracer(sink)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(CAPACITY + 2):
             tracer.end_span(tracer.start_span(f"s{i}"))
-        assert len(sink) == 3
-        assert [span.name for span in sink.spans()] == ["s2", "s3", "s4"]
+        assert len(tracer) == CAPACITY
+        names = [span.name for span in tracer.spans()]
+        assert names[0] == "s2" and names[-1] == f"s{CAPACITY + 1}"
 
     def test_trace_filters_by_trace_id(self):
         tracer = Tracer()
@@ -80,43 +85,112 @@ class TestSpanCore:
         tracer.finish_query(a, 0, 0)
         b = tracer.start_query("B")
         tracer.finish_query(b, 0, 0)
-        assert [s.name for s in tracer.sink.trace(a.trace_id)] == ["A"]
-        assert [s.name for s in tracer.sink.trace(b.trace_id)] == ["B"]
+        assert [s.name for s in tracer.trace(a.trace_id)] == ["A"]
+        assert [s.name for s in tracer.trace(b.trace_id)] == ["B"]
 
 
-class TestProcessWideToggle:
-    def test_enable_disable_roundtrip(self, untraced):
-        assert obs.tracing_enabled() is False
-        assert obs.get_tracer() is None
-        tracer = obs.enable_tracing()
-        assert obs.tracing_enabled() is True
-        assert obs.enable_tracing() is tracer  # idempotent
-        obs.disable_tracing()
-        assert obs.get_tracer() is None
+def _query_roots(database):
+    return [span.name for span in database.tracer.spans()
+            if span.kind == "query"]
 
-    def test_engine_span_noop_singleton_when_disabled(self, untraced):
-        # The disabled fast path allocates nothing: the same shared no-op
-        # context manager object is returned every time.
-        first = engine_span("checkpoint", kind="checkpoint")
-        second = engine_span("wal.commit_group", kind="wal")
-        assert first is second
-        with first as span:
-            assert span is None
 
-    def test_engine_span_records_when_enabled(self, traced):
-        with engine_span("checkpoint", kind="checkpoint", path="x") as span:
-            assert span is not None
-        spans = [s for s in traced.sink.spans() if s.name == "checkpoint"]
-        assert spans and spans[0].kind == "checkpoint"
-        assert spans[0].attrs == {"path": "x"}
-
-    def test_disabled_connection_has_no_tracer(self, untraced):
-        # Explicit config: under the CI trace job REPRO_TRACE=1 would
-        # otherwise flow into the config default and re-enable tracing.
+class TestPerDatabaseTracing:
+    def test_untraced_connection_records_no_spans(self):
         con = repro.connect(config={"trace_enabled": False})
         try:
-            assert con._database.tracer is None
             assert con.execute("SELECT 41 + 1").fetchvalue() == 42
+            assert len(con.database.tracer) == 0
+            assert con.execute(
+                "SELECT count(*) FROM repro_traces()").fetchvalue() == 0
+        finally:
+            con.close()
+
+    def test_served_session_pragma_traces_only_that_session(self):
+        with repro.serve(config={"trace_enabled": False}) as server:
+            with server.session("traced") as traced_session, \
+                    server.session("plain") as plain:
+                traced_session.execute("PRAGMA trace_enabled = 1")
+                traced_session.execute("SELECT 1 AS traced").fetchall()
+                plain.execute("SELECT 2 AS plain").fetchall()
+                assert _query_roots(server.database) == ["SELECT 1 AS traced"]
+                assert server.database.config.trace_enabled is False
+
+    def test_pragma_off_stops_new_spans(self):
+        con = repro.connect(config={"trace_enabled": True})
+        try:
+            con.execute("SELECT 1").fetchall()
+            con.execute("PRAGMA trace_enabled = 0")
+            recorded = len(con.database.tracer)
+            for _ in range(3):
+                con.execute("SELECT 2").fetchall()
+            assert len(con.database.tracer) == recorded
+            # What was recorded stays readable with tracing off.
+            assert con.execute(
+                "SELECT count(*) FROM repro_traces() WHERE name = 'SELECT 1'"
+            ).fetchvalue() == 1
+        finally:
+            con.close()
+
+    def test_second_database_holds_none_of_the_first_databases_spans(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = repro.connect(config={"trace_enabled": True})
+        second = repro.connect(config={"trace_enabled": False})
+        try:
+            first.execute("SELECT 1").fetchall()
+            assert _query_roots(first.database) == ["SELECT 1"]
+            assert second.execute(
+                "SELECT count(*) FROM repro_traces()").fetchvalue() == 0
+            (path,) = second.execute("PRAGMA flight_dump").fetchone()
+            with open(path, encoding="utf-8") as handle:
+                assert json.load(handle)["spans"] == []
+        finally:
+            first.close()
+            second.close()
+
+    def test_traced_insert_nests_wal_commit_group(self, tmp_path):
+        con = repro.connect(str(tmp_path / "wal.qdb"),
+                            config={"trace_enabled": True})
+        try:
+            con.execute("CREATE TABLE t (a INTEGER)")
+            con.execute("INSERT INTO t VALUES (1), (2)")
+            spans = con.database.tracer.spans()
+            (root,) = [span for span in spans if span.kind == "query"
+                       and span.name.startswith("INSERT")]
+            (wal,) = [span for span in spans
+                      if span.name == "wal.commit_group"
+                      and span.trace_id == root.trace_id]
+            assert wal.kind == "wal" and wal.parent_id == root.span_id
+            assert wal.attrs["records"] == 1 and wal.attrs["bytes"] > 0
+            # A bare CHECKPOINT is no traced statement: it records nothing.
+            recorded = len(con.database.tracer)
+            con.execute("CHECKPOINT")
+            assert len(con.database.tracer) == recorded
+        finally:
+            con.close()
+
+    def test_statement_log_joins_repro_traces_on_trace_id(self):
+        con = repro.connect(config={"trace_enabled": True})
+        try:
+            con.execute("CREATE TABLE t (a INTEGER)")
+            con.execute("INSERT INTO t VALUES (1), (2), (3)")
+            sql = "SELECT sum(a) FROM t"
+            con.execute(sql).fetchall()
+            joined = con.execute(
+                "SELECT s.span_id FROM repro_statement_log() l "
+                "JOIN repro_traces() s ON s.trace_id = l.trace_id "
+                "WHERE l.sql = ?", [sql]).fetchall()
+            (record,) = [record for record
+                         in con.database.statement_log.records()
+                         if record.sql == sql]
+            spans = con.database.tracer.trace(record.trace_id)
+            assert record.trace_id == spans[-1].span_id  # the root
+            assert len(spans) > 1
+            assert sorted(span_id for (span_id,) in joined) \
+                == sorted(span.span_id for span in spans)
+            con.execute("PRAGMA trace_enabled = 0")
+            con.execute(sql).fetchall()
+            assert con.database.statement_log.records()[-1].trace_id == 0
         finally:
             con.close()
 
@@ -125,7 +199,7 @@ class TestQueryTracing:
     def test_statement_produces_query_rooted_span_tree(self, traced,
                                                        populated):
         populated.execute("SELECT i, d FROM sample WHERE i > 1").fetchall()
-        spans = traced.sink.spans()
+        spans = traced.spans()
         roots = [s for s in spans if s.kind == "query"]
         assert roots, "no query root span was recorded"
         root = roots[-1]
@@ -141,7 +215,7 @@ class TestQueryTracing:
         result = populated.execute("SELECT i FROM sample", stream=True)
         assert result.fetchone() is not None
         result.close()
-        roots = [s for s in traced.sink.spans() if s.kind == "query"]
+        roots = [s for s in traced.spans() if s.kind == "query"]
         assert roots and roots[-1].closed
 
     def test_explain_analyze_reports_operator_profile(self, populated):
@@ -153,11 +227,14 @@ class TestQueryTracing:
         assert "-- operator profile (quacktrace) --" in text
         assert "rows_out=" in text
 
-    def test_explain_analyze_does_not_enable_global_tracing(self, untraced):
+    def test_explain_analyze_does_not_enable_global_tracing(self):
+        # ANALYZE profiles an untraced statement with a private tracer: the
+        # database's ring stays empty, before and after.
         con = repro.connect(config={"trace_enabled": False})
         try:
             con.execute("EXPLAIN ANALYZE SELECT 1").fetchall()
-            assert obs.tracing_enabled() is False
+            con.execute("SELECT 1").fetchall()
+            assert len(con.database.tracer) == 0
         finally:
             con.close()
 
@@ -171,7 +248,7 @@ class TestRender:
         op.add_timing(2_000_000, 1_000_000)
         tracer.end_span(op)
         tracer.finish_query(root, 3_000_000, 1_500_000)
-        return tracer.sink.trace(root.trace_id), root
+        return tracer.trace(root.trace_id), root
 
     def test_render_span_tree(self):
         spans, root = self._spans()
@@ -192,7 +269,7 @@ class TestRender:
             morsel.rows = rows
             tracer.end_span(morsel)
         tracer.finish_query(root, 0, 0)
-        summary = worker_summary(tracer.sink.trace(root.trace_id))
+        summary = worker_summary(tracer.trace(root.trace_id))
         assert len(summary) == 1
         _, morsels, rows = summary[0]
         assert (morsels, rows) == (2, 30)
@@ -342,8 +419,9 @@ class TestSlowLog:
             f"slow query ({10.0 + SLOW_ENTRIES + 1:.2f} ms, threshold 1 ms): "
             f"SELECT {SLOW_ENTRIES + 1}")
 
-    def test_threshold_triggers_slow_log(self, traced):
-        con = repro.connect(config={"slow_query_ms": 1e-6})
+    def test_threshold_triggers_slow_log(self):
+        con = repro.connect(config={"slow_query_ms": 1e-6,
+                                    "trace_enabled": True})
         try:
             con.execute("CREATE TABLE t (i INTEGER)")
             con.execute("INSERT INTO t VALUES (1), (2)")
@@ -373,16 +451,18 @@ class TestSlowLog:
 
 
 class TestParallelTracing:
-    def test_morsel_spans_carry_worker_identity(self, traced):
+    def test_morsel_spans_carry_worker_identity(self):
         rows = 50_000  # several morsels' worth (morsels align to scan chunks)
-        con = repro.connect(config={"threads": 4, "morsel_size": 16384})
+        con = repro.connect(config={"threads": 4, "morsel_size": 16384,
+                                    "trace_enabled": True})
         try:
             con.execute("CREATE TABLE big (i INTEGER)")
             with con.appender("big") as appender:
                 appender.append_numpy(
                     {"i": np.arange(rows, dtype=np.int64)})
             con.execute("SELECT sum(i) FROM big").fetchall()
-            morsels = [s for s in traced.sink.spans() if s.kind == "morsel"]
+            morsels = [s for s in con.database.tracer.spans()
+                       if s.kind == "morsel"]
             assert morsels, "parallel scan recorded no morsel spans"
             assert all(s.attrs.get("morsel") is not None for s in morsels)
             summary = worker_summary(morsels)

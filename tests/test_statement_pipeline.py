@@ -150,14 +150,17 @@ def reference():
     # Sessions are eager-only; cursors always stream.
     (kind, stream) for kind in ROUTES for stream in (False, True)
     if (kind, stream) not in (("session", True), ("cursor", False))])
-def test_every_route_is_the_same_pipeline(traced, reference, kind, stream,
+def test_every_route_is_the_same_pipeline(reference, kind, stream,
                                           plan_cache, in_transaction):
     expected_outcomes, expected_log = reference
-    config = None if plan_cache is None else {"plan_cache_entries": plan_cache}
+    config = {"trace_enabled": True}
+    if plan_cache is not None:
+        config["plan_cache_entries"] = plan_cache
     route = Route(kind, config)
+    tracer = route.database.tracer
     try:
         route.database.statement_log.clear()
-        traced.sink.clear()
+        tracer.clear()
         outcomes, logged = transcript(route, stream, in_transaction)
         assert outcomes == expected_outcomes
         # One log row per executed statement (three for the multi-statement
@@ -167,7 +170,7 @@ def test_every_route_is_the_same_pipeline(traced, reference, kind, stream,
         assert [error for _, error in logged if error] \
             == ["BinderError", "ConversionError"]
         # ...and exactly one root query span each, result-cache hits too.
-        roots = [span.name for span in traced.sink.spans()
+        roots = [span.name for span in tracer.spans()
                  if span.kind == "query"]
         assert roots[:len(logged)] == [sql.strip() for sql, _ in logged]
         assert len(roots) == len(logged) + 1  # + the log read itself

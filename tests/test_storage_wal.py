@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.observability import Tracer
 from repro.storage.serialize import BinaryReader, BinaryWriter
 from repro.storage.wal import (
     WALRecord,
@@ -87,35 +88,35 @@ class TestRecordSerialization:
 
 class TestWALFile:
     def test_append_and_read_groups(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("a")], 2)
         wal.append_commit_group(
             [WALRecord.create_view("v", "SELECT 1"), WALRecord.drop_view("v")], 3)
         wal.close()
-        groups = WriteAheadLog(wal_path).read_all()
+        groups = WriteAheadLog(wal_path, Tracer()).read_all()
         assert len(groups) == 2
         assert groups[0][0].record_type is WALRecordType.DROP_TABLE
         assert len(groups[1]) == 2
 
     def test_disabled_wal(self):
-        wal = WriteAheadLog(None)
+        wal = WriteAheadLog(None, Tracer())
         assert not wal.enabled
         wal.append_commit_group([WALRecord.drop_table("x")], 1)
         assert wal.read_all() == []
         assert wal.size() == 0
 
     def test_torn_tail_is_discarded(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("good")], 2)
         wal.close()
         # Append half of a frame: a torn write.
         with open(wal_path, "ab") as handle:
             handle.write(b"\x40\x00\x00\x00\x00\x00\x00\x00\x12")
-        groups = WriteAheadLog(wal_path).read_all()
+        groups = WriteAheadLog(wal_path, Tracer()).read_all()
         assert len(groups) == 1
 
     def test_corrupted_tail_is_discarded(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("good")], 2)
         size_after_first = os.path.getsize(wal_path)
         wal.append_commit_group([WALRecord.drop_table("bad")], 3)
@@ -124,12 +125,12 @@ class TestWALFile:
         with open(wal_path, "r+b") as handle:
             handle.seek(size_after_first + 14)
             handle.write(b"\xff")
-        groups = WriteAheadLog(wal_path).read_all()
+        groups = WriteAheadLog(wal_path, Tracer()).read_all()
         assert len(groups) == 1
         assert groups[0][0].payload["name"] == "good"
 
     def test_uncommitted_group_is_discarded(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("good")], 2)
         wal.close()
         # Write a record frame without a COMMIT.
@@ -141,11 +142,11 @@ class TestWALFile:
             handle.write(struct.pack("<QI", len(record),
                                      zlib.crc32(record) & 0xFFFFFFFF))
             handle.write(record)
-        groups = WriteAheadLog(wal_path).read_all()
+        groups = WriteAheadLog(wal_path, Tracer()).read_all()
         assert len(groups) == 1
 
     def test_truncate(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("a")], 2)
         assert wal.size() > 0
         wal.truncate()
@@ -157,7 +158,7 @@ class TestWALFile:
         wal.close()
 
     def test_delete_file(self, wal_path):
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(wal_path, Tracer())
         wal.append_commit_group([WALRecord.drop_table("a")], 2)
         wal.delete_file()
         assert not os.path.exists(wal_path)

@@ -45,7 +45,7 @@ class TestStatementLog:
                                    buffer_hits=4, buffer_misses=1,
                                    memory_bytes=2048, error=""))
         assert log.rows() == [(7, 3, "SELECT 1", 9.0, 1.5, 0.5, 1, 10, 2,
-                               4, 1, 2048, "")]
+                               4, 1, 2048, "", 0)]
 
 
 class TestStatementAccounting:

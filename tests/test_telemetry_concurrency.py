@@ -91,7 +91,7 @@ class TestTracerHammer:
                 tracer.finish_query(root, 1000, 1000)
 
         _hammer(worker)
-        spans = tracer.sink.spans()
+        spans = tracer.spans()
         assert spans
         # Every span closed; children link to a root of their own thread.
         assert all(span.closed for span in spans)
