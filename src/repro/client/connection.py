@@ -345,7 +345,8 @@ class Connection:
         autocommit = self._transaction is None
         # Traced or not is this statement's own config's call: a served
         # session's PRAGMA scopes it to the session, a plain connection's
-        # to the whole database.
+        # to the whole database.  Decided once, here: the executor's
+        # context follows record.trace_id.
         tracer = database.tracer if self._config.trace_enabled else None
         query_span = tracer.start_query(sql_text) \
             if tracer is not None else None

@@ -34,18 +34,18 @@ _SIZE_SUFFIXES = {
 def parse_memory_size(value: Any) -> int:
     """Parse ``"256MB"``-style strings (or plain ints) into a positive
     byte count."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        size = value
-    elif isinstance(value, str):
-        size = _parse_size_text(value)
-    else:
-        raise InvalidInputError(f"Cannot parse memory size from {value!r}")
+    size = _parse_size(value)
     if size <= 0:
         raise InvalidInputError("memory size must be positive")
     return int(size)
 
 
-def _parse_size_text(value: str) -> int:
+def _parse_size(value: Any) -> float:
+    """The byte count ``value`` names, of any sign."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    if not isinstance(value, str):
+        raise InvalidInputError(f"Cannot parse memory size from {value!r}")
     text = value.strip().upper()
     try:
         for suffix in sorted(_SIZE_SUFFIXES, key=len, reverse=True):
@@ -219,9 +219,9 @@ class DatabaseConfig:
                 raise InvalidInputError("slow_query_ms must be >= 0")
             self.slow_query_ms = threshold
         elif name == "wal_autocheckpoint":
-            # 0 (or '0') turns auto-checkpointing off.
-            off = not value or str(value).strip() == "0"
-            self.wal_autocheckpoint = 0 if off else parse_memory_size(value)
+            # Zero in any unit ('0', '0KB') turns auto-checkpointing off.
+            size = _parse_size(value) if value else 0
+            self.wal_autocheckpoint = parse_memory_size(size) if size else 0
         elif name in ("plan_cache_entries", "result_cache_entries",
                       "result_cache_max_rows", "max_concurrent_queries"):
             count = int(value)

@@ -414,7 +414,8 @@ class Executor:
                 from ..observability.render import render_span_tree
                 from ..observability.trace import Tracer
 
-                tracer = context.tracer or Tracer()
+                tracer = context.tracer if context.tracer is not None \
+                    else Tracer()
                 context.tracer = tracer
                 root = tracer.start_query("explain analyze")
                 wall = time.perf_counter_ns()

@@ -44,12 +44,14 @@ class ExecutionContext:
         #: mutating global state.
         self.config = config if config is not None \
             else (database.config if database is not None else None)
-        #: The database's tracer when this query's config has
-        #: ``trace_enabled``, else None.  The hot path
-        #: (PhysicalOperator.run) pays one ``is None`` test; EXPLAIN
-        #: ANALYZE swaps in a private tracer when this is None.
+        #: The database's tracer when this statement is traced, else None.
+        #: The connection decides that once, when it opens the root span
+        #: and stamps its id on the record; re-reading the config here
+        #: could race a PRAGMA.  The hot path (PhysicalOperator.run) pays
+        #: one ``is None`` test; EXPLAIN ANALYZE swaps in a private tracer
+        #: when this is None.
         self.tracer = database.tracer \
-            if database is not None and self.config.trace_enabled else None
+            if record is not None and record.trace_id else None
         #: Uncorrelated subqueries are evaluated once and cached by plan id.
         self._subquery_results = {}
         #: Set (from any thread) to interrupt the query.  Morsel workers poll

@@ -70,7 +70,8 @@ class TestDatabaseConfig:
             config.get_option("nonsense")
 
     def test_wal_autocheckpoint_zero_disables(self):
-        for off in (0, "0"):
+        # Zero in any unit is "off", not a non-positive size.
+        for off in (0, "0", "0KB", "0MB", " 0 GiB "):
             config = DatabaseConfig.from_dict({"wal_autocheckpoint": off})
             assert config.wal_autocheckpoint == 0
 

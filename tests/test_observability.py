@@ -227,6 +227,22 @@ class TestQueryTracing:
         assert "-- operator profile (quacktrace) --" in text
         assert "rows_out=" in text
 
+    def test_traced_explain_analyze_as_first_statement_keeps_its_spans(self):
+        # The database's tracer holds no span yet, yet it is the tracer a
+        # traced ANALYZE must profile into.
+        con = repro.connect(config={"trace_enabled": True})
+        try:
+            con.execute("EXPLAIN ANALYZE SELECT 1").fetchall()
+            (trace_id,) = con.execute(
+                "SELECT trace_id FROM repro_traces() "
+                "WHERE name = 'explain analyze'").fetchone()
+            assert con.execute(
+                "SELECT count(*) FROM repro_traces() "
+                "WHERE kind = 'operator' AND trace_id = ?",
+                [trace_id]).fetchvalue() > 0
+        finally:
+            con.close()
+
     def test_explain_analyze_does_not_enable_global_tracing(self):
         # ANALYZE profiles an untraced statement with a private tracer: the
         # database's ring stays empty, before and after.
