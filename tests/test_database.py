@@ -195,9 +195,10 @@ class TestCooperation:
             assert names == []
 
         aggregate = "SELECT g, count(*), sum(v) FROM t GROUP BY g"
-        # ~49 morsels, each long enough that the pool's first worker is
-        # still busy while the next ones start: all four workers run.
-        con = repro.connect(db_path, {"threads": 4, "morsel_size": 8192})
+        # 400k rows make 25 morsels, each long enough that the pool's
+        # first worker is still busy while the next ones start: all four
+        # workers run.
+        con = repro.connect(db_path, {"threads": 4, "morsel_size": 4096})
         try:
             check_no_engine_threads()
             con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
