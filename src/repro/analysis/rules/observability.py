@@ -1,6 +1,6 @@
 """QLO -- observability-discipline rules for the quacktrace layer.
 
-Two ways instrumentation itself becomes a bug:
+Three ways instrumentation itself becomes a bug:
 
 * **a span that never closes** never reaches the tracer's span ring -- the
   trace silently loses an operator (or leaks the span on the tracer's
@@ -8,11 +8,6 @@ Two ways instrumentation itself becomes a bug:
   thread).  Manual ``start_span()``/``start_query()`` calls must be paired
   with ``end_span()``/``finish_query()``; the context-manager form
   (``with tracer.span(...)``) is always safe.
-* **a metric object constructed off-registry** is invisible: it never shows
-  up in ``connection.metrics()`` or the Prometheus dump, so the counter
-  mutates but nobody can read it.  All instruments must come from the
-  :class:`~repro.observability.metrics.MetricsRegistry` factories
-  (``registry().counter(...)``).
 * **an introspection provider that yields while holding an engine lock**
   (QLO003) turns a snapshot into a live cursor: the lock is held until the
   consumer finishes pulling -- across arbitrary query execution -- which
@@ -46,7 +41,6 @@ __all__ = ["ObservabilityRule"]
 
 _START_CALLS = ("start_span", "start_query")
 _END_CALLS = ("end_span", "finish_query")
-_METRIC_CLASSES = ("Counter", "Gauge", "Histogram")
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -79,12 +73,11 @@ def _is_lock_expr(node: ast.AST) -> bool:
 
 class ObservabilityRule(Rule):
     name = "observability"
-    description = ("manual spans must be closed and metrics must come from "
-                   "the registry")
+    description = ("manual spans must be closed and snapshots and telemetry "
+                   "must not hold engine locks")
     ids = {
         "QLO001": "span started with start_span()/start_query() but never "
                   "closed in the enclosing class or function",
-        "QLO002": "metric object constructed outside the MetricsRegistry",
         "QLO003": "introspection snapshot provider yields while holding an "
                   "engine lock (must copy-then-release)",
         "QLO004": "telemetry emitted (emit_* call) while holding an engine "
@@ -95,7 +88,6 @@ class ObservabilityRule(Rule):
     def check(self, ctx: FileContext,
               config: AnalysisConfig) -> Iterator[Violation]:
         yield from self._check_span_pairing(ctx)
-        yield from self._check_metric_construction(ctx)
         yield from self._check_snapshot_locks(ctx)
         yield from self._check_emit_under_lock(ctx)
 
@@ -181,28 +173,3 @@ class ObservabilityRule(Rule):
                     f"record); snapshot the data under the lock, release "
                     f"it, then emit from the copy",
                 )
-
-    # -- QLO002: off-registry metrics -----------------------------------------
-    def _check_metric_construction(self,
-                                   ctx: FileContext) -> Iterator[Violation]:
-        if ctx.pkg_path.startswith("repro/observability/"):
-            # The registry module is the one sanctioned constructor site.
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name) and func.id in _METRIC_CLASSES:
-                name = func.id
-            elif isinstance(func, ast.Attribute) \
-                    and func.attr in _METRIC_CLASSES:
-                name = func.attr
-            if name is None:
-                continue
-            yield Violation(
-                "QLO002", ctx.path, node.lineno, node.col_offset,
-                f"{name}(...) constructed outside the metrics registry is "
-                f"invisible to connection.metrics() and the Prometheus "
-                f"export; use registry().{name.lower()}(name, help)",
-            )

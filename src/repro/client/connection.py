@@ -26,8 +26,8 @@ from typing import (
 
 from ..config import DatabaseConfig
 from ..database import Database
-from ..observability import registry as metrics_registry
 from ..observability.accounting import StatementRecord
+from ..observability.metrics import render_text, snapshot
 from ..sanitizer import SanRLock
 from ..errors import ClosedHandleError
 from ..errors import InvalidInputError, TransactionContextError
@@ -520,13 +520,12 @@ class Connection:
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException]) -> None:
-        """The one after-statement hook: span, record, fault dump, metrics,
-        bill.
+        """The one after-statement hook: span, record, fault dump, bill.
 
         Every finished statement -- success or error, cached or not --
         passes here exactly once: its :class:`StatementRecord`, created
         when it began, gets the bill and is stored once in the database's
-        statement log.
+        statement log, which also counts it into the statement metrics.
         """
         database = self._database
         if query_span is not None:
@@ -570,28 +569,18 @@ class Connection:
         if error is not None and is_engine_fault(error):
             database.dump_flight(f"engine fault: {type(error).__name__}",
                                  error, best_effort=True)
-        reg = metrics_registry()
-        reg.counter("repro_queries_total", "Statements executed").inc()
-        if rows:
-            reg.counter("repro_rows_returned_total",
-                        "Rows handed to clients").inc(rows)
-        reg.histogram("repro_statement_seconds",
-                      "End-to-end statement latency").observe(wall_ns / 1e9)
-        database.fold_metrics()
         if self._bill_sink is not None:
             self._bill_sink(record)
 
     def metrics(self) -> Dict[str, Any]:
-        """Snapshot of the process-wide engine metrics (plain dict)."""
+        """Snapshot of this database's engine metrics (plain dict)."""
         self._check_open()
-        self._database.fold_metrics()
-        return metrics_registry().snapshot()
+        return snapshot(self._database.metrics())
 
     def metrics_text(self) -> str:
-        """Engine metrics in Prometheus exposition format."""
+        """This database's engine metrics in Prometheus exposition format."""
         self._check_open()
-        self._database.fold_metrics()
-        return metrics_registry().render_text()
+        return render_text(self._database.metrics())
 
     def slow_queries(self) -> List[StatementRecord]:
         """Statements over ``slow_query_ms``, oldest first."""

@@ -18,9 +18,9 @@ baseline: full speed, no adaptation.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Tuple
 
-from ..observability import registry as metrics_registry
 from ..storage.compression import CompressionLevel
 from .monitor import ResourceMonitor, ResourceSample
 
@@ -35,6 +35,10 @@ HEAVY_PRESSURE_THRESHOLD = 0.8
 
 class StaticController:
     """Non-adaptive baseline: fixed compression level, always hash join."""
+
+    #: Never switches or degrades; the counts mirror ReactiveController's.
+    level_switches = 0
+    worker_degrades = 0
 
     def __init__(self, level: CompressionLevel = CompressionLevel.NONE) -> None:
         self._level = level
@@ -65,6 +69,13 @@ class ReactiveController:
         self._last_level = CompressionLevel.NONE
         #: (timestamp, sample, level) decision trace -- the series Figure 1 plots.
         self.decisions: List[Tuple[float, ResourceSample, CompressionLevel]] = []
+        #: Compression-level changes and shrunk worker pools (the
+        #: ``repro_compression_level_switches_total`` and
+        #: ``repro_worker_degrade_total`` metrics).  Every admitting session
+        #: thread asks for a worker count, so the counts move under a lock.
+        self._count_lock = threading.Lock()
+        self.level_switches = 0
+        self.worker_degrades = 0
 
     def compression_level(self) -> CompressionLevel:
         """Pick the intermediate-compression level for current pressure.
@@ -92,9 +103,8 @@ class ReactiveController:
             else:
                 level = CompressionLevel.NONE
         if level is not self._last_level:
-            metrics_registry().counter(
-                "repro_compression_level_switches_total",
-                "Reactive intermediate-compression level changes").inc()
+            with self._count_lock:
+                self.level_switches += 1
         self._last_level = level
         self.decisions.append((sample.timestamp, sample, level))
         return level
@@ -130,7 +140,6 @@ class ReactiveController:
         free_cores = int(cores * (1.0 - app_cpu))
         granted = max(1, min(requested, free_cores))
         if granted < requested:
-            metrics_registry().counter(
-                "repro_worker_degrade_total",
-                "Times the cooperation controller shrank a worker pool").inc()
+            with self._count_lock:
+                self.worker_degrades += 1
         return granted

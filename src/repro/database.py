@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import observability
 from .catalog.catalog import Catalog
 from .config import DatabaseConfig
 from .cooperation.controller import ReactiveController, StaticController
 from .cooperation.monitor import ResourceMonitor, SimulatedApplication
 from .errors import ConnectionError as DatabaseConnectionError
 from .errors import InvalidInputError
-from .introspection.flight import FlightRecorder
+from .introspection import flight
 from .observability.accounting import StatementLog
+from .observability.metrics import Metric
 from .observability.trace import Tracer
 from .sanitizer import SanLock
 from .server.admission import AdmissionController
@@ -67,10 +67,6 @@ class Database:
         #: order is forbidden everywhere.
         self._checkpoint_lock = SanLock("database.checkpoint")
         self._closed = False
-        #: Crash flight recorder: metric baselines plus the statement
-        #: log's tail, dumped as JSON on engine faults and on
-        #: ``PRAGMA flight_dump`` (see :meth:`dump_flight`).
-        self.flight_recorder = FlightRecorder()
         #: Static plan verifier; consulted by the optimizer and the
         #: physical planner only while ``config.verify_plans`` is on.
         self.plan_verifier = PlanVerifier()
@@ -85,12 +81,9 @@ class Database:
         self.session_registry = SessionRegistry()
         #: Admission controller shared by every serving session.
         self.admission = AdmissionController(self)
-        #: Last buffer-manager counter values folded into the metrics
-        #: registry (see :meth:`fold_metrics`).
-        self._metrics_baseline: Dict[str, int] = {}
         #: The one per-statement record store: ``repro_statement_log()``,
-        #: the slow-query log, the flight dump, ``repro_optimizer()`` and
-        #: ``repro_plan_checks()`` all read it.
+        #: the slow-query log, the flight dump, ``repro_optimizer()``,
+        #: ``repro_plan_checks()`` and the statement metrics all read it.
         self.statement_log = StatementLog()
         #: Workload capture (JSONL statement recorder) when
         #: ``config.capture_enabled`` (see :meth:`sync_capture`).
@@ -127,79 +120,93 @@ class Database:
 
     def dump_flight(self, reason: str, error: Optional[BaseException] = None,
                     best_effort: bool = False) -> Optional[str]:
-        """Write the flight recorder's dump to ``repro_flight_<pid>.json``.
+        """Write the flight dump to ``repro_flight_<pid>.json``.
 
         Persistent databases dump next to their data file; in-memory ones
         dump into the current directory.  With ``best_effort`` the dump
         swallows I/O failures (the crash path must never mask the original
         engine error) and returns ``None`` on failure.
         """
-        self.fold_metrics()
-        spans = self.tracer.spans()
         directory = None
         if not self.storage.in_memory:
             directory = os.path.dirname(os.path.abspath(self.path)) or None
-        config = dataclasses.asdict(self.config)
-        statements = self.statement_log.records()
-        if best_effort:
-            return self.flight_recorder.try_dump(
-                directory=directory, reason=reason, error=error, spans=spans,
-                config=config, statements=statements)
-        return self.flight_recorder.dump(
-            directory=directory, reason=reason, error=error, spans=spans,
-            config=config, statements=statements)
+        write = flight.try_dump if best_effort else flight.dump
+        return write(directory=directory, reason=reason, error=error,
+                     spans=self.tracer.spans(),
+                     config=dataclasses.asdict(self.config),
+                     statements=self.statement_log.records(),
+                     metrics=self.metrics())
 
-    def fold_metrics(self) -> None:
-        """Fold this instance's cheap counters into the process registry.
+    def metrics(self) -> List[Metric]:
+        """Every engine metric of this database, read from its owners.
 
-        The buffer manager counts block-cache traffic with plain ints (no
-        registry lock on the I/O path); this folds the deltas into the
-        shared counters.  Called at statement boundaries and on metric
-        export -- both low-frequency points.
+        Nothing copies a number at statement boundaries: each is read here
+        from the component that counts it, so all exports (``metrics()``,
+        ``metrics_text()``, ``repro_metrics()``, ``QueryServer.scrape()``,
+        the flight dump) agree, and each starts at zero when the database
+        opens.  Counters first, then gauges, then the latency histogram,
+        each kind sorted by name.
         """
-        registry = observability.registry()
-        baseline = self._metrics_baseline
-        for attr, name, help_text in (
-            ("cache_hits", "repro_block_cache_hits_total",
-             "Block-cache lookups served from memory"),
-            ("cache_misses", "repro_block_cache_misses_total",
-             "Block-cache lookups that went to disk"),
-            ("cache_evictions", "repro_block_cache_evictions_total",
-             "Blocks evicted from the block cache"),
+        statements, rows, latency = self.statement_log.totals()
+        buffers = self.buffer_manager
+        storage = self.storage
+        controller = self.resource_controller
+        counters = [
+            ("repro_queries_total", "Statements executed", statements),
+            ("repro_rows_returned_total", "Rows handed to clients", rows),
+            ("repro_block_cache_hits_total",
+             "Block-cache lookups served from memory", buffers.cache_hits),
+            ("repro_block_cache_misses_total",
+             "Block-cache lookups that went to disk", buffers.cache_misses),
+            ("repro_block_cache_evictions_total",
+             "Blocks evicted from the block cache", buffers.cache_evictions),
+            ("repro_wal_bytes_written_total",
+             "Bytes appended to the write-ahead log",
+             storage.wal.bytes_written),
+            ("repro_wal_commit_groups_total",
+             "Transaction commit groups written to the WAL",
+             storage.wal.commit_groups),
+            ("repro_checkpoints_total",
+             "Checkpoints folded into the data file",
+             storage.checkpoints_written),
+            ("repro_checkpoint_bytes_written_total",
+             "Bytes written by checkpoints",
+             storage.checkpoint_bytes_written),
+            ("repro_compression_level_switches_total",
+             "Reactive intermediate-compression level changes",
+             controller.level_switches),
+            ("repro_worker_degrade_total",
+             "Times the cooperation controller shrank a worker pool",
+             controller.worker_degrades),
+        ]
+        for prefix, stats, attrs in (
+            ("plan_cache", self.plan_cache.stats(),
+             ("hits", "misses", "evictions", "invalidations")),
+            ("result_cache", self.result_cache.stats(),
+             ("hits", "misses", "evictions")),
+            ("admission", self.admission.stats(),
+             ("admitted", "waits", "timeouts")),
         ):
-            current = getattr(self.buffer_manager, attr)
-            delta = current - baseline.get(attr, 0)
-            if delta > 0:
-                registry.counter(name, help_text).inc(delta)
-                baseline[attr] = current
-        for source, prefix, attrs in (
-            (self.plan_cache, "repro_plan_cache", ("hits", "misses",
-                                                   "evictions",
-                                                   "invalidations")),
-            (self.result_cache, "repro_result_cache", ("hits", "misses",
-                                                       "evictions")),
-            (self.admission, "repro_admission", ("admitted", "waits",
-                                                 "timeouts")),
-        ):
-            stats = source.stats()
             for attr in attrs:
-                key = f"{prefix}_{attr}"
-                current = stats[attr]
-                delta = current - baseline.get(key, 0)
-                if delta > 0:
-                    registry.counter(f"{key}_total",
-                                     f"Serving front end: {prefix[6:]} {attr}"
-                                     ).inc(delta)
-                    baseline[key] = current
-        registry.gauge("repro_sessions_active",
-                       "Serving sessions currently open"
-                       ).set(len(self.session_registry))
-        registry.gauge("repro_queries_active",
-                       "Queries currently admitted for execution"
-                       ).set(self.admission.active)
-        registry.gauge("repro_buffer_used_bytes",
-                       "Bytes currently accounted by the buffer manager"
-                       ).set(self.buffer_manager.used_bytes)
+                counters.append((f"repro_{prefix}_{attr}_total",
+                                 f"Serving front end: {prefix} {attr}",
+                                 stats[attr]))
+        gauges = [
+            ("repro_sessions_active", "Serving sessions currently open",
+             len(self.session_registry)),
+            ("repro_queries_active",
+             "Queries currently admitted for execution", self.admission.active),
+            ("repro_buffer_used_bytes",
+             "Bytes currently accounted by the buffer manager",
+             buffers.used_bytes),
+        ]
+        metrics = [Metric(name, "counter", help_text, float(value))
+                   for name, help_text, value in sorted(counters)]
+        metrics += [Metric(name, "gauge", help_text, float(value))
+                    for name, help_text, value in sorted(gauges)]
+        metrics.append(Metric("repro_statement_seconds", "histogram",
+                              "End-to-end statement latency", latency))
+        return metrics
 
     # -- lifecycle ----------------------------------------------------------
     def connect(self):

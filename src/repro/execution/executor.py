@@ -39,6 +39,17 @@ from .physical_planner import create_physical_plan
 
 __all__ = ["Executor", "StatementResult"]
 
+#: Options that only database-owned components read: the shared plan and
+#: result caches, admission control, the storage and buffer managers, and
+#: workload capture.  A PRAGMA on one changes the database config from any
+#: connection; a session's private copy alone would read back the new value
+#: while the component kept the old one.
+_DATABASE_OPTIONS = frozenset({
+    "plan_cache_entries", "result_cache_entries", "result_cache_max_rows",
+    "max_concurrent_queries", "admission_timeout_ms", "wal_autocheckpoint",
+    "checkpoint_on_close", "buffer_memtest", "capture_enabled",
+    "capture_path"})
+
 
 class StatementResult:
     """What one executed statement produced.
@@ -377,12 +388,11 @@ class Executor:
         if name == "flight_dump":
             path = database.dump_flight("PRAGMA flight_dump")
             return StatementResult.text_result("flight_dump", [str(path)])
-        if name in ("capture_enabled", "capture_path") \
-                and statement.value is not None:
-            # Capture is instance-wide by design: a session recording only
-            # its own slice of an interleaved workload could not be
-            # replayed into the same database state.  Route the option to
-            # the *database* config whatever config this executor runs on.
+        if name in _DATABASE_OPTIONS and statement.value is not None:
+            # Route the option to the *database* config whatever config this
+            # executor runs on.  For capture it is also the design: a session
+            # recording only its own slice of an interleaved workload could
+            # not be replayed into the same database state.
             database.config.set_option(name, statement.value)
             if self.config is not database.config:
                 self.config.set_option(name, statement.value)

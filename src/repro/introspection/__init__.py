@@ -19,7 +19,7 @@ engine internals three ways:
   lock hierarchy (quacklint QLO003 enforces the discipline).
 
 * a **flight recorder** (:mod:`.flight`) -- the statement log's newest
-  records plus metric deltas, dumped as ``repro_flight_<pid>.json`` on
+  records plus the database's non-zero metrics, dumped as ``repro_flight_<pid>.json`` on
   unhandled engine faults and on ``PRAGMA flight_dump``.
 
 Per-operator self time is a query, not a daemon: with tracing on, a
@@ -29,7 +29,7 @@ span's children from its own ``wall_ms`` (see README).
 
 from __future__ import annotations
 
-from .flight import FlightRecorder, is_engine_fault
+from .flight import is_engine_fault
 from .providers import register_builtin_functions
 from .registry import (
     SystemTableFunction,
@@ -48,7 +48,6 @@ __all__ = [
     "function_names",
     "functions",
     "register_builtin_functions",
-    "FlightRecorder",
     "is_engine_fault",
 ]
 

@@ -7,9 +7,11 @@ flight_dump``, or automatically when an *engine fault* escapes execution --
 this module writes a single self-contained JSON file
 (``repro_flight_<pid>.json``) holding the newest statements of the
 database's :class:`~repro.observability.accounting.StatementLog` (SQL,
-duration, rows, outcome), metric deltas since the recorder started, the
-database's recent trace spans, and the active configuration.  The
-recorder keeps no statements or spans of its own.
+duration, rows, outcome), the database's non-zero metrics (each counts
+from zero at open, so these are the deltas since then), its recent trace
+spans, and the active configuration.  The module keeps no state of its
+own: :meth:`Database.dump_flight <repro.database.Database.dump_flight>`
+hands it everything it writes.
 
 An engine fault is an error that indicts the engine rather than the query:
 internal errors, detected corruption, memory faults, hardware faults -- or
@@ -27,7 +29,6 @@ import os
 import time
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
-from .. import observability
 from ..errors import (
     CorruptionError,
     Error,
@@ -38,8 +39,9 @@ from ..errors import (
 
 if TYPE_CHECKING:
     from ..observability.accounting import StatementRecord
+    from ..observability.metrics import Metric
 
-__all__ = ["FlightRecorder", "is_engine_fault", "statement_entry",
+__all__ = ["dump", "try_dump", "is_engine_fault", "statement_entry",
            "MAX_DUMPED_STATEMENTS", "MAX_SQL_CHARS", "MAX_DUMPED_SPANS"]
 
 logger = logging.getLogger("repro.flight")
@@ -82,82 +84,59 @@ def statement_entry(record: "StatementRecord") -> Dict[str, Any]:
     return entry
 
 
-class FlightRecorder:
-    """Metric baseline plus JSON dumping of the statement log's tail."""
+def dump(directory: Optional[str] = None, reason: str = "",
+         error: Optional[BaseException] = None,
+         spans: Optional[Sequence[Any]] = None,
+         config: Optional[Dict[str, Any]] = None,
+         statements: Sequence["StatementRecord"] = (),
+         metrics: Sequence["Metric"] = ()) -> str:
+    """Write ``repro_flight_<pid>.json``; returns the file path.
 
-    def __init__(self) -> None:
-        self._baseline: Dict[str, float] = self._scalar_metrics()
+    ``statements`` is the statement log, oldest first; the newest
+    :data:`MAX_DUMPED_STATEMENTS` of it are written.  ``metrics`` is the
+    database's metric list; its non-zero scalars become ``metric_deltas``.
+    """
+    payload: Dict[str, Any] = {
+        "format": "repro-flight-recorder-v1",
+        "pid": os.getpid(),
+        "created_at": time.time(),
+        "reason": reason,
+        "statements": [statement_entry(record) for record
+                       in statements[-MAX_DUMPED_STATEMENTS:]],
+        "metric_deltas": {metric.name: metric.value for metric in metrics
+                          if metric.kind != "histogram" and metric.value},
+    }
+    if error is not None:
+        payload["error"] = {"type": type(error).__name__,
+                            "message": str(error)}
+    if config is not None:
+        payload["config"] = config
+    payload["spans"] = [
+        {"span_id": span.span_id, "parent_id": span.parent_id,
+         "trace_id": span.trace_id, "name": span.name, "kind": span.kind,
+         "wall_ms": span.wall_ms, "cpu_ms": span.cpu_ms,
+         "rows": span.rows, "chunks": span.chunks}
+        for span in (spans or [])[-MAX_DUMPED_SPANS:]
+    ]
+    path = os.path.join(directory or os.getcwd(),
+                        f"repro_flight_{os.getpid()}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, default=str)
+    return path
 
-    # -- metric deltas -----------------------------------------------------
-    @staticmethod
-    def _scalar_metrics() -> Dict[str, float]:
-        """Scalar counter/gauge values from the process registry."""
-        out: Dict[str, float] = {}
-        for name, value in observability.registry().snapshot().items():
-            if isinstance(value, (int, float)):
-                out[name] = float(value)
-        return out
 
-    def metric_deltas(self) -> Dict[str, float]:
-        """Change of every scalar metric since the recorder was created."""
-        current = self._scalar_metrics()
-        deltas: Dict[str, float] = {}
-        for name, value in current.items():
-            delta = value - self._baseline.get(name, 0.0)
-            if delta:
-                deltas[name] = delta
-        return deltas
-
-    # -- dumping -----------------------------------------------------------
-    def dump(self, directory: Optional[str] = None, reason: str = "",
+def try_dump(directory: Optional[str] = None, reason: str = "",
              error: Optional[BaseException] = None,
              spans: Optional[Sequence[Any]] = None,
              config: Optional[Dict[str, Any]] = None,
-             statements: Sequence["StatementRecord"] = ()) -> str:
-        """Write ``repro_flight_<pid>.json``; returns the file path.
-
-        ``statements`` is the statement log, oldest first; the newest
-        :data:`MAX_DUMPED_STATEMENTS` of it are written.
-        """
-        payload: Dict[str, Any] = {
-            "format": "repro-flight-recorder-v1",
-            "pid": os.getpid(),
-            "created_at": time.time(),
-            "reason": reason,
-            "statements": [statement_entry(record) for record
-                           in statements[-MAX_DUMPED_STATEMENTS:]],
-            "metric_deltas": self.metric_deltas(),
-        }
-        if error is not None:
-            payload["error"] = {"type": type(error).__name__,
-                                "message": str(error)}
-        if config is not None:
-            payload["config"] = config
-        payload["spans"] = [
-            {"span_id": span.span_id, "parent_id": span.parent_id,
-             "trace_id": span.trace_id, "name": span.name, "kind": span.kind,
-             "wall_ms": span.wall_ms, "cpu_ms": span.cpu_ms,
-             "rows": span.rows, "chunks": span.chunks}
-            for span in (spans or [])[-MAX_DUMPED_SPANS:]
-        ]
-        path = os.path.join(directory or os.getcwd(),
-                            f"repro_flight_{os.getpid()}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-        return path
-
-    def try_dump(self, directory: Optional[str] = None, reason: str = "",
-                 error: Optional[BaseException] = None,
-                 spans: Optional[Sequence[Any]] = None,
-                 config: Optional[Dict[str, Any]] = None,
-                 statements: Sequence["StatementRecord"] = ()
-                 ) -> Optional[str]:
-        """Best-effort :meth:`dump` for failure paths: a recorder that
-        cannot write (read-only filesystem, disk full) must never mask the
-        original engine error it is documenting."""
-        try:
-            return self.dump(directory, reason, error, spans, config,
-                             statements)
-        except OSError as dump_error:
-            logger.warning("flight-recorder dump failed: %s", dump_error)
-            return None
+             statements: Sequence["StatementRecord"] = (),
+             metrics: Sequence["Metric"] = ()) -> Optional[str]:
+    """Best-effort :func:`dump` for failure paths: a dump that cannot be
+    written (read-only filesystem, disk full) must never mask the original
+    engine error it is documenting."""
+    try:
+        return dump(directory, reason, error, spans, config, statements,
+                    metrics)
+    except OSError as dump_error:
+        logger.warning("flight-recorder dump failed: %s", dump_error)
+        return None

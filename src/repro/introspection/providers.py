@@ -20,7 +20,6 @@ import dataclasses
 import os
 from typing import Any, List, Tuple
 
-from .. import observability
 from ..sanitizer import lock_statistics
 from ..types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from .registry import SystemTableFunction, register
@@ -33,17 +32,15 @@ Row = Tuple[Any, ...]
 # -- observability -----------------------------------------------------------
 
 def metrics_rows(database: Any, transaction: Any) -> List[Row]:
-    """Every registry instrument as ``(name, kind, value)`` rows."""
-    database.fold_metrics()
-    reg = observability.registry()
+    """The database's metrics as ``(name, kind, value)`` rows; a histogram
+    gives its ``_count`` and ``_sum``."""
     rows: List[Row] = []
-    for name, counter in sorted(reg.counters.items()):
-        rows.append((name, "counter", float(counter.value)))
-    for name, gauge in sorted(reg.gauges.items()):
-        rows.append((name, "gauge", float(gauge.value)))
-    for name, histogram in sorted(reg.histograms.items()):
-        rows.append((name + "_count", "histogram", float(histogram.count)))
-        rows.append((name + "_sum", "histogram", float(histogram.sum)))
+    for name, kind, _, value in database.metrics():
+        if kind == "histogram":
+            rows.append((name + "_count", kind, float(value["count"])))
+            rows.append((name + "_sum", kind, float(value["sum"])))
+        else:
+            rows.append((name, kind, float(value)))
     return rows
 
 
@@ -254,7 +251,7 @@ def register_builtin_functions() -> None:
     """Register the built-in system table functions (idempotent; called at
     package import)."""
     register(SystemTableFunction(
-        "repro_metrics", "process-wide engine metrics (quacktrace registry)",
+        "repro_metrics", "this database's engine metrics",
         [("name", VARCHAR), ("kind", VARCHAR), ("value", DOUBLE)],
         metrics_rows))
     register(SystemTableFunction(

@@ -13,10 +13,9 @@ application-facing answer, three coordinated pieces:
   ``ExecutionContext.tracer`` is ``None`` and every hot-path check is a
   single ``is None`` test -- the same discipline as the quacksan lock
   wrappers.
-* **metrics** (:mod:`.metrics`) -- an always-on process-wide
-  :class:`MetricsRegistry` (counters/gauges/histograms with fixed bucket
-  bounds) exported via ``connection.metrics()`` and a Prometheus-style text
-  dump.
+* **metrics** (:mod:`.metrics`) -- always-on, per database: each number
+  is read from the component that counts it (``Database.metrics()``) and
+  exported via ``connection.metrics()`` and a Prometheus-style text dump.
 * **surfacing** (:mod:`.render`, :mod:`.accounting`) -- ``EXPLAIN
   ANALYZE`` operator trees built from real spans, the statement log (one
   record per statement, with a slow-query view over a configurable
@@ -30,24 +29,14 @@ socket or file of its own.  A host that wants history scrapes
 from __future__ import annotations
 
 from .accounting import StatementLog, StatementRecord
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-)
+from .metrics import Metric
 from .render import render_span_tree, render_trace, worker_summary
 from .trace import Span, Tracer
 
 __all__ = [
     "Tracer",
     "Span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
+    "Metric",
     "StatementLog",
     "StatementRecord",
     "render_trace",

@@ -24,18 +24,24 @@ every per-statement surface reads that log:
 
 Both rings are bounded and hold the *same* record objects.  The slow ring
 is kept apart so a burst of fast statements cannot evict a slow one.
-Appends take the innermost ``statement_log`` sanitizer lock, so any
-engine thread may record while holding its own locks.
+The log also owns the database's statement metrics, which are unbounded:
+statements recorded, rows returned, and the latency histogram
+(:meth:`StatementLog.totals`).  Appends take the innermost
+``statement_log`` sanitizer lock, so any engine thread may record while
+holding its own locks.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sanitizer import SanLock
+from .metrics import DEFAULT_TIME_BUCKETS
 from .render import render_trace
 from .trace import Tracer
 
@@ -146,6 +152,11 @@ class StatementLog:
         self._recent: Deque[StatementRecord] = deque(maxlen=RECENT_ENTRIES)
         self._slow: Deque[StatementRecord] = deque(maxlen=SLOW_ENTRIES)
         self._total_recorded = 0
+        self._rows_returned = 0
+        self._seconds_sum = 0.0
+        #: Statements per latency bucket (not cumulative); slower than the
+        #: last bound counts only in ``_total_recorded``.
+        self._seconds_buckets = [0] * len(DEFAULT_TIME_BUCKETS)
 
     @property
     def total_recorded(self) -> int:
@@ -155,13 +166,31 @@ class StatementLog:
     def record(self, record: StatementRecord) -> None:
         """Append one finished statement (to both rings when slow)."""
         slow = record.threshold_ms > 0
+        seconds = record.wall_ms / 1e3
+        bucket = bisect_left(DEFAULT_TIME_BUCKETS, seconds)
         with self._lock:
             self._recent.append(record)
             if slow:
                 self._slow.append(record)
             self._total_recorded += 1
+            self._rows_returned += record.rows_out
+            self._seconds_sum += seconds
+            if bucket < len(self._seconds_buckets):
+                self._seconds_buckets[bucket] += 1
         if slow:
             logger.warning("%s", record.render())
+
+    def totals(self) -> Tuple[int, int, Dict[str, Any]]:
+        """``(statements, rows returned, latency histogram)`` since
+        creation, read together; the histogram has the
+        :class:`~repro.observability.metrics.Metric` shape."""
+        with self._lock:
+            count, rows = self._total_recorded, self._rows_returned
+            seconds_sum = self._seconds_sum
+            buckets = list(self._seconds_buckets)
+        return count, rows, {
+            "count": count, "sum": seconds_sum,
+            "buckets": dict(zip(DEFAULT_TIME_BUCKETS, accumulate(buckets)))}
 
     def records(self) -> List[StatementRecord]:
         """Recent statements, oldest first (copy-then-release)."""

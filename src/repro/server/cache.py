@@ -20,8 +20,9 @@ Lock discipline: each cache owns one lock (``server.plan_cache`` /
 ``server.result_cache``, declared between ``connection`` and
 ``database.checkpoint`` in the hierarchy) and its critical sections are
 pure dict operations -- no engine lock is ever taken while one is held.
-Hit/miss counters are plain ints folded into the metrics registry at
-statement boundaries (same pattern as the buffer manager).
+Hit/miss counters are plain ints under that lock; :meth:`stats` is what
+the database's ``repro_*_cache_*`` metrics read (same pattern as the
+buffer manager).
 """
 
 from __future__ import annotations

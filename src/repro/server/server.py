@@ -7,7 +7,8 @@ shape: many logical clients multiplexed onto one
 front end:
 
 * each :meth:`session` gets a private connection with a **copy** of the
-  database config (session PRAGMAs cannot leak),
+  database config (session PRAGMAs cannot leak, except on the options
+  only the database's own components read, which go to its config),
 * every statement passes **admission control**
   (``config.max_concurrent_queries`` / ``admission_timeout_ms``) and runs
   under its fair-share thread/memory grant,
@@ -82,18 +83,17 @@ class QueryServer:
         }
 
     def scrape(self) -> str:
-        """One Prometheus-text scrape page of the engine metrics.
+        """One Prometheus-text scrape page of this database's metrics.
 
         The embedded counterpart of a ``/metrics`` endpoint: the host
         application mounts this method on whatever HTTP surface it already
         has and the engine becomes scrape-able without its own listener.
-        Folds the instance's buffer/cache/admission deltas first, so a
-        scrape is as fresh as a ``connection.metrics_text()`` call.
+        The page is the same one ``connection.metrics_text()`` renders,
+        read from the database's components at the moment of the scrape.
         """
-        from ..observability import registry
+        from ..observability.metrics import render_text
 
-        self.database.fold_metrics()
-        return registry().render_text()
+        return render_text(self.database.metrics())
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

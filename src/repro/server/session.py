@@ -3,11 +3,13 @@
 A :class:`Session` wraps a dedicated
 :class:`~repro.client.connection.Connection` whose config is a private copy
 of the database's -- session ``PRAGMA``s (memory limit, threads, tracing
-thresholds) apply to this session only and die with it.  Every statement
-passes through the shared :class:`~repro.server.admission.AdmissionController`
-first, and the granted ticket caps the session's thread/memory knobs for
-the statement's duration, so one heavy OLAP query cannot starve a thousand
-light ones.
+thresholds) apply to this session only and die with it.  The options only
+database-owned components read (cache sizes, admission limits, WAL and
+checkpoint policy, capture) change the database config instead.  Every
+statement passes through the shared
+:class:`~repro.server.admission.AdmissionController` first, and the
+granted ticket caps the session's thread/memory knobs for the statement's
+duration, so one heavy OLAP query cannot starve a thousand light ones.
 
 The :class:`SessionRegistry` hangs off the
 :class:`~repro.database.Database` and is the source of the

@@ -105,8 +105,8 @@ class BufferManager:
         # Block cache: block id -> payload bytes, LRU order.
         self._block_cache: "OrderedDict[int, bytes]" = OrderedDict()
         self._block_cache_bytes = 0
-        #: Cheap monotonic counters, folded into the process-wide metrics
-        #: registry at statement boundaries (see Connection._fold_metrics).
+        #: Cheap monotonic counters, read as this database's
+        #: ``repro_block_cache_*`` metrics (see ``Database.metrics``).
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0

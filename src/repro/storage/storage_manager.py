@@ -30,7 +30,6 @@ from ..errors import (
     TransactionContextError,
     WALError,
 )
-from ..observability import registry as metrics_registry
 from ..observability.trace import Tracer
 from ..transaction.manager import TransactionManager
 from ..transaction.transaction import Transaction
@@ -68,7 +67,10 @@ class StorageManager:
         #: Segment blocks live as of the last checkpoint (see
         #: :meth:`CheckpointWriter.write` for the free rule they feed).
         self._segment_blocks: Set[int] = set()
+        #: Checkpoints and their bytes since the database opened (the
+        #: ``repro_checkpoint*`` metrics), written under the checkpoint lock.
         self.checkpoints_written = 0
+        self.checkpoint_bytes_written = 0
         #: Filled by the last checkpoint, for the C1 experiment report.
         self.last_checkpoint_stats: dict = {}
 
@@ -205,6 +207,7 @@ class StorageManager:
                 "bytes_written": writer.bytes_written,
             }
             self.checkpoints_written += 1
+            self.checkpoint_bytes_written += writer.bytes_written
             # Truncate *inside* the quiesced region: a commit group appended
             # between the snapshot and the truncation would be silently
             # discarded (durability loss) -- and would race the WAL file
@@ -219,13 +222,6 @@ class StorageManager:
             if force:
                 raise
             return False
-        metrics = metrics_registry()
-        metrics.counter("repro_checkpoints_total",
-                        "Checkpoints folded into the data file").inc()
-        metrics.counter(
-            "repro_checkpoint_bytes_written_total",
-            "Bytes written by checkpoints").inc(
-                self.last_checkpoint_stats.get("bytes_written", 0))
         catalog.prune(transaction_manager.lowest_active_start())
         return True
 

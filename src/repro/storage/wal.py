@@ -25,7 +25,6 @@ from typing import Any, List, Optional
 import numpy as np
 
 from ..errors import CorruptionError, WALError
-from ..observability import registry as metrics_registry
 from ..observability.trace import Tracer
 from ..types import DataChunk, LogicalType, type_from_string
 from .checksum import checksum
@@ -208,6 +207,11 @@ class WriteAheadLog:
         #: traced statement records a span nested under its root.
         self.tracer = tracer
         self._file = open(path, "ab") if path else None
+        #: Bytes and commit groups appended since the database opened (the
+        #: ``repro_wal_*`` metrics).  Commit hooks run under the
+        #: transaction-manager lock, so plain ints stay exact.
+        self.bytes_written = 0
+        self.commit_groups = 0
 
     @property
     def enabled(self) -> bool:
@@ -234,11 +238,8 @@ class WriteAheadLog:
             self._file.write(data)
             self._file.flush()
             os.fsync(self._file.fileno())
-        metrics = metrics_registry()
-        metrics.counter("repro_wal_bytes_written_total",
-                        "Bytes appended to the write-ahead log").inc(len(data))
-        metrics.counter("repro_wal_commit_groups_total",
-                        "Transaction commit groups written to the WAL").inc()
+        self.bytes_written += len(data)
+        self.commit_groups += 1
 
     def read_all(self) -> List[List[WALRecord]]:
         """All *committed* record groups, in commit order.

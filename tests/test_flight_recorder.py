@@ -21,11 +21,12 @@ from repro.errors import (
 )
 from repro.execution.executor import Executor
 from repro.introspection.flight import (
-    FlightRecorder,
     MAX_DUMPED_STATEMENTS,
     MAX_SQL_CHARS,
+    dump,
     is_engine_fault,
     statement_entry,
+    try_dump,
 )
 from repro.observability import StatementRecord
 
@@ -38,7 +39,7 @@ def _record(sql, wall_ms=0.0, rows=0, error=None):
 
 
 def _dumped_statements(tmp_path, records):
-    path = FlightRecorder().dump(directory=str(tmp_path), statements=records)
+    path = dump(directory=str(tmp_path), statements=records)
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)["statements"]
 
@@ -208,21 +209,25 @@ class TestDump:
             con.close()
 
     def test_dump_failure_is_swallowed_on_fault_path(self, monkeypatch):
-        recorder = FlightRecorder()
-
         def refuse(*args, **kwargs):
             raise OSError("disk full")
 
         monkeypatch.setattr("builtins.open", refuse)
-        assert recorder.try_dump(reason="test") is None
+        assert try_dump(reason="test") is None
 
-    def test_metric_deltas_since_creation(self):
-        recorder = FlightRecorder()
+    def test_metric_deltas_since_creation(self, tmp_path, monkeypatch):
+        # Metrics count from zero when the database opens, so the dump's
+        # deltas are its non-zero metrics: here, one statement's worth.
+        monkeypatch.chdir(tmp_path)
         con = repro.connect()
         try:
             con.execute("SELECT 42").fetchall()
-            deltas = recorder.metric_deltas()
-            assert deltas.get("repro_queries_total", 0) >= 1
+            (path,) = con.execute("PRAGMA flight_dump").fetchone()
+            with open(path, encoding="utf-8") as handle:
+                deltas = json.load(handle)["metric_deltas"]
+            assert deltas["repro_queries_total"] == 1
+            assert deltas["repro_rows_returned_total"] == 1
+            assert "repro_wal_bytes_written_total" not in deltas
         finally:
             con.close()
 

@@ -1,4 +1,4 @@
-"""quacktrace: spans, metrics registry, slow-query log, EXPLAIN ANALYZE.
+"""quacktrace: spans, per-database metrics, slow-query log, EXPLAIN ANALYZE.
 
 Tracing is per database: each ``Database`` owns one ``Tracer`` and a
 statement is traced when its connection's config has ``trace_enabled``.
@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro import observability as obs
 from repro.observability import (
-    MetricsRegistry,
+    Metric,
     StatementLog,
     StatementRecord,
     Tracer,
@@ -26,7 +25,9 @@ from repro.observability import (
     worker_summary,
 )
 from repro.observability.accounting import SLOW_ENTRIES
+from repro.observability.metrics import render_text, snapshot
 from repro.observability.trace import CAPACITY
+from repro.server import QueryServer
 
 
 class TestSpanCore:
@@ -292,18 +293,13 @@ class TestRender:
 
 
 class TestMetrics:
-    def test_factories_are_idempotent(self):
-        reg = MetricsRegistry()
-        assert reg.counter("c", "help") is reg.counter("c")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
-
     def test_counter_gauge_histogram_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("queries", "q").inc(3)
-        reg.gauge("buffer").set(42.0)
-        reg.histogram("latency", bounds=(0.1, 1.0)).observe(0.5)
-        snap = reg.snapshot()
+        snap = snapshot([
+            Metric("queries", "counter", "q", 3.0),
+            Metric("buffer", "gauge", "", 42.0),
+            Metric("latency", "histogram", "", {
+                "count": 1, "sum": 0.5, "buckets": {0.1: 0, 1.0: 1}}),
+        ])
         assert snap["queries"] == 3
         assert snap["buffer"] == 42.0
         assert snap["latency"]["count"] == 1
@@ -311,11 +307,12 @@ class TestMetrics:
         assert snap["latency"]["buckets"][0.1] == 0
 
     def test_render_text_is_prometheus_format(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_queries_total", "Statements executed").inc()
-        reg.histogram("repro_statement_seconds", "latency",
-                      bounds=(0.1,)).observe(0.05)
-        text = reg.render_text()
+        text = render_text([
+            Metric("repro_queries_total", "counter", "Statements executed",
+                   1.0),
+            Metric("repro_statement_seconds", "histogram", "latency",
+                   {"count": 1, "sum": 0.05, "buckets": {0.1: 1}}),
+        ])
         assert "# HELP repro_queries_total Statements executed" in text
         assert "# TYPE repro_queries_total counter" in text
         assert "repro_queries_total 1" in text
@@ -324,32 +321,97 @@ class TestMetrics:
         assert "repro_statement_seconds_count 1" in text
         assert text.endswith("\n")
 
-    def test_reset_zeroes_but_keeps_instruments(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("c")
-        counter.inc(5)
-        reg.reset()
-        assert counter.value == 0
-        assert reg.counter("c") is counter
-
     def test_connection_metrics_counts_statements(self, populated):
-        before = obs.registry().counter("repro_queries_total").value
+        before = populated.metrics()["repro_queries_total"]
         populated.execute("SELECT i FROM sample").fetchall()
         metrics = populated.metrics()
-        assert metrics["repro_queries_total"] >= before + 1
-        assert "repro_statement_seconds" in metrics
+        assert metrics["repro_queries_total"] == before + 1
+        assert metrics["repro_statement_seconds"]["count"] == before + 1
         assert "repro_buffer_used_bytes" in metrics
 
     def test_rows_returned_counter(self, populated):
-        before = obs.registry().counter("repro_rows_returned_total").value
+        before = populated.metrics()["repro_rows_returned_total"]
         populated.execute("SELECT i FROM sample").fetchall()
-        after = obs.registry().counter("repro_rows_returned_total").value
-        assert after >= before + 5
+        after = populated.metrics()["repro_rows_returned_total"]
+        assert after == before + 5
 
     def test_connection_metrics_text(self, populated):
         populated.execute("SELECT 1").fetchall()
         text = populated.metrics_text()
         assert "# TYPE repro_queries_total counter" in text
+
+
+class TestMetricsArePerDatabase:
+    """Two databases in one process: B's metrics show none of A's work.
+
+    A is file-backed and runs statements, plan-cache hits and an INSERT
+    that writes the WAL; B, in memory, runs nothing but its own reads.
+    """
+
+    #: Counters A's work moves; each must read 0 on B.
+    A_WORK = ("repro_queries_total", "repro_rows_returned_total",
+              "repro_plan_cache_hits_total", "repro_wal_bytes_written_total",
+              "repro_wal_commit_groups_total")
+
+    @pytest.fixture
+    def pair(self, db_path):
+        a = repro.connect(db_path, config={"trace_enabled": False})
+        b = repro.connect(config={"trace_enabled": False})
+        try:
+            a.execute("CREATE TABLE t (i INTEGER)")
+            a.execute("INSERT INTO t VALUES (1), (2), (3)")
+            for value in range(5):
+                a.execute("SELECT i FROM t WHERE i > ?", [value]).fetchall()
+            metrics = a.metrics()
+            assert all(metrics[name] > 0 for name in self.A_WORK), metrics
+            yield a, b
+        finally:
+            b.close()
+            a.close()
+
+    def test_connection_metrics(self, pair):
+        _, b = pair
+        metrics = b.metrics()
+        assert {name: metrics[name] for name in self.A_WORK} \
+            == dict.fromkeys(self.A_WORK, 0)
+        assert metrics["repro_statement_seconds"]["count"] == 0
+
+    def test_repro_metrics_table(self, pair):
+        _, b = pair
+        rows = dict(b.execute(
+            "SELECT name, value FROM repro_metrics()").fetchall())
+        assert {name: rows[name] for name in self.A_WORK} \
+            == dict.fromkeys(self.A_WORK, 0)
+        assert rows["repro_statement_seconds_count"] == 0
+
+    def test_server_scrape(self, pair):
+        _, b = pair
+        page = QueryServer(b.database).scrape().splitlines()
+        for name in self.A_WORK:
+            assert f"{name} 0" in page
+
+    def test_flight_dump_metric_deltas(self, pair, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, b = pair
+        (path,) = b.execute("PRAGMA flight_dump").fetchone()
+        with open(path, encoding="utf-8") as handle:
+            deltas = json.load(handle)["metric_deltas"]
+        assert [name for name in self.A_WORK if name in deltas] == []
+
+    def test_every_name_present_from_open(self):
+        con = repro.connect()
+        try:
+            metrics = con.metrics()
+        finally:
+            con.close()
+        counters = [name for name, value in metrics.items()
+                    if name.endswith("_total") and not isinstance(value, dict)]
+        assert len(counters) == 21
+        assert all(metrics[name] == 0 for name in counters)
+        for gauge in ("repro_sessions_active", "repro_queries_active",
+                      "repro_buffer_used_bytes"):
+            assert gauge in metrics
+        assert metrics["repro_statement_seconds"]["count"] == 0
 
 
 class TestExpositionFormat:
@@ -405,10 +467,8 @@ class TestExpositionFormat:
         assert _format_value(3.5) == "3.5"
 
     def test_non_finite_gauge_renders_without_raising(self):
-        reg = MetricsRegistry()
-        reg.gauge("g_inf").set(float("inf"))
-        reg.gauge("g_nan").set(float("nan"))
-        text = reg.render_text()
+        text = render_text([Metric("g_inf", "gauge", "", float("inf")),
+                            Metric("g_nan", "gauge", "", float("nan"))])
         assert "g_inf +Inf" in text
         assert "g_nan NaN" in text
 

@@ -842,37 +842,6 @@ class TestObservabilityRule:
         """
         assert check(source, self.PATH) == []
 
-    def test_off_registry_metric_flagged(self):
-        source = """
-        def count_queries():
-            counter = Counter("repro_queries_total")
-            counter.inc()
-        """
-        assert rule_ids(check(source, self.PATH)) == ["QLO002"]
-
-    def test_off_registry_metric_via_module_flagged(self):
-        source = """
-        def gauge_memory(metrics):
-            return metrics.Gauge("repro_buffer_used_bytes")
-        """
-        assert rule_ids(check(source, self.PATH)) == ["QLO002"]
-
-    def test_registry_factory_is_clean(self):
-        source = """
-        def count_queries(registry):
-            registry.counter("repro_queries_total", "help").inc()
-        """
-        assert check(source, self.PATH) == []
-
-    def test_observability_package_is_exempt(self):
-        source = """
-        class MetricsRegistry:
-            def counter(self, name):
-                metric = Counter(name)
-                return metric
-        """
-        assert check(source, "repro/observability/metrics.py") == []
-
     INTROSPECTION_PATH = "repro/introspection/fixture.py"
 
     def test_yield_under_lock_in_provider_flagged(self):
@@ -1116,7 +1085,8 @@ class TestCommandLine:
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
         for rule_id in ("QLC001", "QLC003", "QLL001", "QLL002", "QLV001",
-                        "QLZ001", "QLE001", "QLR001", "QLO001", "QLO002"):
+                        "QLZ001", "QLE001", "QLR001", "QLO001", "QLO003",
+                        "QLO004"):
             assert rule_id in proc.stdout
 
     BAD_FIXTURE = ("def load():\n"

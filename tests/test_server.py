@@ -58,6 +58,33 @@ def test_session_pragmas_are_scoped(server):
         assert server.database.config.threads == default_threads
 
 
+def test_session_pragma_on_database_option_reaches_the_database(server):
+    # Only database-owned components read these options; a session-local
+    # copy would read back the new value while nothing obeyed it.
+    server.execute("CREATE TABLE t (i INTEGER)")
+    with server.session("tuned") as tuned:
+        tuned.execute("PRAGMA plan_cache_entries = 0")
+        tuned.execute("PRAGMA max_concurrent_queries = 3")
+        tuned.execute("PRAGMA wal_autocheckpoint = 0")
+        assert tuned.execute(
+            "PRAGMA plan_cache_entries").fetchone() == ("0",)
+        settings = dict(tuned.execute(
+            "SELECT name, value FROM repro_settings()").fetchall())
+        before = server.database.plan_cache.stats()
+        for _ in range(2):
+            tuned.execute("SELECT count(*) FROM t WHERE i > ?", (0,))
+        after = server.database.plan_cache.stats()
+    assert (settings["plan_cache_entries"],
+            settings["max_concurrent_queries"],
+            settings["wal_autocheckpoint"]) == ("0", "3", "0")
+    assert server.database.plan_cache.capacity == 0
+    assert after["hits"] == before["hits"]
+    assert after["entries"] == 0
+    # Later sessions start from the database config, so they agree.
+    with server.session("later") as later:
+        assert later.connection.session_config.plan_cache_entries == 0
+
+
 def test_sessions_are_snapshot_isolated(server):
     server.execute("CREATE TABLE t (i INTEGER)")
     server.execute("INSERT INTO t VALUES (1)")
@@ -187,7 +214,9 @@ def test_serving_metrics_fold_into_observability(server):
     metrics = dict(server.execute(
         "SELECT name, value FROM repro_metrics() "
         "WHERE name LIKE 'repro_plan_cache%'").fetchall())
-    assert metrics.get("repro_plan_cache_hits_total", 0) >= 1
+    # The second SELECT hits; the first and the repro_metrics() read miss.
+    assert metrics["repro_plan_cache_hits_total"] == 1
+    assert metrics["repro_plan_cache_misses_total"] == 2
 
 
 def test_concurrent_session_hammer(server):
