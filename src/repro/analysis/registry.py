@@ -87,6 +87,14 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # resolve codes lock-free, which append-only growth makes safe.
         "StringDictionary": SharedClassSpec("lock"),
     },
+    "repro/optimizer/statistics.py": {
+        # A column's summary has no lock of its own: it changes only under
+        # its table's ``TableData.lock``.  Appenders, updaters and deletes
+        # call its ``*_locked`` mutators with that lock held, and so does
+        # the one NDV fold site (``ColumnData.folded_stats``), the only
+        # writer of ``watermark``; planners read it afterwards.
+        "ColumnStatistics": SharedClassSpec("lock"),
+    },
     "repro/catalog/catalog.py": {
         "Catalog": SharedClassSpec("_lock"),
     },

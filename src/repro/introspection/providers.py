@@ -174,7 +174,7 @@ def column_stats_rows(database: Any, transaction: Any) -> List[Row]:
     rows: List[Row] = []
     for table in database.catalog.tables(transaction):
         for index, column in enumerate(table.columns):
-            stats = table.data.columns[index].stats
+            stats = table.data.columns[index].folded_stats()
             rows.append((table.name, column.name, int(stats.row_count),
                          int(stats.null_count), float(stats.ndv),
                          repr(stats.min_value) if stats.min_value is not None

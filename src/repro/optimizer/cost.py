@@ -121,7 +121,7 @@ def _get_stats(get: LogicalGet, position: int) -> Optional[ColumnStatistics]:
     if data is None:
         return None
     try:
-        stats = data.columns[get.column_ids[position]].stats
+        stats = data.columns[get.column_ids[position]].folded_stats()
     except (AttributeError, IndexError):
         return None
     if stats.row_count <= 0:

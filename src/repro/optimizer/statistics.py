@@ -9,15 +9,25 @@ deliberately cheap to maintain:
   one vectorized reduction over the incoming chunk.
 * **NDV** (number of distinct values) starts as an exact set and degrades to
   a HyperLogLog sketch once the set would cost more memory than the estimate
-  is worth -- the "HyperLogLog-or-exact" scheme from the issue.  Both paths
-  consume whole NumPy arrays, never one value at a time on the hot path
-  (one ``set`` or ``np.unique`` per batch for the exact set, and only of
-  a prefix once the batch is known to overflow it; a vectorized splitmix64
-  for the sketch).
+  is worth -- the "HyperLogLog-or-exact" scheme.  Both paths consume whole
+  NumPy arrays, never one value at a time on the hot path (one ``set`` or
+  ``np.unique`` per batch for the exact set, and only of a prefix once the
+  batch is known to overflow it; a vectorized splitmix64 for the sketch).
+  The estimate depends only on the *set* of values added, never on how they
+  were batched.
+* **NDV is folded lazily.**  An append leaves its rows' distinct values
+  uncounted: rows ``[watermark, row_count)`` of a column are *pending*.
+  Nothing reads NDV until a query is planned, ``repro_column_stats()`` is
+  read or a checkpoint is written, and each of those goes through the one
+  fold site, :meth:`repro.storage.table_data.ColumnData.folded_stats`, which
+  adds the pending rows as stored under the table lock and advances the
+  watermark.  A bulk import into a table that is dropped before anyone asks
+  pays for no NDV work at all.
 * **VARCHAR** columns are dictionary-coded, so their summary widens from the
   *new dictionary entries* an append or update produced (the
   ``new_entries`` argument of the observation hooks), never from the rows:
   a batch of 20,000 rows over eight tags costs nothing after the first.
+  That is cheap, so it stays eager and such a column has nothing pending.
 * **updates and deletes** cannot shrink min/max or NDV without a rescan, so
   they only *widen* the summary and flip :attr:`ColumnStatistics.stale`;
   the next checkpoint recomputes exact values for dirty columns (clean
@@ -31,6 +41,7 @@ comes from the scan itself.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Any, Optional, Set
 
@@ -54,22 +65,29 @@ _HLL_P = 12
 _HLL_M = 1 << _HLL_P
 _HLL_ALPHA = 0.7213 / (1.0 + 1.079 / _HLL_M)
 
+#: The one NaN an exact distinct set holds for every NaN it is given.
+_NAN = float("nan")
+
 
 def _hash_array(values: np.ndarray) -> np.ndarray:
     """Vectorized 64-bit mix (splitmix64 finalizer) of an array's values.
 
     Fixed-width dtypes are reinterpreted as unsigned integers and mixed in
-    bulk; object (VARCHAR) arrays fall back to Python's string hash per
-    value, which is acceptable off the execution hot path.
+    bulk.  Object (VARCHAR) arrays are keyed per value by a fixed 64-bit
+    hash of the UTF-8 text -- not Python's ``hash()``, which is salted per
+    process and would make the estimate differ from run to run.  Only a
+    sketch hashes strings, and only a column's new dictionary entries.
     """
     if values.dtype == object:
-        hashed = np.fromiter((hash(value) for value in values),
-                             dtype=np.int64, count=len(values))
-        keys = hashed.astype(np.uint64)
+        keys = np.frombuffer(b"".join(
+            hashlib.blake2b(str(value).encode("utf-8", "surrogatepass"),
+                            digest_size=8).digest()
+            for value in values.tolist()), dtype=np.uint64)
     elif values.dtype.kind == "f":
-        # Canonicalize to float64 bit patterns (and -0.0 to +0.0) so equal
-        # values hash equally across FLOAT and DOUBLE observations.
+        # Canonicalize to float64 bit patterns (-0.0 to +0.0, every NaN to
+        # one NaN) so equal values hash equally across FLOAT and DOUBLE.
         as_double = values.astype(np.float64) + 0.0
+        as_double[np.isnan(as_double)] = np.nan
         keys = as_double.view(np.uint64)
     elif values.dtype.kind == "b":
         keys = values.astype(np.uint64)
@@ -123,7 +141,13 @@ class HyperLogLog:
 
 
 class DistinctCounter:
-    """Exact distinct set that degrades to HyperLogLog past a size limit."""
+    """Exact distinct set that degrades to HyperLogLog past a size limit.
+
+    The estimate depends only on the set of values added: the exact set is
+    given up only when the union would pass the limit, and both the set and
+    the sketch's registers are unions.  So any split of the same values
+    into batches gives the same answer.
+    """
 
     __slots__ = ("_exact", "_sketch", "_limit")
 
@@ -140,30 +164,36 @@ class DistinctCounter:
         """Fold ``values`` in; ``distinct`` promises they hold no duplicates."""
         if len(values) == 0:
             return
-        if self._sketch is not None:
-            self._sketch.add_array(values)
-            return
-        assert self._exact is not None
-        room = self._limit - len(self._exact)
-        unique: Any = values
-        if not distinct:
-            if len(values) > self._limit:
-                # A prefix that overflows proves the batch does; only a
-                # batch of few distinct values is worth sorting in full.
-                unique = np.unique(values[:self._limit + 1])
-                if len(unique) <= room:
-                    unique = np.unique(values)
-            elif values.dtype.kind == "f" and np.isnan(values).any():
-                unique = np.unique(values)  # counts all NaNs once; a set would not
-            else:
-                unique = set(values.tolist())
-        if len(unique) > room:
+        if self._sketch is None:
+            assert self._exact is not None
+            fresh = self._new_members(values, distinct)
+            if fresh is not None \
+                    and len(self._exact) + len(fresh) <= self._limit:
+                self._exact.update(fresh)
+                return
             self._promote()
-            assert self._sketch is not None
-            self._sketch.add_array(values)
-        else:
-            self._exact.update(unique.tolist() if isinstance(unique, np.ndarray)
-                               else unique)
+        assert self._sketch is not None
+        self._sketch.add_array(values)
+
+    def _new_members(self, values: np.ndarray,
+                     distinct: bool) -> Optional[Set[Any]]:
+        """Members of ``values`` not yet in the exact set, or None when the
+        batch alone provably overflows the limit."""
+        if len(values) > self._limit:
+            # A prefix that overflows proves the batch does; only a batch
+            # of few distinct values is worth sorting in full.
+            if distinct or \
+                    len(np.unique(values[:self._limit + 1])) > self._limit:
+                return None
+            values = np.unique(values)
+        members = set(values.tolist())
+        if values.dtype.kind == "f" and np.isnan(values).any():
+            # NaN != NaN, so a set keeps every NaN object; one shared NaN
+            # stands for them all.
+            members = {member for member in members if member == member}
+            members.add(_NAN)
+        assert self._exact is not None
+        return members - self._exact
 
     def _promote(self) -> None:
         self._sketch = HyperLogLog()
@@ -200,10 +230,18 @@ class ColumnStatistics:
     the basis for the null fraction.  ``stale`` means an update or delete
     has happened since the last exact computation: min/max/NDV may
     *overestimate* the live data but never under-represent it.
+
+    ``watermark`` is the row up to which ``distinct`` has seen the column's
+    stored values: rows ``[watermark, row_count)`` of a column that is not
+    dictionary-coded are pending until the table's fold site reads them.
+    The summary has no lock of its own; every mutator is a ``*_locked``
+    method, called with the owning table's lock held (or on a summary not
+    yet published to other threads).
     """
 
     __slots__ = ("dtype", "min_value", "max_value", "null_count",
-                 "row_count", "distinct", "stale", "_baseline_ndv")
+                 "row_count", "distinct", "watermark", "stale",
+                 "_baseline_ndv")
 
     def __init__(self, dtype: LogicalType) -> None:
         self.dtype = dtype
@@ -212,6 +250,7 @@ class ColumnStatistics:
         self.null_count = 0
         self.row_count = 0
         self.distinct = DistinctCounter()
+        self.watermark = 0
         self.stale = False
         #: NDV carried over from a checkpoint whose sketch was not
         #: persisted; the live estimate never reports below this.
@@ -220,7 +259,8 @@ class ColumnStatistics:
     # -- summaries -------------------------------------------------------
     @property
     def ndv(self) -> float:
-        """Estimated number of distinct (non-null) values."""
+        """Estimated number of distinct (non-null) values among the rows
+        folded so far (see :attr:`watermark`)."""
         return max(self.distinct.estimate(), self._baseline_ndv)
 
     @property
@@ -231,29 +271,42 @@ class ColumnStatistics:
         return self.min_value is not None and self.max_value is not None
 
     # -- observation hooks ----------------------------------------------
-    def observe_append(self, data: np.ndarray, validity: np.ndarray,
-                       new_entries: Optional[np.ndarray] = None) -> None:
-        """Fold one appended chunk into the summary (vectorized).
+    def observe_append_locked(self, data: np.ndarray, validity: np.ndarray,
+                              new_entries: Optional[np.ndarray] = None
+                              ) -> None:
+        """Fold one appended chunk's min/max and null count in (vectorized).
 
-        For a dictionary-coded column ``data`` is codes and ``new_entries``
-        the strings this chunk added to the column's dictionary: min/max/NDV
-        can only move through those, so only those are looked at.  (The
-        dictionary also keeps strings of aborted or overwritten rows, which
-        widens the summary and never narrows it.)
+        Its distinct values stay pending (see :attr:`watermark`), except for
+        a dictionary-coded column: there ``data`` is codes and
+        ``new_entries`` the strings this chunk added to the column's
+        dictionary, and min/max/NDV can only move through those, so only
+        those are looked at, now.  (The dictionary also keeps strings of
+        aborted or overwritten rows, which widens the summary and never
+        narrows it.)
         """
         self.row_count += len(data)
         self.null_count += int(len(data) - np.count_nonzero(validity))
-        self._fold(data, validity, new_entries)
+        self._fold(data, validity, new_entries, new_entries is not None)
 
-    def observe_update(self, data: np.ndarray, validity: np.ndarray,
-                       new_entries: Optional[np.ndarray] = None) -> None:
+    def observe_update_locked(self, data: np.ndarray, validity: np.ndarray,
+                              new_entries: Optional[np.ndarray] = None
+                              ) -> None:
         """Fold updated values in.  Old values cannot be retracted, so the
         summary only widens and becomes stale until the next checkpoint."""
         self.stale = True
-        self._fold(data, validity, new_entries)
+        self._fold(data, validity, new_entries, True)
+
+    def fold_pending_locked(self, data: np.ndarray,
+                            validity: np.ndarray) -> None:
+        """Add the next ``len(data)`` pending rows, as stored, to NDV and
+        move the watermark past them."""
+        values = data if validity.all() else data[validity]
+        if len(values) and self.dtype.id is not LogicalTypeId.SQLNULL:
+            self.distinct.add_array(values)
+        self.watermark += len(data)
 
     def _fold(self, data: np.ndarray, validity: np.ndarray,
-              new_entries: Optional[np.ndarray]) -> None:
+              new_entries: Optional[np.ndarray], count_distinct: bool) -> None:
         if new_entries is not None:
             values = new_entries
         else:
@@ -261,9 +314,10 @@ class ColumnStatistics:
         if len(values) == 0 or self.dtype.id is LogicalTypeId.SQLNULL:
             return
         self._widen(values)
-        self.distinct.add_array(values, distinct=new_entries is not None)
+        if count_distinct:
+            self.distinct.add_array(values, distinct=new_entries is not None)
 
-    def mark_stale(self) -> None:
+    def mark_stale_locked(self) -> None:
         """Deletes (and anything else that shrinks the data) leave the
         summary as an overestimate until the next checkpoint recompute."""
         self.stale = True
@@ -297,7 +351,9 @@ def compute_column_statistics(data: np.ndarray, validity: np.ndarray,
     pass the referenced dictionary entries as ``new_entries``.
     """
     stats = ColumnStatistics(dtype)
-    stats.observe_append(data, validity, new_entries)
+    stats.observe_append_locked(data, validity, new_entries)
+    if new_entries is None:
+        stats.fold_pending_locked(data, validity)
     return stats
 
 
@@ -309,11 +365,14 @@ def restore_column_statistics(dtype: LogicalType, row_count: int,
 
     The distinct sketch itself is not persisted; the loaded NDV becomes a
     floor (``_baseline_ndv``) under a fresh counter that only sees
-    post-checkpoint appends.  ``max(baseline, fresh)`` can undercount the
-    union, which is the conservative direction for ``1/ndv`` selectivity.
+    post-checkpoint appends: the watermark starts at the restored
+    ``row_count``, so the loaded rows are never folded again.
+    ``max(baseline, fresh)`` can undercount the union, which is the
+    conservative direction for ``1/ndv`` selectivity.
     """
     stats = ColumnStatistics(dtype)
     stats.row_count = row_count
+    stats.watermark = row_count
     stats.null_count = null_count
     stats.stale = stale
     stats._baseline_ndv = float(ndv)

@@ -191,7 +191,7 @@ class CheckpointWriter:
                     writer.write_uint32(len(segment.block_ids))
                     for block_id in segment.block_ids:
                         writer.write_int64(block_id)
-                stats = column_data.stats
+                stats = column_data.folded_stats()
                 writer.write_uint64(stats.row_count)
                 writer.write_uint64(stats.null_count)
                 writer.write_double(stats.ndv)

@@ -134,7 +134,7 @@ class ColumnData:
         self.data[row_start:row_start + count] = values
         self.validity[row_start:row_start + count] = vector.validity
         self.mark_dirty(row_start, row_start + count - 1)
-        self.stats.observe_append(values, vector.validity, new_entries)
+        self.stats.observe_append_locked(values, vector.validity, new_entries)
 
     def load_segment(self, row_start: int, vector: Vector) -> None:
         """Install checkpointed rows: no statistics (the checkpoint carries
@@ -145,6 +145,8 @@ class ColumnData:
 
     def update(self, transaction: Transaction, rows: np.ndarray, vector: Vector) -> UpdateUndo:
         """In-place update of ``rows`` with undo capture (rows must be sorted)."""
+        # Overwritten rows' appended values must reach NDV before they go.
+        self.folded_stats()
         old_data = self.data[rows].copy()
         old_validity = self.validity[rows].copy()
         prev_writer = self.table.last_writer[rows].copy()
@@ -155,8 +157,30 @@ class ColumnData:
         self.validity[rows] = vector.validity
         self.undo_entries.append(undo)
         self.mark_dirty(int(rows[0]), int(rows[-1]))
-        self.stats.observe_update(values, vector.validity, new_entries)
+        self.stats.observe_update_locked(values, vector.validity, new_entries)
         return undo
+
+    def folded_stats(self) -> ColumnStatistics:
+        """The summary, with every stored row's value in its NDV.
+
+        The one fold site: appends leave NDV alone, and every NDV reader
+        (the cost model, ``repro_column_stats()``, the checkpoint's
+        metadata) comes here first.  The pending rows ``[watermark,
+        row_count)`` are read as stored, a segment at a time so temporaries
+        stay bounded.  A VARCHAR summary widens from its new dictionary
+        entries on append and never has pending rows.
+        """
+        table = self.table
+        with table.lock, tracked_access(("table_data", id(table)), True,
+                                        table.lock):
+            stats = self.stats
+            if self.dictionary is None:
+                end = table.row_count
+                for start in range(stats.watermark, end, SEGMENT_ROWS):
+                    stop = min(start + SEGMENT_ROWS, end)
+                    stats.fold_pending_locked(self.data[start:stop],
+                                              self.validity[start:stop])
+            return stats
 
     def exact_statistics(self, row_count: int) -> ColumnStatistics:
         """Statistics recomputed from the first ``row_count`` rows."""
@@ -357,7 +381,7 @@ class TableData:
             self.last_writer[fresh] = transaction.transaction_id
             self.needs_compaction = True
             for column in self.columns:
-                column.stats.mark_stale()
+                column.stats.mark_stale_locked()
             transaction.record_delete(DeleteUndo(self, fresh, prev_writer))
             return int(fresh.size)
 

@@ -136,8 +136,9 @@ class Transaction:
             rows = slice(insert.start_row, insert.start_row + insert.count)
             table.inserted_by[rows] = ABORTED_MARKER
             table.needs_compaction = True
-            for column in table.columns:
-                column.stats.mark_stale()
+            with table.lock:
+                for column in table.columns:
+                    column.stats.mark_stale_locked()
         for entry, action in reversed(self.catalog_log):
             if action == "create":
                 entry.created_by = ABORTED_MARKER

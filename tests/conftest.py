@@ -10,9 +10,17 @@ import tempfile
 os.environ.setdefault("REPRO_VERIFY_PLANS", "1")
 
 import pytest
+from hypothesis import settings
 
 import repro
 from repro import sanitizer
+
+# In CI (GitHub sets ``CI``) every property test draws the same examples on
+# every run, so a property failure there reproduces locally with
+# ``CI=true python -m pytest <test id>``.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_sessionfinish(session, exitstatus):
