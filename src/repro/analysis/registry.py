@@ -133,10 +133,6 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # the slow-query log and flight dumps snapshot them concurrently.
         "StatementLog": SharedClassSpec("_lock"),
     },
-    "repro/server/capture.py": {
-        # Sessions on many worker threads emit captured statements.
-        "WorkloadCapture": SharedClassSpec("_lock"),
-    },
 }
 
 #: Modules whose functions run on morsel worker threads (or are called from

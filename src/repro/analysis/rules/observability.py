@@ -1,6 +1,6 @@
 """QLO -- observability-discipline rules for the quacktrace layer.
 
-Three ways instrumentation itself becomes a bug:
+Two ways instrumentation itself becomes a bug:
 
 * **a span that never closes** never reaches the tracer's span ring -- the
   trace silently loses an operator (or leaks the span on the tracer's
@@ -15,14 +15,6 @@ Three ways instrumentation itself becomes a bug:
   the moment the query touches the same subsystem.  Snapshot providers in
   ``repro/introspection/`` must copy-then-release: extract plain data under
   the lock, release it, then return (or yield from) the copy.
-* **telemetry emitted while holding an engine lock** (QLO004) couples the
-  engine's critical sections to file-system latency: an ``emit_*`` method
-  (the workload capture's ``emit_statement``) ends in a blocking
-  ``write()``+``flush()``, so one slow disk stalls whatever lock the caller
-  was holding -- and every thread queued behind it.  Emission is fed
-  copy-then-release, exactly like QLO003: snapshot under the lock,
-  release, then emit from the copy (the ``Session.execute`` epilogue is
-  the sanctioned emission site).
 
 Pairing for QLO001 is checked at *class* scope: a span started in one
 method and closed in another (``Connection._run_statement`` starts the
@@ -73,15 +65,13 @@ def _is_lock_expr(node: ast.AST) -> bool:
 
 class ObservabilityRule(Rule):
     name = "observability"
-    description = ("manual spans must be closed and snapshots and telemetry "
-                   "must not hold engine locks")
+    description = ("manual spans must be closed and snapshots must not hold "
+                   "engine locks")
     ids = {
         "QLO001": "span started with start_span()/start_query() but never "
                   "closed in the enclosing class or function",
         "QLO003": "introspection snapshot provider yields while holding an "
                   "engine lock (must copy-then-release)",
-        "QLO004": "telemetry emitted (emit_* call) while holding an engine "
-                  "lock (must copy-then-release, then emit outside)",
     }
     default_scope = ("repro/",)
 
@@ -89,7 +79,6 @@ class ObservabilityRule(Rule):
               config: AnalysisConfig) -> Iterator[Violation]:
         yield from self._check_span_pairing(ctx)
         yield from self._check_snapshot_locks(ctx)
-        yield from self._check_emit_under_lock(ctx)
 
     # -- QLO001: span lifecycle ------------------------------------------------
     def _check_span_pairing(self, ctx: FileContext) -> Iterator[Violation]:
@@ -153,23 +142,3 @@ class ObservabilityRule(Rule):
                         "generator; copy the snapshot under the lock, "
                         "release it, then yield from the copy",
                     )
-
-    # -- QLO004: telemetry emission under an engine lock -----------------------
-    def _check_emit_under_lock(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not any(_is_lock_expr(item.context_expr)
-                       for item in node.items):
-                continue
-            for inner in ast.walk(node):
-                attr = _called_attr(inner)
-                if attr is None or not attr.startswith("emit_"):
-                    continue
-                yield Violation(
-                    "QLO004", ctx.path, inner.lineno, inner.col_offset,
-                    f"{attr}() inside a 'with <lock>:' block ties the lock's "
-                    f"hold time to telemetry-sink I/O (write+flush per "
-                    f"record); snapshot the data under the lock, release "
-                    f"it, then emit from the copy",
-                )

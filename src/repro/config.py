@@ -138,16 +138,6 @@ class DatabaseConfig:
     admission_timeout_ms:
         How long an admitted-over-limit query may wait in the admission
         queue, in milliseconds.
-    capture_enabled:
-        Record every served statement (SQL + parameters + timing offset)
-        into the workload-capture JSONL at ``capture_path`` for later
-        replay by ``tools/replay_workload.py``.  Instance-wide: flipping
-        it via PRAGMA from any session affects the whole database.
-    capture_path:
-        Destination file of the workload capture.  Empty with capture
-        enabled is an error at sync time.  The ``REPRO_CAPTURE_PATH``
-        environment variable provides the default for configs built via
-        :meth:`from_dict`.
     """
 
     memory_limit: int = 1 << 31  # 2 GiB default
@@ -166,8 +156,6 @@ class DatabaseConfig:
     result_cache_max_rows: int = 16384
     max_concurrent_queries: int = 0
     admission_timeout_ms: float = 30000.0
-    capture_enabled: bool = False
-    capture_path: str = ""
 
     @classmethod
     def from_dict(cls, options: Optional[Dict[str, Any]]) -> "DatabaseConfig":
@@ -189,10 +177,6 @@ class DatabaseConfig:
             env_verify = os.environ.get("REPRO_VERIFY_PLANS")
             if env_verify:
                 config.set_option("verify_plans", env_verify)
-        if "capture_path" not in given:
-            env_capture = os.environ.get("REPRO_CAPTURE_PATH")
-            if env_capture:
-                config.set_option("capture_path", env_capture)
         return config
 
     def set_option(self, name: str, value: Any) -> None:
@@ -233,10 +217,6 @@ class DatabaseConfig:
             if timeout < 0:
                 raise InvalidInputError("admission_timeout_ms must be >= 0")
             self.admission_timeout_ms = timeout
-        elif name == "capture_path":
-            self.capture_path = str(value)
-        elif name == "capture_enabled":
-            self.capture_enabled = _coerce_bool(value)
         else:
             raise InvalidInputError(f"Unknown configuration option {name!r}")
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from .catalog.catalog import Catalog
 from .config import DatabaseConfig
 from .cooperation.controller import ReactiveController, StaticController
 from .cooperation.monitor import ResourceMonitor, SimulatedApplication
 from .errors import ConnectionError as DatabaseConnectionError
-from .errors import InvalidInputError
 from .introspection import flight
 from .observability.accounting import StatementLog
 from .observability.metrics import Metric
@@ -31,9 +30,6 @@ from .storage.buffer_manager import BufferManager
 from .storage.storage_manager import StorageManager
 from .transaction.manager import TransactionManager
 from .verifier import PlanVerifier
-
-if TYPE_CHECKING:
-    from .server.capture import WorkloadCapture
 
 __all__ = ["Database"]
 
@@ -85,39 +81,9 @@ class Database:
         #: the slow-query log, the flight dump, ``repro_optimizer()``,
         #: ``repro_plan_checks()`` and the statement metrics all read it.
         self.statement_log = StatementLog()
-        #: Workload capture (JSONL statement recorder) when
-        #: ``config.capture_enabled`` (see :meth:`sync_capture`).
-        self.workload_capture: Optional["WorkloadCapture"] = None
-        self.sync_capture()
         self.storage.load(self.catalog, self.transaction_manager)
 
     # -- observability --------------------------------------------------------
-    def sync_capture(self) -> None:
-        """Bring the workload capture in line with the current config.
-
-        Instance-wide by design: PRAGMA plumbing routes capture option
-        changes here against the *database* config even when issued from a
-        serving session with a private config copy -- a capture records
-        the whole instance's workload or none of it.
-        """
-        from .server.capture import WorkloadCapture
-
-        if self.config.capture_enabled and not self._closed:
-            path = self.config.capture_path
-            if not path:
-                self.config.capture_enabled = False
-                raise InvalidInputError(
-                    "capture_enabled requires capture_path to be set")
-            if (self.workload_capture is None
-                    or self.workload_capture.path != path):
-                previous = self.workload_capture
-                self.workload_capture = WorkloadCapture(path)
-                if previous is not None:
-                    previous.close()
-        elif self.workload_capture is not None:
-            capture, self.workload_capture = self.workload_capture, None
-            capture.close()
-
     def dump_flight(self, reason: str, error: Optional[BaseException] = None,
                     best_effort: bool = False) -> Optional[str]:
         """Write the flight dump to ``repro_flight_<pid>.json``.
@@ -221,10 +187,6 @@ class Database:
             raise DatabaseConnectionError("The database has been closed")
 
     def close(self) -> None:
-        if not self._closed:
-            capture, self.workload_capture = self.workload_capture, None
-            if capture is not None:
-                capture.close()
         # Checkpoint-on-close runs under the same ``_checkpoint_lock`` as
         # explicit/auto checkpoints (and in the same position in the lock
         # hierarchy: the closing connection already holds its ``_lock``),

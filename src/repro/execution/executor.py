@@ -40,15 +40,14 @@ from .physical_planner import create_physical_plan
 __all__ = ["Executor", "StatementResult"]
 
 #: Options that only database-owned components read: the shared plan and
-#: result caches, admission control, the storage and buffer managers, and
-#: workload capture.  A PRAGMA on one changes the database config from any
+#: result caches, admission control, and the storage and buffer managers.
+#: A PRAGMA on one changes the database config from any
 #: connection; a session's private copy alone would read back the new value
 #: while the component kept the old one.
 _DATABASE_OPTIONS = frozenset({
     "plan_cache_entries", "result_cache_entries", "result_cache_max_rows",
     "max_concurrent_queries", "admission_timeout_ms", "wal_autocheckpoint",
-    "checkpoint_on_close", "buffer_memtest", "capture_enabled",
-    "capture_path"})
+    "checkpoint_on_close", "buffer_memtest"})
 
 
 class StatementResult:
@@ -390,13 +389,10 @@ class Executor:
             return StatementResult.text_result("flight_dump", [str(path)])
         if name in _DATABASE_OPTIONS and statement.value is not None:
             # Route the option to the *database* config whatever config this
-            # executor runs on.  For capture it is also the design: a session
-            # recording only its own slice of an interleaved workload could
-            # not be replayed into the same database state.
+            # executor runs on.
             database.config.set_option(name, statement.value)
             if self.config is not database.config:
                 self.config.set_option(name, statement.value)
-            database.sync_capture()
             return StatementResult.empty()
         if statement.value is None:
             value = self.config.get_option(name)

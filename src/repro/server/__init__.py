@@ -11,7 +11,6 @@ level -- those imports are deferred into the methods that need them.
 from .admission import AdmissionController, AdmissionTicket
 from .cache import (CachedPlan, CachedResult, PlanCache, ResultCache,
                     plan_result_cacheable)
-from .capture import WorkloadCapture, load_capture, replay_workload
 from .session import Session, SessionRegistry
 from .server import QueryServer
 
@@ -26,7 +25,4 @@ __all__ = [
     "QueryServer",
     "Session",
     "SessionRegistry",
-    "WorkloadCapture",
-    "load_capture",
-    "replay_workload",
 ]

@@ -5,7 +5,7 @@ A :class:`Session` wraps a dedicated
 of the database's -- session ``PRAGMA``s (memory limit, threads, tracing
 thresholds) apply to this session only and die with it.  The options only
 database-owned components read (cache sizes, admission limits, WAL and
-checkpoint policy, capture) change the database config instead.  Every
+checkpoint policy) change the database config instead.  Every
 statement passes through the shared
 :class:`~repro.server.admission.AdmissionController` first, and the
 granted ticket caps the session's thread/memory knobs for the statement's
@@ -77,8 +77,6 @@ class Session:
         self.buffer_hits = 0
         self.buffer_misses = 0
         self.peak_memory = 0
-        # Last bill of the execute() call in flight (capture records it).
-        self._last_bill: Optional["StatementRecord"] = None
         self._closed = False
         # Stamp the accounting attribution key onto the connection so every
         # StatementRecord carries (session_id, seq), and subscribe to the
@@ -97,33 +95,31 @@ class Session:
         return self._serve(sql, parameters, many=False)
 
     def executemany(self, sql: str, parameter_sets: Any) -> "QueryResult":
-        """One statement over many parameter sets: one admission ticket,
-        one bill, one capture line (see ``Connection.executemany``)."""
+        """One statement over many parameter sets: one admission ticket and
+        one bill (see ``Connection.executemany``)."""
         return self._serve(sql, list(parameter_sets), many=True)
 
     def _serve(self, sql: str, parameters: Any, many: bool) -> "QueryResult":
         if self._closed:
             raise ClosedHandleError(
                 f"Session {self.name!r} has been closed")
-        started = time.time()
         with self._registry_lock:
             self.state = "active"
             self.last_sql = sql
             self.statements += 1
             self.active_sql = sql
             self.active_phase = "admission"
-            self.active_since = started
+            self.active_since = time.time()
             self.active_seq = self.connection._statement_seq + 1
-            self._last_bill = None
-        ticket = self._admission.admit() if self._admission is not None \
-            else None
+        ticket = None
         config = self.connection.session_config
         saved_threads = granted_threads = config.threads
         saved_memory = granted_memory = config.memory_limit
-        captured_rows = 0
-        captured_error = ""
         try:
-            if ticket is not None:
+            # Admitted inside the ``try``: a timed-out admission counts as
+            # an error and still clears the activity fields below.
+            if self._admission is not None:
+                ticket = self._admission.admit()
                 # The grant only ever tightens the session's own knobs.
                 granted_threads = max(1, min(saved_threads, ticket.threads))
                 granted_memory = min(saved_memory, ticket.memory_limit)
@@ -133,11 +129,8 @@ class Session:
                 self.active_phase = "executing"
             run = self.connection.executemany if many \
                 else self.connection.execute
-            result = run(sql, parameters)
-            captured_rows = result.rowcount
-            return result
-        except Exception as execute_error:
-            captured_error = type(execute_error).__name__
+            return run(sql, parameters)
+        except Exception:
             with self._registry_lock:
                 self.errors += 1
             raise
@@ -156,21 +149,8 @@ class Session:
                 self.active_phase = ""
                 self.active_since = 0.0
                 self.active_seq = 0
-                bill = self._last_bill
                 if not self._closed:
                     self.state = "idle"
-            # Workload capture writes to a file: strictly outside every
-            # engine lock (quacklint QLO004).  Without a bill (transaction
-            # control statements observe nothing) the result's own count
-            # stands in.
-            capture = self.connection.database.workload_capture
-            if capture is not None:
-                capture.emit_statement(
-                    self.name, self.session_id,
-                    bill.statement_seq if bill is not None else 0,
-                    sql, parameters,
-                    bill.rows_out if bill is not None else captured_rows,
-                    (time.time() - started) * 1000.0, captured_error, many)
 
     def _fold_bill(self, bill: "StatementRecord") -> None:
         """Add one finished statement's bill to the session totals.
@@ -179,7 +159,6 @@ class Session:
         multi-statement string or a streamed result is billed in full.
         """
         with self._registry_lock:
-            self._last_bill = bill
             self.rows_returned += bill.rows_out
             self.wall_ms += bill.wall_ms
             self.cpu_ms += bill.cpu_ms

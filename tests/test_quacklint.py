@@ -890,42 +890,6 @@ class TestObservabilityRule:
         """
         assert check(source, self.PATH) == []
 
-    def test_emit_under_lock_flagged(self):
-        source = """
-        def fold(self, sink):
-            with self._registry_lock:
-                for record in self._pending:
-                    sink.emit_statement(record)
-        """
-        assert rule_ids(check(source, self.PATH)) == ["QLO004"]
-
-    def test_emit_under_nested_non_lock_with_flagged(self):
-        source = """
-        def flush(self, sink, path):
-            with self._lock:
-                with open(path) as handle:
-                    sink.emit_sample(handle.read())
-        """
-        assert rule_ids(check(source, self.PATH)) == ["QLO004"]
-
-    def test_copy_then_release_emit_is_clean(self):
-        source = """
-        def fold(self, sink):
-            with self._registry_lock:
-                pending = list(self._pending)
-            for record in pending:
-                sink.emit_statement(record)
-        """
-        assert check(source, self.PATH) == []
-
-    def test_emit_under_plain_with_is_clean(self):
-        source = """
-        def flush(self, sink, path):
-            with open(path) as handle:
-                sink.emit_sample(handle.read())
-        """
-        assert check(source, self.PATH) == []
-
 
 class TestPlanDiscipline:
     PATH = "repro/optimizer/fixture.py"
@@ -1085,8 +1049,7 @@ class TestCommandLine:
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
         for rule_id in ("QLC001", "QLC003", "QLL001", "QLL002", "QLV001",
-                        "QLZ001", "QLE001", "QLR001", "QLO001", "QLO003",
-                        "QLO004"):
+                        "QLZ001", "QLE001", "QLR001", "QLO001", "QLO003"):
             assert rule_id in proc.stdout
 
     BAD_FIXTURE = ("def load():\n"

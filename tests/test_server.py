@@ -161,12 +161,22 @@ def test_admission_limit_rejects_past_timeout():
         server.execute("CREATE TABLE t (i INTEGER)")
         # Occupy the only slot, exactly as an in-flight query would.
         server.admission.admit()
-        try:
-            with server.session() as session:
+        with server.session() as session:
+            try:
                 with pytest.raises(AdmissionError):
                     session.execute("SELECT count(*) FROM t")
-        finally:
-            server.admission.release()
+            finally:
+                server.admission.release()
+            # The timed-out statement counts as an error and leaves no
+            # phantom activity behind.
+            assert server.execute(
+                "SELECT state, errors FROM repro_sessions() "
+                "WHERE session_id = ?", [session.session_id]
+            ).fetchall() == [("idle", 1)]
+            assert server.execute(
+                "SELECT count(*) FROM repro_activity() "
+                "WHERE session_id = ?", [session.session_id]
+            ).fetchvalue() == 0
         stats = server.admission.stats()
         assert stats["timeouts"] >= 1
         # The slot is free again: queries run.

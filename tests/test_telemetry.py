@@ -1,12 +1,13 @@
 """Pull-only telemetry: statement accounting, live activity and session
-tables, scrape pages, and workload capture/replay.
+tables, and scrape pages.
 
 The process-wide metrics registry is shared across the test session, so
 assertions compare *deltas* and structural invariants rather than absolute
 counter values wherever another test could have moved a counter.
 """
 
-import json
+import dataclasses
+import pathlib
 import re
 
 import pytest
@@ -16,7 +17,8 @@ from repro.config import DatabaseConfig
 from repro.errors import InvalidInputError
 from repro.observability import StatementLog, StatementRecord
 from repro.observability.accounting import RECENT_ENTRIES
-from repro.server import WorkloadCapture, load_capture, replay_workload
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # -- statement accounting ----------------------------------------------------
@@ -99,13 +101,16 @@ class TestStatementAccounting:
     # The statement log feeds the flight dump and the slow-query log, so its
     # bound is a constant, not a knob that could switch them off.  The other
     # names drove the sampling profiler and the metrics-history sampler:
-    # the engine starts no thread of its own, so none of them is an option
-    # or a PRAGMA verb, on a direct connection or in a served session.
+    # the engine starts no thread of its own, and the embedding host keeps
+    # workload history by pulling repro_statement_log(), so none of them is
+    # an option or a PRAGMA verb, on a direct connection or in a served
+    # session.
     @pytest.mark.parametrize("name", [
         "statement_log_entries",
         "profile_enabled", "profile_hz",
         "telemetry_interval_ms", "telemetry_path",
         "enable_profiling", "disable_profiling", "telemetry_sample",
+        "capture_enabled", "capture_path",
     ])
     def test_removed_option_raises(self, name):
         with pytest.raises(InvalidInputError):
@@ -122,6 +127,23 @@ class TestStatementAccounting:
                 for pragma in (f"PRAGMA {name}", f"PRAGMA {name} = 1"):
                     with pytest.raises(InvalidInputError):
                         session.execute(pragma)
+
+    def test_knobs_and_env_vars_are_documented(self):
+        # The DatabaseConfig docstring has one entry per config field, and
+        # the README names exactly the REPRO_* variables the engine reads:
+        # none missing, none stale.
+        documented = set(re.findall(r"^    (\w+):$", DatabaseConfig.__doc__,
+                                    re.M))
+        assert documented == {
+            field.name for field in dataclasses.fields(DatabaseConfig)}
+        read = {name
+                for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+                for name in re.findall(
+                    r"os\.environ\.get\(\s*[\"'](REPRO_[A-Z_]+)",
+                    path.read_text(encoding="utf-8"))}
+        assert read, "the scan must find the engine's REPRO_* variables"
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        assert set(re.findall(r"REPRO_[A-Z_]+", readme)) == read
 
     def test_slow_statement_outlives_fast_ones(self):
         con = repro.connect()
@@ -217,10 +239,6 @@ class TestTelemetryTables:
 # -- getting telemetry out ---------------------------------------------------
 
 class TestTelemetryExport:
-    def test_env_default_capture_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_PATH", "cap.jsonl")
-        assert DatabaseConfig.from_dict({}).capture_path == "cap.jsonl"
-
     def test_scrape_returns_prometheus_text(self):
         with repro.serve() as server:
             with server.session("scraped") as session:
@@ -278,149 +296,3 @@ class TestMetricsTextRoundTrip:
                 assert rendered[bound] == cumulative
             assert scalars[f"{name}_sum"] == pytest.approx(
                 snapshot[name]["sum"])
-
-
-# -- workload capture and replay ---------------------------------------------
-
-class TestWorkloadCapture:
-    def test_capture_enabled_requires_path(self):
-        con = repro.connect()
-        try:
-            with pytest.raises(InvalidInputError):
-                con.execute("PRAGMA capture_enabled=1")
-            # The failed enable did not leave the flag set.
-            assert con.database.config.capture_enabled is False
-        finally:
-            con.close()
-
-    def test_capture_file_format(self, tmp_path):
-        path = str(tmp_path / "cap.jsonl")
-        capture = WorkloadCapture(path)
-        capture.emit_statement("s1", 1, 1, "SELECT ?", (42,), 1, 0.5)
-        capture.emit_statement("s1", 1, 2, "PRAGMA capture_enabled=0",
-                               None, 0, 0.1)
-        capture.close()
-        lines = [json.loads(line)
-                 for line in open(path, encoding="utf-8")]
-        assert lines[0]["type"] == "capture_start"
-        statements = [line for line in lines if line["type"] == "statement"]
-        # PRAGMA capture control statements are excluded from the capture
-        # (replaying them would re-arm capture on the replay server).
-        assert len(statements) == 1
-        assert statements[0]["sql"] == "SELECT ?"
-        assert statements[0]["params"] == [42]
-        assert load_capture(path)[0]["seq"] == 1
-
-    def test_server_sessions_are_captured(self, tmp_path):
-        path = str(tmp_path / "cap.jsonl")
-        config = {"capture_enabled": True, "capture_path": path}
-        with repro.serve(config=config) as server:
-            with server.session("alpha") as session:
-                session.execute("CREATE TABLE t (a INTEGER)")
-                session.execute("INSERT INTO t VALUES (1), (2)")
-                session.execute("SELECT count(*) FROM t").fetchall()
-        statements = load_capture(path)
-        assert [record["sql"] for record in statements] == [
-            "CREATE TABLE t (a INTEGER)",
-            "INSERT INTO t VALUES (1), (2)",
-            "SELECT count(*) FROM t",
-        ]
-        assert statements[-1]["rowcount"] == 1
-        assert all(record["session"] == "alpha" for record in statements)
-        assert all(record["offset_s"] >= 0 for record in statements)
-
-    def test_pragma_capture_routes_to_database_config(self, tmp_path):
-        # Capture is instance-wide: enabling it from a serving session
-        # (which runs on a private config copy) must still arm the
-        # database-level recorder.
-        path = str(tmp_path / "cap.jsonl")
-        with repro.serve() as server:
-            with server.session("ops") as session:
-                session.execute(f"PRAGMA capture_path='{path}'")
-                session.execute("PRAGMA capture_enabled=1")
-                assert server.database.workload_capture is not None
-                session.execute("SELECT 1").fetchall()
-                session.execute("PRAGMA capture_enabled=0")
-                assert server.database.workload_capture is None
-        statements = load_capture(path)
-        assert [record["sql"] for record in statements] == [
-            "SELECT 1"]
-
-    def test_capture_replay_round_trip_exact_parity(self, tmp_path):
-        # Serial sessions mixing every statement shape a served client
-        # sends: `?` and `:name` reads, single INSERTs, one executemany,
-        # an UPDATE, and one statement that fails.
-        path = str(tmp_path / "cap.jsonl")
-        config = {"capture_enabled": True, "capture_path": path}
-        with repro.serve(config=config) as server:
-            with server.session("setup") as session:
-                session.execute(
-                    "CREATE TABLE events (id INTEGER, v DOUBLE)")
-                session.executemany(
-                    "INSERT INTO events VALUES (?, ?)",
-                    [(i, float(i)) for i in range(20)])
-            with server.session("reader") as session:
-                session.execute(
-                    "SELECT count(*) FROM events WHERE v > ?",
-                    (5.0,)).fetchall()
-                session.execute(
-                    "SELECT avg(v), max(v) FROM events WHERE id < :n",
-                    {"n": 10}).fetchall()
-                session.execute(
-                    "SELECT id, v FROM events ORDER BY id").fetchall()
-            with server.session("writer") as session:
-                session.execute("INSERT INTO events VALUES (?, ?)",
-                                (20, 20.0))
-                session.execute("INSERT INTO events VALUES (?, ?)",
-                                (21, 21.0))
-                session.execute(
-                    "UPDATE events SET v = v + ? WHERE id < ?", (1.0, 5))
-                with pytest.raises(repro.Error):
-                    session.execute("SELECT missing FROM events")
-            with server.session("dashboard") as session:
-                session.execute(
-                    "SELECT count(*), sum(v) FROM events WHERE v > :floor",
-                    {"floor": 3.0}).fetchall()
-                session.execute(
-                    "SELECT id FROM events WHERE v >= ? ORDER BY id",
-                    (19.0,)).fetchall()
-
-        records = load_capture(path)
-        assert len({record["session"] for record in records}) == 4
-        assert sum(bool(record["error"]) for record in records) == 1
-        assert sum(record["many"] for record in records) == 1
-        report = replay_workload(path, speed="max")
-        replay = report["replay"]
-        assert replay["statements"] == len(records) == 11
-        assert replay["matches"] == replay["statements"]
-        assert replay["mismatches"] == 0
-        assert replay["mismatch_samples"] == []
-        serving = report["serving"]
-        # The failing statement fails again on replay, and only it.
-        assert serving["errors"] == 1
-        assert serving["statements"] == 11
-        assert serving["p99_ms"] >= serving["p50_ms"]
-
-    def test_replay_recorded_speed_preserves_order(self, tmp_path):
-        path = str(tmp_path / "cap.jsonl")
-        config = {"capture_enabled": True, "capture_path": path}
-        with repro.serve(config=config) as server:
-            with server.session("one") as session:
-                session.execute("CREATE TABLE t (a INTEGER)")
-                session.execute("INSERT INTO t VALUES (1)")
-                session.execute("SELECT * FROM t").fetchall()
-        report = replay_workload(path, speed="recorded")
-        assert report["replay"]["mismatches"] == 0
-        assert report["replay"]["speed"] == "recorded"
-
-    def test_replay_reports_mismatches(self, tmp_path):
-        path = str(tmp_path / "cap.jsonl")
-        capture = WorkloadCapture(path)
-        capture.emit_statement("s", 1, 1, "CREATE TABLE t (a INTEGER)",
-                               None, 1, 0.1)
-        # Recorded rowcount lies: replay must flag the divergence.
-        capture.emit_statement("s", 1, 2, "SELECT * FROM t", None, 99, 0.1)
-        capture.close()
-        report = replay_workload(path)
-        assert report["replay"]["mismatches"] == 1
-        assert report["replay"]["mismatch_samples"]
