@@ -30,7 +30,9 @@ class StepClock:
 
 
 def build_database():
-    con = repro.connect()
+    # The result cache would answer the repeated query without executing
+    # it, so the controller would never be consulted.
+    con = repro.connect(config={"result_cache_entries": 0})
     con.execute("CREATE TABLE series (g INTEGER, v DOUBLE)")
     rng = np.random.default_rng(8)
     n = 300_000

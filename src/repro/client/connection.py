@@ -95,10 +95,9 @@ class Connection:
         # of the accounting attribution key.
         self._statement_seq = 0
         # Buffer-manager counters at the previous statement boundary; the
-        # next statement's hits/misses/peak are deltas against these.
+        # next statement's hits/misses are deltas against these.
         buffers = database.buffer_manager
-        self._buffer_baseline = (buffers.cache_hits, buffers.cache_misses,
-                                 buffers.peak_bytes)
+        self._buffer_baseline = (buffers.cache_hits, buffers.cache_misses)
         # Receives every finished statement's resource bill; set by the
         # serving Session that owns this connection, which folds the bills
         # into its stats.
@@ -532,15 +531,13 @@ class Connection:
             database.tracer.finish_query(query_span, wall_ns, cpu_ns)
         seq = self._statement_seq + 1
         self._statement_seq = seq
-        # Per-statement resource bill.  Buffer traffic and peak memory are
-        # deltas against the previous statement boundary on this
-        # connection -- concurrent connections share the buffer manager,
-        # so these are attribution *estimates*, exact only for serial use.
+        # Per-statement resource bill.  Buffer traffic is a delta against
+        # the previous statement boundary on this connection (an estimate:
+        # connections share the block cache); peak memory is exact.
         buffers = database.buffer_manager
         hits, misses = buffers.cache_hits, buffers.cache_misses
-        peak = buffers.peak_bytes
-        base_hits, base_misses, base_peak = self._buffer_baseline
-        self._buffer_baseline = (hits, misses, peak)
+        base_hits, base_misses = self._buffer_baseline
+        self._buffer_baseline = (hits, misses)
         # The statement is over: de-target interrupt().  Reading the stats
         # lock-free after the run is the executor's own post-run idiom.
         context, self._active_context = self._active_context, None
@@ -556,7 +553,8 @@ class Connection:
         record.vectors = vectors
         record.buffer_hits = max(0, hits - base_hits)
         record.buffer_misses = max(0, misses - base_misses)
-        record.memory_bytes = peak if peak > base_peak else buffers.used_bytes
+        memory = context.buffer_manager if context is not None else None
+        record.memory_bytes = memory.peak_bytes if memory is not None else 0
         if error is not None:
             record.error = type(error).__name__
             record.message = str(error)

@@ -3,23 +3,28 @@
 All three share the factorization machinery of
 :mod:`~repro.execution.keys`: group keys are turned into dense integer ids
 with ``np.unique`` and every aggregate is then a segmented NumPy reduction
-over the whole input -- the vectorized (low cycles-per-value) execution
-style the paper's §2 demands for OLAP workloads.
+over a whole batch of input -- the vectorized (low cycles-per-value)
+execution style the paper's §2 demands for OLAP workloads.
 
-The aggregation input is buffered through a
-:class:`~repro.execution.intermediates.ChunkBuffer`, so under memory
-pressure the reactive controller transparently compresses it (Figure 1).
+Grouped aggregation evaluates its group keys and arguments into a
+:class:`~repro.execution.intermediates.ChunkBuffer` (so under memory
+pressure the reactive controller compresses them, Figure 1), one
+morsel-sized batch at a time.  An input that fits in one batch is
+aggregated directly.  A longer one folds each full batch into a
+*partial-state chunk* and merges the partials at the end: the buffered
+input stays one morsel whatever the table size, and the morsel workers of
+:class:`~repro.execution.parallel.PhysicalParallelHashAggregate` produce
+the very same partials.  DISTINCT aggregates have no partial state, so
+they -- like DISTINCT and set operations -- buffer their whole input.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from typing import Tuple
-
-from ..errors import InternalError
+from ..errors import ConversionError, InternalError
 from ..functions.aggregate import compute_aggregate
 from ..planner.expressions import BoundAggregate, BoundExpression
 from ..types import BIGINT, DOUBLE, DataChunk, LogicalType, VECTOR_SIZE, Vector
@@ -29,56 +34,30 @@ from .keys import factorize_for_groups
 from .physical import ExecutionContext, PhysicalOperator
 
 __all__ = ["PhysicalHashAggregate", "PhysicalDistinct", "PhysicalSetOp",
-           "aggregate_supports_partial", "aggregate_input_layout",
-           "partial_state_types", "compute_partial_state",
-           "finalize_merged_state"]
+           "aggregate_supports_partial", "partial_state_types",
+           "compute_partial_state", "finalize_merged_state"]
 
 
-# -- partial aggregation (morsel-driven parallel execution) -------------------
+# -- partial aggregation --------------------------------------------------------
 #
-# A parallelizable aggregate decomposes into per-morsel *partial states* that
-# workers compute independently, plus a commutative merge the coordinator
-# applies over the concatenated partials.  Each state is an ordinary column,
-# so merging reuses the same factorize + segmented-reduction machinery as
-# serial aggregation: count -> sum of counts, sum -> sum of sums, min/max ->
-# min/max of extremes, avg -> (sum, count), variance -> (sum, sum-of-squares,
-# count).  ``first`` merges with ``first`` because partials arrive in morsel
-# order, preserving the serial first-occurrence semantics.
-
-PARALLEL_SAFE_AGGREGATES = frozenset([
-    "count", "sum", "avg", "min", "max", "first",
-    "stddev", "stddev_samp", "var_samp", "variance",
-])
+# Every non-DISTINCT aggregate decomposes into per-batch *partial states*
+# plus a commutative merge applied over the concatenated partials.  Each
+# state is an ordinary column, so merging reuses the same factorize +
+# segmented-reduction machinery: count -> sum of counts, min/max -> min/max
+# of extremes, avg -> (sum, count), variance -> (sum, sum-of-squares,
+# count).  An integer sum carries the sums of its values' low and high
+# 32-bit halves, which cannot overflow, and is range-checked once, when
+# finalized.  ``first`` merges with ``first`` because partials arrive in
+# input order, preserving first-occurrence semantics.
 
 _VARIANCE_NAMES = ("stddev", "stddev_samp", "var_samp", "variance")
+_LOW_HALF = 0xFFFFFFFF
 
 
 def aggregate_supports_partial(aggregate: BoundAggregate) -> bool:
-    """True when this aggregate decomposes into partial states plus merge.
-
-    DISTINCT aggregates need global deduplication and stay serial.
-    """
-    return (aggregate.name.lower() in PARALLEL_SAFE_AGGREGATES
-            and not aggregate.distinct)
-
-
-def aggregate_input_layout(groups: List[BoundExpression],
-                           aggregates: List[BoundAggregate]):
-    """Column types and per-aggregate argument slots of the evaluated input.
-
-    The aggregation input is the group-key columns followed by one column
-    per aggregate argument; argumentless aggregates (``count(*)``) get
-    slot -1.
-    """
-    buffered_types = [group.return_type for group in groups]
-    argument_slots: List[int] = []
-    for aggregate in aggregates:
-        if aggregate.args:
-            argument_slots.append(len(buffered_types))
-            buffered_types.append(aggregate.args[0].return_type)
-        else:
-            argument_slots.append(-1)
-    return buffered_types, argument_slots
+    """True when this aggregate decomposes into partial states plus merge:
+    all but DISTINCT ones, which need global deduplication."""
+    return not aggregate.distinct
 
 
 def partial_state_types(aggregate: BoundAggregate) -> List[Tuple[str, LogicalType]]:
@@ -87,6 +66,8 @@ def partial_state_types(aggregate: BoundAggregate) -> List[Tuple[str, LogicalTyp
     if name == "count":
         return [("sum", BIGINT)]
     if name == "sum":
+        if aggregate.return_type.is_integer():
+            return [("sum", BIGINT), ("sum", BIGINT)]
         return [("sum", aggregate.return_type)]
     if name in ("min", "max", "first"):
         return [(name, aggregate.args[0].return_type)]
@@ -100,11 +81,18 @@ def partial_state_types(aggregate: BoundAggregate) -> List[Tuple[str, LogicalTyp
 def compute_partial_state(aggregate: BoundAggregate, argument: Optional[Vector],
                           group_ids: np.ndarray,
                           group_count: int) -> List[Vector]:
-    """One morsel's partial-state columns for one aggregate."""
+    """One batch's partial-state columns for one aggregate."""
     name = aggregate.name.lower()
     if name == "count":
         return [compute_aggregate("count", False, argument, group_ids,
                                   group_count, BIGINT)]
+    if name == "sum" and aggregate.return_type.is_integer():
+        values = np.where(argument.validity, argument.data, 0).astype(
+            np.int64, copy=False)
+        return [compute_aggregate("sum", False,
+                                  Vector(BIGINT, half, argument.validity),
+                                  group_ids, group_count, BIGINT)
+                for half in (values & _LOW_HALF, values >> 32)]
     if name == "sum":
         return [compute_aggregate("sum", False, argument, group_ids,
                                   group_count, aggregate.return_type)]
@@ -128,96 +116,165 @@ def compute_partial_state(aggregate: BoundAggregate, argument: Optional[Vector],
     raise InternalError(f"Aggregate {name} has no partial decomposition")
 
 
+def _join_halves(low: Vector, high: Vector, return_type: LogicalType) -> Vector:
+    """Integer sums from the sums of their values' 32-bit halves; raises
+    instead of wrapping when a sum leaves the int64 range."""
+    high_data = high.data + (low.data >> 32)
+    low_data = low.data & _LOW_HALF
+    outside = high.validity & ((high_data < -(1 << 31)) | (high_data >= 1 << 31))
+    if outside.any():
+        group = np.flatnonzero(outside)[0]
+        exact = (int(high_data[group]) << 32) + int(low_data[group])
+        raise ConversionError(f"Value {exact} out of range for {return_type}")
+    return Vector(return_type, (high_data << 32) | low_data, high.validity)
+
+
 def finalize_merged_state(aggregate: BoundAggregate,
                           states: List[Vector]) -> Vector:
     """Turn merged partial states back into the aggregate's result column."""
     name = aggregate.name.lower()
+    if name == "sum" and len(states) == 2:
+        return _join_halves(states[0], states[1], aggregate.return_type)
     if name in ("count", "sum", "min", "max", "first"):
         return states[0]
+    # Merged states are sums, whose data is 0 wherever they are NULL.
     if name == "avg":
         sums, counts = states
-        counts_data = np.where(counts.validity, counts.data, 0).astype(np.float64)
-        validity = counts_data > 0
         with np.errstate(all="ignore"):
-            means = np.where(sums.validity, sums.data, 0.0) \
-                / np.maximum(counts_data, 1)
-        return Vector(DOUBLE, means, validity)
+            means = sums.data / np.maximum(counts.data, 1)
+        return Vector(DOUBLE, means, counts.data > 0)
     if name in _VARIANCE_NAMES:
         sums, squares, counts = states
-        n = np.where(counts.validity, counts.data, 0).astype(np.float64)
-        s = np.where(sums.validity, sums.data, 0.0).astype(np.float64)
-        ss = np.where(squares.validity, squares.data, 0.0).astype(np.float64)
-        validity = n > 1
+        n = counts.data.astype(np.float64)
         with np.errstate(all="ignore"):
-            variance = (ss - s * s / np.maximum(n, 1)) / np.maximum(n - 1, 1)
+            variance = (squares.data - sums.data * sums.data / np.maximum(n, 1)) \
+                / np.maximum(n - 1, 1)
         variance = np.maximum(variance, 0.0)
         if name in ("stddev", "stddev_samp"):
             variance = np.sqrt(variance)
-        return Vector(DOUBLE, variance, validity)
+        return Vector(DOUBLE, variance, n > 1)
     raise InternalError(f"Aggregate {name} has no partial decomposition")
 
 
 class PhysicalHashAggregate(PhysicalOperator):
-    """GROUP BY aggregation: output = group key columns ++ aggregate columns."""
+    """GROUP BY aggregation: output = group key columns ++ aggregate columns.
+
+    The input is evaluated and buffered ``batch_rows`` rows at a time (see
+    the module docstring); with a DISTINCT aggregate it is one batch.
+    """
 
     def __init__(self, context: ExecutionContext, child: PhysicalOperator,
                  groups: List[BoundExpression], aggregates: List[BoundAggregate],
-                 types, names) -> None:
+                 types, names, batch_rows: int) -> None:
         super().__init__(context, [child], types, names)
         self.groups = groups
         self.aggregates = aggregates
+        self.batch_rows: Optional[int] = batch_rows
+        # The evaluated input is the group-key columns followed by one
+        # column per aggregate argument; argumentless aggregates
+        # (``count(*)``) get slot -1.
+        self._inputs = list(groups)
+        self._argument_slots: List[int] = []
+        for aggregate in aggregates:
+            if not aggregate_supports_partial(aggregate):
+                self.batch_rows = None
+            self._argument_slots.append(
+                len(self._inputs) if aggregate.args else -1)
+            self._inputs.extend(aggregate.args[:1])
+        self._input_types = [expression.return_type
+                             for expression in self._inputs]
 
     def execute(self) -> Iterator[DataChunk]:
+        partials, result = self._consume(self.children[0])
+        if partials:
+            result = self._merge(partials)
+        if result is not None:
+            yield from result.split(VECTOR_SIZE)
+
+    def _consume(self, child: PhysicalOperator, driver=None
+                 ) -> Tuple[List[Optional[DataChunk]], Optional[DataChunk]]:
+        """Buffer the evaluated keys and arguments of ``child``'s chunks,
+        folding each full batch into a partial.
+
+        Returns ``(partials, None)``, or ``([], result)`` when the input was
+        one batch and no morsel worker's ``driver`` asks for partials.
+        """
         context = self.context
         executor = ExpressionExecutor(context)
-        # Evaluate group keys and aggregate arguments once per input chunk,
-        # buffering only those columns (not the full input).
-        buffered_types, argument_slots = aggregate_input_layout(
-            self.groups, self.aggregates)
-
-        total_rows = 0
-        needs_buffer = bool(buffered_types)
-        with ChunkBuffer(buffered_types, context, "aggregate input") as buffer:
-            for chunk in self.children[0].run():
+        partials: List[Optional[DataChunk]] = []
+        rows = 0
+        with ChunkBuffer(self._input_types, context,
+                         "aggregate input") as buffer:
+            for chunk in child.run():
                 context.check_interrupted()
-                if needs_buffer:
-                    columns = [executor.execute(group, chunk)
-                               for group in self.groups]
-                    for aggregate in self.aggregates:
-                        if aggregate.args:
-                            columns.append(executor.execute(aggregate.args[0], chunk))
-                    buffer.append(DataChunk(columns))
-                total_rows += chunk.size
-            materialized = buffer.materialize() if needs_buffer else None
+                if self.batch_rows is not None and rows >= self.batch_rows:
+                    partials.append(self._reduce(buffer, rows, True))
+                    rows = 0
+                if self._inputs:
+                    buffer.append(DataChunk([
+                        executor.execute(expression, chunk)
+                        for expression in self._inputs]))
+                rows += chunk.size
+            if driver is None and not partials:
+                return [], self._reduce(buffer, rows, False)
+            partials.append(self._reduce(buffer, rows, True))
+        if driver is not None:
+            driver.record_rows(rows)  # a morsel is one batch
+        return partials, None
 
-        group_count = len(self.groups)
-        if group_count == 0:
-            # Ungrouped aggregation always yields exactly one row.
-            group_ids = np.zeros(total_rows, dtype=np.int64)
-            result_columns: List[Vector] = []
-            for slot, aggregate in zip(argument_slots, self.aggregates):
-                argument = materialized.columns[slot] if slot >= 0 else None
-                result_columns.append(compute_aggregate(
-                    aggregate.name, aggregate.distinct, argument, group_ids, 1,
-                    aggregate.return_type))
-            yield DataChunk(result_columns)
-            return
+    def _factorize(self, batch: DataChunk, rows: int):
+        """Dense group ids of ``batch``'s rows, the group count, and the
+        key columns holding one row per group."""
+        if not self.groups:
+            return np.zeros(rows, dtype=np.int64), 1, []
+        keys = batch.columns[:len(self.groups)]
+        group_ids, group_count, representatives = factorize_for_groups(keys)
+        return group_ids, group_count, [key.slice(representatives)
+                                        for key in keys]
 
-        if materialized.size == 0:
-            return
-        key_columns = materialized.columns[:group_count]
-        group_ids, groups_found, representatives = factorize_for_groups(key_columns)
-        context.bump_stat("aggregate_groups", groups_found)
+    def _reduce(self, buffer: ChunkBuffer, rows: int,
+                partial: bool) -> Optional[DataChunk]:
+        """Aggregate the buffered batch into a partial-state chunk (one row
+        per group, key columns ++ state columns; empties ``buffer`` for the
+        next batch) or into the result; None when there are no groups."""
+        batch = buffer.materialize() if self._inputs else None
+        if partial:
+            buffer.close()
+        if self.groups and rows == 0:
+            return None
+        group_ids, group_count, columns = self._factorize(batch, rows)
+        if self.groups and not partial:
+            self.context.bump_stat("aggregate_groups", group_count)
+        for slot, aggregate in zip(self._argument_slots, self.aggregates):
+            argument = batch.columns[slot] if slot >= 0 else None
+            if partial:
+                columns.extend(compute_partial_state(
+                    aggregate, argument, group_ids, group_count))
+            else:
+                columns.append(compute_aggregate(
+                    aggregate.name, aggregate.distinct, argument, group_ids,
+                    group_count, aggregate.return_type))
+        return DataChunk(columns)
 
-        result_columns = [column.slice(representatives) for column in key_columns]
-        for slot, aggregate in zip(argument_slots, self.aggregates):
-            argument = materialized.columns[slot] if slot >= 0 else None
-            result_columns.append(compute_aggregate(
-                aggregate.name, aggregate.distinct, argument, group_ids,
-                groups_found, aggregate.return_type))
-        result = DataChunk(result_columns)
-        for piece in result.split(VECTOR_SIZE):
-            yield piece
+    def _merge(self, partials: List[Optional[DataChunk]]) -> Optional[DataChunk]:
+        """Merge partial-state chunks (in input order) into the result."""
+        partials = [chunk for chunk in partials if chunk is not None]
+        if not partials:
+            return None
+        merged = DataChunk.concat_many(partials)
+        group_ids, group_count, columns = self._factorize(merged, merged.size)
+        if self.groups:
+            self.context.bump_stat("aggregate_groups", group_count)
+        offset = len(self.groups)
+        for aggregate in self.aggregates:
+            specs = partial_state_types(aggregate)
+            states = [compute_aggregate(merge_name, False,
+                                        merged.columns[offset + index],
+                                        group_ids, group_count, state_type)
+                      for index, (merge_name, state_type) in enumerate(specs)]
+            columns.append(finalize_merged_state(aggregate, states))
+            offset += len(specs)
+        return DataChunk(columns)
 
     def _explain_line(self) -> str:
         return (f"HASH_AGGREGATE groups={len(self.groups)} "

@@ -9,10 +9,11 @@ reduce its memory footprint at the expense of extra CPU cycles [then] a
 heavy compression algorithm that will further reduce the memory
 footprint."*
 
-Blocking operators (hash join builds, sorts, aggregations) buffer their
-input through a :class:`ChunkBuffer`.  On every append the buffer asks the
-reactive controller for the current :class:`CompressionLevel` and encodes
-the chunk accordingly; memory is accounted against the buffer manager, and
+Blocking operators buffer their input through a :class:`ChunkBuffer`:
+hash join builds, sorts and DISTINCT their whole input, grouped
+aggregation its evaluated keys and arguments one morsel-sized batch at a
+time.  On every append the buffer asks the reactive controller for the
+current :class:`CompressionLevel` and encodes the chunk accordingly; memory is accounted against the buffer manager, and
 when even HEAVY compression cannot fit the limit the buffer spills whole
 chunks to a temporary file (the out-of-core path).
 """
@@ -157,6 +158,7 @@ class ChunkBuffer:
         return sum(entry.nbytes for entry in self._chunks)
 
     def close(self) -> None:
+        """Release every buffered chunk; the buffer is empty and reusable."""
         manager = self._buffer_manager()
         if manager is not None and self._reserved:
             manager.release(self._reserved)
@@ -165,6 +167,7 @@ class ChunkBuffer:
             self._spill_file.close()
             self._spill_file = None
         self._chunks = []
+        self.row_count = 0
 
     def __enter__(self) -> "ChunkBuffer":
         return self

@@ -14,12 +14,14 @@ overlap on multi-core machines.
 
 Two invariants keep parallel execution transparent:
 
-* **bit-identical results** -- morsel boundaries align with serial chunk
-  boundaries, partial aggregates use exact decompositions (see
-  :mod:`~repro.execution.aggregate`), and the coordinator consumes worker
-  results in morsel order, so a parallel plan returns the same rows in the
-  same order as its serial twin (modulo floating-point summation order,
-  which is already unspecified for unordered input);
+* **identical results** -- morsel boundaries align with serial chunk
+  boundaries, the coordinator consumes worker results in morsel order, and
+  a serial aggregate folds morsel-sized batches into the same partial
+  states (see :mod:`~repro.execution.aggregate`) that workers fold
+  morsels into.  At equal ``morsel_size`` on unfiltered input, a parallel
+  plan returns bit-identical rows in the same order as its serial twin;
+  a filter moves batch boundaries, which changes only floating-point
+  summation order;
 * **cooperation** -- the worker count honors ``config.threads`` and, when
   the reactive controller is active, degrades under application CPU load
   (:meth:`~repro.cooperation.controller.ReactiveController.choose_worker_count`).
@@ -36,25 +38,15 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from ..sanitizer import SanLock, tracked_access
 from ..storage.table_data import SCAN_CHUNK_ROWS
-from ..types import DataChunk, VECTOR_SIZE, Vector
-from ..functions.aggregate import compute_aggregate
+from ..types import DataChunk, VECTOR_SIZE
 from ..planner.subquery import (
     BoundExistsSubquery,
     BoundInSubquery,
     BoundScalarSubquery,
 )
-from .aggregate import (
-    aggregate_input_layout,
-    compute_partial_state,
-    finalize_merged_state,
-    partial_state_types,
-)
-from .expression_executor import ExpressionExecutor
-from .keys import factorize_for_groups
+from .aggregate import PhysicalHashAggregate
 from .physical import ExecutionContext, PhysicalOperator
 from .scan import PhysicalTableScan
 
@@ -239,134 +231,41 @@ class PhysicalParallelTableScan(PhysicalOperator):
                 f"workers={self.worker_count}")
 
 
-class PhysicalParallelHashAggregate(PhysicalOperator):
-    """Morsel-parallel GROUP BY: partial aggregation on workers, merge on
-    the coordinator.
+class PhysicalParallelHashAggregate(PhysicalHashAggregate):
+    """Morsel-parallel GROUP BY: a :class:`PhysicalHashAggregate` whose
+    batches are table morsels, folded on workers.
 
     Each worker runs a full pipeline fragment (scan -> filter -> projection)
-    over one morsel, evaluates group keys and aggregate arguments, and
-    reduces them to a partial-state chunk: one row per group seen in the
-    morsel, carrying decomposed aggregate states (see
-    :func:`~repro.execution.aggregate.partial_state_types`).  The
-    coordinator concatenates the partials in morsel order, re-factorizes the
-    group keys -- merging the per-worker "hash tables" -- applies the merge
-    aggregates, and finalizes.
+    over one morsel and folds it into a partial-state chunk exactly as the
+    serial operator folds a batch; the coordinator merges the partials in
+    morsel order.  With one worker or one morsel it is the serial operator
+    over the full-range fragment.
     """
 
     def __init__(self, context: ExecutionContext, table_data,
                  fragment_factory: Callable[[Optional[Tuple[int, int]]], PhysicalOperator],
                  groups, aggregates, types, names, worker_count: int,
                  morsel_rows: int = MORSEL_ROWS) -> None:
-        # The full-range fragment doubles as the EXPLAIN child.
-        super().__init__(context, [fragment_factory(None)], types, names)
+        # The full-range fragment is the serial input and the EXPLAIN child.
+        super().__init__(context, fragment_factory(None), groups, aggregates,
+                         types, names, aligned_morsel_rows(morsel_rows))
         self.table_data = table_data
         self.fragment_factory = fragment_factory
-        self.groups = groups
-        self.aggregates = aggregates
         self.worker_count = max(1, worker_count)
-        self.morsel_rows = aligned_morsel_rows(morsel_rows)
-        self._buffered_types, self._argument_slots = aggregate_input_layout(
-            groups, aggregates)
-
-    # -- worker side ---------------------------------------------------------
-    def _partial_for_range(self, driver: MorselDriver,
-                           row_range: Tuple[int, int]) -> Optional[DataChunk]:
-        """One morsel's partial chunk: group keys ++ partial-state columns."""
-        context = self.context
-        executor = ExpressionExecutor(context)
-        fragment = self.fragment_factory(row_range)
-        parts: List[DataChunk] = []
-        total_rows = 0
-        needs_buffer = bool(self._buffered_types)
-        for chunk in fragment.run():
-            context.check_interrupted()
-            if needs_buffer:
-                columns = [executor.execute(group, chunk)
-                           for group in self.groups]
-                for aggregate in self.aggregates:
-                    if aggregate.args:
-                        columns.append(executor.execute(aggregate.args[0],
-                                                        chunk))
-                parts.append(DataChunk(columns))
-            total_rows += chunk.size
-        driver.record_rows(total_rows)
-
-        group_count = len(self.groups)
-        if group_count and total_rows == 0:
-            return None  # this morsel contributes no groups
-        if parts:
-            materialized = DataChunk.concat_many(parts)
-        else:
-            materialized = DataChunk([Vector.empty(dtype, 0)
-                                      for dtype in self._buffered_types])
-
-        if group_count == 0:
-            group_ids = np.zeros(total_rows, dtype=np.int64)
-            groups_found = 1
-            key_columns: List[Vector] = []
-        else:
-            key_columns = materialized.columns[:group_count]
-            group_ids, groups_found, representatives = \
-                factorize_for_groups(key_columns)
-            key_columns = [column.slice(representatives)
-                           for column in key_columns]
-        state_columns: List[Vector] = []
-        for slot, aggregate in zip(self._argument_slots, self.aggregates):
-            argument = materialized.columns[slot] if slot >= 0 else None
-            state_columns.extend(compute_partial_state(
-                aggregate, argument, group_ids, groups_found))
-        return DataChunk(key_columns + state_columns)
-
-    # -- coordinator side ----------------------------------------------------
-    def _merge_partials(self, partials: List[DataChunk]) -> Iterator[DataChunk]:
-        group_count = len(self.groups)
-        merged = DataChunk.concat_many(partials)
-        if group_count == 0:
-            group_ids = np.zeros(merged.size, dtype=np.int64)
-            groups_found = 1
-            result_columns: List[Vector] = []
-        else:
-            key_columns = merged.columns[:group_count]
-            group_ids, groups_found, representatives = \
-                factorize_for_groups(key_columns)
-            self.context.bump_stat("aggregate_groups", groups_found)
-            result_columns = [column.slice(representatives)
-                              for column in key_columns]
-        offset = group_count
-        for aggregate in self.aggregates:
-            specs = partial_state_types(aggregate)
-            merged_states = [
-                compute_aggregate(merge_name, False, merged.columns[offset + i],
-                                  group_ids, groups_found, state_type)
-                for i, (merge_name, state_type) in enumerate(specs)
-            ]
-            result_columns.append(finalize_merged_state(aggregate,
-                                                        merged_states))
-            offset += len(specs)
-        result = DataChunk(result_columns)
-        for piece in result.split(VECTOR_SIZE):
-            yield piece
-
-    def _serial_fallback(self) -> PhysicalOperator:
-        from .aggregate import PhysicalHashAggregate
-
-        return PhysicalHashAggregate(self.context, self.fragment_factory(None),
-                                     self.groups, self.aggregates,
-                                     self.types, self.names)
 
     def execute(self) -> Iterator[DataChunk]:
-        ranges = self.table_data.morsel_ranges(self.morsel_rows)
+        ranges = self.table_data.morsel_ranges(self.batch_rows)
         if self.worker_count <= 1 or len(ranges) <= 1:
-            yield from self._serial_fallback().run()
+            yield from super().execute()
             return
         driver = MorselDriver(self.context,
                               min(self.worker_count, len(ranges)))
-        tasks = [partial(self._partial_for_range, driver, row_range)
-                 for row_range in ranges]
-        partials = [chunk for chunk in driver.map(tasks) if chunk is not None]
-        if len(self.groups) and not partials:
-            return
-        yield from self._merge_partials(partials)
+        tasks = [partial(self._consume, self.fragment_factory(row_range),
+                         driver) for row_range in ranges]
+        result = self._merge([chunk for partials, _ in driver.map(tasks)
+                              for chunk in partials])
+        if result is not None:
+            yield from result.split(VECTOR_SIZE)
 
     def _explain_line(self) -> str:
         return (f"PARALLEL_HASH_AGGREGATE groups={len(self.groups)} "

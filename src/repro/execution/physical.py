@@ -16,7 +16,30 @@ from ..errors import InterruptError
 from ..sanitizer import SanLock, tracked_access
 from ..types import DataChunk, LogicalType
 
-__all__ = ["PhysicalOperator", "ExecutionContext"]
+__all__ = ["PhysicalOperator", "ExecutionContext", "StatementMemory"]
+
+
+class StatementMemory:
+    """The buffer manager as one statement sees it: its reservations also
+    count toward the statement's own ``peak_bytes`` (its ``memory_bytes``
+    bill), whatever other statements hold meanwhile."""
+
+    def __init__(self, manager, lock) -> None:
+        self._manager = manager
+        self._lock = lock  # the context's stats lock: workers reserve too
+        self.used_bytes = self.peak_bytes = 0
+        self.can_reserve = manager.can_reserve
+
+    def reserve(self, nbytes: int, description: str) -> None:
+        self._manager.reserve(nbytes, description)
+        with self._lock:
+            self.used_bytes += nbytes
+            self.peak_bytes = max(self.peak_bytes, self.used_bytes)
+
+    def release(self, nbytes: int) -> None:
+        self._manager.release(nbytes)
+        with self._lock:
+            self.used_bytes -= nbytes
 
 
 class ExecutionContext:
@@ -63,6 +86,10 @@ class ExecutionContext:
         #: concurrently.
         self.stats = {}
         self._stats_lock = SanLock("operator_stats")
+        #: Where this statement's intermediates reserve memory.
+        self.buffer_manager = StatementMemory(
+            database.buffer_manager, self._stats_lock) \
+            if database is not None else None
         #: True while ``create_physical_plan`` is lowering this query's
         #: tree, so the recursive per-child calls know they are not the
         #: root (only the root lowering is verified by quackplan).
@@ -70,10 +97,6 @@ class ExecutionContext:
         #: before morsel workers exist, and subquery lowerings happen on
         #: the coordinator (``materialize_subquery``).
         self.lowering_active = False
-
-    @property
-    def buffer_manager(self):
-        return self.database.buffer_manager if self.database is not None else None
 
     @property
     def controller(self):

@@ -246,7 +246,8 @@ def _lower(plan: LogicalOperator,
             return parallel
         child = create_physical_plan(plan.children[0], context)
         return PhysicalHashAggregate(context, child, plan.groups, plan.aggregates,
-                                     plan.types, plan.names)
+                                     plan.types, plan.names,
+                                     _morsel_rows(context))
     if isinstance(plan, LogicalDistinct):
         child = create_physical_plan(plan.children[0], context)
         return PhysicalDistinct(context, child)

@@ -133,7 +133,9 @@ class DataChunk:
     def split(self, chunk_size: int = VECTOR_SIZE) -> Iterable["DataChunk"]:
         """Yield this chunk re-sliced into pieces of at most ``chunk_size`` rows."""
         total = self.size
-        if total == 0:
+        if total <= chunk_size:
+            if total:
+                yield self
             return
         for start in range(0, total, chunk_size):
             selection = np.arange(start, min(start + chunk_size, total))

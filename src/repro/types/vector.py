@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConversionError, InternalError
 from . import logical
-from .dictionary import StringDictionary
+from .dictionary import NULL_CODE, StringDictionary
 from .logical import (
     BOOLEAN,
     DATE,
@@ -225,9 +225,10 @@ class Vector:
     def encode_into(self, dictionary: StringDictionary) -> np.ndarray:
         """Re-express this VARCHAR vector as codes of ``dictionary``.
 
-        Same values, NULL rows get code 0; returns the codes.  Storage calls
-        this on the vectors it is handed so that whoever serializes the same
-        chunk next (the WAL) finds codes instead of repeating the string pass.
+        Same values, NULL rows -- and ``None`` values, which become NULL --
+        get code 0; returns the codes.  Storage calls this on the vectors it
+        is handed so that whoever serializes the same chunk next (the WAL)
+        finds codes instead of repeating the string pass.
         """
         codes = self.codes
         if codes is None:
@@ -235,6 +236,9 @@ class Vector:
             if not self.all_valid():
                 flat = np.where(self.validity, flat, None)
             codes = dictionary.encode(flat)
+            if not codes.all():
+                # A ``None`` among the values encodes as NULL: it is NULL.
+                self.validity = self.validity & (codes != NULL_CODE)
         else:
             if not self.all_valid():
                 codes = np.where(self.validity, codes, 0)

@@ -235,6 +235,18 @@ class TestAppender:
                 validities={"i": np.array([True, False, True, False])})
         assert con.query_value("SELECT count(i) FROM t") == 2
 
+    def test_append_numpy_none_is_null(self, con):
+        con.execute("CREATE TABLE t (s VARCHAR)")
+        with con.appender("t") as appender:
+            appender.append_numpy(
+                {"s": np.array(["a", None, "b", "a"], dtype=object)})
+        assert con.query_value("SELECT count(s) FROM t") == 3
+        assert con.query_value("SELECT count(*) FROM t WHERE s IS NULL") == 1
+        assert con.execute("SELECT s FROM t ORDER BY s").fetchall() \
+            == [("a",), ("a",), ("b",), (None,)]
+        assert con.execute("SELECT min(s), max(s) FROM t").fetchall() \
+            == [("a", "b")]
+
     def test_missing_column_rejected(self, con):
         con.execute("CREATE TABLE t (i INTEGER, s VARCHAR)")
         with pytest.raises(InvalidInputError):

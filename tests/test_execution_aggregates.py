@@ -7,6 +7,11 @@ import pytest
 
 import repro
 from repro.errors import BinderError
+from repro.execution.aggregate import partial_state_types
+from repro.execution.parallel import MORSEL_ROWS
+from repro.functions.aggregate import AGGREGATE_NAMES, bind_aggregate
+from repro.planner.expressions import BoundAggregate, BoundConstant
+from repro.types import INTEGER
 
 
 class TestUngrouped:
@@ -116,6 +121,22 @@ class TestExactIntegerSum:
             con.execute("SELECT sum(v) FROM edge").fetchall()
         with pytest.raises(repro.ConversionError, match="out of range"):
             con.execute("SELECT g, sum(v) FROM edge GROUP BY g").fetchall()
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_partial_sum_may_overflow_when_total_fits(self, threads):
+        # The first 16384-row batch sums past 2**63 - 1; the total does not.
+        con = repro.connect(config={"threads": threads, "morsel_size": 16384})
+        top = (1 << 63) - 1
+        values = np.zeros(40_000, dtype=np.int64)
+        values[0], values[1], values[30_000] = top, 1, -10
+        con.execute("CREATE TABLE wide (g INTEGER, v BIGINT)")
+        with con.appender("wide") as appender:
+            appender.append_numpy({"g": np.zeros(40_000, dtype=np.int32),
+                                   "v": values})
+        assert con.query_value("SELECT sum(v) FROM wide") == top - 9
+        assert con.execute("SELECT g, sum(v) FROM wide GROUP BY g"
+                           ).fetchall() == [(0, top - 9)]
+        con.close()
 
     def test_float_sums_and_avg_unchanged(self, con):
         con.execute("CREATE TABLE f (i INTEGER, d DOUBLE)")
@@ -245,3 +266,69 @@ class TestFirstAggregate:
         rows = con.execute(
             "SELECT g, first(v) FROM f GROUP BY g ORDER BY g").fetchall()
         assert rows == [(1, "a"), (2, "c")]
+
+
+def _grouped_table(rows, **config):
+    con = repro.connect(config=dict(config, result_cache_entries=0))
+    rng = np.random.default_rng(11)
+    con.execute("CREATE TABLE t (g INTEGER, v DOUBLE)")
+    with con.appender("t") as appender:
+        appender.append_numpy({"g": rng.integers(0, 50, rows).astype(np.int32),
+                               "v": rng.normal(1000.0, 300.0, rows)})
+    return con
+
+
+def _memory_bytes(con, sql):
+    con.execute(sql).fetchall()
+    return con.database.statement_log.records()[-1].memory_bytes
+
+
+class TestOneAggregatePath:
+    """Serial GROUP BY folds one morsel at a time through the same partial
+    states the parallel aggregate's workers produce."""
+
+    #: Evaluated bytes per row of ``GROUP BY g`` over sum(v), avg(v),
+    #: count(*): g (4 + 1 validity) and v twice (8 + 1 each).
+    ROW_BYTES = 5 + 9 + 9
+
+    @pytest.mark.parametrize("rows", [250_000, 1_000_000])
+    def test_buffered_input_is_one_morsel(self, rows):
+        con = _grouped_table(rows, threads=1, morsel_size=MORSEL_ROWS)
+        memory = _memory_bytes(
+            con, "SELECT g, sum(v), avg(v), count(*) FROM t GROUP BY g")
+        assert memory == MORSEL_ROWS * self.ROW_BYTES == 1_507_328
+        con.close()
+
+    def test_distinct_aggregate_buffers_its_whole_input(self):
+        rows = 250_000
+        con = _grouped_table(rows, threads=1, morsel_size=MORSEL_ROWS)
+        memory = _memory_bytes(con, "SELECT g, count(DISTINCT v) FROM t "
+                                    "GROUP BY g")
+        assert memory == rows * (5 + 9)
+        con.close()
+
+    def test_serial_and_parallel_are_bit_identical(self):
+        sql = ("SELECT g, sum(v), avg(v), stddev(v), variance(v) FROM t "
+               "GROUP BY g ORDER BY g")
+        results = []
+        for threads in (1, 4):
+            con = _grouped_table(200_000, threads=threads, morsel_size=16384)
+            results.append(con.execute(sql).fetchall())
+            con.close()
+        assert len(results[0]) == 50
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATE_NAMES))
+    def test_every_aggregate_has_a_partial_decomposition(self, name):
+        return_type, _ = bind_aggregate(name, [INTEGER], False)
+        aggregate = BoundAggregate(name, [BoundConstant(1, INTEGER)], False,
+                                   return_type)
+        assert partial_state_types(aggregate)
+        sql = f"SELECT g, {name}(v) FROM t GROUP BY g ORDER BY g"
+        folded = _grouped_table(40_000, threads=1, morsel_size=16384)
+        whole = _grouped_table(40_000, threads=1, morsel_size=1 << 20)
+        for got, want in zip(folded.execute(sql).fetchall(),
+                             whole.execute(sql).fetchall()):
+            assert got == pytest.approx(want, rel=1e-9)
+        folded.close()
+        whole.close()

@@ -86,6 +86,25 @@ class TestStatementAccounting:
         finally:
             con.close()
 
+    def test_memory_bytes_is_the_statements_own_peak(self):
+        # The same statement bills the same memory whatever ran before it.
+        distinct = "SELECT g, count(DISTINCT v) FROM t GROUP BY g"
+        larger = "SELECT g, v, sum(v), avg(v) FROM t GROUP BY g, v"
+        bills = []
+        for order in ((distinct, larger), (larger, distinct)):
+            con = repro.connect(config={"threads": 1,
+                                        "result_cache_entries": 0})
+            con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+            con.executemany("INSERT INTO t VALUES (?, ?)",
+                            [(i % 7, i % 101) for i in range(3000)])
+            for sql in order:
+                con.execute(sql).fetchall()
+            records = {record.sql: record.memory_bytes
+                       for record in con.database.statement_log.records()}
+            bills.append(records[distinct])
+            con.close()
+        assert bills[0] == bills[1] > 0
+
     def test_failed_statement_billed_with_error(self):
         con = repro.connect()
         try:
