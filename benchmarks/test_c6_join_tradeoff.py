@@ -8,7 +8,9 @@ run, but O(n log n) CPU cycles as well as disk IO."
 The bench joins a fact table against build sides of growing size with both
 algorithms, recording wall time and the engine's tracked peak memory, then
 shows the reactive controller picking merge join when the machine is under
-memory pressure.
+memory pressure.  The probe side is larger than every build side, so the
+optimizer always builds the hash table on ``build`` (asserted from EXPLAIN)
+and the hash join's memory follows the build size.
 """
 
 import time
@@ -21,7 +23,7 @@ from conftest import record_experiment
 import repro
 from repro.storage.compression import CompressionLevel
 
-PROBE_ROWS = 200_000
+PROBE_ROWS = 1_000_000
 JOIN_SQL = "SELECT count(*), sum(b.payload) FROM probe p JOIN build b ON p.k = b.k"
 
 MB = 1 << 20
@@ -41,7 +43,9 @@ class ForcedAlgorithm:
 
 
 def build_tables(build_rows, config=None):
-    con = repro.connect(config=config)
+    # The sweep repeats its query; with the result cache on, the repeat is
+    # answered from the cache and no join runs at all.
+    con = repro.connect(config={"result_cache_entries": 0, **(config or {})})
     rng = np.random.default_rng(14)
     con.execute("CREATE TABLE probe (k INTEGER)")
     con.execute("CREATE TABLE build (k INTEGER, payload INTEGER)")
@@ -54,6 +58,23 @@ def build_tables(build_rows, config=None):
             "payload": rng.integers(0, 100, build_rows).astype(np.int32),
         })
     return con
+
+
+def hash_build_side(con):
+    """The physical plan line of the hash join's build (right) child."""
+    lines = [line for (line,) in con.execute("EXPLAIN " + JOIN_SQL).fetchall()]
+    physical = lines[lines.index("-- physical plan --") + 1:]
+    (join,) = [index for index, line in enumerate(physical)
+               if "HASH_JOIN" in line]
+    indent = len(physical[join]) - len(physical[join].lstrip())
+    children = []
+    for line in physical[join + 1:]:
+        depth = len(line) - len(line.lstrip())
+        if depth <= indent:
+            break
+        if depth == indent + 2:
+            children.append(line.strip())
+    return children[1]
 
 
 def run_join(con, algorithm):
@@ -88,6 +109,9 @@ def test_c6_report(benchmark):
         for build_rows in (10_000, 100_000, 400_000):
             # Hash join: unconstrained memory (it materializes the build).
             con = build_tables(build_rows)
+            con.database.resource_controller = ForcedAlgorithm("hash")
+            assert hash_build_side(con).startswith("TABLE_SCAN build"), \
+                "the hash table must be built on the smaller input, build"
             run_join(con, "hash")  # warm-up (plan caches, allocator)
             hash_result, hash_s, hash_peak = run_join(con, "hash")
             con.close()

@@ -129,8 +129,8 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         "Session": SharedClassSpec("_registry_lock"),
     },
     "repro/observability/accounting.py": {
-        # Every connection thread appends statement records; introspection,
-        # the slow-query log and flight dumps snapshot them concurrently.
+        # Every connection thread appends statement records; the system
+        # table providers and the statement metrics read them concurrently.
         "StatementLog": SharedClassSpec("_lock"),
     },
 }

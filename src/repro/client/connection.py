@@ -32,7 +32,6 @@ from ..sanitizer import SanRLock
 from ..errors import ClosedHandleError
 from ..errors import InvalidInputError, TransactionContextError
 from ..execution.executor import Executor, StatementResult
-from ..introspection.flight import is_engine_fault
 from ..planner.binder import Binder
 from ..planner import bound_statements as bound
 from ..server.cache import CachedPlan, CachedResult, plan_result_cacheable
@@ -519,7 +518,7 @@ class Connection:
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException]) -> None:
-        """The one after-statement hook: span, record, fault dump, bill.
+        """The one after-statement hook: span, record, bill.
 
         Every finished statement -- success or error, cached or not --
         passes here exactly once: its :class:`StatementRecord`, created
@@ -543,10 +542,9 @@ class Connection:
         context, self._active_context = self._active_context, None
         rows_scanned = int(context.stats.get("rows_scanned", 0)) \
             if context is not None else 0
-        wall_ms = wall_ns / 1e6
         record.statement_seq = seq
         record.timestamp = time.time()
-        record.wall_ms = wall_ms
+        record.wall_ms = wall_ns / 1e6
         record.cpu_ms = cpu_ns / 1e6
         record.rows_out = rows
         record.rows_scanned = rows_scanned
@@ -558,15 +556,7 @@ class Connection:
         if error is not None:
             record.error = type(error).__name__
             record.message = str(error)
-        threshold = self._config.slow_query_ms
-        if 0 < threshold <= wall_ms:
-            record.mark_slow(threshold, database.tracer)
         database.statement_log.record(record)
-        # Flight dumps are best-effort (``try_dump`` semantics): a recorder
-        # that cannot write must never mask the engine error it documents.
-        if error is not None and is_engine_fault(error):
-            database.dump_flight(f"engine fault: {type(error).__name__}",
-                                 error, best_effort=True)
         if self._bill_sink is not None:
             self._bill_sink(record)
 
@@ -579,11 +569,6 @@ class Connection:
         """This database's engine metrics in Prometheus exposition format."""
         self._check_open()
         return render_text(self._database.metrics())
-
-    def slow_queries(self) -> List[StatementRecord]:
-        """Statements over ``slow_query_ms``, oldest first."""
-        self._check_open()
-        return self._database.statement_log.slow()
 
     # -- convenience -------------------------------------------------------------
     def query_value(self, sql: str, parameters: Optional[Sequence[Any]] = None) -> Any:

@@ -103,10 +103,6 @@ class DatabaseConfig:
         ``REPRO_TRACE`` environment variable provides the
         default for configs built via :meth:`from_dict` when the option is
         not given explicitly.
-    slow_query_ms:
-        Statements slower than this many milliseconds are captured in the
-        in-process slow-query log (with their full trace when tracing is
-        enabled).  ``0`` disables the log.
     verify_plans:
         Run quackplan (see :mod:`repro.verifier`) on every statement: each
         optimizer pass and every logical->physical lowering is checked
@@ -149,7 +145,6 @@ class DatabaseConfig:
     wal_autocheckpoint: int = 16 << 20  # 16 MiB
     checkpoint_on_close: bool = True
     trace_enabled: bool = False
-    slow_query_ms: float = 0.0
     verify_plans: bool = False
     plan_cache_entries: int = 256
     result_cache_entries: int = 128
@@ -197,11 +192,6 @@ class DatabaseConfig:
         elif name in ("verify_checksums", "buffer_memtest", "reactive_resources",
                       "checkpoint_on_close", "trace_enabled", "verify_plans"):
             setattr(self, name, _coerce_bool(value))
-        elif name == "slow_query_ms":
-            threshold = float(value)
-            if threshold < 0:
-                raise InvalidInputError("slow_query_ms must be >= 0")
-            self.slow_query_ms = threshold
         elif name == "wal_autocheckpoint":
             # Zero in any unit ('0', '0KB') turns auto-checkpointing off.
             size = _parse_size(value) if value else 0

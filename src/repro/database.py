@@ -9,8 +9,6 @@ can share one Database; MVCC keeps them consistent.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from typing import List, Optional
 
 from .catalog.catalog import Catalog
@@ -18,7 +16,6 @@ from .config import DatabaseConfig
 from .cooperation.controller import ReactiveController, StaticController
 from .cooperation.monitor import ResourceMonitor, SimulatedApplication
 from .errors import ConnectionError as DatabaseConnectionError
-from .introspection import flight
 from .observability.accounting import StatementLog
 from .observability.metrics import Metric
 from .observability.trace import Tracer
@@ -78,39 +75,19 @@ class Database:
         #: Admission controller shared by every serving session.
         self.admission = AdmissionController(self)
         #: The one per-statement record store: ``repro_statement_log()``,
-        #: the slow-query log, the flight dump, ``repro_optimizer()``,
-        #: ``repro_plan_checks()`` and the statement metrics all read it.
+        #: ``repro_optimizer()``, ``repro_plan_checks()`` and the statement
+        #: metrics all read it.
         self.statement_log = StatementLog()
         self.storage.load(self.catalog, self.transaction_manager)
 
     # -- observability --------------------------------------------------------
-    def dump_flight(self, reason: str, error: Optional[BaseException] = None,
-                    best_effort: bool = False) -> Optional[str]:
-        """Write the flight dump to ``repro_flight_<pid>.json``.
-
-        Persistent databases dump next to their data file; in-memory ones
-        dump into the current directory.  With ``best_effort`` the dump
-        swallows I/O failures (the crash path must never mask the original
-        engine error) and returns ``None`` on failure.
-        """
-        directory = None
-        if not self.storage.in_memory:
-            directory = os.path.dirname(os.path.abspath(self.path)) or None
-        write = flight.try_dump if best_effort else flight.dump
-        return write(directory=directory, reason=reason, error=error,
-                     spans=self.tracer.spans(),
-                     config=dataclasses.asdict(self.config),
-                     statements=self.statement_log.records(),
-                     metrics=self.metrics())
-
     def metrics(self) -> List[Metric]:
         """Every engine metric of this database, read from its owners.
 
         Nothing copies a number at statement boundaries: each is read here
         from the component that counts it, so all exports (``metrics()``,
-        ``metrics_text()``, ``repro_metrics()``, ``QueryServer.scrape()``,
-        the flight dump) agree, and each starts at zero when the database
-        opens.  Counters first, then gauges, then the latency histogram,
+        ``metrics_text()``, ``repro_metrics()``, ``QueryServer.scrape()``)
+        agree, and each starts at zero when the database opens.  Counters first, then gauges, then the latency histogram,
         each kind sorted by name.
         """
         statements, rows, latency = self.statement_log.totals()

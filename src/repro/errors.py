@@ -159,6 +159,5 @@ class PlanVerificationError(Error):
     or a nonsensical cardinality estimate.  Deliberately *not* an
     :class:`InternalError`: the verifier reports through its own channel
     (``repro_plan_checks()`` plus this exception, which already carries the
-    offending pass and before/after plan snippets), so it must not also
-    trigger the flight recorder's engine-fault dump.
+    offending pass and before/after plan snippets).
     """

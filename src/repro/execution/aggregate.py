@@ -347,7 +347,10 @@ class PhysicalSetOp(PhysicalOperator):
                 yield piece
             return
 
-        # EXCEPT / INTERSECT (set semantics; ALL variants use multiplicity).
+        # EXCEPT / INTERSECT: each group keeps a quota of its left rows, the
+        # first ones in left input order.  EXCEPT ALL keeps l - r of a
+        # group's l left and r right rows, INTERSECT ALL min(l, r); the set
+        # variants keep at most one.
         if left.size == 0:
             return
         combined = DataChunk.concat_many([left, right]) if right.size else left
@@ -357,19 +360,23 @@ class PhysicalSetOp(PhysicalOperator):
         left_counts = np.bincount(left_ids, minlength=group_total)
         right_counts = np.bincount(right_ids, minlength=group_total)
         if self.op == "intersect":
-            eligible = (left_counts > 0) & (right_counts > 0)
+            quota = np.minimum(left_counts, right_counts)
         elif self.op == "except":
-            eligible = (left_counts > 0) & (right_counts == 0)
+            quota = left_counts - right_counts if self.all \
+                else (right_counts == 0).astype(np.int64)
         else:
             raise InternalError(f"Unknown set operation {self.op}")
-        keep_mask = eligible[left_ids]
-        if not keep_mask.any():
-            return
-        kept_rows = np.flatnonzero(keep_mask)
         if not self.all:
-            # Set semantics: one representative per group.
-            _, first_positions = np.unique(left_ids[kept_rows], return_index=True)
-            kept_rows = kept_rows[np.sort(first_positions)]
+            quota = np.minimum(quota, 1)
+        # Occurrence rank of each left row within its group: its position
+        # in a stable sort by group minus the group's first position.
+        order = np.argsort(left_ids, kind="stable")
+        group_starts = np.cumsum(left_counts) - left_counts
+        rank = np.empty(left.size, dtype=np.int64)
+        rank[order] = np.arange(left.size) - group_starts[left_ids[order]]
+        kept_rows = np.flatnonzero(rank < quota[left_ids])
+        if kept_rows.size == 0:
+            return
         result = left.slice(kept_rows)
         for piece in result.split(VECTOR_SIZE):
             yield piece

@@ -384,9 +384,6 @@ class Executor:
             for report in failing:
                 lines.append(f"  {report!r}")
             return StatementResult.text_result("memtest", lines)
-        if name == "flight_dump":
-            path = database.dump_flight("PRAGMA flight_dump")
-            return StatementResult.text_result("flight_dump", [str(path)])
         if name in _DATABASE_OPTIONS and statement.value is not None:
             # Route the option to the *database* config whatever config this
             # executor runs on.

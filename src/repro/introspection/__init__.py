@@ -3,24 +3,24 @@
 The cooperation pillar (paper §4/§5) puts the database *inside* the host
 process; there is no server console, so the inspection interface must be
 the same one the application already speaks -- SQL.  This package surfaces
-engine internals three ways:
+engine internals as **system table functions** (:mod:`.registry`,
+:mod:`.providers`): zero-argument table functions usable in any FROM
+clause::
 
-* **system table functions** (:mod:`.registry`, :mod:`.providers`) --
-  zero-argument table functions usable in any FROM clause::
+    SELECT name, value FROM repro_metrics() WHERE name LIKE 'repro_wal%'
+    SELECT t.name, count(*) FROM repro_tables() t
+    JOIN repro_columns() c ON t.name = c.table_name GROUP BY t.name
 
-      SELECT name, value FROM repro_metrics() WHERE name LIKE 'repro_wal%'
-      SELECT t.name, count(*) FROM repro_tables() t
-      JOIN repro_columns() c ON t.name = c.table_name GROUP BY t.name
+They bind like ``read_csv`` does, lower to a generator-backed
+introspection scan yielding standard 2048-value vectors, and therefore
+compose with WHERE/JOIN/ORDER BY/aggregates like any other relation.
+Providers snapshot engine state copy-then-release under the declared lock
+hierarchy (quacklint QLO003 enforces the discipline).
 
-  They bind like ``read_csv`` does, lower to a generator-backed
-  introspection scan yielding standard 2048-value vectors, and therefore
-  compose with WHERE/JOIN/ORDER BY/aggregates like any other relation.
-  Providers snapshot engine state copy-then-release under the declared
-  lock hierarchy (quacklint QLO003 enforces the discipline).
-
-* a **flight recorder** (:mod:`.flight`) -- the statement log's newest
-  records plus the database's non-zero metrics, dumped as ``repro_flight_<pid>.json`` on
-  unhandled engine faults and on ``PRAGMA flight_dump``.
+The package writes no file.  When an engine fault escapes, the exception
+reaches the host, and the failing statement is already a
+``repro_statement_log()`` row with its ``error`` type: the post-mortem is
+a query too.
 
 Per-operator self time is a query, not a daemon: with tracing on, a
 self-join of ``repro_traces()`` on ``parent_id = span_id`` subtracts each
@@ -29,7 +29,6 @@ span's children from its own ``wall_ms`` (see README).
 
 from __future__ import annotations
 
-from .flight import is_engine_fault
 from .providers import register_builtin_functions
 from .registry import (
     SystemTableFunction,
@@ -48,7 +47,6 @@ __all__ = [
     "function_names",
     "functions",
     "register_builtin_functions",
-    "is_engine_fault",
 ]
 
 register_builtin_functions()

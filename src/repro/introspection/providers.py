@@ -54,15 +54,6 @@ def traces_rows(database: Any, transaction: Any) -> List[Row]:
     return rows
 
 
-def slow_queries_rows(database: Any, transaction: Any) -> List[Row]:
-    rows: List[Row] = []
-    for record in database.statement_log.slow():
-        rows.append((record.sql, record.wall_ms, record.threshold_ms,
-                     record.timestamp, record.span_count,
-                     record.session_id, record.statement_seq))
-    return rows
-
-
 def statement_log_rows(database: Any, transaction: Any) -> List[Row]:
     """Per-statement resource bills, oldest first (bounded ring)."""
     return list(database.statement_log.rows())
@@ -261,12 +252,6 @@ def register_builtin_functions() -> None:
          ("wall_ms", DOUBLE), ("cpu_ms", DOUBLE), ("rows", BIGINT),
          ("chunks", BIGINT), ("bytes", BIGINT)],
         traces_rows))
-    register(SystemTableFunction(
-        "repro_slow_queries", "slow-query log records, oldest first",
-        [("sql", VARCHAR), ("duration_ms", DOUBLE), ("threshold_ms", DOUBLE),
-         ("timestamp", DOUBLE), ("span_count", BIGINT),
-         ("session_id", BIGINT), ("statement_seq", BIGINT)],
-        slow_queries_rows))
     register(SystemTableFunction(
         "repro_statement_log",
         "per-statement resource accounting, oldest first",

@@ -17,9 +17,9 @@ application-facing answer, three coordinated pieces:
   is read from the component that counts it (``Database.metrics()``) and
   exported via ``connection.metrics()`` and a Prometheus-style text dump.
 * **surfacing** (:mod:`.render`, :mod:`.accounting`) -- ``EXPLAIN
-  ANALYZE`` operator trees built from real spans, the statement log (one
-  record per statement, with a slow-query view over a configurable
-  threshold), and :func:`render_trace` for pretty-printing.
+  ANALYZE`` operator trees built from real spans, and the statement log:
+  one record per statement, the only per-statement surface.  Slow
+  statements are a ``WHERE wall_ms > ?`` over ``repro_statement_log()``.
 
 Everything here is pull-only: the package starts no thread and opens no
 socket or file of its own.  A host that wants history scrapes
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .accounting import StatementLog, StatementRecord
 from .metrics import Metric
-from .render import render_span_tree, render_trace, worker_summary
+from .render import render_span_tree, worker_summary
 from .trace import Span, Tracer
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Metric",
     "StatementLog",
     "StatementRecord",
-    "render_trace",
     "render_span_tree",
     "worker_summary",
 ]

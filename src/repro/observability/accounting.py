@@ -13,18 +13,11 @@ every per-statement surface reads that log:
 
 * ``repro_statement_log()`` -- the last :data:`RECENT_ENTRIES` statements;
 * ``repro_optimizer()`` -- the newest of those that ran the optimizer;
-* ``repro_plan_checks()`` -- the newest of those that carries plan checks;
-* the slow-query log (``repro_slow_queries()``, ``con.slow_queries()``) --
-  the last :data:`SLOW_ENTRIES` statements over their connection's
-  ``slow_query_ms``, each carrying its rendered trace when tracing was on.
-  Slow statements are also written to the :mod:`logging` channel
-  ``repro.slowlog`` so existing application log pipelines pick them up;
-* the crash flight recorder's dump (:mod:`repro.introspection.flight`) --
-  the newest of the recent statements.
+* ``repro_plan_checks()`` -- the newest of those that carries plan checks.
 
-Both rings are bounded and hold the *same* record objects.  The slow ring
-is kept apart so a burst of fast statements cannot evict a slow one.
-The log also owns the database's statement metrics, which are unbounded:
+Slow statements are a query over the same ring (``WHERE wall_ms > ?``),
+joined to ``repro_traces()`` on ``trace_id`` when tracing was on.  The
+log also owns the database's statement metrics, which are unbounded:
 statements recorded, rows returned, and the latency histogram
 (:meth:`StatementLog.totals`).  Appends take the innermost
 ``statement_log`` sanitizer lock, so any engine thread may record while
@@ -33,7 +26,6 @@ holding its own locks.
 
 from __future__ import annotations
 
-import logging
 import time
 from bisect import bisect_left
 from collections import deque
@@ -42,18 +34,11 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sanitizer import SanLock
 from .metrics import DEFAULT_TIME_BUCKETS
-from .render import render_trace
-from .trace import Tracer
 
-__all__ = ["StatementRecord", "StatementLog", "RECENT_ENTRIES",
-           "SLOW_ENTRIES"]
+__all__ = ["StatementRecord", "StatementLog", "RECENT_ENTRIES"]
 
-logger = logging.getLogger("repro.slowlog")
-
-#: Statements retained for ``repro_statement_log()`` and the flight dump.
+#: Statements retained for ``repro_statement_log()``.
 RECENT_ENTRIES = 512
-#: Over-threshold statements retained for the slow-query log.
-SLOW_ENTRIES = 256
 
 
 class StatementRecord:
@@ -61,9 +46,7 @@ class StatementRecord:
 
     ``error``/``message`` are the exception's type name and text (empty on
     success).  ``trace_id`` is the statement's root span id in its
-    database's tracer, 0 when it ran untraced.  ``threshold_ms``,
-    ``trace_text`` and ``span_count`` are set by :meth:`mark_slow` only;
-    ``threshold_ms > 0`` marks a slow statement.
+    database's tracer, 0 when it ran untraced.
     While the statement runs, the optimizer appends ``(phase, decision,
     detail, estimated_rows)`` tuples to ``decisions`` and quackplan appends
     ``(stage, invariant, status, operator, detail)`` tuples to
@@ -73,8 +56,7 @@ class StatementRecord:
     __slots__ = ("session_id", "statement_seq", "sql", "timestamp", "wall_ms",
                  "cpu_ms", "rows_out", "rows_scanned", "vectors",
                  "buffer_hits", "buffer_misses", "memory_bytes", "error",
-                 "message", "threshold_ms", "trace_text", "span_count",
-                 "decisions", "plan_checks", "trace_id")
+                 "message", "decisions", "plan_checks", "trace_id")
 
     def __init__(self, session_id: int, statement_seq: int, sql: str,
                  wall_ms: float = 0.0, cpu_ms: float = 0.0,
@@ -96,25 +78,11 @@ class StatementRecord:
         self.memory_bytes = memory_bytes
         self.error = error
         self.message = message
-        self.threshold_ms = 0.0
-        self.trace_text: Optional[str] = None
-        self.span_count = 0
         self.decisions: Optional[List[Tuple[str, str, str,
                                             Optional[float]]]] = None
         self.plan_checks: Optional[List[Tuple[str, str, str, str,
                                               str]]] = None
         self.trace_id = 0
-
-    def mark_slow(self, threshold_ms: float,
-                  tracer: Optional[Tracer] = None) -> None:
-        """Flag the statement as over ``threshold_ms``, keeping its trace:
-        the spans ``tracer`` holds under this statement's ``trace_id``."""
-        self.threshold_ms = threshold_ms
-        spans = tracer.trace(self.trace_id) \
-            if tracer is not None and self.trace_id else None
-        if spans:
-            self.span_count = len(spans)
-            self.trace_text = render_trace(spans)
 
     def as_row(self) -> Tuple[int, int, str, float, float, float, int, int,
                               int, int, int, int, str, int]:
@@ -125,14 +93,6 @@ class StatementRecord:
                 self.buffer_misses, self.memory_bytes, self.error,
                 self.trace_id)
 
-    def render(self) -> str:
-        """The slow-query log line: header plus the trace when captured."""
-        header = (f"slow query ({self.wall_ms:.2f} ms, threshold "
-                  f"{self.threshold_ms:g} ms): {self.sql}")
-        if self.trace_text:
-            return header + "\n" + self.trace_text
-        return header
-
     def __repr__(self) -> str:
         return (f"StatementRecord(session={self.session_id}, "
                 f"seq={self.statement_seq}, wall={self.wall_ms:.3f}ms, "
@@ -140,7 +100,7 @@ class StatementRecord:
 
 
 class StatementLog:
-    """Bounded rings of the most recent and the most recent slow statements.
+    """Bounded ring of the most recent statements, plus their totals.
 
     Thread-safe behind the ``statement_log`` sanitizer lock (innermost
     in the declared hierarchy; see :mod:`repro.sanitizer.hierarchy`).
@@ -150,7 +110,6 @@ class StatementLog:
     def __init__(self) -> None:
         self._lock = SanLock("statement_log")
         self._recent: Deque[StatementRecord] = deque(maxlen=RECENT_ENTRIES)
-        self._slow: Deque[StatementRecord] = deque(maxlen=SLOW_ENTRIES)
         self._total_recorded = 0
         self._rows_returned = 0
         self._seconds_sum = 0.0
@@ -164,21 +123,16 @@ class StatementLog:
         return self._total_recorded
 
     def record(self, record: StatementRecord) -> None:
-        """Append one finished statement (to both rings when slow)."""
-        slow = record.threshold_ms > 0
+        """Append one finished statement."""
         seconds = record.wall_ms / 1e3
         bucket = bisect_left(DEFAULT_TIME_BUCKETS, seconds)
         with self._lock:
             self._recent.append(record)
-            if slow:
-                self._slow.append(record)
             self._total_recorded += 1
             self._rows_returned += record.rows_out
             self._seconds_sum += seconds
             if bucket < len(self._seconds_buckets):
                 self._seconds_buckets[bucket] += 1
-        if slow:
-            logger.warning("%s", record.render())
 
     def totals(self) -> Tuple[int, int, Dict[str, Any]]:
         """``(statements, rows returned, latency histogram)`` since
@@ -204,11 +158,6 @@ class StatementLog:
                 return record
         return None
 
-    def slow(self) -> List[StatementRecord]:
-        """Slow statements, oldest first (copy-then-release)."""
-        with self._lock:
-            return list(self._slow)
-
     def rows(self) -> List[Tuple[int, int, str, float, float, float, int,
                                  int, int, int, int, int, str, int]]:
         """System-table rows, oldest first."""
@@ -217,7 +166,6 @@ class StatementLog:
     def clear(self) -> None:
         with self._lock:
             self._recent.clear()
-            self._slow.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,8 +1,6 @@
 """Render captured traces as human-readable operator trees.
 
-``EXPLAIN ANALYZE``, the slow-query log, and the interactive
-``repro.observability.render_trace`` helper all share this formatter: a
-span tree becomes an indented operator profile with wall/CPU time, rows
+``EXPLAIN ANALYZE`` formats its profile here: a span tree becomes an indented operator profile with wall/CPU time, rows
 in/out, throughput, and -- for parallel pipelines -- per-worker morsel
 counts and the skew between the busiest and laziest worker.
 """
@@ -13,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .trace import Span
 
-__all__ = ["render_trace", "render_span_tree", "worker_summary"]
+__all__ = ["render_span_tree", "worker_summary"]
 
 
 def _children_index(spans: Sequence[Span]) -> Dict[int, List[Span]]:
@@ -107,13 +105,3 @@ def render_span_tree(spans: Sequence[Span],
             visit(top, indent)
     return lines
 
-
-def render_trace(spans: Sequence[Span], title: Optional[str] = None) -> str:
-    """One trace as a multi-line string (the pretty-print entry point)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.extend(render_span_tree(spans))
-    if not lines:
-        lines.append("(no spans captured)")
-    return "\n".join(lines)

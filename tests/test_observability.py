@@ -1,4 +1,4 @@
-"""quacktrace: spans, per-database metrics, slow-query log, EXPLAIN ANALYZE.
+"""quacktrace: spans, per-database metrics, EXPLAIN ANALYZE.
 
 Tracing is per database: each ``Database`` owns one ``Tracer`` and a
 statement is traced when its connection's config has ``trace_enabled``.
@@ -8,23 +8,16 @@ fixture, or ``config={"trace_enabled": True}``); tests that need none say
 suite under ``REPRO_TRACE=1``.
 """
 
-import json
-import logging
-
 import numpy as np
 import pytest
 
 import repro
 from repro.observability import (
     Metric,
-    StatementLog,
-    StatementRecord,
     Tracer,
     render_span_tree,
-    render_trace,
     worker_summary,
 )
-from repro.observability.accounting import SLOW_ENTRIES
 from repro.observability.metrics import render_text, snapshot
 from repro.observability.trace import CAPACITY
 from repro.server import QueryServer
@@ -132,9 +125,7 @@ class TestPerDatabaseTracing:
         finally:
             con.close()
 
-    def test_second_database_holds_none_of_the_first_databases_spans(
-            self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_second_database_holds_none_of_the_first_databases_spans(self):
         first = repro.connect(config={"trace_enabled": True})
         second = repro.connect(config={"trace_enabled": False})
         try:
@@ -142,9 +133,6 @@ class TestPerDatabaseTracing:
             assert _query_roots(first.database) == ["SELECT 1"]
             assert second.execute(
                 "SELECT count(*) FROM repro_traces()").fetchvalue() == 0
-            (path,) = second.execute("PRAGMA flight_dump").fetchone()
-            with open(path, encoding="utf-8") as handle:
-                assert json.load(handle)["spans"] == []
         finally:
             first.close()
             second.close()
@@ -273,11 +261,6 @@ class TestRender:
         assert any("SEQ_SCAN sample" in line for line in lines)
         assert any("rows_out=100" in line for line in lines)
 
-    def test_render_trace_has_title(self):
-        spans, _ = self._spans()
-        text = render_trace(spans, title="trace of SELECT")
-        assert text.startswith("trace of SELECT")
-
     def test_worker_summary_groups_by_thread(self):
         tracer = Tracer()
         root = tracer.start_query("Q")
@@ -390,14 +373,6 @@ class TestMetricsArePerDatabase:
         for name in self.A_WORK:
             assert f"{name} 0" in page
 
-    def test_flight_dump_metric_deltas(self, pair, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        _, b = pair
-        (path,) = b.execute("PRAGMA flight_dump").fetchone()
-        with open(path, encoding="utf-8") as handle:
-            deltas = json.load(handle)["metric_deltas"]
-        assert [name for name in self.A_WORK if name in deltas] == []
-
     def test_every_name_present_from_open(self):
         con = repro.connect()
         try:
@@ -471,59 +446,6 @@ class TestExpositionFormat:
                             Metric("g_nan", "gauge", "", float("nan"))])
         assert "g_inf +Inf" in text
         assert "g_nan NaN" in text
-
-
-def _slow_record(sql, wall_ms, threshold_ms=1.0):
-    record = StatementRecord(0, 0, sql, wall_ms=wall_ms)
-    record.mark_slow(threshold_ms)
-    return record
-
-
-class TestSlowLog:
-    def test_record_and_render(self):
-        log = StatementLog()
-        for index in range(SLOW_ENTRIES + 2):
-            log.record(_slow_record(f"SELECT {index}", 10.0 + index))
-        log.record(StatementRecord(0, 0, "SELECT fast", wall_ms=0.1))
-        records = log.slow()
-        # Bounded, oldest first, and only the statements marked slow.
-        assert len(records) == SLOW_ENTRIES
-        assert records[0].sql == "SELECT 2"
-        assert records[-1].sql == f"SELECT {SLOW_ENTRIES + 1}"
-        assert log.records()[-1].sql == "SELECT fast"
-        assert records[-1].render() == (
-            f"slow query ({10.0 + SLOW_ENTRIES + 1:.2f} ms, threshold 1 ms): "
-            f"SELECT {SLOW_ENTRIES + 1}")
-
-    def test_threshold_triggers_slow_log(self):
-        con = repro.connect(config={"slow_query_ms": 1e-6,
-                                    "trace_enabled": True})
-        try:
-            con.execute("CREATE TABLE t (i INTEGER)")
-            con.execute("INSERT INTO t VALUES (1), (2)")
-            con.execute("SELECT * FROM t").fetchall()
-            records = con.slow_queries()
-            assert records
-            select = [r for r in records if r.sql.startswith("SELECT")]
-            assert select and select[-1].wall_ms > 0
-            # Tracing was on, so the record carries the rendered trace.
-            assert select[-1].span_count > 0
-            assert "kind=query" not in (select[-1].trace_text or "")
-        finally:
-            con.close()
-
-    def test_zero_threshold_disables_log(self, populated):
-        populated.execute("SELECT i FROM sample").fetchall()
-        assert populated.slow_queries() == []
-
-    def test_slow_log_emits_logging_warning(self, caplog):
-        log = StatementLog()
-        with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
-            log.record(_slow_record("SELECT slow", 99.0))
-            log.record(StatementRecord(0, 0, "SELECT fast", wall_ms=0.1))
-        assert any("SELECT slow" in message for message in caplog.messages)
-        assert not any("SELECT fast" in message
-                       for message in caplog.messages)
 
 
 class TestParallelTracing:

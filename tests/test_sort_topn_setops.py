@@ -1,7 +1,11 @@
 """Sorting internals: external sorter edge cases, Top-N fusion, set ops."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.execution.sort import ExternalSorter, SortKey, sort_order
@@ -223,6 +227,65 @@ class TestSetOpEdgeCases:
         rows = con.execute("SELECT * FROM a EXCEPT SELECT * FROM b "
                            "ORDER BY x, y").fetchall()
         assert rows == [(1, "p"), (2, "p")]
+
+    @pytest.fixture
+    def bags(self, con):
+        con.execute("CREATE TABLE a (x INTEGER)")
+        con.execute("CREATE TABLE b (x INTEGER)")
+        con.execute("INSERT INTO a VALUES (1), (1), (1), (2), (NULL), (NULL)")
+        con.execute("INSERT INTO b VALUES (1), (3), (NULL)")
+        return con
+
+    def test_except_all_subtracts_multiplicity(self, bags):
+        # Each left row survives only as often as l - r for its value, and
+        # the survivors keep left input order.
+        assert bags.execute("SELECT x FROM a EXCEPT ALL SELECT x FROM b"
+                            ).fetchall() == [(1,), (1,), (2,), (None,)]
+        assert bags.execute("SELECT x FROM b EXCEPT ALL SELECT x FROM a"
+                            ).fetchall() == [(3,)]
+
+    def test_intersect_all_keeps_min_multiplicity(self, bags):
+        assert bags.execute("SELECT x FROM a INTERSECT ALL SELECT x FROM b"
+                            ).fetchall() == [(1,), (None,)]
+
+    def test_set_variants_keep_one_row_per_value(self, bags):
+        assert bags.execute("SELECT x FROM a EXCEPT SELECT x FROM b"
+                            ).fetchall() == [(2,)]
+        assert bags.execute("SELECT x FROM a INTERSECT SELECT x FROM b"
+                            ).fetchall() == [(1,), (None,)]
+
+    def test_all_variants_on_two_columns_with_nulls(self, con):
+        con.execute("CREATE TABLE a (x INTEGER, y VARCHAR)")
+        con.execute("CREATE TABLE b (x INTEGER, y VARCHAR)")
+        con.execute("INSERT INTO a VALUES (1, 'p'), (1, 'p'), (NULL, 'q'), "
+                    "(NULL, 'q'), (NULL, NULL), (2, NULL)")
+        con.execute("INSERT INTO b VALUES (1, 'p'), (NULL, 'q'), "
+                    "(NULL, NULL), (NULL, NULL)")
+        assert con.execute("SELECT * FROM a EXCEPT ALL SELECT * FROM b"
+                           ).fetchall() == [(1, "p"), (None, "q"), (2, None)]
+        assert con.execute("SELECT * FROM a INTERSECT ALL SELECT * FROM b"
+                           ).fetchall() == [(1, "p"), (None, "q"),
+                                            (None, None)]
+
+    @given(left=st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=12),
+           right=st.lists(st.one_of(st.none(), st.integers(0, 3)),
+                          max_size=12))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_all_variants_match_multiset_oracle(self, con, left, right):
+        con.execute("DROP TABLE IF EXISTS a")
+        con.execute("DROP TABLE IF EXISTS b")
+        con.execute("CREATE TABLE a (x INTEGER)")
+        con.execute("CREATE TABLE b (x INTEGER)")
+        for table, values in (("a", left), ("b", right)):
+            if values:
+                con.executemany(f"INSERT INTO {table} VALUES (?)",
+                                [(value,) for value in values])
+        for op, expected in (("EXCEPT", Counter(left) - Counter(right)),
+                             ("INTERSECT", Counter(left) & Counter(right))):
+            rows = con.execute(f"SELECT x FROM a {op} ALL SELECT x FROM b"
+                               ).fetchall()
+            assert Counter(x for (x,) in rows) == expected
 
     def test_chained_setops(self, con):
         rows = con.execute(

@@ -12,8 +12,6 @@ fixed: one bind per statement, private result-cache copies, one abort
 policy for eager and streaming, and session totals that add up.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -239,11 +237,9 @@ def test_result_cache_owns_private_copies():
 
 
 @pytest.mark.parametrize("stream", [False, True], ids=["eager", "stream"])
-def test_run_time_error_aborts_explicit_transaction(stream, tmp_path,
-                                                    monkeypatch):
+def test_run_time_error_aborts_explicit_transaction(stream):
     """One abort policy: eager and streaming both end the transaction and
     both log the exception class exactly once."""
-    monkeypatch.chdir(tmp_path)  # the in-memory database dumps into cwd
     route = Route("connection")
     con = route.connection
     try:
@@ -258,12 +254,6 @@ def test_run_time_error_aborts_explicit_transaction(stream, tmp_path,
                   for record in route.database.statement_log.records()
                   if record.sql == RUN_FAILS]
         assert errors == ["ConversionError"]
-        with open(route.database.dump_flight("test"),
-                  encoding="utf-8") as handle:
-            flights = [entry for entry in json.load(handle)["statements"]
-                       if entry["sql"] == RUN_FAILS]
-        assert [entry["error"].split(":")[0] for entry in flights] \
-            == ["ConversionError"]
     finally:
         route.close()
 

@@ -37,7 +37,6 @@ class TestStatementLog:
             == list(range(3, RECENT_ENTRIES + 3))
         assert log.total_recorded == RECENT_ENTRIES + 2
         assert len(log) == RECENT_ENTRIES
-        assert log.slow() == []
 
     def test_row_shape(self):
         log = StatementLog()
@@ -117,19 +116,21 @@ class TestStatementAccounting:
         finally:
             con.close()
 
-    # The statement log feeds the flight dump and the slow-query log, so its
-    # bound is a constant, not a knob that could switch them off.  The other
-    # names drove the sampling profiler and the metrics-history sampler:
-    # the engine starts no thread of its own, and the embedding host keeps
-    # workload history by pulling repro_statement_log(), so none of them is
-    # an option or a PRAGMA verb, on a direct connection or in a served
-    # session.
+    # The statement log feeds every per-statement surface, so its bound is
+    # a constant, not a knob that could switch them off.  The other names
+    # drove the sampling profiler, the metrics-history sampler, workload
+    # capture, the slow-query log and the crash flight dump: the engine
+    # starts no thread and writes no file of its own, and the embedding
+    # host reads statement history, slow statements included, from
+    # repro_statement_log(), so none of them is an option or a PRAGMA verb,
+    # on a direct connection or in a served session.
     @pytest.mark.parametrize("name", [
         "statement_log_entries",
         "profile_enabled", "profile_hz",
         "telemetry_interval_ms", "telemetry_path",
         "enable_profiling", "disable_profiling", "telemetry_sample",
         "capture_enabled", "capture_path",
+        "slow_query_ms", "flight_dump",
     ])
     def test_removed_option_raises(self, name):
         with pytest.raises(InvalidInputError):
@@ -163,38 +164,6 @@ class TestStatementAccounting:
         assert read, "the scan must find the engine's REPRO_* variables"
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         assert set(re.findall(r"REPRO_[A-Z_]+", readme)) == read
-
-    def test_slow_statement_outlives_fast_ones(self):
-        con = repro.connect()
-        try:
-            con.execute("PRAGMA slow_query_ms = 0.0001")
-            con.execute("SELECT 42").fetchall()
-            con.execute("PRAGMA slow_query_ms = 0")
-            for _ in range(600):
-                con.execute("SELECT 1").fetchall()
-            slow = [sql for (sql,) in con.execute(
-                "SELECT sql FROM repro_slow_queries()").fetchall()]
-            assert "SELECT 42" in slow and "SELECT 1" not in slow
-            # ... although the recent ring has long since dropped it.
-            assert "SELECT 42" not in {
-                record.sql for record in con.database.statement_log.records()}
-        finally:
-            con.close()
-
-    def test_slow_log_carries_session_and_seq(self):
-        con = repro.connect(config={"slow_query_ms": 0.0001})
-        try:
-            con.execute("SELECT 1").fetchall()
-            rows = con.execute(
-                "SELECT sql, session_id, statement_seq "
-                "FROM repro_slow_queries()").fetchall()
-            by_sql = {sql: (session, seq) for sql, session, seq in rows}
-            assert by_sql["SELECT 1"] == (0, 1)
-            # The client-side view exposes the same attribution.
-            record = [r for r in con.slow_queries() if r.sql == "SELECT 1"][0]
-            assert (record.session_id, record.statement_seq) == (0, 1)
-        finally:
-            con.close()
 
 
 # -- live system tables ------------------------------------------------------
