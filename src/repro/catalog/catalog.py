@@ -39,6 +39,14 @@ class Catalog:
                     return entry
         return None
 
+    def names_view(self, name: str) -> bool:
+        """Whether any version of ``name``, visible to some transaction or
+        to none, is a view (a snapshot-free, conservative check)."""
+        with self._lock, tracked_access(("catalog", id(self)), False,
+                                        self._lock):
+            return any(isinstance(entry, ViewEntry)
+                       for entry in self._entries.get(name.lower(), ()))
+
     def get_table(self, name: str, transaction: Transaction) -> TableEntry:
         entry = self.get_entry(name, transaction)
         if entry is None:

@@ -10,6 +10,7 @@ transfer-efficiency design of paper §5/§6.
 
 from __future__ import annotations
 
+import re
 import time
 from typing import (
     TYPE_CHECKING,
@@ -21,6 +22,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -35,7 +37,9 @@ from ..execution.executor import Executor, StatementResult
 from ..planner.binder import Binder
 from ..planner import bound_statements as bound
 from ..server.cache import CachedPlan, CachedResult, plan_result_cacheable
-from ..sql import ast, parse
+from ..sql import ast, parse, tokenize
+from ..sql.lexer import Token
+from ..sql.template import Template, lift_literals
 from ..types import DataChunk
 from .params import (
     normalize_parameters,
@@ -54,6 +58,9 @@ if TYPE_CHECKING:
     from .prepared import PreparedStatement
 
 __all__ = ["Connection", "connect"]
+
+#: Whitespace and comments ahead of a statement's first keyword.
+_LEADING = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)*", re.S)
 
 
 def connect(database: str = ":memory:",
@@ -200,21 +207,40 @@ class Connection:
 
         The single entry of the statement pipeline.  ``statements`` is the
         AST a :class:`PreparedStatement` retained; ``None`` means parse --
-        which a plan-cache hit skips along with bind and optimize.
+        which a plan-cache hit skips along with bind and optimize.  A
+        literal SELECT whose text misses is lexed once and probed again as
+        its ``?`` template (:func:`~repro.sql.template.lift_literals`); from
+        then on it is that ``?`` statement with the lifted values as its
+        parameters, except to the statement log and the tracer, which see
+        the text as sent.
         """
         self._check_open()
         parameters = normalize_parameters(parameters)
         with self._lock:
             cache_key = self._plan_cache_key(sql, parameters)
+            tokens = None
             if cache_key is not None:
-                database = self._database
-                entry = database.plan_cache.lookup(
-                    cache_key, database.transaction_manager.catalog_version)
+                plans = self._database.plan_cache
+                catalog_version = \
+                    self._database.transaction_manager.catalog_version
+                # A literal text probes again under its template, and the
+                # statement's one hit or miss is counted there.
+                liftable = statements is None and not parameters
+                entry = plans.lookup(cache_key, catalog_version,
+                                     final=not liftable)
+                if entry is None and liftable:
+                    tokens, template = self._lift(sql)
+                    if template is not None:
+                        parameters = template.values
+                        cache_key = (template.text,
+                                     type_fingerprint(parameters))
+                        tokens = template.tokens
+                        entry = plans.lookup(cache_key, catalog_version)
                 if entry is not None:
                     return self._run_statement(sql, None, entry.plan,
                                                parameters, stream, cache_key)
             if statements is None:
-                statements = parse(sql)
+                statements = parse(sql, tokens)
             if not statements:
                 raise InvalidInputError("No statement to execute")
             if len(statements) > 1 \
@@ -230,6 +256,25 @@ class Connection:
             assert result is not None
             return result
 
+    def _lift(self, sql: str) -> Tuple[List[Token], Optional[Template]]:
+        """``sql``'s tokens and its literal template, if it has one.
+
+        No template when nothing qualifies or the FROM name is a view,
+        whose joins must not be planned on ``?`` estimates.  Then this
+        counts the miss the raw-text probe left uncounted.
+        """
+        template = None
+        try:
+            tokens = tokenize(sql)
+            template = lift_literals(sql, tokens)
+            if template is not None \
+                    and self._database.catalog.names_view(template.table):
+                template = None
+        finally:
+            if template is None:
+                self._database.plan_cache.count_miss()
+        return tokens, template
+
     def _plan_cache_key(self, sql: str, parameters: Any) -> Optional[Any]:
         """Plan-cache key of ``sql``, or None when it must not be cached.
 
@@ -242,8 +287,9 @@ class Connection:
             return None
         # Cheap statement-kind sniff: only SELECTs are ever cached (the
         # parsed AST is checked before a fill), so skip the lookup -- and
-        # the miss it would count -- for DML/DDL text.
-        head = sql.lstrip()[:7].upper()
+        # the miss it would count -- for DML/DDL text.  Leading comments
+        # do not make a SELECT anything else.
+        head = sql[_LEADING.match(sql).end():][:7].upper()
         if not (head.startswith("SELECT") or head.startswith("WITH")
                 or head.startswith("(")):
             return None

@@ -7,13 +7,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..optimizer.rules import _remap_expression
+from ..errors import ConversionError
 from ..planner.expressions import (
+    BoundCast,
     BoundColumnRef,
     BoundConstant,
     BoundExpression,
     BoundOperator,
+    BoundParameterRef,
 )
-from ..types import VECTOR_SIZE, DataChunk, Vector, cast_vector
+from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
 from .expression_executor import ExpressionExecutor
 from .physical import ExecutionContext, PhysicalOperator
 
@@ -22,12 +25,45 @@ __all__ = ["PhysicalTableScan", "PhysicalCSVScan",
            "PhysicalEmptyResult"]
 
 
+_NO_VALUE = object()
+
+
+def _operand_value(expression: BoundExpression, parameters) -> object:
+    """The value a comparison operand holds in this execution, or
+    ``_NO_VALUE`` when it is not a constant.
+
+    A constant holds its own value.  A parameter slot, possibly under one
+    cast, holds this execution's value cast the way the expression executor
+    casts it, so a ``?`` filter prunes zones exactly like its literal form.
+    An ``executemany`` parameter column (a Vector) has no single value.
+    """
+    if isinstance(expression, BoundConstant):
+        return expression.value
+    target = None
+    if isinstance(expression, BoundCast):
+        target, expression = expression.return_type, expression.child
+    if not isinstance(expression, BoundParameterRef):
+        return _NO_VALUE
+    try:
+        value = parameters[expression.key]
+    except (KeyError, IndexError, TypeError):
+        return _NO_VALUE
+    if isinstance(value, Vector):
+        return _NO_VALUE
+    try:
+        value = cast_scalar(value, expression.return_type)
+        return value if target is None else cast_scalar(value, target)
+    except ConversionError:  # the filter itself reports it, if it runs
+        return _NO_VALUE
+
+
 def _extract_zone_conditions(filters: List[BoundExpression],
-                             column_ids: List[int]):
+                             column_ids: List[int], parameters=()):
     """Distill pushed filters into (physical column id, op, constant) triples
     usable against column zonemaps.  Only plain column-vs-constant
-    comparisons qualify; everything else is ignored (still evaluated on the
-    fetched chunk as usual)."""
+    comparisons qualify -- a parameter counts as the constant ``parameters``
+    gives it; everything else is ignored (still evaluated on the fetched
+    chunk as usual)."""
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
     conditions: List[Tuple[int, str, float]] = []
     for predicate in filters:
@@ -37,19 +73,18 @@ def _extract_zone_conditions(filters: List[BoundExpression],
         if op not in ("<", "<=", ">", ">=", "="):
             continue
         left, right = predicate.args
-        if isinstance(left, BoundColumnRef) and isinstance(right, BoundConstant):
-            column, constant = left, right
-        elif isinstance(right, BoundColumnRef) and isinstance(left, BoundConstant):
-            column, constant = right, left
+        if isinstance(left, BoundColumnRef):
+            column, value = left, _operand_value(right, parameters)
+        elif isinstance(right, BoundColumnRef):
+            column, value = right, _operand_value(left, parameters)
             op = flipped[op]
         else:
             continue
-        if constant.value is None or isinstance(constant.value, str):
+        if value is _NO_VALUE or value is None or isinstance(value, str):
             continue
         if not (column.return_type.is_numeric()
                 or column.return_type.is_temporal()):
             continue
-        value = constant.value
         # Temporal constants compare against the stored integer encoding.
         import datetime
 
@@ -71,10 +106,11 @@ class PhysicalTableScan(PhysicalOperator):
     """MVCC scan of a base table, with pushed-down filters and projection.
 
     Pushed filters serve double duty: simple column-vs-constant comparisons
-    are first checked against per-zone min/max bounds so whole row ranges
-    are skipped *without fetching them* -- the paper's §6 "skip irrelevant
-    blocks of rows during a scan" -- and every filter is then evaluated on
-    the chunks that do get fetched, before any parent operator sees them.
+    (a ``?`` parameter counts as its value in this execution) are first
+    checked against per-zone min/max bounds so whole row ranges are skipped
+    *without fetching them* -- the paper's §6 "skip irrelevant blocks of
+    rows during a scan" -- and every filter is then evaluated on the chunks
+    that do get fetched, before any parent operator sees them.
 
     Filters run left to right over a *selection* (the surviving row
     indices): each one sees only the columns it reads, cut down to the rows
@@ -97,8 +133,8 @@ class PhysicalTableScan(PhysicalOperator):
         #: pushdown).  Exactness is still enforced by the LIMIT operator
         #: above; this only lets the scan quit early.
         self.limit_hint = limit_hint
-        self._zone_conditions = _extract_zone_conditions(self.filters,
-                                                         column_ids)
+        self._zone_conditions = _extract_zone_conditions(
+            self.filters, column_ids, context.parameters)
         #: Filter index -> (chunk positions it reads, the predicate rewritten
         #: to read them from a chunk of just those columns); built on first
         #: use, because most scans never narrow (see :meth:`_surviving`).
@@ -273,7 +309,8 @@ class PhysicalValues(PhysicalOperator):
 
 class PhysicalEmptyResult(PhysicalOperator):
     def execute(self) -> Iterator[DataChunk]:
-        return iter(())
+        # A generator, like every operator's: the tracer closes it.
+        yield from ()
 
     def _explain_line(self) -> str:
         return "EMPTY"

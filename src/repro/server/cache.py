@@ -6,15 +6,19 @@ against the transaction manager's counters rather than walked on
 invalidation:
 
 * the **plan cache** memoizes parse+bind+optimize for SELECTs on
-  ``(SQL text, parameter-type fingerprint)``.  Each entry records the
-  catalog version at fill time; a DDL commit bumps that version, so stale
-  plans fail validation lazily on their next lookup.  Data-only commits do
-  *not* move the catalog version -- a mixed OLAP/ETL workload keeps its
-  warm plans.
+  ``(SQL text, parameter-type fingerprint)``.  A literal single-table
+  SELECT that misses is keyed on its ``?`` template instead, with the
+  lifted literals as its parameters (:mod:`repro.sql.template`), so ad-hoc
+  texts that differ only in their constants share one plan.  Each entry
+  records the catalog version at fill time; a DDL commit bumps that
+  version, so stale plans fail validation lazily on their next lookup.
+  Data-only commits do *not* move the catalog version -- a mixed OLAP/ETL
+  workload keeps its warm plans.
 * the **result cache** memoizes materialized read-only result sets on
-  ``(SQL text, parameter values, data version)``.  Any committed write
-  advances the data version, so a hit is always snapshot-consistent with
-  "begin a fresh transaction now"; superseded entries age out by LRU.
+  ``(SQL text, parameter values, data version)`` -- for a lifted text, the
+  template and the lifted values.  Any committed write advances the data
+  version, so a hit is always snapshot-consistent with "begin a fresh
+  transaction now"; superseded entries age out by LRU.
 
 Lock discipline: each cache owns one lock (``server.plan_cache`` /
 ``server.result_cache``, declared between ``connection`` and
@@ -85,22 +89,34 @@ class PlanCache:
     def capacity(self) -> int:
         return max(0, int(getattr(self._config, "plan_cache_entries", 0)))
 
-    def lookup(self, key: Any, catalog_version: int) -> Optional[CachedPlan]:
-        """The cached plan for ``key``, or None on miss/stale entry."""
+    def lookup(self, key: Any, catalog_version: int,
+               final: bool = True) -> Optional[CachedPlan]:
+        """The cached plan for ``key``, or None on miss/stale entry.
+
+        Each statement counts one hit or one miss.  A caller that may probe
+        again under another key passes ``final=False``: a miss here is not
+        counted, and the caller's next probe or :meth:`count_miss` is.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.catalog_version != catalog_version:
+            if entry is not None \
+                    and entry.catalog_version != catalog_version:
                 # Lazy invalidation: a DDL commit moved the catalog version.
                 del self._entries[key]
                 self.invalidations += 1
-                self.misses += 1
+                entry = None
+            if entry is None:
+                if final:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
+
+    def count_miss(self) -> None:
+        """Count the miss a ``final=False`` lookup left uncounted."""
+        with self._lock:
+            self.misses += 1
 
     def store(self, key: Any, entry: CachedPlan) -> None:
         capacity = self.capacity

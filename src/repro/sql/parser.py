@@ -27,9 +27,15 @@ _COMPARISON_OPS = {"=", "==", "<>", "!=", "<", "<=", ">", ">="}
 _TYPE_START = {"IDENTIFIER"}  # type names are identifiers after CAST ... AS
 
 
-def parse(sql: str) -> List[ast.Statement]:
-    """Parse a SQL script into a list of statements."""
-    return Parser(sql).parse_statements()
+def parse(sql: str, tokens: Optional[List[Token]] = None,
+          ) -> List[ast.Statement]:
+    """Parse a SQL script into a list of statements.
+
+    ``tokens`` are ``sql``'s tokens when the caller lexed it already (they
+    may be a literal template's, see :mod:`repro.sql.template`); ``sql``
+    then only feeds error messages.
+    """
+    return Parser(sql, tokens).parse_statements()
 
 
 def parse_one(sql: str) -> ast.Statement:
@@ -41,9 +47,9 @@ def parse_one(sql: str) -> ast.Statement:
 
 
 class Parser:
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: Optional[List[Token]] = None) -> None:
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens = list(tokens) if tokens is not None else tokenize(sql)
         self.index = 0
         self._parameter_count = 0
         #: Parameter styles seen so far ("qmark"/"named"); mixing is an error.

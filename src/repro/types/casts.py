@@ -251,9 +251,25 @@ def cast_vector(vector: Vector, target: LogicalType) -> Vector:
     raise ConversionError(f"Unsupported cast {source} -> {target}")
 
 
+#: Python types whose values are already their logical type's Python form.
+_OWN_TYPES = {**logical.NATIVE_TYPES, datetime.date: DATE}
+
+
 def cast_scalar(value: Any, target: LogicalType) -> Any:
     """Cast one Python value to ``target``'s Python representation."""
     if value is None:
         return None
+    # The common cases -- a value already of ``target`` (a parameter slot's
+    # own type), or an int widened to DOUBLE -- need no vector round trip.
+    kind = type(value)
+    if kind is int and -2**63 <= value < 2**63:
+        if target.is_integer():
+            low, high = target.integer_range()
+            if low <= value <= high:
+                return value
+        elif target.id is LogicalTypeId.DOUBLE:
+            return float(value)
+    elif _OWN_TYPES.get(kind) == target:
+        return value
     vector = Vector.from_values([value])
     return cast_vector(vector, target).get_value(0)

@@ -200,6 +200,14 @@ class TestQueryTracing:
         assert root.wall_ns > 0
         assert any(s.rows > 0 for s in operators)
 
+    def test_traced_statement_folded_to_no_rows(self, traced, populated):
+        # WHERE 1 = 0 lowers to an EMPTY operator, which the tracer wraps
+        # and closes like any other.
+        assert populated.execute(
+            "SELECT i FROM sample WHERE 1 = 0").fetchall() == []
+        assert any(s.kind == "operator" and s.name == "EMPTY"
+                   for s in traced.spans())
+
     def test_streaming_result_closes_query_span(self, traced, populated):
         result = populated.execute("SELECT i FROM sample", stream=True)
         assert result.fetchone() is not None

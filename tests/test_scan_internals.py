@@ -9,9 +9,11 @@ import repro
 from repro.execution.joins import _batched
 from repro.execution.scan import _extract_zone_conditions
 from repro.planner.expressions import (
+    BoundCast,
     BoundColumnRef,
     BoundConstant,
     BoundOperator,
+    BoundParameterRef,
 )
 from repro.types import (
     BOOLEAN,
@@ -101,6 +103,33 @@ class TestZoneConditionExtraction:
             [comparison(">", column(dtype=DOUBLE), constant(1.5, DOUBLE))],
             [0])
         assert conditions == [(0, ">", 1.5)]
+
+    def test_parameter_takes_its_execution_value(self):
+        positional = _extract_zone_conditions(
+            [comparison("<", column(), BoundParameterRef(0, INTEGER))],
+            [0], (7,))
+        named = _extract_zone_conditions(
+            [comparison(">", BoundParameterRef("low", INTEGER), column())],
+            [0], {"low": 2})
+        assert (positional, named) == ([(0, "<", 7)], [(0, "<", 2)])
+
+    def test_parameter_under_a_cast_is_cast(self):
+        slot = BoundCast(BoundParameterRef(0, INTEGER), DOUBLE)
+        conditions = _extract_zone_conditions(
+            [comparison(">=", column(dtype=DOUBLE), slot)], [0], (3,))
+        assert conditions == [(0, ">=", 3.0)]
+        assert type(conditions[0][2]) is float
+
+    def test_parameter_without_a_single_value_ignored(self):
+        slot = BoundParameterRef(0, INTEGER)
+        for parameters in ((), (None,), (Vector.from_values([1, 2]),)):
+            assert _extract_zone_conditions(
+                [comparison("=", column(), slot)], [0], parameters) == []
+        # A value its cast rejects: the filter, not the lowering, reports it.
+        day = BoundCast(BoundParameterRef(0, VARCHAR), DATE)
+        assert _extract_zone_conditions(
+            [comparison("=", column(dtype=DATE), day)], [0],
+            ("not a date",)) == []
 
 
 class TestProbeBatching:

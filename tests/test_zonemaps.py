@@ -260,3 +260,51 @@ class TestChurnCorrectness:
         assert con.query_value(
             "SELECT count(*) FROM ev WHERE d >= "
             "CAST('2024-06-01' AS DATE)") == 7
+
+
+class TestParameterZones:
+    """A ``?`` filter prunes zones exactly like its literal form -- which,
+    through the plan cache, now runs as that same ``?`` statement."""
+
+    ROWS = 200_000
+
+    @pytest.fixture(scope="class")
+    def ordered(self):
+        connections = [repro.connect(config={"result_cache_entries": 0,
+                                             "plan_cache_entries": entries})
+                       for entries in (0, 256)]
+        for con in connections:
+            con.execute("CREATE TABLE o (id BIGINT, x DOUBLE)")
+            with con.appender("o") as appender:
+                appender.append_numpy({
+                    "id": np.arange(self.ROWS, dtype=np.int64),
+                    "x": np.arange(self.ROWS, dtype=np.float64),
+                })
+        yield connections
+        for con in connections:
+            con.close()
+
+    @staticmethod
+    def _scanned(con, sql, parameters=None):
+        con.execute(sql, parameters).fetchall()
+        logged = con.execute(
+            "SELECT sql, rows_scanned FROM repro_statement_log()").fetchall()
+        return [scanned for text, scanned in logged if text == sql][-1]
+
+    @pytest.mark.parametrize("column", ["id", "x"])
+    @pytest.mark.parametrize("op,value", [("<", 103), (">=", 150_000),
+                                          ("=", 123_456)])
+    def test_literal_and_parameter_scan_the_same_rows(self, ordered, column,
+                                                      op, value):
+        uncached, cached = ordered
+        literal = f"SELECT count(*) FROM o WHERE {column} {op} {value}"
+        marker = f"SELECT count(*) FROM o WHERE {column} {op} ?"
+        constant_bound = self._scanned(uncached, literal)
+        assert constant_bound < self.ROWS / 2
+        # The x forms compare a DOUBLE column with an INTEGER value: the
+        # parameter sits under a cast.
+        assert self._scanned(uncached, marker, (value,)) == constant_bound
+        assert self._scanned(cached, marker, (value,)) == constant_bound
+        assert self._scanned(cached, literal) == constant_bound
+        assert cached.execute(literal).fetchall() \
+            == uncached.execute(literal).fetchall()
