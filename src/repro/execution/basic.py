@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from ..planner.expressions import BoundExpression
 from ..types import DataChunk
 from .expression_executor import ExpressionExecutor
@@ -75,7 +73,7 @@ class PhysicalLimit(PhysicalOperator):
                 if chunk.size <= to_skip:
                     to_skip -= chunk.size
                     continue
-                chunk = chunk.slice(np.arange(to_skip, chunk.size))
+                chunk = chunk.slice(slice(to_skip, None))
                 to_skip = 0
             if remaining is None:
                 yield chunk
@@ -83,7 +81,7 @@ class PhysicalLimit(PhysicalOperator):
             if remaining <= 0:
                 return
             if chunk.size > remaining:
-                chunk = chunk.slice(np.arange(0, remaining))
+                chunk = chunk.slice(slice(0, remaining))
             remaining -= chunk.size
             if chunk.size:
                 yield chunk

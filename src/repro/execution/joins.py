@@ -27,15 +27,11 @@ from ..planner.logical import JoinCondition
 from ..types import DataChunk, VECTOR_SIZE, Vector
 from .expression_executor import ExpressionExecutor
 from .intermediates import ChunkBuffer
-from .keys import BuildIndex
+from .keys import BuildIndex, expand_ranges
 from .physical import ExecutionContext, PhysicalOperator
 from .sort import ExternalSorter, SortKey
 
 __all__ = ["PhysicalHashJoin", "PhysicalMergeJoin", "PhysicalNestedLoopJoin"]
-
-
-def _null_extended(types, names, count: int) -> List[Vector]:
-    return [Vector.empty(dtype, count) for dtype in types]
 
 
 #: Probe-side batch size: the per-batch interpretation overhead of probing
@@ -62,14 +58,14 @@ def _batched(chunks, batch_rows: int = _PROBE_BATCH_ROWS):
         yield pending[0] if len(pending) == 1 else DataChunk.concat_many(pending)
 
 
-def _emit_in_vectors(vectors: List[Vector], names: List[str]) -> Iterator[DataChunk]:
-    chunk = DataChunk(vectors)
-    for piece in chunk.split(VECTOR_SIZE):
-        yield piece
-
-
 class _JoinBase(PhysicalOperator):
-    """Shared bookkeeping for binary joins (schema = left ++ right)."""
+    """Shared bookkeeping for binary joins.
+
+    A join emits the columns ``output_map`` names: positions into ``left ++
+    right``, the identity unless the physical planner folded a column-only
+    projection into the join (DuckDB's projection map).  Every output value
+    is gathered once, and only when a parent reads it.
+    """
 
     def __init__(self, context: ExecutionContext, left: PhysicalOperator,
                  right: PhysicalOperator, join_type: str,
@@ -81,6 +77,7 @@ class _JoinBase(PhysicalOperator):
         self.join_type = join_type
         self.conditions = conditions
         self.residual = residual
+        self.output_map = list(range(len(types)))
         self._executor = ExpressionExecutor(context)
 
     @property
@@ -91,23 +88,62 @@ class _JoinBase(PhysicalOperator):
     def right(self) -> PhysicalOperator:
         return self.children[1]
 
-    def _apply_residual(self, combined: DataChunk,
-                        probe_positions: np.ndarray,
-                        build_rows: np.ndarray):
-        if self.residual is None or combined.size == 0:
-            return combined, probe_positions, build_rows
-        mask = self._executor.execute_filter(self.residual, combined)
-        if mask.all():
-            return combined, probe_positions, build_rows
-        return combined.slice(mask), probe_positions[mask], build_rows[mask]
+    def project(self, positions: List[int], names: List[str]) -> None:
+        """Emit only output columns ``positions``, named ``names``."""
+        self.output_map = [self.output_map[position] for position in positions]
+        self.types = [self.types[position] for position in positions]
+        self.names = list(names)
+
+    def _probe_output(self, probe: DataChunk, probe_rows: np.ndarray,
+                      build: Optional[DataChunk], build_rows: np.ndarray,
+                      build_matched: Optional[np.ndarray]
+                      ) -> Iterator[DataChunk]:
+        """Output of one probe chunk's match pairs: the pairs the residual
+        keeps (marked in ``build_matched``), then -- left and full joins --
+        the probe rows no pair kept, NULL-extended."""
+        if self.residual is not None and probe_rows.size:
+            combined = DataChunk(probe.slice(probe_rows).columns
+                                 + build.slice(build_rows).columns)
+            mask = self._executor.execute_filter(self.residual, combined)
+            probe_rows, build_rows = probe_rows[mask], build_rows[mask]
+        if build_matched is not None:
+            build_matched[build_rows] = True
+        yield from self._emit(probe, probe_rows, build, build_rows)
+        if self.join_type in ("left", "full"):
+            matched = np.zeros(probe.size, dtype=np.bool_)
+            matched[probe_rows] = True
+            yield from self._emit(probe, np.flatnonzero(~matched), None, None)
+
+    def _emit(self, left: Optional[DataChunk], left_rows: Optional[np.ndarray],
+              right: Optional[DataChunk], right_rows: Optional[np.ndarray]
+              ) -> Iterator[DataChunk]:
+        """Rows ``left[left_rows] ++ right[right_rows]`` through the output
+        map, in vectors; a ``None`` side is all NULL (outer joins)."""
+        count = len(left_rows) if left is not None else len(right_rows)
+        width = len(self.left.types)
+        columns = []
+        for position, dtype in zip(self.output_map, self.types):
+            if position < width:
+                source, rows = left, left_rows
+            else:
+                source, rows, position = right, right_rows, position - width
+            columns.append(Vector.empty(dtype, count) if source is None
+                           else source.columns[position].slice(rows))
+        yield from DataChunk(columns).split(VECTOR_SIZE)
+
+    def _explain_map(self) -> str:
+        """`` out=<mapped>/<left + right>`` unless the map is the identity."""
+        width = len(self.left.types) + len(self.right.types)
+        return "" if self.output_map == list(range(width)) \
+            else f" out={len(self.output_map)}/{width}"
 
 
 class PhysicalHashJoin(_JoinBase):
     """Equi-join with a materialized (RAM-resident) build side.
 
     The build side is the right child.  Build keys are factorized into a
-    sorted code index; each probe chunk is matched with two binary searches
-    and a vectorized expansion -- no per-row Python.
+    code index; each probe batch is matched with one gather on a unique
+    build side, a vectorized expansion otherwise -- no per-row Python.
     """
 
     def execute(self) -> Iterator[DataChunk]:
@@ -127,47 +163,24 @@ class PhysicalHashJoin(_JoinBase):
         build_matched = np.zeros(build.size, dtype=np.bool_) \
             if self.join_type in ("right", "full") else None
 
-        emit_unmatched_probe = self.join_type in ("left", "full")
-
         for probe in _batched(self.left.run()):
             context.check_interrupted()
-            if probe.size == 0:
-                continue
             if index is None:
-                probe_positions = np.zeros(0, dtype=np.int64)
-                build_rows = np.zeros(0, dtype=np.int64)
+                probe_rows = build_rows = np.zeros(0, dtype=np.int64)
             else:
-                probe_keys = [self._executor.execute(condition.left, probe)
-                              for condition in self.conditions]
-                probe_positions, build_rows = index.match(probe_keys)
-            if probe_positions.size:
-                left_part = probe.slice(probe_positions)
-                right_part = build.slice(build_rows)
-                combined = DataChunk(left_part.columns + right_part.columns)
-                combined, probe_positions, build_rows = self._apply_residual(
-                    combined, probe_positions, build_rows)
-            else:
-                combined = None
-            matched_probe = np.zeros(probe.size, dtype=np.bool_)
-            if combined is not None and combined.size:
-                matched_probe[probe_positions] = True
-                if build_matched is not None:
-                    build_matched[build_rows] = True
-                yield from _emit_in_vectors(combined.columns, self.names)
-            if emit_unmatched_probe and not matched_probe.all():
-                unmatched = probe.slice(~matched_probe)
-                vectors = unmatched.columns + _null_extended(
-                    self.right.types, self.right.names, unmatched.size)
-                yield from _emit_in_vectors(vectors, self.names)
+                probe_rows, build_rows = index.match(
+                    [self._executor.execute(condition.left, probe)
+                     for condition in self.conditions])
+            yield from self._probe_output(probe, probe_rows, build,
+                                          build_rows, build_matched)
 
-        if build_matched is not None and build.size and not build_matched.all():
-            unmatched = build.slice(~build_matched)
-            vectors = _null_extended(self.left.types, self.left.names,
-                                     unmatched.size) + unmatched.columns
-            yield from _emit_in_vectors(vectors, self.names)
+        if build_matched is not None:
+            yield from self._emit(None, None, build,
+                                  np.flatnonzero(~build_matched))
 
     def _explain_line(self) -> str:
-        return f"HASH_JOIN {self.join_type.upper()} eq={len(self.conditions)}"
+        return (f"HASH_JOIN {self.join_type.upper()} "
+                f"eq={len(self.conditions)}{self._explain_map()}")
 
 
 class PhysicalMergeJoin(_JoinBase):
@@ -268,50 +281,30 @@ class PhysicalMergeJoin(_JoinBase):
                 # Trim rows strictly below the left chunk's smallest key.
                 cut = int(np.searchsorted(right_window_keys.data, lo_key, side="left"))
                 if cut > 0:
-                    keep = np.arange(cut, len(right_window_keys))
-                    right_window = right_window.slice(keep)
-                    right_window_keys = right_window_keys.slice(keep)
+                    right_window = right_window.slice(slice(cut, None))
+                    right_window_keys = right_window_keys.slice(slice(cut, None))
 
             # Match the left chunk against the window (both sorted).
-            matched_left = np.zeros(left_chunk.size, dtype=np.bool_)
+            left_rows = window_rows = np.zeros(0, dtype=np.int64)
             if right_window is not None and right_window.size and hi_key is not None:
                 window_keys = right_window_keys.data
                 lo = np.searchsorted(window_keys, left_keys.data, side="left")
                 hi = np.searchsorted(window_keys, left_keys.data, side="right")
                 counts = hi - lo
                 counts[~left_valid] = 0
-                total = int(counts.sum())
-                if total:
-                    left_positions = np.repeat(
-                        np.arange(left_chunk.size, dtype=np.int64), counts)
-                    ends = np.cumsum(counts)
-                    starts = ends - counts
-                    within = np.arange(total, dtype=np.int64) \
-                        - np.repeat(starts, counts)
-                    window_positions = np.repeat(lo, counts) + within
-                    left_part = left_chunk.slice(left_positions)
-                    right_part = right_window.slice(window_positions)
-                    combined = DataChunk(left_part.columns + right_part.columns)
-                    combined, left_positions, _ = self._apply_residual(
-                        combined, left_positions, window_positions)
-                    if combined.size:
-                        matched_left[left_positions] = True
-                        yield from _emit_in_vectors(combined.columns, self.names)
-            if self.join_type == "left" and not matched_left.all():
-                unmatched = left_chunk.slice(~matched_left)
-                vectors = unmatched.columns + _null_extended(
-                    self.right.types, self.right.names, unmatched.size)
-                yield from _emit_in_vectors(vectors, self.names)
+                left_rows, window_rows = expand_ranges(lo, counts)
+            yield from self._probe_output(left_chunk, left_rows, right_window,
+                                          window_rows, None)
 
     def _explain_line(self) -> str:
-        return f"MERGE_JOIN {self.join_type.upper()}"
+        return f"MERGE_JOIN {self.join_type.upper()}{self._explain_map()}"
 
 
 class PhysicalNestedLoopJoin(_JoinBase):
     """Block nested-loop join: cross products and non-equi conditions.
 
     The right side is materialized; each (left chunk x right chunk) block is
-    expanded with repeat/tile and filtered by the predicate -- still
+    expanded into every pair and filtered by the predicate -- still
     vectorized per block, quadratic overall.
     """
 
@@ -325,40 +318,20 @@ class PhysicalNestedLoopJoin(_JoinBase):
 
         build_matched = np.zeros(build.size, dtype=np.bool_) \
             if self.join_type in ("right", "full") else None
-        emit_unmatched_probe = self.join_type in ("left", "full")
 
         for probe in self.left.run():
             context.check_interrupted()
-            if probe.size == 0:
-                continue
-            matched_probe = np.zeros(probe.size, dtype=np.bool_)
-            if build.size:
-                probe_positions = np.repeat(
-                    np.arange(probe.size, dtype=np.int64), build.size)
-                build_rows = np.tile(
-                    np.arange(build.size, dtype=np.int64), probe.size)
-                left_part = probe.slice(probe_positions)
-                right_part = build.slice(build_rows)
-                combined = DataChunk(left_part.columns + right_part.columns)
-                combined, probe_positions, build_rows = self._apply_residual(
-                    combined, probe_positions, build_rows)
-                if combined.size:
-                    matched_probe[probe_positions] = True
-                    if build_matched is not None:
-                        build_matched[build_rows] = True
-                    yield from _emit_in_vectors(combined.columns, self.names)
-            if emit_unmatched_probe and not matched_probe.all():
-                unmatched = probe.slice(~matched_probe)
-                vectors = unmatched.columns + _null_extended(
-                    self.right.types, self.right.names, unmatched.size)
-                yield from _emit_in_vectors(vectors, self.names)
+            # Every probe row pairs with every build row.
+            probe_rows, build_rows = expand_ranges(
+                np.zeros(probe.size, dtype=np.int64),
+                np.full(probe.size, build.size, dtype=np.int64))
+            yield from self._probe_output(probe, probe_rows, build,
+                                          build_rows, build_matched)
 
-        if build_matched is not None and build.size and not build_matched.all():
-            unmatched = build.slice(~build_matched)
-            vectors = _null_extended(self.left.types, self.left.names,
-                                     unmatched.size) + unmatched.columns
-            yield from _emit_in_vectors(vectors, self.names)
+        if build_matched is not None:
+            yield from self._emit(None, None, build,
+                                  np.flatnonzero(~build_matched))
 
     def _explain_line(self) -> str:
         kind = "CROSS" if self.residual is None else "NL"
-        return f"{kind}_JOIN {self.join_type.upper()}"
+        return f"{kind}_JOIN {self.join_type.upper()}{self._explain_map()}"

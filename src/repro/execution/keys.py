@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import InternalError
 from ..types import LogicalTypeId, StringDictionary, Vector
 
-__all__ = ["factorize_for_groups", "BuildIndex"]
+__all__ = ["factorize_for_groups", "BuildIndex", "expand_ranges"]
 
 _OBJECT_FILLER = ""
 
@@ -161,11 +161,10 @@ class BuildIndex:
     def __init__(self, build_columns: Sequence[Vector]) -> None:
         if not build_columns:
             raise InternalError("BuildIndex needs at least one key column")
-        self.column_count = len(build_columns)
         count = len(build_columns[0])
         self._uniques: List[np.ndarray] = []
         self._radices: List[int] = []
-        #: Per column: (min_value, dense value->code array) or None.
+        #: Per column: ``_build_direct_map``'s (base, table), or None.
         self._direct_maps: List[Optional[Tuple[int, np.ndarray]]] = []
         build_valid = np.ones(count, dtype=np.bool_)
         combined: Optional[np.ndarray] = None
@@ -188,7 +187,6 @@ class BuildIndex:
                 combined = combined * radix + codes
                 cardinality *= radix
         assert combined is not None
-        self.cardinality = cardinality
         # Rows with NULL keys never match: give them an impossible code.
         codes64 = combined.astype(np.int64)
         codes64[~build_valid] = -1
@@ -199,22 +197,27 @@ class BuildIndex:
         first_valid = int(np.searchsorted(self.sorted_codes, 0, side="left"))
         self.sorted_codes = self.sorted_codes[first_valid:]
         self.sorted_rows = self.sorted_rows[first_valid:]
-        self.build_count = count
-        # Dense per-code match ranges: start offset and count per code.
+        #: No code has two build rows (a key build side): each probe row
+        #: matches at most once, so ``match`` needs no expansion.
+        self.unique = not np.any(self.sorted_codes[1:]
+                                 == self.sorted_codes[:-1])
+        self._code_counts = self._code_starts = self._code_rows = None
         if 0 < cardinality <= max(_DENSE_TABLE_LIMIT, 2 * count):
-            counts = np.bincount(self.sorted_codes, minlength=cardinality) \
-                if self.sorted_codes.size else np.zeros(cardinality,
-                                                        dtype=np.int64)
-            self._code_counts = counts.astype(np.int64)
-            self._code_starts = np.concatenate(
-                [[0], np.cumsum(self._code_counts)[:-1]])
-        else:
-            self._code_counts = None
-            self._code_starts = None
+            if self.unique:
+                # code -> build row or -1; a probe's -1 reads the last slot.
+                self._code_rows = np.full(cardinality + 1, -1, dtype=np.int64)
+                self._code_rows[self.sorted_codes] = self.sorted_rows
+            else:
+                # Dense per-code match ranges: start offset and count.
+                self._code_counts = np.bincount(
+                    self.sorted_codes, minlength=cardinality).astype(np.int64)
+                self._code_starts = np.concatenate(
+                    [[0], np.cumsum(self._code_counts)[:-1]])
 
     @staticmethod
     def _build_direct_map(uniques: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
-        """Dense value->code array when the key range is narrow enough."""
+        """``(base, table)`` with ``table[value - base]`` the value's code,
+        for a narrow key range; -1 pads each end for clipped probe values."""
         if uniques.size == 0 or uniques.dtype.kind not in "iu":
             return None
         low = int(uniques[0])
@@ -222,38 +225,35 @@ class BuildIndex:
         span = high - low + 1
         if span > max(4 * uniques.size, 1 << 16) or span > _DENSE_TABLE_LIMIT:
             return None
-        table = np.full(span, -1, dtype=np.int64)
-        table[uniques.astype(np.int64) - low] = np.arange(uniques.size,
-                                                          dtype=np.int64)
-        return low, table
+        table = np.full(span + 2, -1, dtype=np.int64)
+        table[uniques.astype(np.int64) - low + 1] = np.arange(uniques.size,
+                                                              dtype=np.int64)
+        return low - 1, table
 
     def probe_codes(self, probe_columns: Sequence[Vector]) -> np.ndarray:
         """Translate probe keys into build code space (-1 = cannot match)."""
-        count = len(probe_columns[0]) if probe_columns else 0
-        valid = np.ones(count, dtype=np.bool_)
-        combined = np.zeros(count, dtype=np.int64)
+        count = len(probe_columns[0])
+        valid = combined = None
         for position, column in enumerate(probe_columns):
-            valid &= column.validity
             data = _column_arrays(column)
             uniques = self._uniques[position]
             if len(uniques) == 0:
                 return np.full(count, -1, dtype=np.int64)
             direct = self._direct_maps[position]
             if direct is not None:
-                low, table = direct
-                shifted = data.astype(np.int64) - low
-                in_range = (shifted >= 0) & (shifted < len(table))
-                idx = table[np.where(in_range, shifted, 0)]
-                idx = np.where(in_range, idx, -1)
-                valid &= idx >= 0
-                idx = np.maximum(idx, 0)
+                base, table = direct
+                idx = table[np.clip(data.astype(np.int64, copy=False) - base,
+                                    0, len(table) - 1)]
+                found = idx >= 0
             else:
-                idx = np.searchsorted(uniques, data)
-                idx = np.minimum(idx, len(uniques) - 1)
-                found = uniques[idx] == data
-                valid &= np.asarray(found, dtype=np.bool_)
-                idx = idx.astype(np.int64)
-            combined = combined * self._radices[position] + idx
+                idx = np.minimum(np.searchsorted(uniques, data),
+                                 len(uniques) - 1).astype(np.int64)
+                found = np.asarray(uniques[idx] == data, dtype=np.bool_)
+            found &= column.validity
+            # Rows found nowhere get -1 below, whatever their idx.
+            valid = found if valid is None else valid & found
+            combined = idx if combined is None \
+                else combined * self._radices[position] + idx
         combined[~valid] = -1
         return combined
 
@@ -261,9 +261,14 @@ class BuildIndex:
         """Expand all (probe_row, build_row) match pairs for a probe chunk.
 
         Returns ``(probe_positions, build_rows)`` -- two aligned int64
-        arrays; a probe row appears once per matching build row.
+        arrays; a probe row appears once per matching build row, in order
+        (a gather, not an expansion, on a unique build side).
         """
         codes = self.probe_codes(probe_columns)
+        if self._code_rows is not None:
+            rows = self._code_rows[codes]
+            probe_positions = np.flatnonzero(rows >= 0)
+            return probe_positions, rows[probe_positions]
         if self._code_counts is not None:
             safe = np.maximum(codes, 0)
             counts = self._code_counts[safe]
@@ -274,14 +279,17 @@ class BuildIndex:
             hi = np.searchsorted(self.sorted_codes, codes, side="right")
             counts = hi - lo
             counts[codes < 0] = 0
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        probe_positions = np.repeat(np.arange(len(codes), dtype=np.int64), counts)
-        # Offsets within each probe row's match range.
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        build_positions = np.repeat(lo, counts) + within
+        if self.unique:
+            probe_positions = np.flatnonzero(counts)
+            return probe_positions, self.sorted_rows[lo[probe_positions]]
+        probe_positions, build_positions = expand_ranges(lo, counts)
         return probe_positions, self.sorted_rows[build_positions]
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair each row ``i`` with ``starts[i]``, ``starts[i] + 1``, ... -- its
+    ``counts[i]`` matches in a sorted run -- as two aligned int64 arrays."""
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return rows, shift + np.arange(len(rows), dtype=np.int64)

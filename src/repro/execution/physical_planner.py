@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import InternalError
+from ..planner.expressions import BoundColumnRef
 from ..planner.window import LogicalWindow
 from ..planner.logical import (
     LogicalAggregate,
@@ -226,6 +227,14 @@ def _lower(plan: LogicalOperator,
         return PhysicalFilter(context, child, plan.predicate)
     if isinstance(plan, LogicalProjection):
         child = create_physical_plan(plan.children[0], context)
+        join = plan.children[0]
+        if (isinstance(join, LogicalJoin) and join.residual is None
+                and plan.expressions
+                and all(isinstance(e, BoundColumnRef) for e in plan.expressions)):
+            # Column picks over a join become its output map: the join
+            # gathers only the columns read above it.
+            child.project([e.position for e in plan.expressions], plan.names)
+            return child
         projection = PhysicalProjection(context, child, plan.expressions,
                                         plan.names)
         if isinstance(plan.children[0], LogicalFilter):

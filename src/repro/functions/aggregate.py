@@ -62,7 +62,7 @@ def bind_aggregate(name: str, arg_types: Sequence[LogicalType],
 
 def _group_counts(group_ids: np.ndarray, group_count: int,
                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-    if mask is not None:
+    if mask is not None and not mask.all():
         group_ids = group_ids[mask]
     return np.bincount(group_ids, minlength=group_count)
 
@@ -188,22 +188,24 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
         return Vector(BIGINT, counts.astype(np.int64),
                       np.ones(group_count, dtype=np.bool_))
 
+    if name in ("sum", "avg"):
+        # bincount casts weights to float64 itself: same bits, no copy.
+        values = data if full_validity.all() \
+            else np.where(full_validity, data, 0)
+
     if name == "sum":
         counts = _group_counts(group_ids, group_count, full_validity)
         out_validity = counts > 0
         if return_type.is_integer():
-            values = np.where(full_validity, data, 0).astype(np.int64,
-                                                             copy=False)
             return Vector(return_type,
-                          _integer_sums(values, group_ids, group_count,
-                                        return_type), out_validity)
-        weights = np.where(full_validity, data, 0).astype(np.float64)
-        sums = np.bincount(group_ids, weights=weights, minlength=group_count)
+                          _integer_sums(values.astype(np.int64, copy=False),
+                                        group_ids, group_count, return_type),
+                          out_validity)
+        sums = np.bincount(group_ids, weights=values, minlength=group_count)
         return Vector(return_type, sums, out_validity)
 
     if name == "avg":
-        weights = np.where(full_validity, data, 0).astype(np.float64)
-        sums = np.bincount(group_ids, weights=weights, minlength=group_count)
+        sums = np.bincount(group_ids, weights=values, minlength=group_count)
         counts = _group_counts(group_ids, group_count, full_validity)
         out_validity = counts > 0
         with np.errstate(all="ignore"):

@@ -131,15 +131,10 @@ class DataChunk:
         ])
 
     def split(self, chunk_size: int = VECTOR_SIZE) -> Iterable["DataChunk"]:
-        """Yield this chunk re-sliced into pieces of at most ``chunk_size`` rows."""
-        total = self.size
-        if total <= chunk_size:
-            if total:
-                yield self
-            return
-        for start in range(0, total, chunk_size):
-            selection = np.arange(start, min(start + chunk_size, total))
-            yield self.slice(selection)
+        """Yield this chunk in pieces of at most ``chunk_size`` rows: views
+        of its arrays, not copies (callers split results they are done with)."""
+        for start in range(0, self.size, chunk_size):
+            yield self.slice(slice(start, start + chunk_size))
 
     def nbytes(self) -> int:
         """Approximate memory footprint of all columns."""

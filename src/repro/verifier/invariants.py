@@ -17,6 +17,9 @@ The invariants encode what every optimizer rewrite must preserve:
     An operator's declared output schema is structurally consistent with
     its inputs (projection width == expression count, join width == left +
     right, aggregate width == groups + aggregates, ...).
+``output_map``
+    A physical join's output map names positions inside ``left ++ right``,
+    one per declared output column, each typed as its source column.
 ``schema_preserved``
     A whole rewrite pass leaves the *root* schema -- names, order, types --
     untouched: parents bound against the old output must never notice.
@@ -492,20 +495,32 @@ def _check_physical_node(node, operator: str,
     if isinstance(node, (PhysicalHashJoin, PhysicalMergeJoin,
                          PhysicalNestedLoopJoin)):
         left, right = node.children
-        if len(node.types) != len(left.types) + len(right.types):
+        inputs = list(left.types) + list(right.types)
+        if len(node.types) != len(node.output_map):
             out.append(PlanViolation(
-                "schema_shape", operator,
-                f"declares {len(node.types)} output columns but its "
-                f"children produce {len(left.types)} + {len(right.types)}"))
+                "output_map", operator,
+                f"declares {len(node.types)} output columns but maps "
+                f"{len(node.output_map)}"))
+        for index, (position, declared) in enumerate(
+                zip(node.output_map, node.types)):
+            if not 0 <= position < len(inputs):
+                out.append(PlanViolation(
+                    "output_map", operator,
+                    f"output #{index} maps to #{position} (its children "
+                    f"produce {len(left.types)} + {len(right.types)})"))
+            elif declared != inputs[position]:
+                out.append(PlanViolation(
+                    "output_map", operator,
+                    f"output #{index} declared {declared} but maps to "
+                    f"#{position}, a {inputs[position]} column"))
         for index, condition in enumerate(node.conditions):
             _check_bound_types(condition.left, left.types, operator,
                                f"condition #{index} left side", out)
             _check_bound_types(condition.right, right.types, operator,
                                f"condition #{index} right side", out)
         if node.residual is not None:
-            _check_bound_types(node.residual,
-                               list(left.types) + list(right.types),
-                               operator, "residual", out)
+            _check_bound_types(node.residual, inputs, operator, "residual",
+                               out)
         return
     if isinstance(node, PhysicalOrder):
         if not node.items:

@@ -4,7 +4,9 @@ Three layers of coverage:
 
 * **seeded corruptions** -- each deliberately broken rewrite (dangling
   column ref, inflated limit, dropped projection column, undominated scan
-  hint) must be caught with the offending pass named;
+  hint) must be caught with the offending pass named, and each broken join
+  output map (a position out of range, a position of the wrong type) at
+  lowering;
 * **the clean sweep** -- a battery of representative queries runs with
   verification on (the whole suite does, via conftest) and every recorded
   check is ``ok``;
@@ -20,6 +22,7 @@ import pytest
 
 import repro
 from repro.errors import PlanVerificationError
+from repro.execution.joins import _JoinBase
 from repro.optimizer import rules
 from repro.planner.expressions import BoundColumnRef
 from repro.planner.logical import (
@@ -134,6 +137,34 @@ class TestSeededCorruptions:
         message = str(info.value)
         assert "limit_pushdown" in message
         assert "limit_hint" in message
+
+    @pytest.mark.parametrize("corruption, expected", [
+        ("out_of_range", "maps to #99"),
+        ("wrong_type", "declared INTEGER but maps to"),
+    ])
+    def test_corrupt_join_output_map_is_caught(self, populated, monkeypatch,
+                                              corruption, expected):
+        original = _JoinBase.project
+
+        def project(join, positions, names):
+            original(join, positions, names)
+            inputs = list(join.left.types) + list(join.right.types)
+            if corruption == "out_of_range":
+                join.output_map[-1] = 99
+            else:
+                join.output_map[0] = next(
+                    position for position, dtype in enumerate(inputs)
+                    if dtype != join.types[0])
+
+        monkeypatch.setattr(_JoinBase, "project", project)
+        with pytest.raises(PlanVerificationError) as info:
+            populated.execute(
+                "SELECT a.i, b.s FROM sample a JOIN sample b "
+                "ON a.i = b.i ORDER BY 1").fetchall()
+        message = str(info.value)
+        assert "lowering" in message
+        assert "output_map" in message
+        assert expected in message
 
     def test_violation_carries_before_and_after_plans(self, populated,
                                                       corrupt):

@@ -16,6 +16,7 @@ from repro.types import (
     TIMESTAMP,
     VARCHAR,
     DataChunk,
+    StringDictionary,
     VECTOR_SIZE,
     Vector,
 )
@@ -186,6 +187,41 @@ class TestDataChunk:
         assert [piece.size for piece in pieces] == [2, 2, 1]
         assert [row for piece in pieces for row in piece.to_rows()] == \
             [(i,) for i in range(5)]
+
+    @staticmethod
+    def _mixed_chunk(rows):
+        values = np.arange(rows, dtype=np.int64)
+        validity = values % 7 != 0
+        dictionary = StringDictionary()
+        words = np.array(["w%d" % (i % 5) for i in range(rows)], dtype=object)
+        coded = Vector.from_codes(dictionary.encode(words), dictionary)
+        return DataChunk([Vector(BIGINT, values, validity), coded])
+
+    def test_split_pieces_are_views_in_order(self):
+        chunk = self._mixed_chunk(5 * 1000 + 3)
+        numbers, coded = chunk.columns
+        pieces = list(chunk.split(1000))
+        assert [piece.size for piece in pieces] == [1000] * 5 + [3]
+        for piece in pieces:
+            number, word = piece.columns
+            assert np.shares_memory(number.data, numbers.data)
+            assert np.shares_memory(number.validity, numbers.validity)
+            assert word.codes is not None
+            assert word.dictionary is coded.dictionary
+            assert np.shares_memory(word.codes, coded.codes)
+        rebuilt = DataChunk.concat_many(pieces)
+        assert rebuilt.to_rows() == chunk.to_rows()
+
+    def test_split_piece_writes_stay_in_that_piece(self):
+        chunk = self._mixed_chunk(10)
+        first, second = list(chunk.split(5))
+        before = second.to_rows()
+        first.columns[0].data[:] = -1
+        first.columns[0].validity[:] = True
+        first.columns[1].data[:] = "changed"  # decodes this piece only
+        assert second.to_rows() == before
+        assert second.columns[1].codes is not None
+        assert first.to_rows() == [(-1, "changed")] * 5
 
     def test_to_pydict(self):
         chunk = DataChunk.from_pylists([[1, 2]])
