@@ -84,7 +84,10 @@ class PhysicalLimit(PhysicalOperator):
                 chunk = chunk.slice(slice(0, remaining))
             remaining -= chunk.size
             if chunk.size:
-                yield chunk
+                # A copy: the chunk may view a whole aggregate or join
+                # result (``DataChunk.split``), which the few rows a LIMIT
+                # keeps must not hold alive.
+                yield chunk.copy()
             if remaining <= 0:
                 return
 

@@ -143,7 +143,8 @@ class PhysicalHashJoin(_JoinBase):
 
     The build side is the right child.  Build keys are factorized into a
     code index; each probe batch is matched with one gather on a unique
-    build side, a vectorized expansion otherwise -- no per-row Python.
+    build side with a dense code space, a vectorized expansion otherwise --
+    no per-row Python.
     """
 
     def execute(self) -> Iterator[DataChunk]:

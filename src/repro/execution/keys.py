@@ -198,7 +198,7 @@ class BuildIndex:
         self.sorted_codes = self.sorted_codes[first_valid:]
         self.sorted_rows = self.sorted_rows[first_valid:]
         #: No code has two build rows (a key build side): each probe row
-        #: matches at most once, so ``match`` needs no expansion.
+        #: matches at most once, so a dense code space needs no expansion.
         self.unique = not np.any(self.sorted_codes[1:]
                                  == self.sorted_codes[:-1])
         self._code_counts = self._code_starts = self._code_rows = None
@@ -262,7 +262,8 @@ class BuildIndex:
 
         Returns ``(probe_positions, build_rows)`` -- two aligned int64
         arrays; a probe row appears once per matching build row, in order
-        (a gather, not an expansion, on a unique build side).
+        (a gather, not an expansion, on a unique build side whose code
+        space fits the dense table).
         """
         codes = self.probe_codes(probe_columns)
         if self._code_rows is not None:
@@ -279,9 +280,6 @@ class BuildIndex:
             hi = np.searchsorted(self.sorted_codes, codes, side="right")
             counts = hi - lo
             counts[codes < 0] = 0
-        if self.unique:
-            probe_positions = np.flatnonzero(counts)
-            return probe_positions, self.sorted_rows[lo[probe_positions]]
         probe_positions, build_positions = expand_ranges(lo, counts)
         return probe_positions, self.sorted_rows[build_positions]
 

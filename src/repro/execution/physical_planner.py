@@ -228,8 +228,7 @@ def _lower(plan: LogicalOperator,
     if isinstance(plan, LogicalProjection):
         child = create_physical_plan(plan.children[0], context)
         join = plan.children[0]
-        if (isinstance(join, LogicalJoin) and join.residual is None
-                and plan.expressions
+        if (isinstance(join, LogicalJoin) and plan.expressions
                 and all(isinstance(e, BoundColumnRef) for e in plan.expressions)):
             # Column picks over a join become its output map: the join
             # gathers only the columns read above it.

@@ -2,6 +2,7 @@
 
 import datetime
 
+import numpy as np
 import pytest
 
 import repro
@@ -111,6 +112,21 @@ class TestOrderLimit:
     def test_negative_limit_rejected(self, populated):
         with pytest.raises(BinderError):
             populated.execute("SELECT i FROM sample LIMIT -1")
+
+    def test_limit_does_not_keep_a_large_result_alive(self, con):
+        # The aggregate hands on views of its whole 20,000-group result;
+        # the ten rows a LIMIT keeps must not reference it.
+        con.execute("CREATE TABLE big (k BIGINT, v BIGINT)")
+        with con.appender("big") as app:
+            app.append_numpy({"k": np.arange(50_000) % 20_000,
+                              "v": np.arange(50_000)})
+        chunk = con.execute(
+            "SELECT k, count(*) FROM big GROUP BY k LIMIT 10").fetch_chunk()
+        assert chunk.size == 10
+        for vector in chunk.columns:
+            for array in (vector.data, vector.validity):
+                owner = array if array.base is None else array.base
+                assert owner.size == 10
 
     def test_order_stability_multi_key(self, con):
         con.execute("CREATE TABLE mk (a INTEGER, b INTEGER)")

@@ -1,9 +1,10 @@
 """The hash-join output path: unique-key probing and projection maps.
 
-* ``BuildIndex.match`` on a build side whose keys are unique gathers one
-  build row per probe row instead of expanding match ranges; its pairs
-  (values and order) must equal the general expansion's, which a brute-force
-  nested loop spells out here.  A single duplicate key falls back.
+* ``BuildIndex.match`` on a build side whose keys are unique and whose
+  code space fits the dense table gathers one build row per probe row
+  instead of expanding match ranges; its pairs (values and order) must
+  equal the general expansion's, which a brute-force nested loop spells out
+  here.  A single duplicate key or a wide code space falls back.
 * A column-only projection over a join becomes the join's output map; the
   join then gathers just those columns.  Inner, left, right and full joins,
   mapped and with a residual, serial and parallel, must return the same
@@ -191,9 +192,9 @@ _SHAPES = {
                "ON l.k = r.k", True),
     "mapped_two_keys": ("SELECT l.x, r.s FROM l {join} JOIN {right} r "
                         "ON l.k = r.k AND l.k2 = r.k2", True),
-    # A residual keeps the identity map: the projection stays above it.
+    # The residual reads the full left ++ right rows, whatever the map.
     "residual": ("SELECT l.s, r.x, r.k2 FROM l {join} JOIN {right} r "
-                 "ON l.k = r.k AND l.x < r.x", False),
+                 "ON l.k = r.k AND l.x < r.x", True),
     "residual_star": ("SELECT * FROM l {join} JOIN {right} r "
                       "ON l.k = r.k AND l.x < r.x", False),
 }
