@@ -8,9 +8,7 @@ granularity, not per-row OLTP treatment) and emit logical WAL records.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional
 
 from ..catalog.entry import TableEntry, ViewEntry
 from ..errors import (
@@ -33,7 +31,6 @@ from ..types import (
     cast_scalar,
     cast_vector,
 )
-from .expression_executor import ExpressionExecutor
 from .physical import ExecutionContext
 from .physical_planner import create_physical_plan
 
@@ -173,14 +170,16 @@ class Executor:
                     f"{column.name!r} of table {table.name!r}"
                 )
 
+    def _run_source(self, source) -> Iterator[DataChunk]:
+        """Optimize, lower and run a statement's source plan."""
+        plan = optimize(source, self.database, self.record)
+        return create_physical_plan(plan, self._context()).run()
+
     def execute_insert(self, statement: bound.BoundInsert) -> StatementResult:
         table = statement.table
-        plan = optimize(statement.source, self.database, self.record)
-        context = self._context()
-        physical = create_physical_plan(plan, context)
         wal_enabled = self.database.storage.wal.enabled
         inserted = 0
-        for chunk in physical.run():
+        for chunk in self._run_source(statement.source):
             if chunk.size == 0:
                 continue
             # Align physical representations exactly with storage.
@@ -196,61 +195,43 @@ class Executor:
             inserted += aligned.size
         return StatementResult.count_result(inserted)
 
-    # -- UPDATE -----------------------------------------------------------------
+    # -- UPDATE / DELETE ----------------------------------------------------------
+    # Both run a source plan whose first column is the row id of each target
+    # row (a scan of ``ROW_ID_COLUMN``), so they find their rows exactly as
+    # a SELECT would: zone maps, column pruning, morsel workers.  A parallel
+    # scan's morsels are disjoint row ranges, and rows are only ever written
+    # after the chunk that read them was produced, so no row is read after
+    # this statement wrote it.
     def execute_update(self, statement: bound.BoundUpdate) -> StatementResult:
         table = statement.table
-        context = self._context()
-        executor = ExpressionExecutor(context)
+        indices = statement.column_indices
         wal_enabled = self.database.storage.wal.enabled
         updated = 0
-        for chunk, row_ids in table.data.scan(self.transaction,
-                                              with_row_ids=True):
-            context.check_interrupted()
-            if statement.where is not None:
-                mask = executor.execute_filter(statement.where, chunk)
-                if not mask.any():
-                    continue
-                if not mask.all():
-                    chunk = chunk.slice(mask)
-                    row_ids = row_ids[mask]
-            values = [executor.execute(expression, chunk)
-                      for expression in statement.expressions]
-            update_chunk = DataChunk([
+        for chunk in self._run_source(statement.source):
+            row_ids = chunk.columns[0].data
+            values = DataChunk([
                 cast_vector(vector, table.columns[index].dtype)
-                for vector, index in zip(values, statement.column_indices)
+                for vector, index in zip(chunk.columns[1:], indices)
             ])
-            self._check_not_null(table, update_chunk, statement.column_indices)
+            self._check_not_null(table, values, indices)
             count = table.data.update_rows(self.transaction, row_ids,
-                                           statement.column_indices, update_chunk)
+                                           indices, values)
             if wal_enabled and count:
-                # update_rows sorted the rows internally; log the same order.
-                order = np.argsort(row_ids, kind="stable")
                 self.transaction.wal_records.append(WALRecord.update_rows(
-                    table.name, statement.column_indices,
-                    row_ids[order].astype(np.int64), update_chunk.slice(order)))
+                    table.name, indices, row_ids, values))
             updated += count
         return StatementResult.count_result(updated)
 
-    # -- DELETE -------------------------------------------------------------------
     def execute_delete(self, statement: bound.BoundDelete) -> StatementResult:
         table = statement.table
-        context = self._context()
-        executor = ExpressionExecutor(context)
         wal_enabled = self.database.storage.wal.enabled
         deleted = 0
-        for chunk, row_ids in table.data.scan(self.transaction,
-                                              with_row_ids=True):
-            context.check_interrupted()
-            if statement.where is not None:
-                mask = executor.execute_filter(statement.where, chunk)
-                if not mask.any():
-                    continue
-                row_ids = row_ids[mask]
+        for chunk in self._run_source(statement.source):
+            row_ids = chunk.columns[0].data
             count = table.data.delete_rows(self.transaction, row_ids)
             if wal_enabled and count:
                 self.transaction.wal_records.append(
-                    WALRecord.delete_rows(table.name,
-                                          np.sort(row_ids).astype(np.int64)))
+                    WALRecord.delete_rows(table.name, row_ids))
             deleted += count
         return StatementResult.count_result(deleted)
 
@@ -333,12 +314,10 @@ class Executor:
     def execute_copy_to(self, statement: bound.BoundCopyTo) -> StatementResult:
         from ..etl.csv_writer import write_csv
 
-        plan = optimize(statement.source, self.database, self.record)
-        context = self._context()
-        physical = create_physical_plan(plan, context)
+        names = statement.source.names
         options = statement.options
-        written = write_csv(statement.path, physical.run(), plan.names,
-                            delimiter=options.get("delimiter", ","),
+        written = write_csv(statement.path, self._run_source(statement.source),
+                            names, delimiter=options.get("delimiter", ","),
                             header=options.get("header", True))
         return StatementResult.count_result(written)
 

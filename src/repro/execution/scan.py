@@ -16,6 +16,7 @@ from ..planner.expressions import (
     BoundOperator,
     BoundParameterRef,
 )
+from ..storage.table_data import ROW_ID_COLUMN
 from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
 from .expression_executor import ExpressionExecutor
 from .physical import ExecutionContext, PhysicalOperator
@@ -81,6 +82,8 @@ def _extract_zone_conditions(filters: List[BoundExpression],
         else:
             continue
         if value is _NO_VALUE or value is None or isinstance(value, str):
+            continue
+        if column_ids[column.position] == ROW_ID_COLUMN:
             continue
         if not (column.return_type.is_numeric()
                 or column.return_type.is_temporal()):

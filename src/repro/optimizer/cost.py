@@ -56,6 +56,7 @@ from ..planner.logical import (
     LogicalSetOp,
     LogicalValues,
 )
+from ..storage.table_data import ROW_ID_COLUMN
 from ..types.logical import date_to_days, timestamp_to_micros
 from .statistics import ColumnStatistics
 
@@ -121,7 +122,10 @@ def _get_stats(get: LogicalGet, position: int) -> Optional[ColumnStatistics]:
     if data is None:
         return None
     try:
-        stats = data.columns[get.column_ids[position]].folded_stats()
+        column_id = get.column_ids[position]
+        if column_id == ROW_ID_COLUMN:
+            return None
+        stats = data.columns[column_id].folded_stats()
     except (AttributeError, IndexError):
         return None
     if stats.row_count <= 0:

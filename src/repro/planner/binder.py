@@ -17,6 +17,7 @@ from ..errors import BinderError, CatalogError, ConversionError, InternalError
 from ..functions.aggregate import AGGREGATE_NAMES, bind_aggregate
 from ..functions.scalar import lookup_scalar_function
 from ..sql import ast
+from ..storage.table_data import ROW_ID_COLUMN
 from ..types import (
     BIGINT,
     BOOLEAN,
@@ -281,6 +282,17 @@ class Binder:
         plan = self._apply_limit(plan, statement.limit, statement.offset)
         return plan
 
+    def _bind_where(self, where: ast.Expression,
+                    context: BindContext) -> BoundExpression:
+        """A WHERE predicate: boolean, without aggregates or windows."""
+        predicate = self.bind_expression(where, context)
+        if contains_aggregate(predicate):
+            raise BinderError("Aggregates are not allowed in WHERE "
+                              "(use HAVING)")
+        if contains_window(predicate):
+            raise BinderError("Window functions are not allowed in WHERE")
+        return _fold_constant(_ensure_boolean(predicate, "WHERE"))
+
     def _bind_order_key_by_output(self, expression: ast.Expression,
                                   names: List[str],
                                   types: List[LogicalType]) -> BoundExpression:
@@ -311,18 +323,11 @@ class Binder:
         else:
             plan = None  # SELECT without FROM: one conceptual row
 
-        # WHERE -- no aggregates or windows allowed.
         if statement.where is not None:
-            predicate = self.bind_expression(statement.where, context)
-            if contains_aggregate(predicate):
-                raise BinderError("Aggregates are not allowed in WHERE "
-                                  "(use HAVING)")
-            if contains_window(predicate):
-                raise BinderError("Window functions are not allowed in WHERE")
-            predicate = _ensure_boolean(predicate, "WHERE")
+            predicate = self._bind_where(statement.where, context)
             if plan is None:
                 raise BinderError("WHERE without FROM is not supported")
-            plan = LogicalFilter(plan, _fold_constant(predicate))
+            plan = LogicalFilter(plan, predicate)
 
         # Expand stars and bind the select list.
         select_items: List[Tuple[BoundExpression, str]] = []
@@ -1077,12 +1082,10 @@ class Binder:
         context.add(statement.table, table.column_names, table.column_types)
         column_indices = []
         expressions = []
-        seen = set()
         for column_name, value in statement.assignments:
             index = table.column_index(column_name)
-            if index in seen:
+            if index in column_indices:
                 raise BinderError(f"Column {column_name!r} assigned twice in UPDATE")
-            seen.add(index)
             bound_value = self.bind_expression(value, context)
             if contains_aggregate(bound_value):
                 raise BinderError("Aggregates are not allowed in UPDATE SET")
@@ -1091,21 +1094,39 @@ class Binder:
                                          allow_varchar_coercion=True)
             column_indices.append(index)
             expressions.append(bound_value)
-        where = None
-        if statement.where is not None:
-            where = _ensure_boolean(self.bind_expression(statement.where, context),
-                                    "WHERE")
-        return bound.BoundUpdate(table, column_indices, expressions, where)
+        source = self._dml_source(table, statement.where, context,
+                                  column_indices, expressions)
+        return bound.BoundUpdate(table, column_indices, source)
 
     def bind_delete(self, statement: ast.DeleteStatement) -> bound.BoundDelete:
         table = self.catalog.get_table(statement.table, self.transaction)
-        where = None
-        if statement.where is not None:
-            context = BindContext()
-            context.add(statement.table, table.column_names, table.column_types)
-            where = _ensure_boolean(self.bind_expression(statement.where, context),
-                                    "WHERE")
-        return bound.BoundDelete(table, where)
+        context = BindContext()
+        context.add(statement.table, table.column_names, table.column_types)
+        return bound.BoundDelete(
+            table, self._dml_source(table, statement.where, context, [], []))
+
+    def _dml_source(self, table: TableEntry, where: Optional[ast.Expression],
+                    context: BindContext, column_indices: List[int],
+                    expressions: List[BoundExpression]) -> LogicalOperator:
+        """UPDATE's and DELETE's source plan: the row id and the new value
+        of each column in ``column_indices`` (``expressions``) of the rows
+        WHERE keeps, over a scan that also reads the row ids.
+
+        The row id is the scan's last column and is not in ``context``, so
+        no SQL text can name it.
+        """
+        row_id = BoundColumnRef(len(table.columns), BIGINT, "rowid")
+        schema = [ColumnSchema(column.name, column.dtype)
+                  for column in table.columns]
+        plan: LogicalOperator = LogicalGet(
+            table, list(range(len(table.columns))) + [ROW_ID_COLUMN],
+            schema + [ColumnSchema(row_id.name, BIGINT)])
+        if where is not None:
+            plan = LogicalFilter(plan, self._bind_where(where, context))
+        return LogicalProjection(
+            plan, [row_id] + expressions,
+            [row_id.name] + [table.columns[index].name
+                             for index in column_indices])
 
     # ------------------------------------------------------------------ DDL / COPY
     def bind_create_table(self, statement: ast.CreateTableStatement) -> bound.BoundCreateTable:

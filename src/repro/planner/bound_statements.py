@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..catalog.entry import ColumnDefinition, TableEntry
 from ..types import LogicalType
-from .expressions import BoundExpression
 from .logical import LogicalOperator
 
 __all__ = [
@@ -48,21 +47,26 @@ class BoundInsert(BoundStatement):
 
 
 class BoundUpdate(BoundStatement):
-    """UPDATE: target column indices plus expressions over the full table row."""
+    """UPDATE: a source plan yielding ``[row id, one value per SET column]``.
+
+    The source scans the table with its row ids, filters by WHERE and
+    projects each SET expression, cast to its column's type;
+    ``column_indices`` names the column each value is written to.
+    """
 
     def __init__(self, table: TableEntry, column_indices: List[int],
-                 expressions: List[BoundExpression],
-                 where: Optional[BoundExpression]) -> None:
+                 source: LogicalOperator) -> None:
         self.table = table
         self.column_indices = column_indices
-        self.expressions = expressions
-        self.where = where
+        self.source = source
 
 
 class BoundDelete(BoundStatement):
-    def __init__(self, table: TableEntry, where: Optional[BoundExpression]) -> None:
+    """DELETE: a source plan yielding the row ids WHERE keeps."""
+
+    def __init__(self, table: TableEntry, source: LogicalOperator) -> None:
         self.table = table
-        self.where = where
+        self.source = source
 
 
 class BoundCreateTable(BoundStatement):

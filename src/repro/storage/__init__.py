@@ -8,7 +8,7 @@ the configured memory limit and (optionally) memtests its buffers.
 """
 
 from .block_file import BLOCK_SIZE, BlockFile, MetaBlockReader, MetaBlockWriter
-from .buffer_manager import Buffer, BufferManager, MemoryReservation
+from .buffer_manager import Buffer, BufferManager
 from .checkpoint import CheckpointReader, CheckpointWriter, PersistedSegment
 from .checksum import checksum, verify_checksum
 from .compression import CompressionLevel, CompressionType, decode_array, encode_array
@@ -24,7 +24,6 @@ __all__ = [
     "MetaBlockWriter",
     "Buffer",
     "BufferManager",
-    "MemoryReservation",
     "CheckpointReader",
     "CheckpointWriter",
     "PersistedSegment",

@@ -30,7 +30,7 @@ from ..sanitizer import SanRLock, tracked_access
 from ..resilience.faults import PlainMemory
 from ..resilience.memtest import MemtestReport, moving_inversions
 
-__all__ = ["Buffer", "BufferManager", "MemoryReservation"]
+__all__ = ["Buffer", "BufferManager"]
 
 
 class Buffer:
@@ -51,37 +51,6 @@ class Buffer:
 
     def release(self) -> None:
         self.manager.free_buffer(self)
-
-
-class MemoryReservation:
-    """RAII-style accounting token: reserve on enter, release on exit."""
-
-    def __init__(self, manager: "BufferManager", nbytes: int, description: str) -> None:
-        self._manager = manager
-        self.nbytes = nbytes
-        self.description = description
-        self._active = False
-
-    def __enter__(self) -> "MemoryReservation":
-        self._manager.reserve(self.nbytes, self.description)
-        self._active = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._active:
-            self._manager.release(self.nbytes)
-            self._active = False
-
-    def resize(self, new_bytes: int) -> None:
-        """Adjust a live reservation (e.g. a growing hash table)."""
-        if not self._active:
-            raise OutOfMemoryError("resize of an inactive reservation")
-        delta = new_bytes - self.nbytes
-        if delta > 0:
-            self._manager.reserve(delta, self.description)
-        elif delta < 0:
-            self._manager.release(-delta)
-        self.nbytes = new_bytes
 
 
 class BufferManager:
@@ -148,9 +117,6 @@ class BufferManager:
         with self._lock, tracked_access(("buffer_manager", id(self)), True,
                                         self._lock):
             self._used = max(0, self._used - nbytes)
-
-    def reservation(self, nbytes: int, description: str = "allocation") -> MemoryReservation:
-        return MemoryReservation(self, nbytes, description)
 
     def can_reserve(self, nbytes: int) -> bool:
         """Would a reservation of ``nbytes`` succeed right now (ignoring cache)?"""

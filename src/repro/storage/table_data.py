@@ -30,14 +30,20 @@ from ..sanitizer import SanRLock, tracked_access
 from ..transaction.transaction import Transaction
 from ..transaction.undo import DeleteUndo, InsertUndo, UpdateUndo
 from ..transaction.version import ABORTED_MARKER, NOT_DELETED, versions_visible
-from ..types import (DataChunk, LogicalType, LogicalTypeId, StringDictionary,
-                     VECTOR_SIZE, Vector)
+from ..types import (BIGINT, DataChunk, LogicalType, LogicalTypeId,
+                     StringDictionary, VECTOR_SIZE, Vector)
 from ..types.dictionary import CODE_DTYPE
 
-__all__ = ["ColumnData", "TableData", "SEGMENT_ROWS"]
+__all__ = ["ColumnData", "TableData", "SEGMENT_ROWS", "ROW_ID_COLUMN"]
 
 #: Rows per persisted column segment; also the checkpoint rewrite granularity.
 SEGMENT_ROWS = 65536
+
+#: The column id that reads a table's physical row ids in a scan's column
+#: list (DuckDB's ``COLUMN_IDENTIFIER_ROW_ID``).  Beyond any real column and
+#: not negative, so it never aliases ``columns[-1]``: every reader of scan
+#: column ids checks for it.  Only DML source plans scan it.
+ROW_ID_COLUMN = 2 ** 64 - 1
 
 #: Rows per scan chunk.  A multiple of the standard vector size: the Python
 #: interpreter pays a fixed cost per operator invocation, so scans hand out
@@ -443,15 +449,14 @@ class TableData:
     def scan(self, transaction: Transaction,
              column_indices: Optional[Sequence[int]] = None,
              chunk_size: int = SCAN_CHUNK_ROWS,
-             with_row_ids: bool = False,
              range_predicate=None,
              start_row: int = 0,
-             end_row: Optional[int] = None) -> Iterator:
+             end_row: Optional[int] = None) -> Iterator[DataChunk]:
         """Vector Volcano scan: yield chunks of rows visible to the snapshot.
 
-        With ``with_row_ids`` each item is ``(chunk, row_ids)`` where
-        ``row_ids`` are the physical rows backing the chunk (used by UPDATE
-        and DELETE to address their targets).
+        ``column_indices`` may name :data:`ROW_ID_COLUMN`, which reads as a
+        BIGINT vector of the physical row ids backing the chunk (UPDATE and
+        DELETE address their targets by them).
 
         ``range_predicate(start, end)`` -- when provided -- is consulted per
         row range *before* any column data is fetched; returning False skips
@@ -477,31 +482,16 @@ class TableData:
                 if not mask.any():
                     continue
                 vectors = [
-                    self.columns[index].fetch_range(start, end, transaction)
+                    Vector(BIGINT, np.arange(start, end, dtype=np.int64))
+                    if index == ROW_ID_COLUMN
+                    else self.columns[index].fetch_range(start, end,
+                                                         transaction)
                     for index in column_indices
                 ]
-            all_visible = bool(mask.all())
-            if all_visible:
-                chunk = DataChunk(vectors)
+            if mask.all():
+                yield DataChunk(vectors)
             else:
-                chunk = DataChunk([vector.slice(mask) for vector in vectors])
-            if with_row_ids:
-                if all_visible:
-                    row_ids = np.arange(start, end, dtype=np.int64)
-                else:
-                    row_ids = start + np.flatnonzero(mask).astype(np.int64)
-                yield chunk, row_ids
-            else:
-                yield chunk
-
-    def count_visible(self, transaction: Transaction) -> int:
-        """Number of rows visible to the snapshot (used by COUNT(*) fast path)."""
-        with self.lock:
-            total = self.row_count
-            if total == 0:
-                return 0
-            mask = self.visible_mask(transaction, 0, total)
-            return int(np.count_nonzero(mask))
+                yield DataChunk([vector.slice(mask) for vector in vectors])
 
     # -- checkpoint support ----------------------------------------------------
     def compact(self, keep_mask: np.ndarray) -> None:

@@ -47,21 +47,6 @@ class TestAccounting:
         buffers.reserve(500, "x")
         assert buffers.memory_pressure() == pytest.approx(0.5)
 
-    def test_reservation_context_manager(self):
-        buffers = manager()
-        with buffers.reservation(400, "scoped"):
-            assert buffers.used_bytes == 400
-        assert buffers.used_bytes == 0
-
-    def test_reservation_resize(self):
-        buffers = manager()
-        with buffers.reservation(100, "grow") as reservation:
-            reservation.resize(900)
-            assert buffers.used_bytes == 900
-            reservation.resize(200)
-            assert buffers.used_bytes == 200
-        assert buffers.used_bytes == 0
-
     def test_can_reserve(self):
         buffers = manager(limit=1000)
         assert buffers.can_reserve(1000)

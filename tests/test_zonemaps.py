@@ -198,13 +198,13 @@ class TestZoneBounds:
 class TestChurnCorrectness:
     """Zone-map pruning must match an unpruned scan under churn."""
 
-    def _unpruned(self, con, sql):
+    def _unpruned(self, con, sql, run=None):
         from repro.storage.table_data import ColumnData
 
         original = ColumnData.zone_bounds
         ColumnData.zone_bounds = lambda self, start, end: None
         try:
-            rows, _ = run_with_stats(con, sql)
+            rows, _ = (run or run_with_stats)(con, sql)
         finally:
             ColumnData.zone_bounds = original
         return rows
@@ -213,6 +213,26 @@ class TestChurnCorrectness:
         pruned, _ = run_with_stats(con, sql)
         assert sorted(pruned) == sorted(self._unpruned(con, sql))
         return pruned
+
+    @staticmethod
+    def _run_dml(con, sql):
+        """The rowcount and the table a DML statement leaves, rolled back,
+        plus the rows its scan fetched."""
+        con.execute("BEGIN")
+        try:
+            count = con.execute(sql).rowcount
+            table = con.execute("SELECT t, v FROM ts ORDER BY t, v").fetchall()
+        finally:
+            con.execute("ROLLBACK")
+        scanned = con.execute(
+            "SELECT sql, rows_scanned FROM repro_statement_log()").fetchall()
+        return (count, table), [rows for text, rows in scanned
+                                if text == sql][-1]
+
+    def _assert_dml_matches_unpruned(self, con, sql):
+        pruned, scanned = self._run_dml(con, sql)
+        assert pruned == self._unpruned(con, sql, self._run_dml)
+        return pruned[0], scanned
 
     def test_equality_and_range_after_update(self, clustered):
         clustered.execute("UPDATE ts SET t = 300000 WHERE t < 10")
@@ -237,6 +257,36 @@ class TestChurnCorrectness:
                     "SELECT count(*) FROM ts WHERE t = 100000"):
             self._assert_matches_unpruned(clustered, sql)
         assert clustered.query_value("SELECT count(*) FROM ts") == 100_000
+
+    def test_dml_after_update(self, clustered):
+        clustered.execute("UPDATE ts SET t = 300000 WHERE t < 10")
+        for sql in ("DELETE FROM ts WHERE t >= 250000",
+                    "UPDATE ts SET v = -1 WHERE t = 300000",
+                    "DELETE FROM ts WHERE t < 10",
+                    "UPDATE ts SET v = v + 1 WHERE t BETWEEN 1000 AND 1999"):
+            self._assert_dml_matches_unpruned(clustered, sql)
+
+    def test_dml_at_zone_boundaries(self, clustered):
+        for sql, count in (("UPDATE ts SET v = -1 WHERE t <= 16384", 16385),
+                           ("DELETE FROM ts WHERE t >= 180223", 19777),
+                           ("DELETE FROM ts WHERE t = 32768", 1),
+                           ("UPDATE ts SET t = 0 WHERE t > 199999", 0)):
+            changed, scanned = self._assert_dml_matches_unpruned(
+                clustered, sql)
+            assert changed == count
+            assert scanned < 200_000
+
+    def test_dml_after_delete_and_compact(self, clustered):
+        clustered.execute("DELETE FROM ts WHERE t BETWEEN 50000 AND 149999")
+        transaction = clustered.database.transaction_manager.begin()
+        table = clustered.database.catalog.get_table("ts", transaction)
+        mask = table.data.visible_mask(transaction, 0, table.data.row_count)
+        clustered.database.transaction_manager.rollback(transaction)
+        table.data.compact(mask)
+        for sql in ("DELETE FROM ts WHERE t >= 100000",
+                    "UPDATE ts SET v = 0 WHERE t = 49999",
+                    "DELETE FROM ts WHERE t < 150000 AND v = 3"):
+            self._assert_dml_matches_unpruned(clustered, sql)
 
     def test_float_constant_against_integer_column(self, clustered):
         for sql in ("SELECT count(*) FROM ts WHERE t > 199998.5",
