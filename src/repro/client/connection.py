@@ -405,6 +405,8 @@ class Connection:
         # publishes a context, and the bill must not re-read the previous
         # statement's scan counters.
         self._active_context = None
+        #: executemany: the contexts of the sets run before the current one.
+        earlier: List["ExecutionContext"] = []
         transaction: Optional["Transaction"] = None
         executing = False
 
@@ -435,7 +437,8 @@ class Connection:
                             self._transaction = None
                     self._observe_statement(
                         record, query_span, time.perf_counter_ns() - wall,
-                        time.thread_time_ns() - cpu, rows, vectors, error)
+                        time.thread_time_ns() - cpu, rows, vectors, error,
+                        earlier)
 
         # Result cache, before: an eager cache-eligible SELECT may be
         # answered without a transaction.
@@ -457,6 +460,8 @@ class Connection:
                     affected = 0
                     for parameters, rows in parameter_batches(
                             statement, parameter_sets):
+                        if self._active_context is not None:
+                            earlier.append(self._active_context)
                         bound_statement = Binder(
                             database.catalog, transaction, parameters,
                             parameterize=rows is not None,
@@ -563,7 +568,9 @@ class Connection:
     def _observe_statement(self, record: StatementRecord,
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
-                           error: Optional[BaseException]) -> None:
+                           error: Optional[BaseException],
+                           earlier: Sequence["ExecutionContext"] = ()
+                           ) -> None:
         """The one after-statement hook: span, record, bill.
 
         Every finished statement -- success or error, cached or not --
@@ -586,8 +593,15 @@ class Connection:
         # The statement is over: de-target interrupt().  Reading the stats
         # lock-free after the run is the executor's own post-run idiom.
         context, self._active_context = self._active_context, None
-        rows_scanned = int(context.stats.get("rows_scanned", 0)) \
-            if context is not None else 0
+        # An executemany statement ran one context per set before this one:
+        # it scanned what they all scanned and peaked at the highest peak.
+        rows_scanned = memory_bytes = 0
+        for each in [*earlier, context] if context is not None else earlier:
+            rows_scanned += int(each.stats.get("rows_scanned", 0))
+            memory = each.buffer_manager
+            peak = memory.peak_bytes if memory is not None else 0
+            if peak > memory_bytes:
+                memory_bytes = peak
         record.statement_seq = seq
         record.timestamp = time.time()
         record.wall_ms = wall_ns / 1e6
@@ -597,8 +611,7 @@ class Connection:
         record.vectors = vectors
         record.buffer_hits = max(0, hits - base_hits)
         record.buffer_misses = max(0, misses - base_misses)
-        memory = context.buffer_manager if context is not None else None
-        record.memory_bytes = memory.peak_bytes if memory is not None else 0
+        record.memory_bytes = memory_bytes
         if error is not None:
             record.error = type(error).__name__
             record.message = str(error)

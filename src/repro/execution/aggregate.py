@@ -6,12 +6,13 @@ with ``np.unique`` and every aggregate is then a segmented NumPy reduction
 over a whole batch of input -- the vectorized (low cycles-per-value)
 execution style the paper's §2 demands for OLAP workloads.
 
-Grouped aggregation evaluates its group keys and arguments into a
+Grouped aggregation buffers its input chunks in a
 :class:`~repro.execution.intermediates.ChunkBuffer` (so under memory
 pressure the reactive controller compresses them, Figure 1), one
-morsel-sized batch at a time.  An input that fits in one batch is
-aggregated directly.  A longer one folds each full batch into a
-*partial-state chunk* and merges the partials at the end: the buffered
+morsel-sized batch at a time, and evaluates its group keys and arguments
+once per batch.  An input that fits in one batch is aggregated directly.
+A longer one folds each full batch into a *partial-state chunk* and
+merges the partials at the end: the buffered
 input stays one morsel whatever the table size, and the morsel workers of
 :class:`~repro.execution.parallel.PhysicalParallelHashAggregate` produce
 the very same partials.  DISTINCT aggregates have no partial state, so
@@ -159,7 +160,7 @@ def finalize_merged_state(aggregate: BoundAggregate,
 class PhysicalHashAggregate(PhysicalOperator):
     """GROUP BY aggregation: output = group key columns ++ aggregate columns.
 
-    The input is evaluated and buffered ``batch_rows`` rows at a time (see
+    The input is buffered and evaluated ``batch_rows`` rows at a time (see
     the module docstring); with a DISTINCT aggregate it is one batch.
     """
 
@@ -170,7 +171,7 @@ class PhysicalHashAggregate(PhysicalOperator):
         self.groups = groups
         self.aggregates = aggregates
         self.batch_rows: Optional[int] = batch_rows
-        # The evaluated input is the group-key columns followed by one
+        # A batch evaluates to the group-key columns followed by one
         # column per aggregate argument; argumentless aggregates
         # (``count(*)``) get slot -1.
         self._inputs = list(groups)
@@ -181,8 +182,6 @@ class PhysicalHashAggregate(PhysicalOperator):
             self._argument_slots.append(
                 len(self._inputs) if aggregate.args else -1)
             self._inputs.extend(aggregate.args[:1])
-        self._input_types = [expression.return_type
-                             for expression in self._inputs]
 
     def execute(self) -> Iterator[DataChunk]:
         partials, result = self._consume(self.children[0])
@@ -193,8 +192,8 @@ class PhysicalHashAggregate(PhysicalOperator):
 
     def _consume(self, child: PhysicalOperator, driver=None
                  ) -> Tuple[List[Optional[DataChunk]], Optional[DataChunk]]:
-        """Buffer the evaluated keys and arguments of ``child``'s chunks,
-        folding each full batch into a partial.
+        """Buffer ``child``'s chunks, folding each full batch into a
+        partial.
 
         Returns ``(partials, None)``, or ``([], result)`` when the input was
         one batch and no morsel worker's ``driver`` asks for partials.
@@ -203,21 +202,18 @@ class PhysicalHashAggregate(PhysicalOperator):
         executor = ExpressionExecutor(context)
         partials: List[Optional[DataChunk]] = []
         rows = 0
-        with ChunkBuffer(self._input_types, context,
-                         "aggregate input") as buffer:
+        with ChunkBuffer(child.types, context, "aggregate input") as buffer:
             for chunk in child.run():
                 context.check_interrupted()
                 if self.batch_rows is not None and rows >= self.batch_rows:
-                    partials.append(self._reduce(buffer, rows, True))
+                    partials.append(self._reduce(executor, buffer, rows, True))
                     rows = 0
                 if self._inputs:
-                    buffer.append(DataChunk([
-                        executor.execute(expression, chunk)
-                        for expression in self._inputs]))
+                    buffer.append(chunk)
                 rows += chunk.size
             if driver is None and not partials:
-                return [], self._reduce(buffer, rows, False)
-            partials.append(self._reduce(buffer, rows, True))
+                return [], self._reduce(executor, buffer, rows, False)
+            partials.append(self._reduce(executor, buffer, rows, True))
         if driver is not None:
             driver.record_rows(rows)  # a morsel is one batch
         return partials, None
@@ -232,16 +228,20 @@ class PhysicalHashAggregate(PhysicalOperator):
         return group_ids, group_count, [key.slice(representatives)
                                         for key in keys]
 
-    def _reduce(self, buffer: ChunkBuffer, rows: int,
-                partial: bool) -> Optional[DataChunk]:
-        """Aggregate the buffered batch into a partial-state chunk (one row
-        per group, key columns ++ state columns; empties ``buffer`` for the
-        next batch) or into the result; None when there are no groups."""
+    def _reduce(self, executor: ExpressionExecutor, buffer: ChunkBuffer,
+                rows: int, partial: bool) -> Optional[DataChunk]:
+        """Evaluate the keys and arguments over the buffered batch and
+        aggregate it into a partial-state chunk (one row per group, key
+        columns ++ state columns; empties ``buffer`` for the next batch) or
+        into the result; None when there are no groups."""
         batch = buffer.materialize() if self._inputs else None
         if partial:
             buffer.close()
         if self.groups and rows == 0:
             return None
+        if batch is not None:
+            batch = DataChunk([executor.execute(expression, batch)
+                               for expression in self._inputs])
         group_ids, group_count, columns = self._factorize(batch, rows)
         if self.groups and not partial:
             self.context.bump_stat("aggregate_groups", group_count)

@@ -11,8 +11,7 @@ footprint."*
 
 Blocking operators buffer their input through a :class:`ChunkBuffer`:
 hash join builds, sorts and DISTINCT their whole input, grouped
-aggregation its evaluated keys and arguments one morsel-sized batch at a
-time.  On every append the buffer asks the reactive controller for the
+aggregation its input chunks one morsel-sized batch at a time.  On every append the buffer asks the reactive controller for the
 current :class:`CompressionLevel` and encodes the chunk accordingly; memory is accounted against the buffer manager, and
 when even HEAVY compression cannot fit the limit the buffer spills whole
 chunks to a temporary file (the out-of-core path).

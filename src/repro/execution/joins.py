@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import InternalError
 from ..planner.expressions import BoundExpression
 from ..planner.logical import JoinCondition
-from ..types import DataChunk, VECTOR_SIZE, Vector
+from ..types import DataChunk, Vector
 from .expression_executor import ExpressionExecutor
 from .intermediates import ChunkBuffer
 from .keys import BuildIndex, expand_ranges
@@ -118,8 +118,11 @@ class _JoinBase(PhysicalOperator):
               right: Optional[DataChunk], right_rows: Optional[np.ndarray]
               ) -> Iterator[DataChunk]:
         """Rows ``left[left_rows] ++ right[right_rows]`` through the output
-        map, in vectors; a ``None`` side is all NULL (outer joins)."""
+        map, as one chunk (none when there are no rows); a ``None`` side is
+        all NULL (outer joins)."""
         count = len(left_rows) if left is not None else len(right_rows)
+        if not count:
+            return
         width = len(self.left.types)
         columns = []
         for position, dtype in zip(self.output_map, self.types):
@@ -129,7 +132,7 @@ class _JoinBase(PhysicalOperator):
                 source, rows, position = right, right_rows, position - width
             columns.append(Vector.empty(dtype, count) if source is None
                            else source.columns[position].slice(rows))
-        yield from DataChunk(columns).split(VECTOR_SIZE)
+        yield DataChunk(columns)
 
     def _explain_map(self) -> str:
         """`` out=<mapped>/<left + right>`` unless the map is the identity."""

@@ -119,6 +119,9 @@ class PhysicalTableScan(PhysicalOperator):
     indices): each one sees only the columns it reads, cut down to the rows
     every earlier filter kept, and the output columns are materialized once,
     after the last filter -- not once per filter.
+
+    ``column_ids`` may be longer than ``types``: the columns past the output
+    ones are read only by the filters and are not emitted.
     """
 
     def __init__(self, context: ExecutionContext, table_entry, column_ids: List[int],
@@ -128,6 +131,7 @@ class PhysicalTableScan(PhysicalOperator):
         super().__init__(context, [], types, names)
         self.table_entry = table_entry
         self.column_ids = column_ids
+        self.filter_column_ids = column_ids[len(types):]
         self.filters = filters or []
         #: Optional [start, end) physical row restriction -- one morsel of a
         #: parallel scan.  ``None`` scans the whole table (serial execution).
@@ -210,6 +214,8 @@ class PhysicalTableScan(PhysicalOperator):
             self.context.check_interrupted()
             self.context.bump_stat("rows_scanned", chunk.size)
             selection = self._surviving(executor, chunk)
+            if self.filter_column_ids:
+                chunk = DataChunk(chunk.columns[:len(self.types)])
             if selection is not None:
                 chunk = chunk.slice(selection)
             if chunk.size:
@@ -226,8 +232,12 @@ class PhysicalTableScan(PhysicalOperator):
             if self._zone_conditions else ""
         hint = f" limit_hint={self.limit_hint}" \
             if self.limit_hint is not None else ""
+        extra = [self.table_entry.columns[column_id].name
+                 for column_id in self.filter_column_ids]
+        filter_cols = f" filter_cols=[{', '.join(extra)}]" if extra else ""
         return (f"TABLE_SCAN {self.table_entry.name}"
-                f"[{', '.join(self.names)}]{filters}{zones}{hint}")
+                f"[{', '.join(self.names)}]{filters}{filter_cols}{zones}"
+                f"{hint}")
 
 
 class PhysicalCSVScan(PhysicalOperator):

@@ -86,7 +86,12 @@ class LogicalGet(LogicalOperator):
         self.table_entry = table_entry
         #: Physical column indices to scan, aligned with ``schema``.
         self.column_ids = column_ids
-        #: Filters pushed into the scan (conjuncts over the scan's schema).
+        #: Columns only the pushed filters read: scanned after
+        #: ``column_ids``, never emitted (DuckDB's ``projection_ids``).
+        self.filter_column_ids: List[int] = []
+        self.filter_schema: List[ColumnSchema] = []
+        #: Filters pushed into the scan (conjuncts over ``schema ++
+        #: filter_schema``).
         self.pushed_filters: List[BoundExpression] = []
         #: Upper bound on rows the consumer needs (LIMIT pushdown); the
         #: scan may stop fetching once this many rows passed its filters.
@@ -95,8 +100,11 @@ class LogicalGet(LogicalOperator):
     def _explain_line(self) -> str:
         filters = f" filters={len(self.pushed_filters)}" if self.pushed_filters else ""
         hint = f" limit_hint={self.limit_hint}" if self.limit_hint is not None else ""
+        extra = [column.name for column in self.filter_schema]
+        filter_cols = f" filter_cols=[{', '.join(extra)}]" if extra else ""
         return (f"GET {self.table_entry.name}"
-                f"[{', '.join(column.name for column in self.schema)}]{filters}{hint}")
+                f"[{', '.join(column.name for column in self.schema)}]"
+                f"{filters}{filter_cols}{hint}")
 
 
 class LogicalCSVScan(LogicalOperator):

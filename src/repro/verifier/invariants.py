@@ -178,8 +178,8 @@ def _check_node_bindings(node: LogicalOperator, operator: str,
                 f"scans {len(node.column_ids)} physical columns but "
                 f"declares {len(node.schema)} output columns"))
         for index, predicate in enumerate(node.pushed_filters):
-            _check_bound(predicate, node.schema, operator,
-                         f"pushed filter #{index}", out)
+            _check_bound(predicate, node.schema + node.filter_schema,
+                         operator, f"pushed filter #{index}", out)
         return
     if isinstance(node, LogicalFilter):
         _check_widths(node, operator, out)

@@ -75,6 +75,33 @@ class TestRowsScanned:
         assert ordered.execute(sql).rowcount == 0
         assert logged_rows_scanned(ordered, sql) == 0
 
+    def test_executemany_bills_every_parameter_set(self):
+        con = repro.connect(config={"result_cache_entries": 0})
+        rows = 100_000
+        con.execute("CREATE TABLE t (k INTEGER, g INTEGER)")
+        with con.appender("t") as appender:
+            appender.append_numpy({"k": np.arange(rows, dtype=np.int32),
+                                   "g": np.arange(rows, dtype=np.int32) % 7})
+        sql = "DELETE FROM t WHERE k = ?"
+        assert con.executemany(sql, [(5,), (99999,), (50000,)]).rowcount == 3
+        # Each set fetches the one zone holding its key: two whole zones
+        # and the table's 1,696-row tail.
+        assert logged_rows_scanned(con, sql) \
+            == 2 * SCAN_CHUNK_ROWS + rows % SCAN_CHUNK_ROWS == 34_464
+
+        # The statement peaks at its hungriest set, not at its last one.
+        con.execute("CREATE TABLE s (g INTEGER, n BIGINT)")
+        sql = "INSERT INTO s SELECT g, count(*) FROM t WHERE k < ? GROUP BY g"
+        alone = []
+        for limit in (1_000, 60_000, 10):
+            con.execute(sql, (limit,))
+            alone.append(con.database.statement_log.records()[-1]
+                         .memory_bytes)
+        con.executemany(sql, [(1_000,), (60_000,), (10,)])
+        assert con.database.statement_log.records()[-1].memory_bytes \
+            == max(alone) > alone[-1]
+        con.close()
+
 
 class TestRowIdColumn:
     def test_scan_reads_physical_row_ids(self, con):

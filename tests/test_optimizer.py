@@ -152,10 +152,13 @@ class TestColumnPruning:
         assert get.names == ["i"]
         assert get.column_ids == [0]
 
-    def test_filter_columns_kept(self, plan_for):
-        plan = plan_for("SELECT i FROM sample WHERE d > 1")
-        get = find_ops(plan, LogicalGet)[0]
-        assert set(get.names) == {"i", "d"}
+    def test_filter_columns_kept(self, populated, plan_for):
+        # ``d`` is read by the pushed filter only: scanned, not emitted.
+        sql = "SELECT i FROM sample WHERE d > 1"
+        get = find_ops(plan_for(sql), LogicalGet)[0]
+        assert get.names == ["i"]
+        assert [c.name for c in get.filter_schema] == ["d"]
+        assert sorted(populated.execute(sql).fetchall()) == [(1,), (2,), (4,)]
 
     def test_aggregate_prunes_input(self, plan_for):
         plan = plan_for("SELECT sum(i) FROM sample")

@@ -910,6 +910,14 @@ class TestPlanDiscipline:
         """
         assert rule_ids(check(source, self.PATH)) == ["QLP001"]
 
+    def test_filter_schema_assign_flagged(self):
+        source = """
+        def narrow(plan, child):
+            plan.filter_schema = child.schema[:1]
+            return plan
+        """
+        assert rule_ids(check(source, self.PATH)) == ["QLP001"]
+
     def test_self_schema_assign_is_construction(self):
         source = """
         class LogicalThing:
