@@ -85,9 +85,7 @@ DEFAULT_SHARED_CLASSES: Dict[str, Dict[str, SharedClassSpec]] = {
         # A column's string dictionary grows while appenders and updaters
         # hold its table's lock (``lock`` *is* ``TableData.lock``); readers
         # resolve codes lock-free, which append-only growth makes safe.
-        # ``_lengths`` is a lock-free cache of entry lengths: racing readers
-        # measure the same entries and publish one consistent tuple each.
-        "StringDictionary": SharedClassSpec("lock", frozenset({"_lengths"})),
+        "StringDictionary": SharedClassSpec("lock"),
     },
     "repro/optimizer/statistics.py": {
         # A column's summary has no lock of its own: it changes only under

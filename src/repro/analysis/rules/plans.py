@@ -5,12 +5,12 @@ rules catch the coding patterns that produce them, at lint time, in the two
 places that construct plans: ``repro/optimizer/`` and the physical planner.
 
 * **QLP001** -- assigning to another node's ``.schema`` / ``.column_ids``
-  (or a scan's ``.filter_schema`` / ``.filter_column_ids``) mutates a plan
-  node in place.  Ancestors that already captured the old schema (widths,
-  column positions, cost estimates) now disagree with the child; the
-  verifier sees this as a binding violation only when the query actually
-  runs.  Rebuild the node instead -- or, at a leaf where paired
-  fields are rebound in lockstep, suppress with a justification.
+  (or a scan's ``.filter_schema``) mutates a plan node in place.  Ancestors
+  that already captured the old schema (widths, column positions, cost
+  estimates) now disagree with the child; the verifier sees this as a
+  binding violation only when the query actually runs.  Rebuild the node
+  instead -- or, at a leaf where paired fields are rebound in lockstep,
+  suppress with a justification.
 * **QLP002** -- constructing a ``Logical*``/``Physical*`` operator while
   passing some *other* node's ``.schema`` through verbatim.  A borrowed
   schema silently goes stale when the rewrite changes the expressions it
@@ -37,8 +37,7 @@ from ..core import AnalysisConfig, FileContext, Rule, Violation
 __all__ = ["PlanDisciplineRule"]
 
 #: Node fields whose in-place reassignment rebinds the plan under parents.
-_SCHEMA_FIELDS = ("schema", "column_ids", "filter_column_ids",
-                  "filter_schema")
+_SCHEMA_FIELDS = ("schema", "column_ids", "filter_schema")
 
 #: List-growing methods that mutate a node's expression lists in place.
 _GROW_METHODS = ("append", "extend", "insert")

@@ -405,8 +405,9 @@ class Connection:
         # publishes a context, and the bill must not re-read the previous
         # statement's scan counters.
         self._active_context = None
-        #: executemany: the contexts of the sets run before the current one.
-        earlier: List["ExecutionContext"] = []
+        #: executemany: rows scanned by the sets run before the current
+        #: one, and their highest memory peak.
+        billed = [0, 0]
         transaction: Optional["Transaction"] = None
         executing = False
 
@@ -438,7 +439,7 @@ class Connection:
                     self._observe_statement(
                         record, query_span, time.perf_counter_ns() - wall,
                         time.thread_time_ns() - cpu, rows, vectors, error,
-                        earlier)
+                        *billed)
 
         # Result cache, before: an eager cache-eligible SELECT may be
         # answered without a transaction.
@@ -460,8 +461,6 @@ class Connection:
                     affected = 0
                     for parameters, rows in parameter_batches(
                             statement, parameter_sets):
-                        if self._active_context is not None:
-                            earlier.append(self._active_context)
                         bound_statement = Binder(
                             database.catalog, transaction, parameters,
                             parameterize=rows is not None,
@@ -473,6 +472,10 @@ class Connection:
                         for _ in outcome.chunks:  # run it; rows are not kept
                             pass
                         affected += max(outcome.rowcount, 0)
+                        scanned, peak = self._take_context_bill()
+                        billed[0] += scanned
+                        if peak > billed[1]:
+                            billed[1] = peak
                     outcome = StatementResult.count_result(affected)
                 else:
                     executor = self._make_executor(transaction, record,
@@ -569,7 +572,7 @@ class Connection:
                            query_span: Optional["Span"], wall_ns: int,
                            cpu_ns: int, rows: int, vectors: int,
                            error: Optional[BaseException],
-                           earlier: Sequence["ExecutionContext"] = ()
+                           scanned_before: int = 0, peak_before: int = 0
                            ) -> None:
         """The one after-statement hook: span, record, bill.
 
@@ -590,18 +593,12 @@ class Connection:
         hits, misses = buffers.cache_hits, buffers.cache_misses
         base_hits, base_misses = self._buffer_baseline
         self._buffer_baseline = (hits, misses)
-        # The statement is over: de-target interrupt().  Reading the stats
-        # lock-free after the run is the executor's own post-run idiom.
-        context, self._active_context = self._active_context, None
-        # An executemany statement ran one context per set before this one:
-        # it scanned what they all scanned and peaked at the highest peak.
-        rows_scanned = memory_bytes = 0
-        for each in [*earlier, context] if context is not None else earlier:
-            rows_scanned += int(each.stats.get("rows_scanned", 0))
-            memory = each.buffer_manager
-            peak = memory.peak_bytes if memory is not None else 0
-            if peak > memory_bytes:
-                memory_bytes = peak
+        # An executemany statement billed its earlier sets already: it
+        # scanned what they all scanned and peaked at the highest peak.
+        rows_scanned, memory_bytes = self._take_context_bill()
+        rows_scanned += scanned_before
+        if peak_before > memory_bytes:
+            memory_bytes = peak_before
         record.statement_seq = seq
         record.timestamp = time.time()
         record.wall_ms = wall_ns / 1e6
@@ -618,6 +615,17 @@ class Connection:
         database.statement_log.record(record)
         if self._bill_sink is not None:
             self._bill_sink(record)
+
+    def _take_context_bill(self) -> Tuple[int, int]:
+        """``(rows_scanned, peak memory bytes)`` of the active context,
+        which stops being interrupt()'s target.  Reading the stats lock-free
+        after the run is the executor's own post-run idiom."""
+        context, self._active_context = self._active_context, None
+        if context is None:
+            return 0, 0
+        memory = context.buffer_manager
+        return (context.stats.get("rows_scanned", 0),
+                memory.peak_bytes if memory is not None else 0)
 
     def metrics(self) -> Dict[str, Any]:
         """Snapshot of this database's engine metrics (plain dict)."""

@@ -13,7 +13,8 @@ morsel-sized batch at a time, and evaluates its group keys and arguments
 once per batch.  An input that fits in one batch is aggregated directly.
 A longer one folds each full batch into a *partial-state chunk* and
 merges the partials at the end: the buffered
-input stays one morsel whatever the table size, and the morsel workers of
+input stays one morsel whatever the table size or the child's chunk size
+(a join emits one chunk per probe batch), and the morsel workers of
 :class:`~repro.execution.parallel.PhysicalParallelHashAggregate` produce
 the very same partials.  DISTINCT aggregates have no partial state, so
 they -- like DISTINCT and set operations -- buffer their whole input.
@@ -193,7 +194,8 @@ class PhysicalHashAggregate(PhysicalOperator):
     def _consume(self, child: PhysicalOperator, driver=None
                  ) -> Tuple[List[Optional[DataChunk]], Optional[DataChunk]]:
         """Buffer ``child``'s chunks, folding each full batch into a
-        partial.
+        partial.  A chunk that overfills the batch is cut (views, no copy):
+        the rest starts the next batch, so no batch exceeds ``batch_rows``.
 
         Returns ``(partials, None)``, or ``([], result)`` when the input was
         one batch and no morsel worker's ``driver`` asks for partials.
@@ -205,12 +207,23 @@ class PhysicalHashAggregate(PhysicalOperator):
         with ChunkBuffer(child.types, context, "aggregate input") as buffer:
             for chunk in child.run():
                 context.check_interrupted()
-                if self.batch_rows is not None and rows >= self.batch_rows:
-                    partials.append(self._reduce(executor, buffer, rows, True))
-                    rows = 0
-                if self._inputs:
-                    buffer.append(chunk)
-                rows += chunk.size
+                start, size = 0, chunk.size
+                while True:
+                    end = size
+                    if self.batch_rows is not None:
+                        if rows >= self.batch_rows:
+                            partials.append(
+                                self._reduce(executor, buffer, rows, True))
+                            rows = 0
+                        if rows + size - start > self.batch_rows:
+                            end = start + self.batch_rows - rows
+                    if self._inputs:
+                        buffer.append(chunk if end - start == size
+                                      else chunk.slice(slice(start, end)))
+                    rows += end - start
+                    start = end
+                    if start == size:
+                        break
             if driver is None and not partials:
                 return [], self._reduce(executor, buffer, rows, False)
             partials.append(self._reduce(executor, buffer, rows, True))

@@ -149,8 +149,8 @@ def _try_parallel_aggregate(plan: LogicalAggregate,
 
     def fragment_factory(row_range):
         node: PhysicalOperator = PhysicalTableScan(
-            context, get.table_entry, get.column_ids + get.filter_column_ids,
-            get.types, get.names, get.pushed_filters, row_range=row_range)
+            context, get.table_entry, get.column_ids, get.types, get.names,
+            get.pushed_filters, row_range=row_range)
         for op in reversed(ops):
             if isinstance(op, LogicalFilter):
                 node = PhysicalFilter(context, node, op.predicate)
@@ -196,9 +196,6 @@ def _lower(plan: LogicalOperator,
            context: ExecutionContext) -> PhysicalOperator:
     """Recursively lower a logical operator tree."""
     if isinstance(plan, LogicalGet):
-        # The scan also reads the filter-only columns, and emits only the
-        # first ``len(plan.types)`` columns.
-        column_ids = plan.column_ids + plan.filter_column_ids
         workers = plan_worker_count(context)
         morsel_rows = _morsel_rows(context)
         # A limit hint means only a handful of rows are needed: a serial
@@ -209,10 +206,10 @@ def _lower(plan: LogicalOperator,
                 and plan.table_entry.data.row_count > morsel_rows
                 and expressions_parallel_safe(plan.pushed_filters)):
             return PhysicalParallelTableScan(
-                context, plan.table_entry, column_ids, plan.types,
+                context, plan.table_entry, plan.column_ids, plan.types,
                 plan.names, plan.pushed_filters, worker_count=workers,
                 morsel_rows=morsel_rows)
-        return PhysicalTableScan(context, plan.table_entry, column_ids,
+        return PhysicalTableScan(context, plan.table_entry, plan.column_ids,
                                  plan.types, plan.names, plan.pushed_filters,
                                  limit_hint=plan.limit_hint)
     if isinstance(plan, LogicalCSVScan):

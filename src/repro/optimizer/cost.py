@@ -122,7 +122,7 @@ def _get_stats(get: LogicalGet, position: int) -> Optional[ColumnStatistics]:
     if data is None:
         return None
     try:
-        column_id = (get.column_ids + get.filter_column_ids)[position]
+        column_id = get.column_ids[position]
         if column_id == ROW_ID_COLUMN:
             return None
         stats = data.columns[column_id].folded_stats()

@@ -369,16 +369,15 @@ def _prune_columns(plan: LogicalOperator,
         # The scan emits what the parent reads -- at least one column, a
         # filter column if it reads nothing -- and scans the columns only
         # its pushed filters read after them, without emitting them.
-        column_ids = plan.column_ids + plan.filter_column_ids
         schema = plan.schema + plan.filter_schema
         filter_refs = _expression_refs(plan.pushed_filters)
         keep = sorted(required) or [min(filter_refs, default=0)]
         filter_only = sorted(filter_refs.difference(keep))
-        mapping = {old: new for new, old in enumerate(keep + filter_only)}
-        plan.column_ids = [column_ids[old] for old in keep]  # quacklint: disable=QLP001 -- leaf rebind: ids and schema are narrowed together
+        scanned = keep + filter_only
+        mapping = {old: new for new, old in enumerate(scanned)}
+        plan.column_ids = [plan.column_ids[old] for old in scanned]  # quacklint: disable=QLP001 -- leaf rebind: ids and schemas are narrowed together
         plan.schema = [schema[old] for old in keep]  # quacklint: disable=QLP001 -- narrowed in lockstep with column_ids above
-        plan.filter_column_ids = [column_ids[old] for old in filter_only]  # quacklint: disable=QLP001 -- leaf rebind: filter ids and filter schema are narrowed together
-        plan.filter_schema = [schema[old] for old in filter_only]  # quacklint: disable=QLP001 -- narrowed in lockstep with filter_column_ids above
+        plan.filter_schema = [schema[old] for old in filter_only]  # quacklint: disable=QLP001 -- narrowed in lockstep with column_ids above
         plan.pushed_filters = [_remap_expression(predicate, mapping)
                                for predicate in plan.pushed_filters]
         return plan, {old: mapping[old] for old in keep}

@@ -84,11 +84,11 @@ class LogicalGet(LogicalOperator):
                  schema: List[ColumnSchema]) -> None:
         super().__init__([], schema)
         self.table_entry = table_entry
-        #: Physical column indices to scan, aligned with ``schema``.
+        #: Physical column indices to scan, aligned with ``schema ++
+        #: filter_schema``: the first ``len(schema)`` are emitted.
         self.column_ids = column_ids
-        #: Columns only the pushed filters read: scanned after
-        #: ``column_ids``, never emitted (DuckDB's ``projection_ids``).
-        self.filter_column_ids: List[int] = []
+        #: Columns only the pushed filters read: scanned, never emitted
+        #: (DuckDB's ``projection_ids``).
         self.filter_schema: List[ColumnSchema] = []
         #: Filters pushed into the scan (conjuncts over ``schema ++
         #: filter_schema``).

@@ -58,7 +58,7 @@ class _Lookup(dict):
 class StringDictionary:
     """Append-only ``code -> string`` heap with a ``string -> code`` index."""
 
-    __slots__ = ("lock", "_entries", "_size", "_lookup", "_lengths")
+    __slots__ = ("lock", "_entries", "_size", "_lookup")
 
     def __init__(self, entries: Iterable[str] = (),
                  lock: ContextManager[Any] = _UNSHARED) -> None:
@@ -72,9 +72,6 @@ class StringDictionary:
         self._lookup = _Lookup(zip(entries, range(1, self._size)))
         self._lookup[None] = NULL_CODE
         self._lookup.add = self._add_locked
-        #: ``(lengths by code, codes measured)``, published as one object
-        #: so a reader never pairs an array with another array's count.
-        self._lengths = (np.zeros(_INITIAL_CAPACITY, dtype=np.int64), 1)
 
     @property
     def size(self) -> int:
@@ -88,20 +85,6 @@ class StringDictionary:
     def take(self, codes: np.ndarray) -> np.ndarray:
         """The flat object array ``codes`` stand for (one gather)."""
         return self._entries[codes]
-
-    def lengths(self) -> np.ndarray:
-        """``len`` of each entry by code (0 for NULL).  Entries added since
-        the last call are measured now; each entry is measured once."""
-        lengths, measured = self._lengths
-        size = self._size
-        if measured < size:
-            if len(lengths) < size:
-                lengths = np.resize(lengths, 2 * size)  # past ``size``: unread
-            lengths[measured:size] = np.fromiter(
-                map(len, self._entries[measured:size].tolist()),
-                dtype=np.int64, count=size - measured)
-            self._lengths = (lengths, size)
-        return lengths
 
     def _add_locked(self, value: Any) -> int:
         if type(value) is not str:

@@ -434,17 +434,14 @@ class Vector:
             values = self._data if codes is None else codes
             if count > 64:
                 values = values[::max(count // 64, 1)][:64]
-            if codes is None:
-                sampled = [len(value) for value in values if value is not None]
-                total, measured = sum(sampled), len(sampled)
-            else:
-                lengths = self.dictionary.lengths()[
-                    values[values != NULL_CODE]]
-                total, measured = int(lengths.sum()), len(lengths)
+            if codes is not None:
+                values = self.dictionary.take(values)
+            sampled = [len(value) for value in values if value is not None]
             if count <= 64:
-                payload = total
+                payload = sum(sampled)
             else:
-                payload = int(total / measured * count) if measured else 0
+                average = (sum(sampled) / len(sampled)) if sampled else 0
+                payload = int(average * count)
             return payload + count * 8 + self.validity.nbytes
         return self._data.nbytes + self.validity.nbytes
 

@@ -172,11 +172,12 @@ def _check_widths(node: LogicalOperator, operator: str,
 def _check_node_bindings(node: LogicalOperator, operator: str,
                          out: List[PlanViolation]) -> None:
     if isinstance(node, LogicalGet):
-        if len(node.column_ids) != len(node.schema):
+        if len(node.column_ids) != len(node.schema) + len(node.filter_schema):
             out.append(PlanViolation(
                 "schema_shape", operator,
                 f"scans {len(node.column_ids)} physical columns but "
-                f"declares {len(node.schema)} output columns"))
+                f"declares {len(node.schema)} output and "
+                f"{len(node.filter_schema)} filter-only columns"))
         for index, predicate in enumerate(node.pushed_filters):
             _check_bound(predicate, node.schema + node.filter_schema,
                          operator, f"pushed filter #{index}", out)

@@ -287,7 +287,7 @@ def test_pushed_filter_outside_the_scan_columns_is_reported(monkeypatch):
     def drop_filter_columns(*args, **kwargs):
         plan, mapping = original(*args, **kwargs)
         if isinstance(plan, LogicalGet):
-            plan.filter_column_ids = []
+            plan.column_ids = plan.column_ids[:len(plan.schema)]
             plan.filter_schema = []
         return plan, mapping
 
@@ -352,7 +352,7 @@ def test_join_aggregate_compresses_and_spills_under_pressure(tables,
 
     # Room for the tables but not for the aggregate's buffered input.
     con = _connect(tables, threads=1)
-    con.execute("PRAGMA memory_limit = '1MB'")
+    con.execute("PRAGMA memory_limit = '512KB'")
     assert _close(con.execute(QW, _parameters("QW")).fetchall(), want)
     assert "aggregate input" in spilled
     con.close()

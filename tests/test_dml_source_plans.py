@@ -102,6 +102,23 @@ class TestRowsScanned:
             == max(alone) > alone[-1]
         con.close()
 
+    def test_executemany_bind_error_bills_earlier_sets_once(self):
+        con = repro.connect(config={"result_cache_entries": 0})
+        rows = 100_000
+        con.execute("CREATE TABLE t (k INTEGER)")
+        with con.appender("t") as appender:
+            appender.append_numpy({"k": np.arange(rows, dtype=np.int32)})
+        sql = "DELETE FROM t WHERE k = ?"
+        # The second set fails to bind, before it runs any scan: the bill
+        # holds the first set's one zone, once.
+        with pytest.raises(BinderError):
+            con.executemany(sql, [(5,), ("abc",)])
+        record = con.database.statement_log.records()[-1]
+        assert record.error == "BinderError"
+        assert record.rows_scanned == SCAN_CHUNK_ROWS
+        assert con.execute("SELECT count(*) FROM t").fetchall() == [(rows,)]
+        con.close()
+
 
 class TestRowIdColumn:
     def test_scan_reads_physical_row_ids(self, con):

@@ -7,7 +7,8 @@ import pytest
 
 import repro
 from repro.errors import BinderError
-from repro.execution.aggregate import partial_state_types
+from repro.execution.aggregate import (PhysicalHashAggregate,
+                                      partial_state_types)
 from repro.execution.parallel import MORSEL_ROWS
 from repro.functions.aggregate import AGGREGATE_NAMES, bind_aggregate
 from repro.planner.expressions import BoundAggregate, BoundConstant
@@ -297,6 +298,35 @@ class TestOneAggregatePath:
         memory = _memory_bytes(
             con, "SELECT g, sum(v), avg(v), count(*) FROM t GROUP BY g")
         assert memory == MORSEL_ROWS * self.ROW_BYTES == 917_504
+        con.close()
+
+    def test_large_child_chunks_are_cut_to_one_morsel(self, monkeypatch):
+        # A join emits one chunk per 65,536-row probe batch; the aggregate
+        # above it still folds batches of at most one 16,384-row morsel.
+        batches = []
+        reduce = PhysicalHashAggregate._reduce
+
+        def recording_reduce(operator, executor, buffer, rows, partial):
+            batches.append(rows)
+            return reduce(operator, executor, buffer, rows, partial)
+
+        monkeypatch.setattr(PhysicalHashAggregate, "_reduce",
+                            recording_reduce)
+        rows = 200_000
+        con = _grouped_table(rows, threads=1, morsel_size=16384)
+        con.execute("CREATE TABLE d (g INTEGER, w DOUBLE)")
+        con.execute("INSERT INTO d SELECT DISTINCT g, g * 0.5 FROM t")
+        sql = ("SELECT d.g, sum(t.v * d.w), count(*) FROM t JOIN d "
+               "ON t.g = d.g GROUP BY d.g ORDER BY d.g")
+        batches.clear()
+        got = con.execute(sql).fetchall()
+        assert batches == [16384] * (rows // 16384) + [rows % 16384]
+        table = con.execute("SELECT g, v FROM t").fetch_numpy()
+        for g, total, count in got:
+            mask = table["g"] == g
+            assert count == int(mask.sum())
+            assert total == pytest.approx(float((table["v"][mask]
+                                                 * g * 0.5).sum()), rel=1e-9)
         con.close()
 
     def test_distinct_aggregate_buffers_its_whole_input(self):

@@ -2,8 +2,6 @@
 
 import gc
 import struct
-import sys
-import threading
 import weakref
 import zlib
 
@@ -73,50 +71,6 @@ class TestDictionary:
         assert dictionary.take(codes).tolist() == ["raw", "n", "5", "5"]
         assert codes[2] == codes[3]
         assert all(type(entry) is str for entry in dictionary.entries(1))
-
-    def test_lengths_follow_growth(self):
-        dictionary = StringDictionary(["ab"])
-        assert dictionary.lengths()[:dictionary.size].tolist() == [0, 2]
-        for index in range(100):  # past the lengths' initial capacity
-            dictionary.encode(np.array(["x" * index], dtype=object))
-            if index % 7 == 0:
-                dictionary.lengths()
-        assert dictionary.lengths()[:dictionary.size].tolist() \
-            == [0, 2] + list(range(100))
-
-    def test_lengths_stay_exact_while_writers_grow_the_dictionary(self):
-        dictionary = StringDictionary(lock=threading.Lock())
-        wrong = []
-
-        def write(writer):
-            for index in range(1500):
-                dictionary.encode(np.array(
-                    [f"{writer}:{'y' * (index % 40)}:{index}"], dtype=object))
-
-        def read():
-            for _ in range(300):
-                size = dictionary.size  # lengths() covers at least these
-                lengths = dictionary.lengths()[:size].tolist()
-                want = [0] + [len(entry) for entry
-                              in dictionary.entries(1)[:size - 1].tolist()]
-                if lengths != want:
-                    wrong.append(size)
-
-        threads = [threading.Thread(target=write, args=(writer,))
-                   for writer in range(3)]
-        threads += [threading.Thread(target=read) for _ in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        assert dictionary.size == 1 + 3 * 1500
 
     def test_recode_and_referenced(self):
         source = StringDictionary(["a", "b", "c"])
