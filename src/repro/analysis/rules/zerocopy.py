@@ -2,10 +2,11 @@
 
 Result transfer is the paper's §5/§6 centerpiece: chunks cross the
 client/engine boundary "without requiring copying".  The modules on that
-path (``client/result.py``, ``client/appender.py``, ``types/vector.py``)
-must not sneak a copy or a per-value Python conversion back in:
+path (``client/result.py``, ``client/appender.py``, ``types/vector.py``,
+``storage/table_data.py``) must not sneak a copy or a per-value Python
+conversion back in:
 
-* ``np.copy(x)`` duplicates the buffer -- wrap or view instead;
+* ``np.copy(x)`` and ``x.copy()`` duplicate the buffer -- wrap or view instead;
 * ``x.tolist()`` materializes one Python object per value, which is the
   per-value transfer overhead the bulk API exists to avoid;
 * ``np.array(x)`` copies by default -- use ``np.asarray`` or pass
@@ -36,7 +37,7 @@ class ZeroCopyRule(Rule):
     description = ("the client transfer path must not introduce copies or "
                    "per-value conversion")
     ids = {
-        "QLZ001": "np.copy() in the transfer path",
+        "QLZ001": "np.copy() / x.copy() in the transfer path",
         "QLZ002": ".tolist() per-value materialization in the transfer path",
         "QLZ003": "np.array() without copy=False in the transfer path",
     }
@@ -44,6 +45,7 @@ class ZeroCopyRule(Rule):
         "repro/client/result.py",
         "repro/client/appender.py",
         "repro/types/vector.py",
+        "repro/storage/table_data.py",
     )
 
     def check(self, ctx: FileContext,
@@ -51,12 +53,14 @@ class ZeroCopyRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if _is_numpy_call(node, "copy"):
+            if _is_numpy_call(node, "copy") or (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "copy" and not node.args):
                 yield Violation(
                     "QLZ001", ctx.path, node.lineno, node.col_offset,
-                    "np.copy() duplicates the buffer on the zero-copy "
+                    "copy() duplicates the buffer on the zero-copy "
                     "transfer path; hand over the engine's own array "
-                    "(np.asarray / Vector.from_numpy)",
+                    "(np.asarray / Vector.from_numpy) or a view",
                 )
             elif isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "tolist" and not node.args:

@@ -6,7 +6,8 @@ Transfer efficiency (paper §5/§6) is the whole point of this module:
   chunks -- "exactly identical to the internal representation ... handed
   over without requiring copying";
 * :meth:`QueryResult.fetch_numpy` exposes whole columns as NumPy arrays
-  (zero-copy when the result is a single chunk);
+  (zero-copy for a single chunk and for a table scan's unfiltered chunks,
+  which join into one read-only view of the table's storage);
 * :meth:`QueryResult.fetchone` / :meth:`fetchmany` / :meth:`fetchall`
   provide the familiar DB-API row-oriented access on top of the bulk path:
   each chunk is turned into rows once, column by column, and the row
@@ -121,9 +122,10 @@ class QueryResult:
         """The next chunk in the engine's internal representation, or None.
 
         This is the paper's zero-copy hand-over: the returned chunk's NumPy
-        arrays are the engine's own vectors.  Dictionary-coded VARCHAR
-        columns are decoded here, once per chunk, so every export path
-        built on this one (rows, NumPy, cursors) reads plain arrays.
+        arrays are the engine's own vectors (for a table scan, read-only
+        views of its storage).  Dictionary-coded VARCHAR columns are
+        decoded here, once per chunk, so the row paths built on this one
+        (rows, cursors) read plain arrays.
         """
         self._check_open()
         if self._source is None:
@@ -143,18 +145,23 @@ class QueryResult:
             yield chunk
 
     def _drain(self) -> DataChunk:
-        """Every remaining chunk as one (itself, when there is only one)."""
-        collected = list(self.chunks())
+        """Every remaining chunk as one (itself, when there is only one),
+        joined while still coded so each VARCHAR column decodes once."""
+        self._check_open()
+        collected = [chunk for chunk in self._source or () if chunk.size]
+        self._finish()
+        if not collected:
+            return DataChunk.empty(self.types)
         if len(collected) == 1:
-            return collected[0]
-        return DataChunk.concat_many(collected) if collected \
-            else DataChunk.empty(self.types)
+            return collected[0].flatten()
+        return DataChunk.concat_many(collected).flatten()
 
     def fetch_numpy(self) -> Dict[str, np.ndarray]:
         """Columns as NumPy arrays (masked arrays when NULLs are present).
 
-        Single-chunk results are exposed zero-copy; multi-chunk results are
-        concatenated (one copy, still no per-value conversion).
+        Zero-copy for a single chunk and for a table scan's unfiltered
+        chunks, which join into one read-only view of the table's storage
+        (``.copy()`` it to write); other results are concatenated once.
         """
         out: Dict[str, np.ndarray] = {}
         for name, vector in zip(self.names, self._drain().columns):

@@ -49,8 +49,12 @@ class PhysicalProjection(PhysicalOperator):
         executor = ExpressionExecutor(self.context)
         for chunk in self.children[0].run():
             self.context.check_interrupted()
-            yield DataChunk([executor.execute(expression, chunk)
-                             for expression in self.expressions])
+            # Neither chunk is held while suspended: an UPDATE writes the
+            # rows their storage views show (ColumnData._unshare would copy).
+            handoff = [DataChunk([executor.execute(expression, chunk)
+                                  for expression in self.expressions])]
+            del chunk
+            yield handoff.pop()
 
     def _explain_line(self) -> str:
         suffix = " [fusable]" if self.fusable else ""

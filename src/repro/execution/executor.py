@@ -209,10 +209,14 @@ class Executor:
         updated = 0
         for chunk in self._run_source(statement.source):
             row_ids = chunk.columns[0].data
-            values = DataChunk([
-                cast_vector(vector, table.columns[index].dtype)
-                for vector, index in zip(chunk.columns[1:], indices)
-            ])
+            cast = [cast_vector(vector, table.columns[index].dtype)
+                    for vector, index in zip(chunk.columns[1:], indices)]
+            # A bare column in the SET list is a read-only view of storage:
+            # copied, and the chunk dropped, so writing that column (a swap,
+            # ``SET old = cur, cur = ...``) does not copy all of it.
+            values = DataChunk([vector if vector.validity.flags.writeable
+                                else vector.copy() for vector in cast])
+            del chunk, cast
             self._check_not_null(table, values, indices)
             count = table.data.update_rows(self.transaction, row_ids,
                                            indices, values)

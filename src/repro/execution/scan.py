@@ -18,6 +18,7 @@ from ..planner.expressions import (
 )
 from ..storage.table_data import ROW_ID_COLUMN
 from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
+from ..types.logical import common_type
 from .expression_executor import ExpressionExecutor
 from .physical import ExecutionContext, PhysicalOperator
 
@@ -58,15 +59,30 @@ def _operand_value(expression: BoundExpression, parameters) -> object:
         return _NO_VALUE
 
 
+def _zone_column(expression: BoundExpression):
+    """``(column, None)`` for a column; ``(column, cast)`` for a widening
+    numeric cast of one (as the binder makes of ``int_col > 1.5``), which is
+    monotone: ``cast`` maps zone bounds the way the vector cast maps values."""
+    if isinstance(expression, BoundColumnRef):
+        return expression, None
+    if isinstance(expression, BoundCast) \
+            and isinstance(expression.child, BoundColumnRef):
+        source, target = expression.child.return_type, expression.return_type
+        if source.is_numeric() and target.is_numeric() \
+                and common_type(source, target) == target:
+            return expression.child, target.numpy_dtype.type
+    return None, None
+
+
 def _extract_zone_conditions(filters: List[BoundExpression],
                              column_ids: List[int], parameters=()):
     """Distill pushed filters into (physical column id, op, constant) triples
-    usable against column zonemaps.  Only plain column-vs-constant
-    comparisons qualify -- a parameter counts as the constant ``parameters``
-    gives it; everything else is ignored (still evaluated on the fetched
-    chunk as usual)."""
+    usable against column zonemaps -- plus the cast, for a column under a
+    widening cast.  Only column-vs-constant comparisons qualify -- a
+    parameter counts as the constant ``parameters`` gives it; everything
+    else is ignored (still evaluated on the fetched chunk as usual)."""
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-    conditions: List[Tuple[int, str, float]] = []
+    conditions: List[Tuple] = []
     for predicate in filters:
         if not isinstance(predicate, BoundOperator) or len(predicate.args) != 2:
             continue
@@ -74,13 +90,13 @@ def _extract_zone_conditions(filters: List[BoundExpression],
         if op not in ("<", "<=", ">", ">=", "="):
             continue
         left, right = predicate.args
-        if isinstance(left, BoundColumnRef):
-            column, value = left, _operand_value(right, parameters)
-        elif isinstance(right, BoundColumnRef):
-            column, value = right, _operand_value(left, parameters)
-            op = flipped[op]
-        else:
+        column, cast = _zone_column(left)
+        if column is None:
+            column, cast = _zone_column(right)
+            left, right, op = right, left, flipped[op]
+        if column is None:
             continue
+        value = _operand_value(right, parameters)
         if value is _NO_VALUE or value is None or isinstance(value, str):
             continue
         if column_ids[column.position] == ROW_ID_COLUMN:
@@ -101,7 +117,8 @@ def _extract_zone_conditions(filters: List[BoundExpression],
             value = date_to_days(value)
         elif isinstance(value, bool):
             continue
-        conditions.append((column_ids[column.position], op, value))
+        condition = (column_ids[column.position], op, value)
+        conditions.append(condition if cast is None else condition + (cast,))
     return conditions
 
 
@@ -150,11 +167,13 @@ class PhysicalTableScan(PhysicalOperator):
     def _range_predicate(self, start: int, end: int) -> bool:
         """False when zone bounds prove no row in [start, end) can match."""
         data = self.table_entry.data
-        for column_id, op, constant in self._zone_conditions:
+        for column_id, op, constant, *cast in self._zone_conditions:
             bounds = data.columns[column_id].zone_bounds(start, end)
             if bounds is None:
                 continue
             low, high = bounds
+            if cast:
+                low, high = cast[0](low), cast[0](high)
             if op == "=" and not (low <= constant <= high):
                 self.context.bump_stat("zones_skipped", 1)
                 return False
@@ -219,8 +238,12 @@ class PhysicalTableScan(PhysicalOperator):
             if selection is not None:
                 chunk = chunk.slice(selection)
             if chunk.size:
-                yield chunk
                 produced += chunk.size
+                # Not held while suspended: a DML statement writes the rows
+                # this chunk may view (ColumnData._unshare would copy).
+                handoff = [chunk]
+                del chunk
+                yield handoff.pop()
                 if self.limit_hint is not None \
                         and produced >= self.limit_hint:
                     self.context.bump_stat("scan_limit_stops", 1)

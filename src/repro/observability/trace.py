@@ -215,15 +215,18 @@ class Tracer:
                 wall = time.perf_counter_ns()
                 cpu = time.thread_time_ns()
                 try:
-                    chunk = next(source)
+                    # In a list popped by the yield, not held while
+                    # suspended: an UPDATE writes the rows the chunk's
+                    # storage views show (ColumnData._unshare would copy).
+                    handoff = [next(source)]
                 except StopIteration:
                     return
                 finally:
                     span.add_timing(time.perf_counter_ns() - wall,
                                     time.thread_time_ns() - cpu)
                     self.pop(span)
-                span.record_chunk(chunk)
-                yield chunk
+                span.record_chunk(handoff[0])
+                yield handoff.pop()
         finally:
             source.close()
             self.end_span(span)

@@ -9,6 +9,9 @@ Implements the paper's combined OLAP & ETL storage requirements (§2):
 * **in-place MVCC** -- updates overwrite the master copy immediately and park
   the pre-image in per-column undo buffers (HyPer-style, §6), so OLAP scans
   of the latest snapshot read plain contiguous NumPy arrays;
+* **zero-copy reads, copy-on-write** -- scans hand out read-only views of
+  the master arrays, and the in-place writers copy a column first while a
+  view of it is alive (:meth:`ColumnData._unshare`);
 * **coded strings** -- a VARCHAR column's master copy is ``int32`` codes into
   one append-only per-column :class:`~repro.types.StringDictionary`; scans
   hand the codes out as they are, and undo pre-images are codes too;
@@ -19,6 +22,8 @@ Implements the paper's combined OLAP & ETL storage requirements (§2):
 
 from __future__ import annotations
 
+import sys
+from types import SimpleNamespace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +58,26 @@ ROW_ID_COLUMN = 2 ** 64 - 1
 SCAN_CHUNK_ROWS = 8 * VECTOR_SIZE
 
 _INITIAL_CAPACITY = 1024
+
+
+def shared(array: np.ndarray) -> bool:
+    """True while anything besides its owning attribute holds ``array``: a
+    NumPy view holds its base, so any live view of a column counts."""
+    return sys.getrefcount(array) > _OWNED_REFERENCES
+
+
+def _references(array: np.ndarray) -> int:  # shared()'s count, frame for frame
+    return sys.getrefcount(array)
+
+
+def _owned_references() -> int:
+    """What :func:`shared` counts for an array only one attribute holds;
+    measured, because interpreters count stack references differently."""
+    owner = SimpleNamespace(data=np.zeros(1))
+    return _references(owner.data)
+
+
+_OWNED_REFERENCES = _owned_references()
 
 
 def _allocate(dtype: LogicalType, capacity: int) -> np.ndarray:
@@ -153,18 +178,26 @@ class ColumnData:
         """In-place update of ``rows`` with undo capture (rows must be sorted)."""
         # Overwritten rows' appended values must reach NDV before they go.
         self.folded_stats()
-        old_data = self.data[rows].copy()
-        old_validity = self.validity[rows].copy()
-        prev_writer = self.table.last_writer[rows].copy()
         undo = UpdateUndo(transaction.transaction_id, self, rows,
-                          old_data, old_validity, prev_writer)
+                          self.data[rows], self.validity[rows],
+                          self.table.last_writer[rows])
         values, new_entries = self._physical(vector)
+        self._unshare()
         self.data[rows] = values
         self.validity[rows] = vector.validity
         self.undo_entries.append(undo)
         self.mark_dirty(int(rows[0]), int(rows[-1]))
         self.stats.observe_update_locked(values, vector.validity, new_entries)
         return undo
+
+    def _unshare(self) -> None:
+        """Copy-on-write before an in-place write (``update`` and
+        ``rollback_update``; appends write only rows past every reader's
+        ``row_count``, compaction and growth build new arrays)."""
+        if shared(self.data):
+            self.data = self.data.copy()  # quacklint: disable=QLZ001 -- copy-on-write: a reader still holds a view of the old array
+        if shared(self.validity):
+            self.validity = self.validity.copy()  # quacklint: disable=QLZ001 -- copy-on-write: a reader still holds a view of the old array
 
     def folded_stats(self) -> ColumnStatistics:
         """The summary, with every stored row's value in its NDV.
@@ -204,6 +237,7 @@ class ColumnData:
     def rollback_update(self, undo: UpdateUndo) -> None:
         """Re-install the pre-image and restore previous writer tags."""
         with self.table.lock:
+            self._unshare()
             self.data[undo.rows] = undo.old_data
             self.validity[undo.rows] = undo.old_validity
             self.table.last_writer[undo.rows] = undo.prev_writer
@@ -217,45 +251,35 @@ class ColumnData:
             pass  # already detached
 
     # -- reads ------------------------------------------------------------------
-    def fetch_range(self, start: int, end: int, transaction: Transaction,
-                    zero_copy: bool = False) -> Vector:
+    def fetch_range(self, start: int, end: int,
+                    transaction: Transaction) -> Vector:
         """Rows [start, end) as seen by ``transaction``'s snapshot.
 
-        Starts from the master copy and walks the undo chain newest-to-oldest,
-        re-installing pre-images of every version the snapshot must not see.
-
-        The returned vector is a *copy* of the master data by default: the
-        engine updates columns in place (HyPer-style MVCC), so a view would
-        retroactively change under the reader if a concurrent transaction
-        updated these rows after the fetch.  ``zero_copy=True`` skips the
-        copy and is only used when the caller guarantees no concurrent
-        writers for the lifetime of the vector (e.g. the bulk client API on
-        a quiesced database).
+        Read-only views of the master arrays (:meth:`_unshare` keeps them
+        valid), unless an undo entry the snapshot must not see touches the
+        range: then a copy with the pre-images re-installed newest first.
         """
         data = self.data[start:end]
         validity = self.validity[start:end]
-        if not zero_copy:
-            data = data.copy()
-            validity = validity.copy()
-        invisible = [
-            undo for undo in self.undo_entries
-            if not (undo.version == transaction.transaction_id
-                    or undo.version <= transaction.start_time)
-        ]
-        if invisible:
-            copied = not zero_copy
-            for undo in reversed(invisible):
-                lo = int(np.searchsorted(undo.rows, start))
-                hi = int(np.searchsorted(undo.rows, end))
-                if lo >= hi:
-                    continue
-                if not copied:
-                    data = data.copy()
-                    validity = validity.copy()
-                    copied = True
-                positions = undo.rows[lo:hi] - start
-                data[positions] = undo.old_data[lo:hi]
-                validity[positions] = undo.old_validity[lo:hi]
+        copied = False
+        for undo in reversed(self.undo_entries):
+            if undo.version == transaction.transaction_id \
+                    or undo.version <= transaction.start_time:
+                continue
+            lo = int(np.searchsorted(undo.rows, start))
+            hi = int(np.searchsorted(undo.rows, end))
+            if lo >= hi:
+                continue
+            if not copied:
+                data = data.copy()  # quacklint: disable=QLZ001 -- the snapshot needs pre-images re-installed
+                validity = validity.copy()  # quacklint: disable=QLZ001 -- the snapshot needs pre-images re-installed
+                copied = True
+            positions = undo.rows[lo:hi] - start
+            data[positions] = undo.old_data[lo:hi]
+            validity[positions] = undo.old_validity[lo:hi]
+        if not copied:
+            data.flags.writeable = False
+            validity.flags.writeable = False
         if self.dictionary is not None:
             return Vector.from_codes(data, self.dictionary, validity)
         return Vector(self.dtype, data, validity)
@@ -382,7 +406,7 @@ class TableData:
             fresh = rows[self.deleted_by[rows] != transaction.transaction_id]
             if fresh.size == 0:
                 return 0
-            prev_writer = self.last_writer[fresh].copy()
+            prev_writer = self.last_writer[fresh]
             self.deleted_by[fresh] = transaction.transaction_id
             self.last_writer[fresh] = transaction.transaction_id
             self.needs_compaction = True
@@ -479,19 +503,27 @@ class TableData:
             with self.lock, tracked_access(("table_data", id(self)), False,
                                            self.lock):
                 mask = self.visible_mask(transaction, start, end)
-                if not mask.any():
-                    continue
-                vectors = [
-                    Vector(BIGINT, np.arange(start, end, dtype=np.int64))
-                    if index == ROW_ID_COLUMN
-                    else self.columns[index].fetch_range(start, end,
-                                                         transaction)
-                    for index in column_indices
-                ]
-            if mask.all():
-                yield DataChunk(vectors)
-            else:
-                yield DataChunk([vector.slice(mask) for vector in vectors])
+            if mask.any():
+                # Yielded as returned: this suspended frame holds no view
+                # of the columns, so a DML statement writing the rows it
+                # just read does not copy them (see ColumnData._unshare).
+                yield self._fetch(transaction, column_indices, start, end,
+                                  mask)
+
+    def _fetch(self, transaction: Transaction, column_indices: List[int],
+               start: int, end: int, mask: np.ndarray) -> DataChunk:
+        """The visible rows (``mask``) of [start, end) in one chunk."""
+        with self.lock, tracked_access(("table_data", id(self)), False,
+                                       self.lock):
+            vectors = [
+                Vector(BIGINT, np.arange(start, end, dtype=np.int64))
+                if index == ROW_ID_COLUMN
+                else self.columns[index].fetch_range(start, end, transaction)
+                for index in column_indices
+            ]
+        if mask.all():
+            return DataChunk(vectors)
+        return DataChunk([vector.slice(mask) for vector in vectors])
 
     # -- checkpoint support ----------------------------------------------------
     def compact(self, keep_mask: np.ndarray) -> None:
@@ -508,8 +540,8 @@ class TableData:
             keep = np.flatnonzero(keep_mask)
             new_count = int(keep.size)
             for column in self.columns:
-                column.data = column.data[keep].copy()
-                column.validity = column.validity[keep].copy()
+                column.data = column.data[keep]
+                column.validity = column.validity[keep]
                 if column.dictionary is not None:
                     # Drop entries no surviving row references.  A new
                     # object, so vectors and result sets still holding the

@@ -160,6 +160,29 @@ def _native_column(values: List[Any], kind: Optional[type], dtype: LogicalType,
     return data.astype(dtype.numpy_dtype, copy=False)
 
 
+def _concatenate(arrays: List[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(arrays)``, or one read-only view when they are
+    read-only consecutive views of one 1-D base (a scan's unfiltered chunks
+    of a column)."""
+    base = arrays[0].base
+    if isinstance(base, np.ndarray) and base.ndim == 1 \
+            and base.dtype == arrays[0].dtype:
+        start = end = arrays[0].__array_interface__["data"][0]
+        for array in arrays:
+            if array.base is not base or array.flags.writeable \
+                    or not array.flags.c_contiguous \
+                    or array.__array_interface__["data"][0] != end:
+                break
+            end += array.nbytes
+        else:
+            origin = base.__array_interface__["data"][0]
+            view = base[(start - origin) // base.itemsize:
+                        (end - origin) // base.itemsize]
+            view.flags.writeable = False
+            return view
+    return np.concatenate(arrays)
+
+
 class Vector:
     """A typed column slice: NumPy data plus a boolean validity mask.
 
@@ -387,11 +410,12 @@ class Vector:
         return Vector(self.dtype, self._data[selection], self.validity[selection])
 
     def copy(self) -> "Vector":
+        """The same values in writable arrays of its own."""
         codes = self.codes
+        validity = self.validity.copy()  # quacklint: disable=QLZ001 -- a private copy is this method's contract
         if codes is not None:
-            return Vector.from_codes(codes.copy(), self.dictionary,
-                                     self.validity.copy())
-        return Vector(self.dtype, self._data.copy(), self.validity.copy())
+            return Vector.from_codes(codes.copy(), self.dictionary, validity)  # quacklint: disable=QLZ001 -- a private copy is this method's contract
+        return Vector(self.dtype, self._data.copy(), validity)  # quacklint: disable=QLZ001 -- a private copy is this method's contract
 
     def concat(self, other: "Vector") -> "Vector":
         """This vector followed by ``other`` (types must match)."""
@@ -407,15 +431,15 @@ class Vector:
         for vector in vectors[1:]:
             if vector.dtype != dtype:
                 raise InternalError(f"concat_many of {dtype} with {vector.dtype}")
-        validity = np.concatenate([vector.validity for vector in vectors])
+        validity = _concatenate([vector.validity for vector in vectors])
         dictionary = vectors[0].dictionary
         if all(vector.codes is not None and vector.dictionary is dictionary
                for vector in vectors):
             # One shared dictionary: only the codes move.
             return cls.from_codes(
-                np.concatenate([vector.codes for vector in vectors]),
+                _concatenate([vector.codes for vector in vectors]),
                 dictionary, validity)
-        return cls(dtype, np.concatenate([vector._flat() for vector in vectors]),
+        return cls(dtype, _concatenate([vector._flat() for vector in vectors]),
                    validity)
 
     def nbytes(self) -> int:

@@ -589,6 +589,15 @@ class TestZeroCopyRule:
         """
         assert rule_ids(check(source, self.PATH)) == ["QLZ001"]
 
+    def test_method_copy_flagged(self):
+        source = """
+        def export(vector):
+            return vector.data.copy()
+        """
+        assert rule_ids(check(source, self.PATH)) == ["QLZ001"]
+        assert rule_ids(check(source, "repro/storage/table_data.py")) \
+            == ["QLZ001"]
+
     def test_tolist_flagged(self):
         source = """
         def export(vector):

@@ -132,6 +132,20 @@ class TestZoneConditionExtraction:
             ("not a date",)) == []
 
 
+    def test_widening_cast_of_a_column_carries_its_cast(self):
+        cast = BoundCast(column(), DOUBLE)
+        forward = _extract_zone_conditions(
+            [comparison(">", cast, constant(1.5, DOUBLE))], [2])
+        backward = _extract_zone_conditions(
+            [comparison("<", constant(1.5, DOUBLE), cast)], [2])
+        assert forward == backward == [(2, ">", 1.5, np.float64)]
+
+    def test_narrowing_cast_of_a_column_ignored(self):
+        cast = BoundCast(column(dtype=DOUBLE), INTEGER)
+        assert _extract_zone_conditions(
+            [comparison("=", cast, constant(3))], [0]) == []
+
+
 class TestProbeBatching:
     def chunks(self, sizes):
         for size in sizes:

@@ -312,6 +312,59 @@ class TestChurnCorrectness:
             "CAST('2024-06-01' AS DATE)") == 7
 
 
+    def test_cast_column_prunes_zones(self, clustered):
+        """``t > 199999.5`` binds as ``CAST(t AS DOUBLE) > 199999.5``: the
+        widening cast keeps the zone bounds' order, so it prunes."""
+        sql = "SELECT count(*) FROM ts WHERE t > 199999.5"
+        plan = "\n".join(row[0] for row in
+                         clustered.execute("EXPLAIN " + sql).fetchall())
+        assert "zonemap=1" in plan
+        t = np.arange(200_000).astype(np.float64)
+        for text, want in ((sql, 0),
+                           ("SELECT count(*) FROM ts WHERE t >= 16383.5",
+                            np.count_nonzero(t >= 16383.5)),
+                           ("SELECT count(*) FROM ts WHERE 0.5 > t", 1),
+                           ("SELECT count(*) FROM ts WHERE t <= 65536.0",
+                            np.count_nonzero(t <= 65536.0)),
+                           ("SELECT count(*) FROM ts WHERE t = 1000.0", 1)):
+            assert self._assert_matches_unpruned(clustered, text) == [(want,)]
+        clustered.execute(sql).fetchall()
+        logged = clustered.execute(
+            "SELECT sql, rows_scanned FROM repro_statement_log()").fetchall()
+        assert [rows for text, rows in logged if text == sql][-1] == 0
+        changed, scanned = self._assert_dml_matches_unpruned(
+            clustered, "UPDATE ts SET t = 0 WHERE t > 199999.5")
+        assert (changed, scanned) == (0, 0)
+
+    def test_cast_bounds_round_like_the_cast(self, con):
+        """Zone bounds are cast the way the column is: BIGINT 2**53 + 1
+        is 2**53 as a DOUBLE, INTEGER 2**24 + 1 is 2**24 as a FLOAT."""
+        con.execute("CREATE TABLE big (b BIGINT, f INTEGER)")
+        b = np.concatenate([np.full(16384, 2 ** 53 + 1),
+                            np.arange(16384)]).astype(np.int64)
+        f = np.concatenate([np.full(16384, 2 ** 24 + 1),
+                            np.arange(16384)]).astype(np.int32)
+        with con.appender("big") as appender:
+            appender.append_numpy({"b": b, "f": f})
+        as_double, as_float = b.astype(np.float64), f.astype(np.float32)
+        for sql, want in (
+                ("SELECT count(*) FROM big WHERE b = 9007199254740992.0",
+                 np.count_nonzero(as_double == 2.0 ** 53)),
+                ("SELECT count(*) FROM big WHERE b > 9007199254740992.0",
+                 np.count_nonzero(as_double > 2.0 ** 53)),
+                ("SELECT count(*) FROM big WHERE b >= 9007199254740992.0",
+                 np.count_nonzero(as_double >= 2.0 ** 53)),
+                ("SELECT count(*) FROM big "
+                 "WHERE CAST(f AS FLOAT) = CAST(16777216.0 AS FLOAT)",
+                 np.count_nonzero(as_float == np.float32(2 ** 24))),
+                ("SELECT count(*) FROM big "
+                 "WHERE CAST(f AS FLOAT) < CAST(16777216.0 AS FLOAT)",
+                 np.count_nonzero(as_float < np.float32(2 ** 24)))):
+            assert self._assert_matches_unpruned(con, sql) == [(want,)]
+        assert con.query_value(
+            "SELECT count(*) FROM big WHERE b = 9007199254740992.0") == 16384
+
+
 class TestParameterZones:
     """A ``?`` filter prunes zones exactly like its literal form -- which,
     through the plan cache, now runs as that same ``?`` statement."""
