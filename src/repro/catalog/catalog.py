@@ -55,17 +55,6 @@ class Catalog:
             raise CatalogError(f"{name!r} is not a table (it is a {entry.entry_type})")
         return entry
 
-    def get_view(self, name: str, transaction: Transaction) -> ViewEntry:
-        entry = self.get_entry(name, transaction)
-        if entry is None:
-            raise CatalogError(f"View {name!r} does not exist")
-        if not isinstance(entry, ViewEntry):
-            raise CatalogError(f"{name!r} is not a view (it is a {entry.entry_type})")
-        return entry
-
-    def entry_exists(self, name: str, transaction: Transaction) -> bool:
-        return self.get_entry(name, transaction) is not None
-
     def tables(self, transaction: Transaction) -> Iterator[TableEntry]:
         """All tables visible to ``transaction``, sorted by name."""
         with self._lock:

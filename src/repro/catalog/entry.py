@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from ..errors import CatalogError, InternalError
+from ..errors import CatalogError
 from ..transaction.version import version_visible
 from ..types import LogicalType
 
@@ -89,10 +89,6 @@ class TableEntry(CatalogEntry):
             if column.name.lower() == lowered:
                 return index
         raise CatalogError(f"Table {self.name!r} has no column named {name!r}")
-
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
 
 
 class ViewEntry(CatalogEntry):

@@ -42,6 +42,7 @@ from ..sql.lexer import Token
 from ..sql.template import Template, lift_literals
 from ..types import DataChunk
 from .params import (
+    batch_runs,
     normalize_parameters,
     parameter_batches,
     type_fingerprint,
@@ -61,6 +62,11 @@ __all__ = ["Connection", "connect"]
 
 #: Whitespace and comments ahead of a statement's first keyword.
 _LEADING = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)*", re.S)
+#: Statements with a plan the plan cache may hold, and how their text begins.
+_QUERIES = (ast.SelectStatement, ast.SetOpStatement)
+_PLANNED = _QUERIES + (ast.InsertStatement, ast.UpdateStatement,
+                       ast.DeleteStatement)
+_CACHED_HEADS = ("SELECT", "WITH", "(", "INSERT", "UPDATE", "DELETE")
 
 
 def connect(database: str = ":memory:",
@@ -196,8 +202,9 @@ class Connection:
         and, in autocommit mode, the transaction commits when the result is
         exhausted/closed.
 
-        Autocommit SELECTs ride the database's shared plan cache (and,
-        eager ones, the result cache) -- see :mod:`repro.server.cache`.
+        Autocommit queries and DML ride the shared plan cache, eager queries
+        the result cache too (:mod:`repro.server.cache`).  DML has written
+        when this returns, streamed or not.
         """
         return self._execute(sql, None, parameters, stream)
 
@@ -237,14 +244,13 @@ class Connection:
                         tokens = template.tokens
                         entry = plans.lookup(cache_key, catalog_version)
                 if entry is not None:
-                    return self._run_statement(sql, None, entry.plan,
+                    return self._run_statement(sql, entry.statement, entry,
                                                parameters, stream, cache_key)
             if statements is None:
                 statements = parse(sql, tokens)
             if not statements:
                 raise InvalidInputError("No statement to execute")
-            if len(statements) > 1 \
-                    or not isinstance(statements[0], ast.SelectStatement):
+            if len(statements) > 1 or not isinstance(statements[0], _PLANNED):
                 cache_key = None
             result: Optional[QueryResult] = None
             for index, statement in enumerate(statements):
@@ -285,13 +291,12 @@ class Connection:
         if self._transaction is not None \
                 or self._database.plan_cache.capacity <= 0:
             return None
-        # Cheap statement-kind sniff: only SELECTs are ever cached (the
-        # parsed AST is checked before a fill), so skip the lookup -- and
-        # the miss it would count -- for DML/DDL text.  Leading comments
-        # do not make a SELECT anything else.
+        # Cheap statement-kind sniff: only queries and DML are ever cached
+        # (the parsed AST is checked before a fill), so skip the lookup --
+        # and the miss it would count -- for other text.  Leading comments
+        # do not make a statement anything else.
         head = sql[_LEADING.match(sql).end():][:7].upper()
-        if not (head.startswith("SELECT") or head.startswith("WITH")
-                or head.startswith("(")):
+        if not head.startswith(_CACHED_HEADS):
             return None
         tfp = type_fingerprint(parameters)
         return None if tfp is None else (sql.strip(), tfp)
@@ -300,14 +305,14 @@ class Connection:
                     parameter_sets: Iterable[Any]) -> QueryResult:
         """Run one statement over many parameter tuples (or mappings).
 
-        The call is *one* statement: parsed once, one transaction, one
+        The call is *one* statement: one transaction, one
         ``repro_statement_log()`` row, and a result holding one ``Count``
         row with the total rows affected (also its ``rowcount``).  In
-        autocommit a failing set leaves nothing behind.  An ``INSERT ...
-        VALUES`` of one row is bound once and appends one chunk per run of
-        sets whose parameter types agree (see
-        :func:`~repro.client.params.parameter_batches`).  No sets at all
-        parses the statement and runs nothing (``rowcount == 0``).
+        autocommit a failing set leaves nothing behind.  Each run of sets
+        whose parameter types agree resolves one plan, as :meth:`execute`
+        does, and runs it per set or, for an ``INSERT ... VALUES`` of one
+        row, once over the run (:mod:`repro.client.params`).  No sets at
+        all parses the statement and runs nothing (``rowcount == 0``).
         """
         return self._executemany(sql, None, parameter_sets)
 
@@ -319,6 +324,14 @@ class Connection:
         sets = [parameters if parameters is not None else ()
                 for parameters in map(normalize_parameters, parameter_sets)]
         with self._lock:
+            # Resolve each run of same-typed sets; only a miss needs parse.
+            version = self._database.transaction_manager.catalog_version
+            batches = []
+            for sample, run in parameter_batches(sets):
+                key = self._plan_cache_key(sql, sample)
+                entry = key and self._database.plan_cache.lookup(key, version)
+                statements = statements or entry and [entry.statement]
+                batches.append((sample, key, entry, run))
             if statements is None:
                 statements = parse(sql)
             if len(statements) != 1 or isinstance(
@@ -330,7 +343,7 @@ class Connection:
             if not sets:
                 return QueryResult([], [], iter(()), 0)
             return self._run_statement(sql, statements[0], None, None, False,
-                                       None, parameter_sets=sets)
+                                       None, batches=batches)
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse a single statement once for repeated parameterized runs."""
@@ -351,20 +364,21 @@ class Connection:
             parameter_rows=parameter_rows, record=record)
 
     def _run_statement(self, sql_text: str,
-                       statement: Optional[ast.Statement], plan: Any,
+                       statement: ast.Statement, hit: Optional[CachedPlan],
                        parameters: Any, stream: bool,
                        cache_key: Optional[Any],
-                       parameter_sets: Optional[List[Any]] = None,
+                       batches: Optional[List[Any]] = None,
                        ) -> QueryResult:
         """Run one statement through the skeleton every statement shares
         (connection lock held).
 
         begin -> trace -> bind -> optimize -> run -> drain or stream ->
-        commit or roll back -> observe.  ``plan`` is a plan-cache hit (then
-        ``statement`` is None); ``cache_key`` marks a cache-eligible
-        autocommit SELECT, the only kind the two caches hook into.
-        ``parameter_sets`` makes it an ``executemany``: bind-and-run repeats
-        per batch of sets inside the one begin ... observe.
+        commit or roll back -> observe.  ``hit`` is a plan-cache hit for
+        ``statement``; ``cache_key`` marks a cache-eligible autocommit query
+        or DML statement (only a query's result is ever cached).
+        ``batches`` makes it an ``executemany``: one ``(sample, key, hit or
+        None, run)`` per run of same-typed sets, each bound at most once,
+        inside the one begin ... observe.
         """
         # Transaction control never runs inside the executor.
         if isinstance(statement, ast.TransactionStatement):
@@ -441,53 +455,57 @@ class Connection:
                         time.thread_time_ns() - cpu, rows, vectors, error,
                         *billed)
 
-        # Result cache, before: an eager cache-eligible SELECT may be
-        # answered without a transaction.
+        # Result cache, before: an eager cache-eligible query may be
+        # answered without a transaction.  DML never is: it writes each time.
+        query = isinstance(statement, _QUERIES)
         vfp = value_fingerprint(parameters) if cache_key is not None \
-            and not stream and results.capacity > 0 else None
+            and query and not stream and results.capacity > 0 else None
         try:
-            hit = results.lookup((cache_key[0], vfp, manager.data_version)) \
-                if vfp is not None else None
-            if hit is not None:
-                outcome = StatementResult(hit.names, hit.types,
-                                          iter(hit.chunks), hit.rowcount)
+            answer = None if vfp is None else results.lookup(
+                (cache_key[0], vfp, manager.data_version))
+            if answer is not None:
+                outcome = StatementResult(answer.names, answer.types,
+                                          iter(answer.chunks), answer.rowcount)
             else:
                 # Captured BEFORE beginning: a DDL commit racing in between
                 # marks a fresh plan stale (conservative), never the reverse.
                 catalog_version = manager.catalog_version
                 transaction = self._transaction or manager.begin()
-                if parameter_sets is not None:
-                    assert statement is not None
+                # A hit is stale if a DDL committed since its lookup: the
+                # snapshot may no longer see the tables its plan names.
+                live = manager.catalog_version
+                if hit is not None and hit.catalog_version != live:
+                    hit = None
+                if batches is not None:
                     affected = 0
-                    for parameters, rows in parameter_batches(
-                            statement, parameter_sets):
-                        bound_statement = Binder(
-                            database.catalog, transaction, parameters,
-                            parameterize=rows is not None,
-                        ).bind_statement(statement)
-                        executing = True
-                        outcome = self._make_executor(
-                            transaction, record, parameters, rows,
-                        ).execute(bound_statement)
-                        for _ in outcome.chunks:  # run it; rows are not kept
-                            pass
-                        affected += max(outcome.rowcount, 0)
-                        scanned, peak = self._take_context_bill()
-                        billed[0] += scanned
-                        if peak > billed[1]:
-                            billed[1] = peak
+                    for sample, key, entry, run in batches:
+                        plan, reusable = (entry.plan, True) \
+                            if entry and entry.catalog_version == live \
+                            else self._bind(statement, record, transaction,
+                                            sample, key, catalog_version)
+                        for parameters, rows in batch_runs(statement, run):
+                            if not reusable:  # its values are in the plan
+                                plan, _ = self._bind(
+                                    statement, record, transaction,
+                                    parameters, None, catalog_version)
+                            executing = True
+                            outcome = self._run(plan, self._make_executor(
+                                transaction, record, parameters, rows))
+                            for _ in outcome.chunks:  # rows are not kept
+                                pass
+                            affected += max(outcome.rowcount, 0)
+                            scanned, peak = self._take_context_bill()
+                            billed[0] += scanned
+                            if peak > billed[1]:
+                                billed[1] = peak
                     outcome = StatementResult.count_result(affected)
                 else:
-                    executor = self._make_executor(transaction, record,
-                                                   parameters)
-                    if plan is None:
-                        assert statement is not None
-                        plan, bound_statement = self._bind(
-                            statement, executor, transaction, parameters,
-                            cache_key, catalog_version)
+                    plan = hit.plan if hit else self._bind(
+                        statement, record, transaction, parameters,
+                        cache_key, catalog_version)[0]
                     executing = True
-                    outcome = executor.run_plan(plan) if plan is not None \
-                        else executor.execute(bound_statement)
+                    outcome = self._run(plan, self._make_executor(
+                        transaction, record, parameters))
                 if stream:
                     # The root span must not stay on this thread's stack
                     # while the client holds the lazy result (the next
@@ -510,27 +528,36 @@ class Connection:
         return QueryResult(outcome.names, outcome.types, iter(chunks),
                            outcome.rowcount)
 
-    def _bind(self, statement: ast.Statement, executor: Executor,
+    def _bind(self, statement: ast.Statement, record: StatementRecord,
               transaction: "Transaction", parameters: Any,
-              cache_key: Optional[Any], catalog_version: int) -> Any:
-        """Bind a statement -- once -- and return ``(plan, bound_statement)``.
+              cache_key: Optional[Any], catalog_version: int
+              ) -> Tuple[Any, bool]:
+        """Bind a statement -- once -- and return ``(plan, reusable)``.
 
-        A cache-eligible SELECT is bound with parameter slots and optimized
-        into a reusable plan, stored in the plan cache unless the binder had
-        to read a parameter's value (``LIMIT ?``).  Everything else is bound
-        with its values inlined and has no plan: the executor runs it.
+        A query or DML statement is bound with parameter slots and optimized
+        (``Executor.prepare_select``) into a plan for any values of these
+        types, stored under ``cache_key`` -- unless the binder read a value
+        (``LIMIT ?``).  Any other statement binds its values inline.
         """
+        planned = isinstance(statement, _PLANNED)
         binder = Binder(self._database.catalog, transaction, parameters,
-                        parameterize=cache_key is not None)
-        bound_statement = binder.bind_statement(statement)
-        if cache_key is None:
-            return None, bound_statement
-        plan = executor.prepare_select(bound_statement)
-        if not binder.value_dependent:
+                        parameterize=planned)
+        plan = binder.bind_statement(statement)
+        if not planned:
+            return plan, False
+        plan = self._make_executor(transaction, record).prepare_select(plan)
+        reusable = not binder.value_dependent
+        if reusable and cache_key is not None:
             self._database.plan_cache.store(
-                cache_key, CachedPlan(cache_key[0], plan, catalog_version,
-                                      parameterized=bool(parameters)))
-        return plan, bound_statement
+                cache_key, CachedPlan(plan, statement, catalog_version))
+        return plan, reusable
+
+    @staticmethod
+    def _run(plan: Any, executor: Executor) -> StatementResult:
+        """Run what :meth:`_bind` returned (a query plan streams)."""
+        if isinstance(plan, bound.BoundStatement):
+            return executor.execute(plan)
+        return executor.run_plan(plan)
 
     def interrupt(self) -> None:
         """Request cancellation of in-flight query execution.

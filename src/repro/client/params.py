@@ -4,9 +4,11 @@
 ``PreparedStatement`` all accept the same two paramstyles -- qmark
 (``?`` bound from a sequence) and named (``:name`` bound from a mapping)
 -- and all funnel through :func:`normalize_parameters` so the binder and
-the caches see one canonical shape; :func:`parameter_batches` decides what
-each bind-and-run of an ``executemany`` receives -- whole parameter
-*columns* for a plain ``INSERT ... VALUES``, one set at a time otherwise.
+the caches see one canonical shape.  :func:`parameter_batches` splits an
+``executemany``'s sets into runs of same-typed sets that one plan serves,
+and :func:`batch_runs` decides what each run of that plan receives -- whole
+parameter *columns* for a plain ``INSERT ... VALUES``, one set at a time
+otherwise.
 
 The two fingerprint functions are what keep parameters from defeating the
 caches: the *type* fingerprint keys the plan cache (one plan per SQL text
@@ -46,7 +48,7 @@ from ..types import (
 from ..types.logical import NATIVE_TYPES
 
 __all__ = ["normalize_parameters", "type_fingerprint", "value_fingerprint",
-           "parameter_batches"]
+           "parameter_batches", "batch_runs"]
 
 Parameters = Union[Tuple[Any, ...], dict, None]
 
@@ -75,31 +77,39 @@ def normalize_parameters(parameters: Any) -> Parameters:
             f"{type(parameters).__name__}") from None
 
 
-def parameter_batches(statement: ast.Statement,
-                      parameter_sets: Sequence[Parameters],
-                      ) -> Iterator[Tuple[Parameters, Optional[int]]]:
-    """What each bind-and-run of an ``executemany`` receives: ``(parameters,
-    rows)``.
+def parameter_batches(parameter_sets: Sequence[Parameters],
+                      ) -> Iterator[Tuple[Parameters, "_Run"]]:
+    """One ``(sample, run)`` per run of sets one plan serves (see
+    :func:`_type_runs`).  ``sample`` holds each marker's first non-NULL
+    value in the run, so binding it types every marker as the whole run
+    does, and its type fingerprint keys the run's plan."""
+    for run in _type_runs(parameter_sets) if parameter_sets else ():
+        keys, _, columns, _ = run
+        sample = [next((value for value in column if value is not None),
+                       None) for column in columns]
+        yield _shaped(keys, sample), run
 
-    ``INSERT ... VALUES (<one row>)`` is evaluated column-wise: the sets are
-    transposed into one :class:`~repro.types.Vector` per marker (``rows``
-    long), so its expressions run once and the table receives one chunk.
-    One binding fixes each marker's type, so only consecutive sets whose
-    per-position types agree share a batch (see :func:`_type_runs`).  A
-    subquery would see the table as it was before *any* set, so that, and
-    every other statement kind, gets the sets one at a time (``rows`` None).
-    """
+
+def batch_runs(statement: ast.Statement, run: "_Run",
+               ) -> List[Tuple[Parameters, Optional[int]]]:
+    """What each execution of a run's one plan receives: ``(parameters,
+    rows)``.  ``INSERT ... VALUES (<one row>)`` without a subquery (which
+    must see earlier sets' rows) runs once over one
+    :class:`~repro.types.Vector` per marker, ``rows`` long, and appends one
+    chunk; everything else runs once per set (``rows`` None)."""
+    keys, types, columns, sets = run
     if not (isinstance(statement, ast.InsertStatement)
             and statement.values is not None and len(statement.values) == 1
             and not _has_subquery(statement.values)):
-        for parameters in parameter_sets:
-            yield parameters, None
-        return
-    for keys, types, columns, rows in _type_runs(parameter_sets):
-        vectors = [Vector.from_values(column, dtype or SQLNULL)
-                   for column, dtype in zip(columns, types)]
-        yield (tuple(vectors) if keys is None else dict(zip(keys, vectors)),
-               rows)
+        return [(parameters, None) for parameters in sets]
+    return [(_shaped(keys, [Vector.from_values(column, dtype or SQLNULL)
+                            for column, dtype in zip(columns, types)]),
+             len(sets))]
+
+
+def _shaped(keys: Optional[Tuple[str, ...]], values: List[Any]) -> Parameters:
+    """``values`` in the paramstyle of ``keys`` (None: qmark)."""
+    return tuple(values) if keys is None else dict(zip(keys, values))
 
 
 def _has_subquery(node: Any) -> bool:
@@ -113,13 +123,13 @@ def _has_subquery(node: Any) -> bool:
 
 
 _Run = Tuple[Optional[Tuple[str, ...]], List[Optional[LogicalType]],
-             List[Tuple[Any, ...]], int]
+             List[Tuple[Any, ...]], Sequence[Parameters]]
 
 
 def _type_runs(sets: Sequence[Parameters]) -> Iterator[_Run]:
     """Split ``sets`` into maximal runs of consecutive sets one binding can
     serve, each as ``(keys or None for qmark, per-position types, the run's
-    values transposed into columns, its length)``.
+    values transposed into columns, its sets)``.
 
     Sets agree when they have the same shape (length, or keys in order) and
     each position infers to the same type.  NULL agrees with anything (its
@@ -133,7 +143,7 @@ def _type_runs(sets: Sequence[Parameters]) -> Iterator[_Run]:
     if whole is not None:
         column_types = [_column_type(column) for column in whole[1]]
         if _MIXED not in column_types:
-            yield whole[0], column_types, whole[1], len(sets)
+            yield whole[0], column_types, whole[1], sets
             return
     run: List[Parameters] = []
     keys: Optional[Tuple[str, ...]] = None
@@ -150,10 +160,10 @@ def _type_runs(sets: Sequence[Parameters]) -> Iterator[_Run]:
             types = [old or new for old, new in zip(types, found)]
         else:
             if run:
-                yield keys, types, _transpose(run)[1], len(run)
+                yield keys, types, _transpose(run)[1], run
             run, keys, types = [], shape, found
         run.append(parameters)
-    yield keys, types, _transpose(run)[1], len(run)
+    yield keys, types, _transpose(run)[1], run
 
 
 def _transpose(sets: Sequence[Parameters]) -> Optional[

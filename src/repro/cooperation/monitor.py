@@ -54,9 +54,6 @@ class SimulatedApplication:
         self._start = self._clock()
         self.total_duration = sum(duration for duration, _, _ in phases)
 
-    def restart(self) -> None:
-        self._start = self._clock()
-
     def _current_phase(self) -> Tuple[float, int, float]:
         elapsed = (self._clock() - self._start) % self.total_duration
         for duration, ram, cpu in self.phases:

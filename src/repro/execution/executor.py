@@ -111,8 +111,8 @@ class Executor:
 
     # -- dispatch -----------------------------------------------------------
     def execute(self, statement: bound.BoundStatement) -> StatementResult:
-        if isinstance(statement, bound.BoundSelect):
-            return self.execute_select(statement)
+        """Run a statement that is not a SELECT; INSERT, UPDATE and DELETE
+        come prepared (:meth:`prepare_select`)."""
         if isinstance(statement, bound.BoundInsert):
             return self.execute_insert(statement)
         if isinstance(statement, bound.BoundUpdate):
@@ -138,24 +138,26 @@ class Executor:
             "(transaction control is handled by the connection)"
         )
 
-    # -- SELECT ----------------------------------------------------------------
-    def prepare_select(self, statement: bound.BoundSelect):
-        """Optimize a bound SELECT once, returning the reusable logical plan.
+    # -- prepare / SELECT ------------------------------------------------------
+    def prepare_select(self, statement: bound.BoundStatement):
+        """Optimize a bound statement's plan once: a SELECT into the logical
+        plan :meth:`run_plan` runs, INSERT, UPDATE, DELETE and COPY TO into
+        themselves over their optimized source, which :meth:`execute` runs.
 
-        The returned plan is treated as read-only from here on: the plan
-        cache shares it across concurrent executions, each of which lowers
-        it into its own physical operator tree via :meth:`run_plan`.
+        The result is read-only from here on: the plan cache shares it
+        across concurrent executions, each lowering its own physical tree.
         """
-        return optimize(statement.plan, self.database, self.record)
+        if isinstance(statement, bound.BoundSelect):
+            return optimize(statement.plan, self.database, self.record)
+        statement.source = optimize(statement.source, self.database,
+                                    self.record)
+        return statement
 
     def run_plan(self, plan) -> StatementResult:
         """Lower an optimized logical plan and stream its chunks."""
         context = self._context()
         physical = create_physical_plan(plan, context)
         return StatementResult(plan.names, plan.types, physical.run())
-
-    def execute_select(self, statement: bound.BoundSelect) -> StatementResult:
-        return self.run_plan(self.prepare_select(statement))
 
     # -- INSERT -----------------------------------------------------------------
     def _check_not_null(self, table: TableEntry, chunk: DataChunk,
@@ -171,9 +173,8 @@ class Executor:
                 )
 
     def _run_source(self, source) -> Iterator[DataChunk]:
-        """Optimize, lower and run a statement's source plan."""
-        plan = optimize(source, self.database, self.record)
-        return create_physical_plan(plan, self._context()).run()
+        """Lower and run a prepared statement's optimized source plan."""
+        return create_physical_plan(source, self._context()).run()
 
     def execute_insert(self, statement: bound.BoundInsert) -> StatementResult:
         table = statement.table
@@ -259,8 +260,8 @@ class Executor:
                 WALRecord.create_table(statement.name, columns))
         inserted = 0
         if statement.source is not None:
-            insert = bound.BoundInsert(entry, statement.source)
-            inserted = self.execute_insert(insert).rowcount
+            inserted = self.execute_insert(self.prepare_select(
+                bound.BoundInsert(entry, statement.source))).rowcount
         return StatementResult.count_result(inserted)
 
     def execute_create_view(self, statement: bound.BoundCreateView) -> StatementResult:
@@ -320,7 +321,8 @@ class Executor:
 
         names = statement.source.names
         options = statement.options
-        written = write_csv(statement.path, self._run_source(statement.source),
+        source = self._run_source(self.prepare_select(statement).source)
+        written = write_csv(statement.path, source,
                             names, delimiter=options.get("delimiter", ","),
                             header=options.get("header", True))
         return StatementResult.count_result(written)

@@ -263,10 +263,6 @@ class ColumnStatistics:
         folded so far (see :attr:`watermark`)."""
         return max(self.distinct.estimate(), self._baseline_ndv)
 
-    @property
-    def approximate_ndv(self) -> bool:
-        return self.distinct.approximate or self._baseline_ndv > 0
-
     def has_range(self) -> bool:
         return self.min_value is not None and self.max_value is not None
 

@@ -111,11 +111,6 @@ class FaultyMemory(PlainMemory):
         self._stuck = []
         self._coupling = []
 
-    @property
-    def fault_addresses(self) -> List[int]:
-        return sorted({fault.address for fault in self._stuck}
-                      | {fault.victim for fault in self._coupling})
-
     # -- bus model --------------------------------------------------------------
     def _apply_stuck(self) -> None:
         for fault in self._stuck:

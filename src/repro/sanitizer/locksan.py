@@ -83,9 +83,6 @@ class LockSanitizer:
         """Names of the locks the calling thread holds, outermost first."""
         return tuple(entry.lock.name for entry in self._held())
 
-    def thread_holds(self, name: str) -> bool:
-        return any(entry.lock.name == name for entry in self._held())
-
     # -- acquisition / release hooks ------------------------------------------
     def on_acquire(self, lock: "TrackedLock", wait: float,
                    contended: bool) -> None:

@@ -147,10 +147,6 @@ class RaceSanitizer:
         with self._mu:
             return list(self.reports)
 
-    def inflight_count(self) -> int:
-        with self._mu:
-            return sum(len(tokens) for tokens in self._inflight.values())
-
 
 def locked_state(lock: object) -> bool:
     """Best-effort: does the calling thread hold ``lock`` right now?

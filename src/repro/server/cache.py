@@ -5,20 +5,22 @@ connection and server session shares them, and both are version-keyed
 against the transaction manager's counters rather than walked on
 invalidation:
 
-* the **plan cache** memoizes parse+bind+optimize for SELECTs on
-  ``(SQL text, parameter-type fingerprint)``.  A literal single-table
-  SELECT that misses is keyed on its ``?`` template instead, with the
-  lifted literals as its parameters (:mod:`repro.sql.template`), so ad-hoc
-  texts that differ only in their constants share one plan.  Each entry
+* the **plan cache** memoizes parse+bind+optimize for SELECT, INSERT,
+  UPDATE and DELETE on ``(SQL text, parameter-type fingerprint)``, never
+  holding a parameter value.  A literal single-table SELECT that misses is
+  keyed on its ``?`` template instead, with the lifted literals as its
+  parameters (:mod:`repro.sql.template`), so ad-hoc texts that differ only
+  in their constants share one plan.  Each entry
   records the catalog version at fill time; a DDL commit bumps that
   version, so stale plans fail validation lazily on their next lookup.
   Data-only commits do *not* move the catalog version -- a mixed OLAP/ETL
   workload keeps its warm plans.
-* the **result cache** memoizes materialized read-only result sets on
+* the **result cache** memoizes materialized read-only query results on
   ``(SQL text, parameter values, data version)`` -- for a lifted text, the
   template and the lifted values.  Any committed write advances the data
   version, so a hit is always snapshot-consistent with "begin a fresh
-  transaction now"; superseded entries age out by LRU.
+  transaction now"; superseded entries age out by LRU.  DML never reaches
+  it.
 
 Lock discipline: each cache owns one lock (``server.plan_cache`` /
 ``server.result_cache``, declared between ``connection`` and
@@ -59,22 +61,21 @@ def plan_result_cacheable(plan: Any) -> bool:
 
 
 class CachedPlan:
-    """One bound+optimized SELECT plan, shared read-only across executions."""
+    """One bound+optimized plan (``Executor.prepare_select``'s result),
+    shared read-only across executions."""
 
-    __slots__ = ("sql", "plan", "catalog_version", "parameterized")
+    __slots__ = ("plan", "statement", "catalog_version")
 
-    def __init__(self, sql: str, plan: Any, catalog_version: int,
-                 parameterized: bool) -> None:
-        self.sql = sql
+    def __init__(self, plan: Any, statement: Any,
+                 catalog_version: int) -> None:
         self.plan = plan
+        #: The parsed statement it was bound from: a hit needs no parse.
+        self.statement = statement
         self.catalog_version = catalog_version
-        #: False when the statement had no parameter markers (the plan still
-        #: needs no per-execution values).
-        self.parameterized = parameterized
 
 
 class PlanCache:
-    """LRU cache of optimized SELECT plans keyed on SQL + parameter types."""
+    """LRU cache of optimized plans keyed on SQL + parameter types."""
 
     def __init__(self, config) -> None:
         self._config = config

@@ -146,10 +146,6 @@ class TransactionManager:
 
     # -- snapshot bookkeeping -------------------------------------------------
     @property
-    def last_commit_id(self) -> int:
-        return self._last_commit_id
-
-    @property
     def data_version(self) -> int:
         """Monotonic count of commits that wrote data or catalog entries.
 

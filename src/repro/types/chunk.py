@@ -110,11 +110,6 @@ class DataChunk:
         """A chunk containing only the given column positions (no copying)."""
         return DataChunk([self.columns[index] for index in indices])
 
-    def append_column(self, vector: Vector) -> None:
-        if self.columns and len(vector) != self.size:
-            raise InternalError("appended column has wrong length")
-        self.columns.append(vector)
-
     @classmethod
     def concat_many(cls, chunks: Iterable["DataChunk"]) -> "DataChunk":
         """Vertically concatenate same-schema chunks into one large chunk."""

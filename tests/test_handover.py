@@ -23,7 +23,7 @@ from repro.analysis.kernelcheck.conformance import (
     _VALIDITY_PATTERNS,
     _validity,
 )
-from repro.client.params import parameter_batches
+from repro.client.params import batch_runs, parameter_batches
 from repro.errors import ConversionError
 from repro.sql import parse
 from repro.storage.wal import WALRecordType
@@ -426,7 +426,8 @@ def stored_both_ways(sql, parameter_sets, ddl=DDL):
 
 def run_lengths(sql, parameter_sets):
     statement = parse(sql)[0]
-    return [rows for _, rows in parameter_batches(statement, parameter_sets)]
+    return [rows for _, run in parameter_batches(parameter_sets)
+            for _, rows in batch_runs(statement, run)]
 
 
 INSERT5 = "INSERT INTO t VALUES (?, ?, ?, ?, ?)"

