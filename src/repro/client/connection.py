@@ -45,6 +45,7 @@ from .params import (
     batch_runs,
     normalize_parameters,
     parameter_batches,
+    same_values,
     type_fingerprint,
     value_fingerprint,
 )
@@ -483,11 +484,16 @@ class Connection:
                             if entry and entry.catalog_version == live \
                             else self._bind(statement, record, transaction,
                                             sample, key, catalog_version)
+                        bound_with = sample
                         for parameters, rows in batch_runs(statement, run):
-                            if not reusable:  # its values are in the plan
+                            # A value-dependent plan holds the values it
+                            # was bound with.
+                            if not (reusable or same_values(parameters,
+                                                            bound_with)):
                                 plan, _ = self._bind(
                                     statement, record, transaction,
                                     parameters, None, catalog_version)
+                                bound_with = parameters
                             executing = True
                             outcome = self._run(plan, self._make_executor(
                                 transaction, record, parameters, rows))

@@ -48,7 +48,7 @@ from ..types import (
 from ..types.logical import NATIVE_TYPES
 
 __all__ = ["normalize_parameters", "type_fingerprint", "value_fingerprint",
-           "parameter_batches", "batch_runs"]
+           "parameter_batches", "same_values", "batch_runs"]
 
 Parameters = Union[Tuple[Any, ...], dict, None]
 
@@ -88,6 +88,17 @@ def parameter_batches(parameter_sets: Sequence[Parameters],
         sample = [next((value for value in column if value is not None),
                        None) for column in columns]
         yield _shaped(keys, sample), run
+
+
+def same_values(first: Parameters, second: Parameters) -> bool:
+    """True when two parameter sets of one run hold the very same value
+    objects -- a set and its run's ``sample`` do when the set has no NULL."""
+    if isinstance(first, dict):
+        return isinstance(second, dict) and first.keys() == second.keys() \
+            and all(first[key] is second[key] for key in first)
+    return isinstance(first, tuple) and isinstance(second, tuple) \
+        and len(first) == len(second) \
+        and all(one is other for one, other in zip(first, second))
 
 
 def batch_runs(statement: ast.Statement, run: "_Run",

@@ -76,9 +76,12 @@ class DatabaseConfig:
         configs built via :meth:`from_dict` (i.e. ``connect(config=...)``)
         when the option is not given explicitly.
     morsel_size:
-        Rows per morsel of a parallel pipeline (rounded down to a whole
-        number of scan chunks at execution time).  Smaller morsels spread
-        load more evenly but add scheduling overhead.
+        Rows per morsel of a scan pipeline (rounded down to a whole number
+        of scan chunks at execution time), at every ``threads`` value: the
+        unit a worker takes, and the unit an aggregate folds into one
+        partial state, so it -- not ``threads`` -- groups float sums.
+        Smaller morsels spread load more evenly but add scheduling
+        overhead.
     verify_checksums:
         Verify the CRC-32 of every storage block on read (paper §6,
         Resilience).  Disabling this is only intended for benchmarking the

@@ -11,18 +11,22 @@ Grouped aggregation buffers its input chunks in a
 pressure the reactive controller compresses them, Figure 1), one
 morsel-sized batch at a time, and evaluates its group keys and arguments
 once per batch.  An input that fits in one batch is aggregated directly.
-A longer one folds each full batch into a *partial-state chunk* and
-merges the partials at the end: the buffered
-input stays one morsel whatever the table size or the child's chunk size
-(a join emits one chunk per probe batch), and the morsel workers of
-:class:`~repro.execution.parallel.PhysicalParallelHashAggregate` produce
-the very same partials.  DISTINCT aggregates have no partial state, so
-they -- like DISTINCT and set operations -- buffer their whole input.
+A longer one folds each batch into a *partial-state chunk* and merges the
+partials, in input order, at the end.  Over a base-table scan pipeline
+(scan -> filter/projection) the batches are the table's morsels: one
+fragment of the pipeline per morsel, run by a
+:class:`~repro.execution.parallel.MorselDriver` on as many workers as were
+granted, one included, so the partials -- and the float sums they hold --
+do not depend on ``threads``.  Any other input (a join, a pipeline with a
+subquery) never runs on workers and is cut into batches of surviving
+rows.  DISTINCT aggregates have no partial state, so they -- like DISTINCT
+and set operations -- buffer their whole input.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from ..types import BIGINT, DOUBLE, DataChunk, LogicalType, VECTOR_SIZE, Vector
 from .expression_executor import ExpressionExecutor
 from .intermediates import ChunkBuffer
 from .keys import factorize_for_groups
+from .parallel import MorselDriver
 from .physical import ExecutionContext, PhysicalOperator
 
 __all__ = ["PhysicalHashAggregate", "PhysicalDistinct", "PhysicalSetOp",
@@ -162,16 +167,26 @@ class PhysicalHashAggregate(PhysicalOperator):
     """GROUP BY aggregation: output = group key columns ++ aggregate columns.
 
     The input is buffered and evaluated ``batch_rows`` rows at a time (see
-    the module docstring); with a DISTINCT aggregate it is one batch.
+    the module docstring); with a DISTINCT aggregate it is one batch.  Over
+    a scan pipeline of a table of more than one morsel, ``fragments``
+    builds the pipeline restricted to one of ``table_data``'s morsels, and
+    the table is folded morsel by morsel on up to ``worker_count`` workers;
+    ``child``, the whole-table pipeline, is then only what EXPLAIN shows.
     """
 
     def __init__(self, context: ExecutionContext, child: PhysicalOperator,
                  groups: List[BoundExpression], aggregates: List[BoundAggregate],
-                 types, names, batch_rows: int) -> None:
+                 types, names, batch_rows: int,
+                 fragments: Optional[Callable[[Tuple[int, int]],
+                                              PhysicalOperator]] = None,
+                 table_data=None, worker_count: int = 1) -> None:
         super().__init__(context, [child], types, names)
         self.groups = groups
         self.aggregates = aggregates
         self.batch_rows: Optional[int] = batch_rows
+        self.fragments = fragments
+        self.table_data = table_data
+        self.worker_count = worker_count
         # A batch evaluates to the group-key columns followed by one
         # column per aggregate argument; argumentless aggregates
         # (``count(*)``) get slot -1.
@@ -185,9 +200,18 @@ class PhysicalHashAggregate(PhysicalOperator):
             self._inputs.extend(aggregate.args[:1])
 
     def execute(self) -> Iterator[DataChunk]:
-        partials, result = self._consume(self.children[0])
-        if partials:
-            result = self._merge(partials)
+        if self.fragments is not None:
+            ranges = self.table_data.morsel_ranges(self.batch_rows)
+            driver = MorselDriver(self.context,
+                                  min(self.worker_count, len(ranges)))
+            tasks = [partial(self._consume, self.fragments(row_range), driver)
+                     for row_range in ranges]
+            result = self._merge([chunk for partials, _ in driver.map(tasks)
+                                  for chunk in partials])
+        else:
+            partials, result = self._consume(self.children[0])
+            if partials:
+                result = self._merge(partials)
         if result is not None:
             yield from result.split(VECTOR_SIZE)
 
@@ -290,8 +314,10 @@ class PhysicalHashAggregate(PhysicalOperator):
         return DataChunk(columns)
 
     def _explain_line(self) -> str:
+        workers = f" workers={self.worker_count}" \
+            if self.worker_count > 1 else ""
         return (f"HASH_AGGREGATE groups={len(self.groups)} "
-                f"aggs={len(self.aggregates)}")
+                f"aggs={len(self.aggregates)}{workers}")
 
 
 class PhysicalDistinct(PhysicalOperator):

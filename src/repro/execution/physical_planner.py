@@ -9,8 +9,7 @@ the paper's §6 hash-vs-merge trade-off, decided per query at plan time.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from ..config import DatabaseConfig
 from ..errors import InternalError
 from ..planner.expressions import BoundColumnRef
 from ..planner.window import LogicalWindow
@@ -40,9 +39,6 @@ from .aggregate import (
 from .basic import PhysicalFilter, PhysicalLimit, PhysicalProjection
 from .joins import PhysicalHashJoin, PhysicalMergeJoin, PhysicalNestedLoopJoin
 from .parallel import (
-    MORSEL_ROWS,
-    PhysicalParallelHashAggregate,
-    PhysicalParallelTableScan,
     aligned_morsel_rows,
     expressions_parallel_safe,
     plan_worker_count,
@@ -88,13 +84,11 @@ def _merge_join_eligible(op: LogicalJoin) -> bool:
     return len(op.conditions) == 1 and op.join_type in ("inner", "left")
 
 
-# -- morsel-driven parallel lowering ------------------------------------------
+# -- morsel-driven lowering ---------------------------------------------------
 
 def _morsel_rows(context: ExecutionContext) -> int:
-    if context.config is not None:
-        return aligned_morsel_rows(
-            getattr(context.config, "morsel_size", MORSEL_ROWS))
-    return MORSEL_ROWS
+    config = context.config if context.config is not None else DatabaseConfig
+    return aligned_morsel_rows(config.morsel_size)
 
 
 def _scan_pipeline(plan: LogicalOperator):
@@ -102,7 +96,7 @@ def _scan_pipeline(plan: LogicalOperator):
 
     Returns ``(ops_top_down, get)`` when ``plan`` is such a chain, otherwise
     ``(None, None)``.  These are exactly the pipeline shapes whose fragments
-    can run per-morsel on workers.
+    can run per morsel.
     """
     ops = []
     node = plan
@@ -114,28 +108,24 @@ def _scan_pipeline(plan: LogicalOperator):
     return ops, node
 
 
-def _try_parallel_aggregate(plan: LogicalAggregate,
-                            context: ExecutionContext
-                            ) -> Optional[PhysicalOperator]:
-    """Lower an aggregate over a scan pipeline to its morsel-parallel form.
+def _morsel_inputs(plan: LogicalAggregate, context: ExecutionContext) -> dict:
+    """The :class:`PhysicalHashAggregate` arguments that fold ``plan``'s
+    scan pipeline morsel by morsel -- ``fragments(row_range)`` builds the
+    pipeline restricted to one morsel -- or ``{}``.
 
-    Eligibility: more than one worker granted, more than one morsel of input,
-    every aggregate decomposes into partial states (no DISTINCT), and no
-    expression anywhere in the pipeline contains a subquery (the subquery
-    materialization cache is coordinator-only state).
+    Eligibility: more than one morsel of input, every aggregate decomposes
+    into partial states (no DISTINCT), and no expression anywhere in the
+    pipeline contains a subquery (the subquery materialization cache is
+    coordinator-only state).  The worker count plays no part: one worker
+    folds the same morsels.
     """
-    workers = plan_worker_count(context)
-    if workers <= 1:
-        return None
     ops, get = _scan_pipeline(plan.children[0])
-    if get is None:
-        return None
-    morsel_rows = _morsel_rows(context)
-    if get.table_entry.data.row_count <= morsel_rows:
-        return None
+    if get is None \
+            or get.table_entry.data.row_count <= _morsel_rows(context):
+        return {}
     if not all(aggregate_supports_partial(aggregate)
                for aggregate in plan.aggregates):
-        return None
+        return {}
     expressions = list(plan.groups) + list(get.pushed_filters)
     for aggregate in plan.aggregates:
         expressions.extend(aggregate.args)
@@ -145,9 +135,9 @@ def _try_parallel_aggregate(plan: LogicalAggregate,
         else:
             expressions.extend(op.expressions)
     if not expressions_parallel_safe(expressions):
-        return None
+        return {}
 
-    def fragment_factory(row_range):
+    def fragments(row_range):
         node: PhysicalOperator = PhysicalTableScan(
             context, get.table_entry, get.column_ids, get.types, get.names,
             get.pushed_filters, row_range=row_range)
@@ -159,9 +149,8 @@ def _try_parallel_aggregate(plan: LogicalAggregate,
                                           op.names)
         return node
 
-    return PhysicalParallelHashAggregate(
-        context, get.table_entry.data, fragment_factory, plan.groups,
-        plan.aggregates, plan.types, plan.names, workers, morsel_rows)
+    return {"fragments": fragments, "table_data": get.table_entry.data,
+            "worker_count": plan_worker_count(context)}
 
 
 def create_physical_plan(plan: LogicalOperator,
@@ -196,22 +185,19 @@ def _lower(plan: LogicalOperator,
            context: ExecutionContext) -> PhysicalOperator:
     """Recursively lower a logical operator tree."""
     if isinstance(plan, LogicalGet):
-        workers = plan_worker_count(context)
         morsel_rows = _morsel_rows(context)
-        # A limit hint means only a handful of rows are needed: a serial
-        # scan that stops early beats spinning up workers that each fetch
+        # A limit hint means only a handful of rows are needed: a scan in
+        # place that stops early beats spinning up workers that each fetch
         # a full morsel.
-        if (workers > 1
-                and plan.limit_hint is None
-                and plan.table_entry.data.row_count > morsel_rows
-                and expressions_parallel_safe(plan.pushed_filters)):
-            return PhysicalParallelTableScan(
-                context, plan.table_entry, plan.column_ids, plan.types,
-                plan.names, plan.pushed_filters, worker_count=workers,
-                morsel_rows=morsel_rows)
+        workers = plan_worker_count(context) \
+            if plan.limit_hint is None \
+            and plan.table_entry.data.row_count > morsel_rows \
+            and expressions_parallel_safe(plan.pushed_filters) else 1
         return PhysicalTableScan(context, plan.table_entry, plan.column_ids,
                                  plan.types, plan.names, plan.pushed_filters,
-                                 limit_hint=plan.limit_hint)
+                                 limit_hint=plan.limit_hint,
+                                 worker_count=workers,
+                                 morsel_rows=morsel_rows)
     if isinstance(plan, LogicalCSVScan):
         return PhysicalCSVScan(context, plan.path, plan.options, plan.types,
                                plan.names)
@@ -249,13 +235,11 @@ def _lower(plan: LogicalOperator,
                 projection.fusable = True
         return projection
     if isinstance(plan, LogicalAggregate):
-        parallel = _try_parallel_aggregate(plan, context)
-        if parallel is not None:
-            return parallel
         child = create_physical_plan(plan.children[0], context)
-        return PhysicalHashAggregate(context, child, plan.groups, plan.aggregates,
-                                     plan.types, plan.names,
-                                     _morsel_rows(context))
+        return PhysicalHashAggregate(
+            context, child, plan.groups, plan.aggregates, plan.types,
+            plan.names, _morsel_rows(context),
+            **_morsel_inputs(plan, context))
     if isinstance(plan, LogicalDistinct):
         child = create_physical_plan(plan.children[0], context)
         return PhysicalDistinct(context, child)

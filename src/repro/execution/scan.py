@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from ..storage.table_data import ROW_ID_COLUMN
 from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
 from ..types.logical import common_type
 from .expression_executor import ExpressionExecutor
+from .parallel import MorselDriver
 from .physical import ExecutionContext, PhysicalOperator
 
 __all__ = ["PhysicalTableScan", "PhysicalCSVScan",
@@ -139,20 +141,29 @@ class PhysicalTableScan(PhysicalOperator):
 
     ``column_ids`` may be longer than ``types``: the columns past the output
     ones are read only by the filters and are not emitted.
+
+    A scan granted more than one worker (the planner grants them only over
+    a table of more than one ``morsel_rows`` morsel) runs one copy of
+    itself restricted to each morsel on a
+    :class:`~repro.execution.parallel.MorselDriver` and yields their chunks
+    in morsel order: the chunk stream a scan in place would yield.
     """
 
     def __init__(self, context: ExecutionContext, table_entry, column_ids: List[int],
                  types, names, filters: Optional[List[BoundExpression]] = None,
                  row_range: Optional[Tuple[int, int]] = None,
-                 limit_hint: Optional[int] = None) -> None:
+                 limit_hint: Optional[int] = None, worker_count: int = 1,
+                 morsel_rows: int = 0) -> None:
         super().__init__(context, [], types, names)
         self.table_entry = table_entry
         self.column_ids = column_ids
         self.filter_column_ids = column_ids[len(types):]
         self.filters = filters or []
-        #: Optional [start, end) physical row restriction -- one morsel of a
-        #: parallel scan.  ``None`` scans the whole table (serial execution).
+        #: Optional [start, end) physical row restriction -- one morsel.
+        #: ``None`` scans the whole table.
         self.row_range = row_range
+        self.worker_count = worker_count
+        self.morsel_rows = morsel_rows
         #: Stop fetching once this many rows passed the filters (LIMIT
         #: pushdown).  Exactness is still enforced by the LIMIT operator
         #: above; this only lets the scan quit early.
@@ -218,7 +229,24 @@ class PhysicalTableScan(PhysicalOperator):
                     break
         return selection
 
+    def _scan_morsel(self, driver: MorselDriver,
+                     row_range: Tuple[int, int]) -> List[DataChunk]:
+        chunks = list(PhysicalTableScan(
+            self.context, self.table_entry, self.column_ids, self.types,
+            self.names, self.filters, row_range=row_range).run())
+        driver.record_rows(sum(chunk.size for chunk in chunks))
+        return chunks
+
     def execute(self) -> Iterator[DataChunk]:
+        if self.worker_count > 1:
+            ranges = self.table_entry.data.morsel_ranges(self.morsel_rows)
+            driver = MorselDriver(self.context,
+                                  min(self.worker_count, len(ranges)))
+            for chunks in driver.map([partial(self._scan_morsel, driver,
+                                              row_range)
+                                      for row_range in ranges]):
+                yield from chunks
+            return
         executor = ExpressionExecutor(self.context)
         range_predicate = self._range_predicate if self._zone_conditions \
             else None
@@ -258,9 +286,11 @@ class PhysicalTableScan(PhysicalOperator):
         extra = [self.table_entry.columns[column_id].name
                  for column_id in self.filter_column_ids]
         filter_cols = f" filter_cols=[{', '.join(extra)}]" if extra else ""
+        workers = f" workers={self.worker_count}" \
+            if self.worker_count > 1 else ""
         return (f"TABLE_SCAN {self.table_entry.name}"
                 f"[{', '.join(self.names)}]{filters}{filter_cols}{zones}"
-                f"{hint}")
+                f"{hint}{workers}")
 
 
 class PhysicalCSVScan(PhysicalOperator):

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.errors import (BinderError, ConstraintError, TransactionConflict)
-from repro.execution.parallel import PhysicalParallelTableScan
+from repro.execution.parallel import MorselDriver
 from repro.execution.scan import _extract_zone_conditions
 from repro.optimizer.cost import _get_stats
 from repro.planner.expressions import BoundColumnRef, BoundConstant, \
@@ -184,20 +184,20 @@ class TestParallelDML:
         con.close()
 
     def test_dml_scans_with_morsel_workers(self, parallel, monkeypatch):
-        morsels = []
-        original = PhysicalParallelTableScan.execute
+        drives = []
+        original = MorselDriver.map
 
-        def spy(scan):
-            morsels.append(len(scan.table_entry.data.morsel_ranges(
-                scan.morsel_rows)))
-            return original(scan)
+        def spy(driver, tasks):
+            drives.append((driver.worker_count, len(tasks)))
+            return original(driver, tasks)
 
-        monkeypatch.setattr(PhysicalParallelTableScan, "execute", spy)
+        monkeypatch.setattr(MorselDriver, "map", spy)
         assert parallel.execute(
             "UPDATE p SET x = x + 1 WHERE x > 0").rowcount == ROWS * 9 // 10
         assert parallel.execute("DELETE FROM p WHERE x = 5").rowcount \
             == ROWS // 10
-        assert len(morsels) == 2 and min(morsels) > 1
+        morsels = len(range(0, ROWS, SCAN_CHUNK_ROWS))
+        assert drives == [(4, morsels)] * 2
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_each_row_updated_exactly_once(self, threads):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.config import DatabaseConfig
 from repro.errors import BinderError
 from repro.execution.aggregate import (PhysicalHashAggregate,
                                       partial_state_types)
-from repro.execution.parallel import MORSEL_ROWS
 from repro.functions.aggregate import AGGREGATE_NAMES, bind_aggregate
 from repro.planner.expressions import BoundAggregate, BoundConstant
 from repro.types import INTEGER
@@ -269,13 +269,17 @@ class TestFirstAggregate:
         assert rows == [(1, "a"), (2, "c")]
 
 
+MORSEL_ROWS = DatabaseConfig.morsel_size
+
+
 def _grouped_table(rows, **config):
     con = repro.connect(config=dict(config, result_cache_entries=0))
     rng = np.random.default_rng(11)
-    con.execute("CREATE TABLE t (g INTEGER, v DOUBLE)")
+    con.execute("CREATE TABLE t (g INTEGER, v DOUBLE, f DOUBLE)")
     with con.appender("t") as appender:
         appender.append_numpy({"g": rng.integers(0, 50, rows).astype(np.int32),
-                               "v": rng.normal(1000.0, 300.0, rows)})
+                               "v": rng.normal(1000.0, 300.0, rows),
+                               "f": rng.random(rows)})
     return con
 
 
@@ -337,16 +341,41 @@ class TestOneAggregatePath:
         assert memory == rows * (5 + 9)
         con.close()
 
+    #: Grouped and ungrouped, with and without a filter, over a table with
+    #: deleted rows that are still physically there (no checkpoint), and
+    #: over a join.
+    BIT_IDENTICAL = [
+        "SELECT g, sum(v), avg(v), stddev(v), variance(v) FROM t "
+        "GROUP BY g ORDER BY g",
+        "SELECT sum(v), avg(v) FROM t",
+        "SELECT sum(v), avg(v) FROM t WHERE f > 0.3",
+        "SELECT g, sum(v), avg(v) FROM t WHERE f > 0.3 GROUP BY g ORDER BY g",
+        "SELECT sum(v), avg(v) FROM u",
+        "SELECT g, sum(v), avg(v) FROM u WHERE f > 0.3 GROUP BY g ORDER BY g",
+        "SELECT d.w, sum(t.v), avg(t.v) FROM t JOIN d ON t.g = d.g "
+        "WHERE t.f > 0.3 GROUP BY d.w ORDER BY d.w",
+        "SELECT sum(t.v), avg(t.v) FROM t JOIN d ON t.g = d.g",
+    ]
+
     def test_serial_and_parallel_are_bit_identical(self):
-        sql = ("SELECT g, sum(v), avg(v), stddev(v), variance(v) FROM t "
-               "GROUP BY g ORDER BY g")
-        results = []
-        for threads in (1, 4):
-            con = _grouped_table(200_000, threads=threads, morsel_size=16384)
-            results.append(con.execute(sql).fetchall())
-            con.close()
-        assert len(results[0]) == 50
-        assert results[0] == results[1]
+        # The answers at 1, 2 and 4 threads are the same bits at equal
+        # morsel_size: ``threads`` only sets how many workers fold morsels.
+        for rows, morsel_size in ((200_000, 16384), (600_000, MORSEL_ROWS)):
+            answers = []
+            for threads in (1, 2, 4):
+                con = _grouped_table(rows, threads=threads,
+                                     morsel_size=morsel_size)
+                con.execute("CREATE TABLE u (g INTEGER, v DOUBLE, f DOUBLE)")
+                con.execute("INSERT INTO u SELECT * FROM t")
+                con.execute("DELETE FROM u WHERE f < 0.2")
+                con.execute("CREATE TABLE d (g INTEGER, w INTEGER)")
+                con.execute("INSERT INTO d SELECT DISTINCT g, g % 7 FROM t")
+                answers.append([con.execute(sql).fetchall()
+                                for sql in self.BIT_IDENTICAL])
+                con.close()
+            assert len(answers[0][0]) == 50
+            for sql, one, two, four in zip(self.BIT_IDENTICAL, *answers):
+                assert one == two == four, (rows, sql)
 
     @pytest.mark.parametrize("name", sorted(AGGREGATE_NAMES))
     def test_every_aggregate_has_a_partial_decomposition(self, name):

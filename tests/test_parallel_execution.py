@@ -1,12 +1,15 @@
 """Morsel-driven parallel execution: serial/parallel equivalence and plumbing.
 
-The contract under test: a query must return identical results whether it
-runs on one thread or many (``PRAGMA threads``), because morsel boundaries
-align with serial scan chunks, partial aggregates merge exactly, and the
-coordinator consumes worker results in morsel order.
+The contract under test: at equal ``morsel_size`` a query returns the same
+bits whether it runs on one thread or many (``PRAGMA threads``), because
+one worker runs the very morsels many workers do, morsel boundaries align
+with scan chunks, and the coordinator consumes worker results in morsel
+order.  So the cooperation controller may cut the worker count at run time
+without changing an answer.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +56,14 @@ def serial_con():
 
 
 @pytest.fixture(scope="module")
+def one_worker_con():
+    con = repro.connect(config={"threads": 1, "morsel_size": MORSEL})
+    _populate(con)
+    yield con
+    con.close()
+
+
+@pytest.fixture(scope="module")
 def parallel_con():
     con = repro.connect(config={"threads": 4, "morsel_size": MORSEL})
     _populate(con)
@@ -79,8 +90,9 @@ EQUIVALENCE_QUERIES = [
 
 
 def assert_equivalent(serial, parallel):
-    """Exact equality, except a tight tolerance for floats: partial-state
-    merging changes floating-point summation order (last-ulp effects)."""
+    """Exact equality, except a tight tolerance for floats: ``serial`` and
+    ``parallel`` fold morsels of different sizes, which changes the
+    floating-point summation order (last-ulp effects)."""
     assert len(serial) == len(parallel)
     for serial_row, parallel_row in zip(serial, parallel):
         assert len(serial_row) == len(parallel_row)
@@ -97,6 +109,12 @@ class TestEquivalence:
         serial = serial_con.execute(query).fetchall()
         parallel = parallel_con.execute(query).fetchall()
         assert_equivalent(serial, parallel)
+
+    @pytest.mark.parametrize("query", EQUIVALENCE_QUERIES)
+    def test_same_bits_at_equal_morsel_size(self, one_worker_con,
+                                            parallel_con, query):
+        assert one_worker_con.execute(query).fetchall() == \
+            parallel_con.execute(query).fetchall()
 
     def test_scan_order_is_deterministic(self, serial_con, parallel_con):
         # Without ORDER BY, morsel results are yielded in morsel order, so
@@ -129,8 +147,7 @@ class TestExplainAndStats:
     def test_explain_shows_parallel_operators(self, parallel_con):
         plan = "\n".join(r[0] for r in parallel_con.execute(
             "EXPLAIN SELECT g, sum(v) FROM t GROUP BY g").fetchall())
-        assert "PARALLEL_HASH_AGGREGATE" in plan
-        assert "workers=4" in plan
+        assert "HASH_AGGREGATE groups=1 aggs=1 workers=4" in plan
 
     def test_explain_analyze_reports_morsels_and_workers(self, parallel_con):
         plan = "\n".join(r[0] for r in parallel_con.execute(
@@ -143,7 +160,7 @@ class TestExplainAndStats:
     def test_parallel_scan_in_plan(self, parallel_con):
         plan = "\n".join(r[0] for r in parallel_con.execute(
             "EXPLAIN SELECT v FROM t WHERE v > 10").fetchall())
-        assert "PARALLEL_TABLE_SCAN" in plan
+        assert re.search(r"TABLE_SCAN t\[v\] .*workers=4", plan), plan
 
     def test_worker_rows_cover_table(self, parallel_con):
         rows = parallel_con.execute(
@@ -158,7 +175,7 @@ class TestExplainAndStats:
     def test_serial_plan_has_no_parallel_operators(self, serial_con):
         plan = "\n".join(r[0] for r in serial_con.execute(
             "EXPLAIN SELECT g, sum(v) FROM t GROUP BY g").fetchall())
-        assert "PARALLEL" not in plan
+        assert "workers=" not in plan
 
 
 class TestMorselRanges:
@@ -197,6 +214,39 @@ class TestWorkerCountPolicy:
         # 8 cores, app burning 75% of the machine -> 2 cores for the pool.
         assert controller.choose_worker_count(8) == 2
         assert controller.choose_worker_count(1) == 1
+
+    def test_a_cut_worker_count_keeps_the_answer(self):
+        # Cooperation: when the host application burns every core, the
+        # controller cuts the pool from four workers to one.  The answer
+        # must not move by a bit, or giving the host its cores would
+        # change query results.
+        queries = ("SELECT g, sum(d), avg(d) FROM t WHERE v % 3 = 0 "
+                   "GROUP BY g ORDER BY g NULLS FIRST",
+                   "SELECT sum(d), avg(d) FROM t WHERE v % 3 = 0")
+        con = repro.connect(config={"threads": 4, "morsel_size": MORSEL,
+                                    "result_cache_entries": 0})
+        try:
+            _populate(con)
+
+            def run():
+                analyze = "\n".join(line for (line,) in con.execute(
+                    f"EXPLAIN ANALYZE {queries[1]}").fetchall())
+                return analyze, [con.execute(sql).fetchall()
+                                 for sql in queries]
+
+            analyze, uncut = run()
+            assert "HASH_AGGREGATE groups=0 aggs=2 workers=4" in analyze
+            controller = con.database.enable_reactive_resources(
+                1 << 30, SimulatedApplication([(1000.0, 0, 1.0)]))
+            analyze, cut = run()
+            assert cut == uncut
+            assert controller.worker_degrades > 0
+            # One worker ran the same four morsels.
+            assert "workers=" not in analyze
+            assert "parallel_workers: 1" in analyze
+            assert "morsels: 4" in analyze
+        finally:
+            con.close()
 
     def test_reactive_controller_never_starves(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

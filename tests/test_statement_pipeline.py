@@ -224,7 +224,8 @@ def test_one_bind_per_statement(monkeypatch, kind):
 @pytest.mark.parametrize("plan_cache", [None, 0], ids=["cached", "uncached"])
 @pytest.mark.parametrize("kind", ROUTES)
 def test_executemany_binds_once_per_type_run(monkeypatch, kind, plan_cache):
-    """Three same-typed sets share one bind; a warm plan needs none."""
+    """Three same-typed sets share one bind; a warm plan needs none; a
+    value-dependent plan binds once per set, not once more for the run."""
     binds = []
     original = Binder.bind_statement
 
@@ -243,6 +244,12 @@ def test_executemany_binds_once_per_type_run(monkeypatch, kind, plan_cache):
         assert route.run_many(UPDATE, [(5, 11), (5, 12), (5, 99)]) == 2
         assert len(binds) == (0 if plan_cache is None else 1)
         assert route.run(SELECT_ALL) == [(13, "x"), (16, "1"), (17, "2")]
+        # ``LIMIT ?`` puts each set's value in its plan: one bind per set.
+        route.run("CREATE TABLE u (a INTEGER)")
+        del binds[:]
+        assert route.run_many("INSERT INTO u SELECT a FROM t LIMIT ?",
+                              [(1,), (2,)]) == 3
+        assert binds == ["InsertStatement"] * 2
     finally:
         route.close()
 
