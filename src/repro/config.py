@@ -71,7 +71,8 @@ class DatabaseConfig:
     threads:
         Maximum worker threads the engine may use.  ``1`` keeps the engine
         single-threaded (the co-resident application gets the other cores);
-        values above 1 enable morsel-driven parallel scans and aggregation.
+        values above 1 let an aggregate over a table scan fold its morsels
+        on that many workers (every other scan runs in place).
         The ``REPRO_THREADS`` environment variable provides the default for
         configs built via :meth:`from_dict` (i.e. ``connect(config=...)``)
         when the option is not given explicitly.

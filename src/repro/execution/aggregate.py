@@ -167,11 +167,11 @@ class PhysicalHashAggregate(PhysicalOperator):
     """GROUP BY aggregation: output = group key columns ++ aggregate columns.
 
     The input is buffered and evaluated ``batch_rows`` rows at a time (see
-    the module docstring); with a DISTINCT aggregate it is one batch.  Over
-    a scan pipeline of a table of more than one morsel, ``fragments``
-    builds the pipeline restricted to one of ``table_data``'s morsels, and
-    the table is folded morsel by morsel on up to ``worker_count`` workers;
-    ``child``, the whole-table pipeline, is then only what EXPLAIN shows.
+    the module docstring); with a DISTINCT aggregate it is one batch.  When
+    ``child`` is a scan pipeline over a table of more than one morsel,
+    ``fragments`` restricts it to one of ``table_data``'s morsels, and the
+    table is folded morsel by morsel on ``worker_count`` workers (at most
+    one per morsel); ``child`` itself then never runs.
     """
 
     def __init__(self, context: ExecutionContext, child: PhysicalOperator,

@@ -199,10 +199,10 @@ class Executor:
     # -- UPDATE / DELETE ----------------------------------------------------------
     # Both run a source plan whose first column is the row id of each target
     # row (a scan of ``ROW_ID_COLUMN``), so they find their rows exactly as
-    # a SELECT would: zone maps, column pruning, morsel workers.  A parallel
-    # scan's morsels are disjoint row ranges, and rows are only ever written
-    # after the chunk that read them was produced, so no row is read after
-    # this statement wrote it.
+    # a SELECT would: zone maps, column pruning.  The scan runs in place at
+    # every ``threads`` value, and rows are only ever written after the
+    # chunk that read them was produced, so no row is read after this
+    # statement wrote it, and no queued chunk views a column it writes.
     def execute_update(self, statement: bound.BoundUpdate) -> StatementResult:
         table = statement.table
         indices = statement.column_indices

@@ -10,25 +10,32 @@ residual filters, projection, partial aggregation -- per morsel, and the
 coordinator consumes the results in morsel order.  NumPy kernels release
 the GIL, so workers genuinely overlap on multi-core machines.
 
+Workers run only where per-morsel partials fold: in a hash aggregate over
+a scan pipeline, whose fragments are copies of the one pipeline it
+lowered, each restricted to one morsel.  Every other scan runs in place,
+chunk by chunk, at every thread count: workers queueing a morsel's chunks
+would hold storage views that an UPDATE must then copy (copy-on-write).
+
 The morsel is the unit of work at every thread count: with one worker the
 driver runs the same tasks inline, on the calling thread.  Two invariants
 follow:
 
 * **identical results** -- an aggregate over a scan pipeline folds one
   partial state per morsel and merges the partials in morsel order
-  (:class:`~repro.execution.aggregate.PhysicalHashAggregate`), and a scan
-  yields its morsels' chunks in morsel order; the chunk windows are those
-  of a whole-table scan.  So at equal ``morsel_size`` the answer is the
-  same bits whatever ``threads`` is, with or without filters and deleted
-  rows -- ``threads`` only sets how many workers run the morsels;
+  (:class:`~repro.execution.aggregate.PhysicalHashAggregate`); the chunk
+  windows are those of a whole-table scan.  So at equal ``morsel_size``
+  the answer is the same bits whatever ``threads`` is, with or without
+  filters and deleted rows -- ``threads`` only sets how many workers run
+  the morsels;
 * **cooperation** -- the worker count honors ``config.threads`` and, when
   the reactive controller is active, degrades under application CPU load
   (:meth:`~repro.cooperation.controller.ReactiveController.choose_worker_count`),
   which by the first invariant never changes an answer.
 
-``EXPLAIN`` shows ``workers=N`` on an operator granted more than one
-worker; ``EXPLAIN ANALYZE`` reports ``morsels``, ``parallel_workers`` and
-``worker_<i>_rows`` for every morsel pipeline that ran.
+``EXPLAIN`` shows ``workers=N`` on an aggregate granted more than one
+worker (at most one per morsel); ``EXPLAIN ANALYZE`` reports ``morsels``,
+``parallel_workers`` and ``worker_<i>_rows`` for every morsel pipeline
+that ran.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ the paper's §6 hash-vs-merge trade-off, decided per query at plan time.
 
 from __future__ import annotations
 
+import copy
+from functools import partial
+
 from ..config import DatabaseConfig
 from ..errors import InternalError
 from ..planner.expressions import BoundColumnRef
@@ -91,66 +94,53 @@ def _morsel_rows(context: ExecutionContext) -> int:
     return aligned_morsel_rows(config.morsel_size)
 
 
-def _scan_pipeline(plan: LogicalOperator):
-    """Unwrap a Filter*/Projection* chain over a base-table scan.
+def _restricted(node: PhysicalOperator, row_range) -> PhysicalOperator:
+    """Scan pipeline ``node`` over the physical rows [start, end) only:
+    copies of its operators, which keep per-execution state in their
+    ``execute`` frames, without the whole-table cardinality estimates."""
+    clone = copy.copy(node)
+    clone.estimated_rows = None
+    if isinstance(node, PhysicalTableScan):
+        clone.row_range = row_range
+    else:
+        clone.children = [_restricted(node.children[0], row_range)]
+    return clone
 
-    Returns ``(ops_top_down, get)`` when ``plan`` is such a chain, otherwise
-    ``(None, None)``.  These are exactly the pipeline shapes whose fragments
-    can run per morsel.
+
+def _morsel_inputs(plan: LogicalAggregate, child: PhysicalOperator,
+                   context: ExecutionContext) -> dict:
+    """The :class:`PhysicalHashAggregate` arguments that fold ``child``,
+    ``plan``'s lowered input, morsel by morsel -- ``fragments(row_range)``
+    is ``child`` restricted to one morsel -- or ``{}``.
+
+    Eligibility: ``child`` is a filter/projection chain over a table scan
+    of more than one morsel, every aggregate decomposes into partial states
+    (no DISTINCT), and no expression anywhere in the pipeline contains a
+    subquery (the subquery materialization cache is coordinator-only
+    state).  The worker count decides nothing but how many workers run the
+    morsels (at most one per morsel); one worker folds the same ones.
     """
-    ops = []
-    node = plan
-    while isinstance(node, (LogicalFilter, LogicalProjection)):
-        ops.append(node)
-        node = node.children[0]
-    if not isinstance(node, LogicalGet):
-        return None, None
-    return ops, node
-
-
-def _morsel_inputs(plan: LogicalAggregate, context: ExecutionContext) -> dict:
-    """The :class:`PhysicalHashAggregate` arguments that fold ``plan``'s
-    scan pipeline morsel by morsel -- ``fragments(row_range)`` builds the
-    pipeline restricted to one morsel -- or ``{}``.
-
-    Eligibility: more than one morsel of input, every aggregate decomposes
-    into partial states (no DISTINCT), and no expression anywhere in the
-    pipeline contains a subquery (the subquery materialization cache is
-    coordinator-only state).  The worker count plays no part: one worker
-    folds the same morsels.
-    """
-    ops, get = _scan_pipeline(plan.children[0])
-    if get is None \
-            or get.table_entry.data.row_count <= _morsel_rows(context):
-        return {}
-    if not all(aggregate_supports_partial(aggregate)
-               for aggregate in plan.aggregates):
-        return {}
-    expressions = list(plan.groups) + list(get.pushed_filters)
+    expressions = list(plan.groups)
     for aggregate in plan.aggregates:
+        if not aggregate_supports_partial(aggregate):
+            return {}
         expressions.extend(aggregate.args)
-    for op in ops:
-        if isinstance(op, LogicalFilter):
-            expressions.append(op.predicate)
-        else:
-            expressions.extend(op.expressions)
-    if not expressions_parallel_safe(expressions):
+    node = child
+    while isinstance(node, (PhysicalFilter, PhysicalProjection)):
+        expressions.extend([node.predicate]
+                           if isinstance(node, PhysicalFilter)
+                           else node.expressions)
+        node = node.children[0]
+    if not isinstance(node, PhysicalTableScan):
         return {}
-
-    def fragments(row_range):
-        node: PhysicalOperator = PhysicalTableScan(
-            context, get.table_entry, get.column_ids, get.types, get.names,
-            get.pushed_filters, row_range=row_range)
-        for op in reversed(ops):
-            if isinstance(op, LogicalFilter):
-                node = PhysicalFilter(context, node, op.predicate)
-            else:
-                node = PhysicalProjection(context, node, op.expressions,
-                                          op.names)
-        return node
-
-    return {"fragments": fragments, "table_data": get.table_entry.data,
-            "worker_count": plan_worker_count(context)}
+    morsel_rows = _morsel_rows(context)
+    morsels = -(-node.table_entry.data.row_count // morsel_rows)
+    if morsels <= 1 or not expressions_parallel_safe(expressions
+                                                      + node.filters):
+        return {}
+    return {"fragments": partial(_restricted, child),
+            "table_data": node.table_entry.data,
+            "worker_count": min(plan_worker_count(context), morsels)}
 
 
 def create_physical_plan(plan: LogicalOperator,
@@ -185,19 +175,9 @@ def _lower(plan: LogicalOperator,
            context: ExecutionContext) -> PhysicalOperator:
     """Recursively lower a logical operator tree."""
     if isinstance(plan, LogicalGet):
-        morsel_rows = _morsel_rows(context)
-        # A limit hint means only a handful of rows are needed: a scan in
-        # place that stops early beats spinning up workers that each fetch
-        # a full morsel.
-        workers = plan_worker_count(context) \
-            if plan.limit_hint is None \
-            and plan.table_entry.data.row_count > morsel_rows \
-            and expressions_parallel_safe(plan.pushed_filters) else 1
         return PhysicalTableScan(context, plan.table_entry, plan.column_ids,
                                  plan.types, plan.names, plan.pushed_filters,
-                                 limit_hint=plan.limit_hint,
-                                 worker_count=workers,
-                                 morsel_rows=morsel_rows)
+                                 limit_hint=plan.limit_hint)
     if isinstance(plan, LogicalCSVScan):
         return PhysicalCSVScan(context, plan.path, plan.options, plan.types,
                                plan.names)
@@ -239,7 +219,7 @@ def _lower(plan: LogicalOperator,
         return PhysicalHashAggregate(
             context, child, plan.groups, plan.aggregates, plan.types,
             plan.names, _morsel_rows(context),
-            **_morsel_inputs(plan, context))
+            **_morsel_inputs(plan, child, context))
     if isinstance(plan, LogicalDistinct):
         child = create_physical_plan(plan.children[0], context)
         return PhysicalDistinct(context, child)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +20,6 @@ from ..storage.table_data import ROW_ID_COLUMN
 from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
 from ..types.logical import common_type
 from .expression_executor import ExpressionExecutor
-from .parallel import MorselDriver
 from .physical import ExecutionContext, PhysicalOperator
 
 __all__ = ["PhysicalTableScan", "PhysicalCSVScan",
@@ -142,38 +140,30 @@ class PhysicalTableScan(PhysicalOperator):
     ``column_ids`` may be longer than ``types``: the columns past the output
     ones are read only by the filters and are not emitted.
 
-    A scan granted more than one worker (the planner grants them only over
-    a table of more than one ``morsel_rows`` morsel) runs one copy of
-    itself restricted to each morsel on a
-    :class:`~repro.execution.parallel.MorselDriver` and yields their chunks
-    in morsel order: the chunk stream a scan in place would yield.
+    A scan runs in place, chunk by chunk, at every ``threads`` value, and
+    keeps no chunk it handed on: an UPDATE writes the rows it read without
+    copying their columns.  Only an aggregate folds morsels on workers,
+    each through a copy of its scan pipeline restricted to one row range
+    (``row_range``).
     """
 
     def __init__(self, context: ExecutionContext, table_entry, column_ids: List[int],
                  types, names, filters: Optional[List[BoundExpression]] = None,
-                 row_range: Optional[Tuple[int, int]] = None,
-                 limit_hint: Optional[int] = None, worker_count: int = 1,
-                 morsel_rows: int = 0) -> None:
+                 limit_hint: Optional[int] = None) -> None:
         super().__init__(context, [], types, names)
         self.table_entry = table_entry
         self.column_ids = column_ids
         self.filter_column_ids = column_ids[len(types):]
         self.filters = filters or []
-        #: Optional [start, end) physical row restriction -- one morsel.
-        #: ``None`` scans the whole table.
-        self.row_range = row_range
-        self.worker_count = worker_count
-        self.morsel_rows = morsel_rows
+        #: [start, end) physical row restriction, set on an aggregate's
+        #: morsel fragments.  ``None`` scans the whole table.
+        self.row_range: Optional[Tuple[int, int]] = None
         #: Stop fetching once this many rows passed the filters (LIMIT
         #: pushdown).  Exactness is still enforced by the LIMIT operator
         #: above; this only lets the scan quit early.
         self.limit_hint = limit_hint
         self._zone_conditions = _extract_zone_conditions(
             self.filters, column_ids, context.parameters)
-        #: Filter index -> (chunk positions it reads, the predicate rewritten
-        #: to read them from a chunk of just those columns); built on first
-        #: use, because most scans never narrow (see :meth:`_surviving`).
-        self._narrowed: Dict[int, Tuple[List[int], BoundExpression]] = {}
 
     def _range_predicate(self, start: int, end: int) -> bool:
         """False when zone bounds prove no row in [start, end) can match."""
@@ -198,23 +188,28 @@ class PhysicalTableScan(PhysicalOperator):
                 return False
         return True
 
-    def _surviving(self, executor: ExpressionExecutor,
-                   chunk: DataChunk) -> Optional[np.ndarray]:
+    def _surviving(self, executor: ExpressionExecutor, chunk: DataChunk,
+                   narrowed_filters: dict) -> Optional[np.ndarray]:
         """Row indices of ``chunk`` that pass every pushed filter, in filter
         order; None when all rows do.  Until a filter rejects something the
         predicates run on the chunk as it is; from then on each one sees
-        only its own columns, cut down to the survivors so far."""
+        only its own columns, cut down to the survivors so far.
+
+        ``narrowed_filters`` maps a filter index to the chunk positions it
+        reads and the predicate rewritten to read them from a chunk of just
+        those columns; it is filled on first use, because most scans never
+        narrow, and belongs to one execution of the scan."""
         selection: Optional[np.ndarray] = None
         for index, predicate in enumerate(self.filters):
             if selection is None:
                 mask = executor.execute_filter(predicate, chunk)
             else:
-                narrowed = self._narrowed.get(index)
+                narrowed = narrowed_filters.get(index)
                 if narrowed is None:
                     # A column-free predicate still needs one column, for
                     # the row count.
                     positions = sorted(predicate.referenced_columns()) or [0]
-                    narrowed = self._narrowed[index] = (
+                    narrowed = narrowed_filters[index] = (
                         positions, _remap_expression(predicate, {
                             position: slot
                             for slot, position in enumerate(positions)}))
@@ -229,30 +224,14 @@ class PhysicalTableScan(PhysicalOperator):
                     break
         return selection
 
-    def _scan_morsel(self, driver: MorselDriver,
-                     row_range: Tuple[int, int]) -> List[DataChunk]:
-        chunks = list(PhysicalTableScan(
-            self.context, self.table_entry, self.column_ids, self.types,
-            self.names, self.filters, row_range=row_range).run())
-        driver.record_rows(sum(chunk.size for chunk in chunks))
-        return chunks
-
     def execute(self) -> Iterator[DataChunk]:
-        if self.worker_count > 1:
-            ranges = self.table_entry.data.morsel_ranges(self.morsel_rows)
-            driver = MorselDriver(self.context,
-                                  min(self.worker_count, len(ranges)))
-            for chunks in driver.map([partial(self._scan_morsel, driver,
-                                              row_range)
-                                      for row_range in ranges]):
-                yield from chunks
-            return
         executor = ExpressionExecutor(self.context)
         range_predicate = self._range_predicate if self._zone_conditions \
             else None
         start_row, end_row = self.row_range if self.row_range is not None \
             else (0, None)
         produced = 0
+        narrowed_filters: Dict[int, Tuple[List[int], BoundExpression]] = {}
         for chunk in self.table_entry.data.scan(self.context.transaction,
                                                 self.column_ids,
                                                 range_predicate=range_predicate,
@@ -260,7 +239,7 @@ class PhysicalTableScan(PhysicalOperator):
                                                 end_row=end_row):
             self.context.check_interrupted()
             self.context.bump_stat("rows_scanned", chunk.size)
-            selection = self._surviving(executor, chunk)
+            selection = self._surviving(executor, chunk, narrowed_filters)
             if self.filter_column_ids:
                 chunk = DataChunk(chunk.columns[:len(self.types)])
             if selection is not None:
@@ -286,11 +265,8 @@ class PhysicalTableScan(PhysicalOperator):
         extra = [self.table_entry.columns[column_id].name
                  for column_id in self.filter_column_ids]
         filter_cols = f" filter_cols=[{', '.join(extra)}]" if extra else ""
-        workers = f" workers={self.worker_count}" \
-            if self.worker_count > 1 else ""
         return (f"TABLE_SCAN {self.table_entry.name}"
-                f"[{', '.join(self.names)}]{filters}{filter_cols}{zones}"
-                f"{hint}{workers}")
+                f"[{', '.join(self.names)}]{filters}{filter_cols}{zones}{hint}")
 
 
 class PhysicalCSVScan(PhysicalOperator):

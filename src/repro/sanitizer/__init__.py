@@ -1,8 +1,8 @@
 """quacksan: runtime concurrency sanitizer for the parallel engine.
 
 The combined-OLAP-&-ETL pillar (paper §2) means concurrent appenders,
-checkpoints, and morsel-parallel scans all share one in-process engine, and
-eight real locks sit on that hot path.  quacklint (:mod:`repro.analysis`)
+checkpoints, and morsel-parallel aggregates all share one in-process engine,
+and eight real locks sit on that hot path.  quacklint (:mod:`repro.analysis`)
 proves lock *discipline* statically; this package witnesses lock *ordering*
 and actual interleavings at runtime:
 

@@ -487,7 +487,7 @@ class TableData:
         the range entirely (zonemap scan skipping, paper §6).
 
         ``start_row``/``end_row`` restrict the scan to a physical row range
-        (morsel-driven parallel scans hand disjoint ranges to workers).
+        (an aggregate's morsel fragments hand disjoint ranges to workers).
         """
         if column_indices is None:
             column_indices = range(len(self.columns))

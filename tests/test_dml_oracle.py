@@ -162,7 +162,8 @@ def test_dml_matches_sqlite(initial, statements):
         engines.close()
 
 
-#: Three morsels: DML scans run on workers, and zone maps prune on ``a``.
+#: Three morsels: DML scans stream in place at ``threads`` 4 as at 1, and
+#: zone maps prune on ``a``.
 PARALLEL_BASE = bulk_rows(3 * SCAN_CHUNK_ROWS)
 
 

@@ -2,8 +2,8 @@
 
 Each runs a source plan -- a scan that also reads the row-id column, the
 WHERE filter, and a projection of the row id plus the SET values -- so DML
-gets what every SELECT gets from the scan: zone maps, column pruning,
-morsel workers and a ``rows_scanned`` count in the statement log.
+gets what every SELECT gets from the scan: zone maps, column pruning and
+a ``rows_scanned`` count in the statement log.
 """
 
 import threading
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import (BinderError, ConstraintError, TransactionConflict)
+from repro.errors import (BinderError, ConstraintError, ConversionError,
+                          TransactionConflict)
 from repro.execution.parallel import MorselDriver
 from repro.execution.scan import _extract_zone_conditions
 from repro.optimizer.cost import _get_stats
@@ -183,21 +184,18 @@ class TestParallelDML:
         yield con
         con.close()
 
-    def test_dml_scans_with_morsel_workers(self, parallel, monkeypatch):
+    def test_dml_scans_without_morsel_workers(self, parallel, monkeypatch):
+        # A DML scan streams chunk by chunk in place at every ``threads``
+        # value: morsel workers would queue storage views of the columns
+        # the statement writes, and each write would copy the column.
         drives = []
-        original = MorselDriver.map
-
-        def spy(driver, tasks):
-            drives.append((driver.worker_count, len(tasks)))
-            return original(driver, tasks)
-
-        monkeypatch.setattr(MorselDriver, "map", spy)
+        monkeypatch.setattr(MorselDriver, "map",
+                            lambda driver, tasks: drives.append(tasks))
         assert parallel.execute(
             "UPDATE p SET x = x + 1 WHERE x > 0").rowcount == ROWS * 9 // 10
         assert parallel.execute("DELETE FROM p WHERE x = 5").rowcount \
             == ROWS // 10
-        morsels = len(range(0, ROWS, SCAN_CHUNK_ROWS))
-        assert drives == [(4, morsels)] * 2
+        assert drives == []
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_each_row_updated_exactly_once(self, threads):
@@ -215,15 +213,17 @@ class TestParallelDML:
         con.close()
 
     def test_failure_mid_scan_stops_the_workers(self, parallel):
-        parallel.execute("CREATE TABLE strict (k INTEGER NOT NULL)")
-        parallel.execute("INSERT INTO strict SELECT k FROM p")
-        # Only the last rows turn NULL: the scan is several morsels in.
-        with pytest.raises(ConstraintError):
-            parallel.execute("UPDATE strict SET k = CASE WHEN k < 190000 "
-                             "THEN k + 1 ELSE NULL END")
+        parallel.execute("CREATE TABLE words (s VARCHAR)")
+        words = np.array([str(k) for k in range(ROWS)], dtype=object)
+        words[190_000:] = "oops"  # only the last morsel fails to cast
+        with parallel.appender("words") as appender:
+            appender.append_numpy({"s": words})
+        with pytest.raises(ConversionError):
+            parallel.execute("SELECT sum(CAST(s AS INTEGER)) FROM words")
         assert morsel_threads() == []
-        assert parallel.query_value("SELECT sum(k) FROM strict") \
-            == ROWS * (ROWS - 1) // 2
+        assert parallel.query_value(
+            "SELECT sum(CAST(s AS INTEGER)) FROM words WHERE s <> 'oops'") \
+            == 190_000 * (190_000 - 1) // 2
 
 
 class TestSemantics:

@@ -19,6 +19,7 @@ from repro.config import DatabaseConfig
 from repro.cooperation.controller import ReactiveController, StaticController
 from repro.cooperation.monitor import ResourceMonitor, SimulatedApplication
 from repro.errors import InterruptError, InvalidInputError
+from repro.execution import scan as scan_module
 from repro.execution.parallel import aligned_morsel_rows
 from repro.execution.physical import ExecutionContext
 from repro.execution.physical_planner import create_physical_plan
@@ -158,9 +159,36 @@ class TestExplainAndStats:
         assert f"rows_scanned: {ROWS}" in plan
 
     def test_parallel_scan_in_plan(self, parallel_con):
+        # A plain scan runs in place at every ``threads`` value; only the
+        # aggregate folding its morsels is granted workers.
         plan = "\n".join(r[0] for r in parallel_con.execute(
             "EXPLAIN SELECT v FROM t WHERE v > 10").fetchall())
-        assert re.search(r"TABLE_SCAN t\[v\] .*workers=4", plan), plan
+        assert re.search(r"TABLE_SCAN t\[v\] ", plan), plan
+        assert "workers=" not in plan
+        plan = "\n".join(r[0] for r in parallel_con.execute(
+            "EXPLAIN SELECT g, sum(v) FROM t WHERE v > 10 GROUP BY g"
+        ).fetchall())
+        assert [line.split()[0] for line in plan.splitlines()
+                if "workers=" in line] == ["HASH_AGGREGATE"], plan
+        assert re.search(r"TABLE_SCAN t\[.*\] ", plan), plan
+
+    def test_workers_capped_at_the_morsel_count(self):
+        # 40k rows are three 16,384-row morsels: a fourth worker would have
+        # nothing to run.
+        con = repro.connect(config={"threads": 4, "morsel_size": MORSEL})
+        try:
+            con.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+            with con.appender("t") as appender:
+                index = np.arange(40_000)
+                appender.append_numpy({"g": (index % 7).astype(np.int32),
+                                       "v": index.astype(np.int32)})
+            plan = "\n".join(line for (line,) in con.execute(
+                "EXPLAIN ANALYZE SELECT g, sum(v) FROM t GROUP BY g"
+            ).fetchall())
+        finally:
+            con.close()
+        assert "HASH_AGGREGATE groups=1 aggs=1 workers=3" in plan, plan
+        assert "morsels: 3" in plan
 
     def test_worker_rows_cover_table(self, parallel_con):
         rows = parallel_con.execute(
@@ -176,6 +204,36 @@ class TestExplainAndStats:
         plan = "\n".join(r[0] for r in serial_con.execute(
             "EXPLAIN SELECT g, sum(v) FROM t GROUP BY g").fetchall())
         assert "workers=" not in plan
+
+
+class TestOneLowering:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_aggregate_lowers_its_pipeline_once(self, threads, monkeypatch):
+        # The morsel fragments are copies of the one lowered pipeline, so
+        # its zone conditions are extracted once per execution, not once
+        # per morsel on top of the whole-table pipeline EXPLAIN shows.
+        con = repro.connect(config={"threads": threads, "morsel_size": MORSEL,
+                                    "result_cache_entries": 0})
+        try:
+            _populate(con)
+            sql = "SELECT g, sum(v) FROM t WHERE v > 10 GROUP BY g"
+            expected = con.execute(sql).fetchall()
+            calls = []
+            original = scan_module._extract_zone_conditions
+
+            def spy(*args):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(scan_module, "_extract_zone_conditions", spy)
+            analyze = "\n".join(line for (line,) in con.execute(
+                f"EXPLAIN ANALYZE {sql}").fetchall())
+            assert "morsels: 4" in analyze
+            calls.clear()
+            assert con.execute(sql).fetchall() == expected
+            assert len(calls) == 1
+        finally:
+            con.close()
 
 
 class TestMorselRanges:

@@ -191,6 +191,22 @@ class TestCopyOnWrite:
         con.execute("UPDATE t SET a = a - 1 WHERE b > 10")
         assert (id(column.data), id(column.validity)) == before
 
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_update_writes_in_place_at_any_thread_count(self, threads):
+        """A DML scan streams in place however many workers the engine
+        may use: no queued morsel chunk views the column it writes."""
+        con = repro.connect(config={"threads": threads,
+                                    "morsel_size": 16384})
+        try:
+            load(con)  # three morsels
+            column = storage(con)[0]
+            before = id(column.data), id(column.validity)
+            con.execute("UPDATE t SET a = a + 1")
+            con.execute("UPDATE t SET a = a - 1 WHERE b > 10")
+            assert (id(column.data), id(column.validity)) == before
+        finally:
+            con.close()
+
     def test_update_reading_the_columns_it_writes_in_place(self, con):
         """A swap's SET list reads views of the very columns it writes."""
         con.execute("CREATE TABLE p (x BIGINT, y BIGINT)")
