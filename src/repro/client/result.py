@@ -21,11 +21,13 @@ plan, polling the engine for chunks.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConnectionError as ResultClosedError
+from ..storage.table_data import SCAN_CHUNK_ROWS
 from ..types import DataChunk, LogicalType, LogicalTypeId, Vector
 
 __all__ = ["QueryResult", "ColumnDescription"]
@@ -54,6 +56,8 @@ class QueryResult:
         self.types = types
         self.rowcount = rowcount
         self._source: Optional[Iterator[DataChunk]] = chunks
+        # The rest of a source chunk larger than one hand-over, as views.
+        self._pieces: Optional[Iterator[DataChunk]] = None
         self._on_close = on_close
         self._closed = False
         # Row-access state: the chunk being read, its rows (built on first
@@ -104,7 +108,7 @@ class QueryResult:
         if self._closed:
             return
         self._closed = True
-        self._current = self._rows = None
+        self._current = self._rows = self._pieces = None
         self._finish()
 
     def __enter__(self) -> "QueryResult":
@@ -123,15 +127,26 @@ class QueryResult:
 
         This is the paper's zero-copy hand-over: the returned chunk's NumPy
         arrays are the engine's own vectors (for a table scan, read-only
-        views of its storage).  Dictionary-coded VARCHAR columns are
-        decoded here, once per chunk, so the row paths built on this one
-        (rows, cursors) read plain arrays.
+        views of its storage).  A chunk is at most ``SCAN_CHUNK_ROWS``
+        rows: a larger engine batch is handed over as views of it, that
+        many rows at a time.  Dictionary-coded VARCHAR columns are decoded
+        here, once per chunk, so the row paths built on this one (rows,
+        cursors) read plain arrays.
         """
         self._check_open()
+        if self._pieces is not None:
+            piece = next(self._pieces, None)
+            if piece is not None:
+                return piece.flatten()
+            self._pieces = None
         if self._source is None:
             return None
         for chunk in self._source:
-            if chunk.size:
+            size = chunk.size
+            if size > SCAN_CHUNK_ROWS:
+                self._pieces = chunk.split(SCAN_CHUNK_ROWS)
+                return next(self._pieces).flatten()
+            if size:
                 return chunk.flatten()
         self._finish()
         return None
@@ -148,7 +163,9 @@ class QueryResult:
         """Every remaining chunk as one (itself, when there is only one),
         joined while still coded so each VARCHAR column decodes once."""
         self._check_open()
-        collected = [chunk for chunk in self._source or () if chunk.size]
+        collected = [chunk for chunk in chain(self._pieces or (),
+                                              self._source or ())
+                     if chunk.size]
         self._finish()
         if not collected:
             return DataChunk.empty(self.types)

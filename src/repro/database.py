@@ -186,6 +186,8 @@ class Database:
         """Fold the WAL into the data file (no-op for in-memory databases)."""
         self.check_open()
         with self._checkpoint_lock:
+            # Again under the lock: a close() may have won it since.
+            self.check_open()
             return self.storage.checkpoint(self.catalog, self.transaction_manager,
                                            force=force)
 
@@ -195,7 +197,8 @@ class Database:
             return
         if self.storage.should_auto_checkpoint():
             with self._checkpoint_lock:
-                if self.storage.should_auto_checkpoint():
+                # A close() that won the lock has checkpointed already.
+                if not self._closed and self.storage.should_auto_checkpoint():
                     self.storage.checkpoint(self.catalog,
                                             self.transaction_manager)
 

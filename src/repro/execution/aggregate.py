@@ -58,6 +58,7 @@ __all__ = ["PhysicalHashAggregate", "PhysicalDistinct", "PhysicalSetOp",
 # input order, preserving first-occurrence semantics.
 
 _VARIANCE_NAMES = ("stddev", "stddev_samp", "var_samp", "variance")
+_COUNTED = frozenset(("count", "sum", "avg") + _VARIANCE_NAMES)
 _LOW_HALF = 0xFFFFFFFF
 
 
@@ -86,40 +87,38 @@ def partial_state_types(aggregate: BoundAggregate) -> List[Tuple[str, LogicalTyp
 
 
 def compute_partial_state(aggregate: BoundAggregate, argument: Optional[Vector],
-                          group_ids: np.ndarray,
-                          group_count: int) -> List[Vector]:
-    """One batch's partial-state columns for one aggregate."""
+                          group_ids: np.ndarray, group_count: int,
+                          counts: Optional[np.ndarray] = None) -> List[Vector]:
+    """One batch's partial-state columns for one aggregate; ``counts`` is
+    the batch's shared all-rows group count, if any (see
+    :func:`~repro.functions.aggregate.compute_aggregate`)."""
     name = aggregate.name.lower()
+    aggregate_of = partial(compute_aggregate, group_ids=group_ids,
+                           group_count=group_count, counts=counts)
     if name == "count":
-        return [compute_aggregate("count", False, argument, group_ids,
-                                  group_count, BIGINT)]
+        return [aggregate_of("count", False, argument, return_type=BIGINT)]
     if name == "sum" and aggregate.return_type.is_integer():
         values = np.where(argument.validity, argument.data, 0).astype(
             np.int64, copy=False)
-        return [compute_aggregate("sum", False,
-                                  Vector(BIGINT, half, argument.validity),
-                                  group_ids, group_count, BIGINT)
+        return [aggregate_of("sum", False,
+                             Vector(BIGINT, half, argument.validity),
+                             return_type=BIGINT)
                 for half in (values & _LOW_HALF, values >> 32)]
     if name == "sum":
-        return [compute_aggregate("sum", False, argument, group_ids,
-                                  group_count, aggregate.return_type)]
+        return [aggregate_of("sum", False, argument,
+                             return_type=aggregate.return_type)]
     if name in ("min", "max", "first"):
-        return [compute_aggregate(name, False, argument, group_ids,
-                                  group_count, argument.dtype)]
+        return [aggregate_of(name, False, argument,
+                             return_type=argument.dtype)]
     if name == "avg":
-        return [compute_aggregate("sum", False, argument, group_ids,
-                                  group_count, DOUBLE),
-                compute_aggregate("count", False, argument, group_ids,
-                                  group_count, BIGINT)]
+        return [aggregate_of("sum", False, argument, return_type=DOUBLE),
+                aggregate_of("count", False, argument, return_type=BIGINT)]
     if name in _VARIANCE_NAMES:
         cleaned = np.where(argument.validity, argument.data, 0).astype(np.float64)
         squares = Vector(DOUBLE, cleaned * cleaned, argument.validity.copy())
-        return [compute_aggregate("sum", False, argument, group_ids,
-                                  group_count, DOUBLE),
-                compute_aggregate("sum", False, squares, group_ids,
-                                  group_count, DOUBLE),
-                compute_aggregate("count", False, argument, group_ids,
-                                  group_count, BIGINT)]
+        return [aggregate_of("sum", False, argument, return_type=DOUBLE),
+                aggregate_of("sum", False, squares, return_type=DOUBLE),
+                aggregate_of("count", False, argument, return_type=BIGINT)]
     raise InternalError(f"Aggregate {name} has no partial decomposition")
 
 
@@ -192,9 +191,16 @@ class PhysicalHashAggregate(PhysicalOperator):
         # (``count(*)``) get slot -1.
         self._inputs = list(groups)
         self._argument_slots: List[int] = []
+        # Whether a batch's rows per group are counted once, up front, and
+        # passed to every aggregate that counts (an argument with NULLs
+        # still counts its own).  Passed, not stored: morsel workers reduce
+        # their batches concurrently.
+        self._counts_shared = False
         for aggregate in aggregates:
             if not aggregate_supports_partial(aggregate):
                 self.batch_rows = None
+            elif aggregate.name.lower() in _COUNTED:
+                self._counts_shared = True
             self._argument_slots.append(
                 len(self._inputs) if aggregate.args else -1)
             self._inputs.extend(aggregate.args[:1])
@@ -282,15 +288,17 @@ class PhysicalHashAggregate(PhysicalOperator):
         group_ids, group_count, columns = self._factorize(batch, rows)
         if self.groups and not partial:
             self.context.bump_stat("aggregate_groups", group_count)
+        counts = np.bincount(group_ids, minlength=group_count) \
+            if self._counts_shared else None
         for slot, aggregate in zip(self._argument_slots, self.aggregates):
             argument = batch.columns[slot] if slot >= 0 else None
             if partial:
                 columns.extend(compute_partial_state(
-                    aggregate, argument, group_ids, group_count))
+                    aggregate, argument, group_ids, group_count, counts))
             else:
                 columns.append(compute_aggregate(
                     aggregate.name, aggregate.distinct, argument, group_ids,
-                    group_count, aggregate.return_type))
+                    group_count, aggregate.return_type, counts))
         return DataChunk(columns)
 
     def _merge(self, partials: List[Optional[DataChunk]]) -> Optional[DataChunk]:
@@ -302,12 +310,15 @@ class PhysicalHashAggregate(PhysicalOperator):
         group_ids, group_count, columns = self._factorize(merged, merged.size)
         if self.groups:
             self.context.bump_stat("aggregate_groups", group_count)
+        counts = np.bincount(group_ids, minlength=group_count) \
+            if self._counts_shared else None
         offset = len(self.groups)
         for aggregate in self.aggregates:
             specs = partial_state_types(aggregate)
             states = [compute_aggregate(merge_name, False,
                                         merged.columns[offset + index],
-                                        group_ids, group_count, state_type)
+                                        group_ids, group_count, state_type,
+                                        counts)
                       for index, (merge_name, state_type) in enumerate(specs)]
             columns.append(finalize_merged_state(aggregate, states))
             offset += len(specs)

@@ -13,7 +13,7 @@ the GIL, so workers genuinely overlap on multi-core machines.
 Workers run only where per-morsel partials fold: in a hash aggregate over
 a scan pipeline, whose fragments are copies of the one pipeline it
 lowered, each restricted to one morsel.  Every other scan runs in place,
-chunk by chunk, at every thread count: workers queueing a morsel's chunks
+batch by batch, at every thread count: workers queueing a morsel's batches
 would hold storage views that an UPDATE must then copy (copy-on-write).
 
 The morsel is the unit of work at every thread count: with one worker the
@@ -22,8 +22,8 @@ follow:
 
 * **identical results** -- an aggregate over a scan pipeline folds one
   partial state per morsel and merges the partials in morsel order
-  (:class:`~repro.execution.aggregate.PhysicalHashAggregate`); the chunk
-  windows are those of a whole-table scan.  So at equal ``morsel_size``
+  (:class:`~repro.execution.aggregate.PhysicalHashAggregate`); a morsel's
+  scan batches are those of a whole-table scan.  So at equal ``morsel_size``
   the answer is the same bits whatever ``threads`` is, with or without
   filters and deleted rows -- ``threads`` only sets how many workers run
   the morsels;
@@ -46,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, List
 
 from ..sanitizer import SanLock, tracked_access
-from ..storage.table_data import SCAN_CHUNK_ROWS
 from ..planner.subquery import (
     BoundExistsSubquery,
     BoundInSubquery,
@@ -54,16 +53,9 @@ from ..planner.subquery import (
 )
 from .physical import ExecutionContext
 
-__all__ = ["MorselDriver", "plan_worker_count", "aligned_morsel_rows",
-           "expressions_parallel_safe"]
+__all__ = ["MorselDriver", "plan_worker_count", "expressions_parallel_safe"]
 
 _SUBQUERY_NODES = (BoundScalarSubquery, BoundInSubquery, BoundExistsSubquery)
-
-
-def aligned_morsel_rows(morsel_rows: int) -> int:
-    """Morsel size rounded down to a whole number of scan chunks."""
-    return max(SCAN_CHUNK_ROWS,
-               (int(morsel_rows) // SCAN_CHUNK_ROWS) * SCAN_CHUNK_ROWS)
 
 
 def expressions_parallel_safe(expressions) -> bool:

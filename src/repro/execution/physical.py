@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
+from ..config import DatabaseConfig
 from ..errors import InterruptError
 from ..sanitizer import SanLock, tracked_access
+from ..storage.table_data import aligned_morsel_rows
 from ..types import DataChunk, LogicalType
 
 __all__ = ["PhysicalOperator", "ExecutionContext", "StatementMemory"]
@@ -108,6 +110,13 @@ class ExecutionContext:
         if self.config is not None:
             return self.config.memory_limit
         return 1 << 62
+
+    @property
+    def morsel_rows(self) -> int:
+        """``config.morsel_size`` in whole scan chunks: the rows of one
+        aggregate morsel and of a scan's largest batch."""
+        config = self.config if self.config is not None else DatabaseConfig
+        return aligned_morsel_rows(config.morsel_size)
 
     def check_interrupted(self) -> None:
         if self.interrupted:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 from functools import partial
 
-from ..config import DatabaseConfig
 from ..errors import InternalError
 from ..planner.expressions import BoundColumnRef
 from ..planner.window import LogicalWindow
@@ -41,11 +40,7 @@ from .aggregate import (
 )
 from .basic import PhysicalFilter, PhysicalLimit, PhysicalProjection
 from .joins import PhysicalHashJoin, PhysicalMergeJoin, PhysicalNestedLoopJoin
-from .parallel import (
-    aligned_morsel_rows,
-    expressions_parallel_safe,
-    plan_worker_count,
-)
+from .parallel import expressions_parallel_safe, plan_worker_count
 from .physical import ExecutionContext, PhysicalOperator
 from .scan import (
     PhysicalCSVScan,
@@ -89,11 +84,6 @@ def _merge_join_eligible(op: LogicalJoin) -> bool:
 
 # -- morsel-driven lowering ---------------------------------------------------
 
-def _morsel_rows(context: ExecutionContext) -> int:
-    config = context.config if context.config is not None else DatabaseConfig
-    return aligned_morsel_rows(config.morsel_size)
-
-
 def _restricted(node: PhysicalOperator, row_range) -> PhysicalOperator:
     """Scan pipeline ``node`` over the physical rows [start, end) only:
     copies of its operators, which keep per-execution state in their
@@ -108,10 +98,11 @@ def _restricted(node: PhysicalOperator, row_range) -> PhysicalOperator:
 
 
 def _morsel_inputs(plan: LogicalAggregate, child: PhysicalOperator,
-                   context: ExecutionContext) -> dict:
+                   morsel_rows: int, context: ExecutionContext) -> dict:
     """The :class:`PhysicalHashAggregate` arguments that fold ``child``,
-    ``plan``'s lowered input, morsel by morsel -- ``fragments(row_range)``
-    is ``child`` restricted to one morsel -- or ``{}``.
+    ``plan``'s lowered input, morsel by morsel (``morsel_rows`` each) --
+    ``fragments(row_range)`` is ``child`` restricted to one morsel -- or
+    ``{}``.
 
     Eligibility: ``child`` is a filter/projection chain over a table scan
     of more than one morsel, every aggregate decomposes into partial states
@@ -133,7 +124,6 @@ def _morsel_inputs(plan: LogicalAggregate, child: PhysicalOperator,
         node = node.children[0]
     if not isinstance(node, PhysicalTableScan):
         return {}
-    morsel_rows = _morsel_rows(context)
     morsels = -(-node.table_entry.data.row_count // morsel_rows)
     if morsels <= 1 or not expressions_parallel_safe(expressions
                                                       + node.filters):
@@ -216,10 +206,11 @@ def _lower(plan: LogicalOperator,
         return projection
     if isinstance(plan, LogicalAggregate):
         child = create_physical_plan(plan.children[0], context)
+        morsel_rows = context.morsel_rows
         return PhysicalHashAggregate(
             context, child, plan.groups, plan.aggregates, plan.types,
-            plan.names, _morsel_rows(context),
-            **_morsel_inputs(plan, child, context))
+            plan.names, morsel_rows,
+            **_morsel_inputs(plan, child, morsel_rows, context))
     if isinstance(plan, LogicalDistinct):
         child = create_physical_plan(plan.children[0], context)
         return PhysicalDistinct(context, child)

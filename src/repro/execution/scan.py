@@ -16,7 +16,7 @@ from ..planner.expressions import (
     BoundOperator,
     BoundParameterRef,
 )
-from ..storage.table_data import ROW_ID_COLUMN
+from ..storage.table_data import ROW_ID_COLUMN, SCAN_CHUNK_ROWS
 from ..types import VECTOR_SIZE, DataChunk, Vector, cast_scalar, cast_vector
 from ..types.logical import common_type
 from .expression_executor import ExpressionExecutor
@@ -127,10 +127,17 @@ class PhysicalTableScan(PhysicalOperator):
 
     Pushed filters serve double duty: simple column-vs-constant comparisons
     (a ``?`` parameter counts as its value in this execution) are first
-    checked against per-zone min/max bounds so whole row ranges are skipped
+    checked against per-zone min/max bounds so whole
+    :data:`~repro.storage.table_data.SCAN_CHUNK_ROWS` chunks are skipped
     *without fetching them* -- the paper's §6 "skip irrelevant blocks of
-    rows during a scan" -- and every filter is then evaluated on the chunks
-    that do get fetched, before any parent operator sees them.
+    rows during a scan" -- and every filter is then evaluated on the
+    batches that do get fetched, before any parent operator sees them.
+
+    A chunk is the zone and billing unit (``zones_skipped``,
+    ``rows_scanned``); a *batch* -- a run of surviving chunks inside one
+    morsel (``batch_rows``, fixed at lowering) -- is the fetch and filter
+    unit.  Under a LIMIT (``limit_hint``) a batch is one chunk, so the
+    scan stops as early as it can.
 
     Filters run left to right over a *selection* (the surviving row
     indices): each one sees only the columns it reads, cut down to the rows
@@ -140,11 +147,11 @@ class PhysicalTableScan(PhysicalOperator):
     ``column_ids`` may be longer than ``types``: the columns past the output
     ones are read only by the filters and are not emitted.
 
-    A scan runs in place, chunk by chunk, at every ``threads`` value, and
-    keeps no chunk it handed on: an UPDATE writes the rows it read without
+    A scan runs in place, batch by batch, at every ``threads`` value, and
+    keeps no batch it handed on: an UPDATE writes the rows it read without
     copying their columns.  Only an aggregate folds morsels on workers,
     each through a copy of its scan pipeline restricted to one row range
-    (``row_range``).
+    (``row_range``), which reads the batches the whole scan reads there.
     """
 
     def __init__(self, context: ExecutionContext, table_entry, column_ids: List[int],
@@ -162,6 +169,9 @@ class PhysicalTableScan(PhysicalOperator):
         #: pushdown).  Exactness is still enforced by the LIMIT operator
         #: above; this only lets the scan quit early.
         self.limit_hint = limit_hint
+        #: Rows per batch window: one morsel, or one chunk under a LIMIT.
+        self.batch_rows = context.morsel_rows if limit_hint is None \
+            else SCAN_CHUNK_ROWS
         self._zone_conditions = _extract_zone_conditions(
             self.filters, column_ids, context.parameters)
 
@@ -190,10 +200,11 @@ class PhysicalTableScan(PhysicalOperator):
 
     def _surviving(self, executor: ExpressionExecutor, chunk: DataChunk,
                    narrowed_filters: dict) -> Optional[np.ndarray]:
-        """Row indices of ``chunk`` that pass every pushed filter, in filter
-        order; None when all rows do.  Until a filter rejects something the
-        predicates run on the chunk as it is; from then on each one sees
-        only its own columns, cut down to the survivors so far.
+        """Row indices of the batch ``chunk`` that pass every pushed
+        filter, in filter order; None when all rows do.  Until a filter
+        rejects something the predicates run on the chunk as it is; from
+        then on each one sees only its own columns, cut down to the
+        survivors so far.
 
         ``narrowed_filters`` maps a filter index to the chunk positions it
         reads and the predicate rewritten to read them from a chunk of just
@@ -236,7 +247,8 @@ class PhysicalTableScan(PhysicalOperator):
                                                 self.column_ids,
                                                 range_predicate=range_predicate,
                                                 start_row=start_row,
-                                                end_row=end_row):
+                                                end_row=end_row,
+                                                batch_rows=self.batch_rows):
             self.context.check_interrupted()
             self.context.bump_stat("rows_scanned", chunk.size)
             selection = self._surviving(executor, chunk, narrowed_filters)

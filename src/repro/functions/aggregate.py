@@ -61,9 +61,14 @@ def bind_aggregate(name: str, arg_types: Sequence[LogicalType],
 
 
 def _group_counts(group_ids: np.ndarray, group_count: int,
-                  mask: Optional[np.ndarray] = None) -> np.ndarray:
+                  mask: Optional[np.ndarray] = None,
+                  counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows per group where ``mask`` holds; ``counts`` -- the all-rows
+    counts, when the caller has them -- answers an all-true mask."""
     if mask is not None and not mask.all():
-        group_ids = group_ids[mask]
+        return np.bincount(group_ids[mask], minlength=group_count)
+    if counts is not None:
+        return counts
     return np.bincount(group_ids, minlength=group_count)
 
 
@@ -160,15 +165,19 @@ def _deduplicate(values: np.ndarray, validity: np.ndarray, group_ids: np.ndarray
 
 def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
                       group_ids: np.ndarray, group_count: int,
-                      return_type: LogicalType) -> Vector:
+                      return_type: LogicalType,
+                      counts: Optional[np.ndarray] = None) -> Vector:
     """Evaluate one aggregate for all groups at once.
 
     ``argument`` is None only for ``count(*)``.  ``group_ids`` assigns each
-    input row to a dense group id in ``[0, group_count)``.
+    input row to a dense group id in ``[0, group_count)``.  ``counts`` --
+    optional, ``np.bincount(group_ids, minlength=group_count)`` -- lets
+    the aggregates of one batch share its all-rows group counts: it stands
+    in for counting again where the argument has no NULLs.
     """
     name = name.lower()
     if name == "count" and argument is None:
-        counts = _group_counts(group_ids, group_count)
+        counts = _group_counts(group_ids, group_count, counts=counts)
         return Vector(BIGINT, counts.astype(np.int64),
                       np.ones(group_count, dtype=np.bool_))
     if argument is None:
@@ -180,11 +189,12 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
         data, validity, group_ids = _deduplicate(data, validity, group_ids,
                                                  argument.dtype)
         full_validity = validity
+        counts = None  # of the rows before deduplication
     else:
         full_validity = validity
 
     if name == "count":
-        counts = _group_counts(group_ids, group_count, full_validity)
+        counts = _group_counts(group_ids, group_count, full_validity, counts)
         return Vector(BIGINT, counts.astype(np.int64),
                       np.ones(group_count, dtype=np.bool_))
 
@@ -194,7 +204,7 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
             else np.where(full_validity, data, 0)
 
     if name == "sum":
-        counts = _group_counts(group_ids, group_count, full_validity)
+        counts = _group_counts(group_ids, group_count, full_validity, counts)
         out_validity = counts > 0
         if return_type.is_integer():
             return Vector(return_type,
@@ -206,7 +216,7 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
 
     if name == "avg":
         sums = np.bincount(group_ids, weights=values, minlength=group_count)
-        counts = _group_counts(group_ids, group_count, full_validity)
+        counts = _group_counts(group_ids, group_count, full_validity, counts)
         out_validity = counts > 0
         with np.errstate(all="ignore"):
             means = sums / np.maximum(counts, 1)
@@ -214,7 +224,8 @@ def compute_aggregate(name: str, distinct: bool, argument: Optional[Vector],
 
     if name in ("stddev", "stddev_samp", "var_samp", "variance"):
         weights = np.where(full_validity, data, 0).astype(np.float64)
-        counts = _group_counts(group_ids, group_count, full_validity).astype(np.float64)
+        counts = _group_counts(group_ids, group_count, full_validity,
+                               counts).astype(np.float64)
         sums = np.bincount(group_ids, weights=weights, minlength=group_count)
         squares = np.bincount(group_ids, weights=weights * weights,
                               minlength=group_count)

@@ -39,7 +39,8 @@ from ..types import (BIGINT, DataChunk, LogicalType, LogicalTypeId,
                      StringDictionary, VECTOR_SIZE, Vector)
 from ..types.dictionary import CODE_DTYPE
 
-__all__ = ["ColumnData", "TableData", "SEGMENT_ROWS", "ROW_ID_COLUMN"]
+__all__ = ["ColumnData", "TableData", "SEGMENT_ROWS", "ROW_ID_COLUMN",
+           "SCAN_CHUNK_ROWS", "aligned_morsel_rows"]
 
 #: Rows per persisted column segment; also the checkpoint rewrite granularity.
 SEGMENT_ROWS = 65536
@@ -50,12 +51,26 @@ SEGMENT_ROWS = 65536
 #: column ids checks for it.  Only DML source plans scan it.
 ROW_ID_COLUMN = 2 ** 64 - 1
 
-#: Rows per scan chunk.  A multiple of the standard vector size: the Python
-#: interpreter pays a fixed cost per operator invocation, so scans hand out
-#: larger chunks than a C++ engine would to keep the per-value overhead low
-#: (the same amortization argument as the paper's vectorized execution,
-#: tuned for this substrate).
+#: Rows per scan chunk: the unit a scan prunes by zone map and bills as
+#: ``rows_scanned``, and the most rows one streamed ``fetch_chunk`` hands a
+#: client.  A multiple of the standard vector size.  A scan *fetches* in
+#: larger batches (see :meth:`TableData.scan`): the Python interpreter pays
+#: a fixed cost per fetch and per operator invocation, so each run of
+#: surviving chunks in a morsel is read at once (the amortization argument
+#: of the paper's vectorized execution, tuned for this substrate).
 SCAN_CHUNK_ROWS = 8 * VECTOR_SIZE
+
+
+def aligned_morsel_rows(morsel_rows: int) -> int:
+    """``morsel_rows`` rounded down to whole scan chunks, at least one.
+
+    The one alignment rule for morsels (:meth:`TableData.morsel_ranges`)
+    and for a scan's batch windows, so an aggregate's morsel fragments read
+    exactly the batches a whole-table scan reads there.
+    """
+    return max(SCAN_CHUNK_ROWS,
+               int(morsel_rows) // SCAN_CHUNK_ROWS * SCAN_CHUNK_ROWS)
+
 
 _INITIAL_CAPACITY = 1024
 
@@ -458,13 +473,13 @@ class TableData:
     def morsel_ranges(self, morsel_rows: int = SEGMENT_ROWS) -> List[Tuple[int, int]]:
         """Half-open ``[start, end)`` row ranges for morsel-driven scans.
 
-        Morsel boundaries are aligned to :data:`SCAN_CHUNK_ROWS` so a scan
-        restricted to one morsel fetches exactly the same chunk windows a
-        full serial scan would -- zonemap lookups and chunk contents stay
-        bit-identical, only the degree of parallelism changes.
+        Morsel boundaries follow :func:`aligned_morsel_rows`, the rule that
+        also cuts a scan's batch windows, so a scan restricted to one
+        morsel fetches exactly the batches a whole-table scan fetches there
+        -- zonemap lookups and batch contents stay bit-identical, only the
+        degree of parallelism changes.
         """
-        step = max(SCAN_CHUNK_ROWS,
-                   (morsel_rows // SCAN_CHUNK_ROWS) * SCAN_CHUNK_ROWS)
+        step = aligned_morsel_rows(morsel_rows)
         with self.lock:
             total = self.row_count
         return [(start, min(start + step, total))
@@ -475,16 +490,24 @@ class TableData:
              chunk_size: int = SCAN_CHUNK_ROWS,
              range_predicate=None,
              start_row: int = 0,
-             end_row: Optional[int] = None) -> Iterator[DataChunk]:
-        """Vector Volcano scan: yield chunks of rows visible to the snapshot.
+             end_row: Optional[int] = None,
+             batch_rows: Optional[int] = None) -> Iterator[DataChunk]:
+        """Vector Volcano scan: yield batches of rows visible to the snapshot.
+
+        The rows are cut into ``chunk_size``-row *chunks*, the zone and
+        billing unit: ``range_predicate(start, end)`` -- when provided --
+        is consulted per chunk *before* any column data is fetched, and
+        returning False skips the chunk (zonemap scan skipping, paper §6).
+        Each run of surviving chunks inside one ``batch_rows``-row window
+        (a multiple of ``chunk_size``, such as :func:`aligned_morsel_rows`
+        gives; default one chunk) is then fetched as one *batch*: one visibility
+        mask, one view per column, one chunk out.  Windows start at
+        ``start_row``; a morsel-aligned window never crosses a morsel
+        boundary, so a batch holds at most one morsel.
 
         ``column_indices`` may name :data:`ROW_ID_COLUMN`, which reads as a
-        BIGINT vector of the physical row ids backing the chunk (UPDATE and
+        BIGINT vector of the physical row ids backing the batch (UPDATE and
         DELETE address their targets by them).
-
-        ``range_predicate(start, end)`` -- when provided -- is consulted per
-        row range *before* any column data is fetched; returning False skips
-        the range entirely (zonemap scan skipping, paper §6).
 
         ``start_row``/``end_row`` restrict the scan to a physical row range
         (an aggregate's morsel fragments hand disjoint ranges to workers).
@@ -496,25 +519,25 @@ class TableData:
             total = self.row_count
         if end_row is not None:
             total = min(total, end_row)
-        for start in range(start_row, total, chunk_size):
-            end = min(start + chunk_size, total)
-            if range_predicate is not None and not range_predicate(start, end):
-                continue
-            with self.lock, tracked_access(("table_data", id(self)), False,
-                                           self.lock):
-                mask = self.visible_mask(transaction, start, end)
-            if mask.any():
-                # Yielded as returned: this suspended frame holds no view
-                # of the columns, so a DML statement writing the rows it
-                # just read does not copy them (see ColumnData._unshare).
-                yield self._fetch(transaction, column_indices, start, end,
-                                  mask)
+        for start, end in _runs(start_row, total, chunk_size,
+                                batch_rows or chunk_size, range_predicate):
+            batch = [self._fetch(transaction, column_indices, start, end)]
+            if batch[0] is not None:
+                # Yielded without a local: this suspended frame holds no
+                # view of the columns, so a DML statement writing the rows
+                # it just read does not copy them (ColumnData._unshare).
+                yield batch.pop()
 
     def _fetch(self, transaction: Transaction, column_indices: List[int],
-               start: int, end: int, mask: np.ndarray) -> DataChunk:
-        """The visible rows (``mask``) of [start, end) in one chunk."""
+               start: int, end: int) -> Optional[DataChunk]:
+        """The rows of [start, end) visible to the snapshot, in one chunk;
+        None when there are none.  One lock acquisition covers the
+        visibility mask and the column views."""
         with self.lock, tracked_access(("table_data", id(self)), False,
                                        self.lock):
+            mask = self.visible_mask(transaction, start, end)
+            if not mask.any():
+                return None
             vectors = [
                 Vector(BIGINT, np.arange(start, end, dtype=np.int64))
                 if index == ROW_ID_COLUMN
@@ -576,3 +599,26 @@ class TableData:
                 total += column.validity.nbytes
                 total += column.undo_memory()
             return total
+
+
+def _runs(start_row: int, total: int, chunk_rows: int, window_rows: int,
+          range_predicate) -> Iterator[Tuple[int, int]]:
+    """``[start, end)`` of each run of chunks ``range_predicate`` keeps,
+    cut at every ``window_rows`` boundary counted from ``start_row``.  The
+    predicate is asked lazily, chunk by chunk, so a scan that stops early
+    prunes no zone it never reached."""
+    for window in range(start_row, total, window_rows):
+        window_end = min(window + window_rows, total)
+        if range_predicate is None:
+            yield window, window_end
+            continue
+        run_start = None
+        for start in range(window, window_end, chunk_rows):
+            if range_predicate(start, min(start + chunk_rows, window_end)):
+                if run_start is None:
+                    run_start = start
+            elif run_start is not None:
+                yield run_start, start
+                run_start = None
+        if run_start is not None:
+            yield run_start, window_end

@@ -174,6 +174,30 @@ class TestPersistenceLifecycle:
         assert con.query_value("SELECT y FROM doubled") == 42
         con.close()
 
+    def test_checkpoint_losing_the_lock_to_close_raises(self, db_path,
+                                                        monkeypatch):
+        # The close lands between checkpoint's open check and its lock:
+        # the checkpoint must see it under the lock and not write the
+        # closed file.
+        con = repro.connect(db_path)
+        con.execute("CREATE TABLE t (x INTEGER)")
+        con.execute("INSERT INTO t VALUES (7)")
+        database = con.database
+        check_open = database.check_open
+
+        def check_then_close():
+            check_open()
+            monkeypatch.setattr(database, "check_open", check_open)
+            database.close()
+
+        monkeypatch.setattr(database, "check_open", check_then_close)
+        with pytest.raises(ClosedError):
+            database.checkpoint(force=True)
+        database.maybe_auto_checkpoint()  # closed: nothing to do, no error
+        con = repro.connect(db_path)
+        assert con.query_value("SELECT x FROM t") == 7
+        con.close()
+
     def test_wal_size_pragma_and_truncation(self, db_path):
         con = repro.connect(db_path, {"checkpoint_on_close": False})
         con.execute("CREATE TABLE t (x INTEGER)")

@@ -20,13 +20,12 @@ from repro.cooperation.controller import ReactiveController, StaticController
 from repro.cooperation.monitor import ResourceMonitor, SimulatedApplication
 from repro.errors import InterruptError, InvalidInputError
 from repro.execution import scan as scan_module
-from repro.execution.parallel import aligned_morsel_rows
 from repro.execution.physical import ExecutionContext
 from repro.execution.physical_planner import create_physical_plan
 from repro.optimizer import optimize
 from repro.planner.binder import Binder
 from repro.sql import parse_one
-from repro.storage.table_data import SCAN_CHUNK_ROWS
+from repro.storage.table_data import SCAN_CHUNK_ROWS, aligned_morsel_rows
 
 ROWS = 50000
 #: Small morsels so a modest table still splits across several workers.
