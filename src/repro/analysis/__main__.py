@@ -48,49 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "'warning' (default) exits 1 on any finding, "
                              "'error' reports warnings but exits 0 unless "
                              "an error-severity violation was found")
-    parser.add_argument("--check-manifest", action="store_true",
-                        help="verify the committed kernel capability "
-                             "manifest against a fresh analysis of the "
-                             "registered kernels and exit (non-zero on "
-                             "drift or contract violations)")
-    parser.add_argument("--write-manifest", action="store_true",
-                        help="re-analyze the registered kernels, write the "
-                             "kernel capability manifest, and exit")
     return parser
-
-
-def _run_manifest_check() -> int:
-    from .kernelcheck import MANIFEST_PATH, check_manifest, \
-        cross_check_declarations
-
-    problems = check_manifest()
-    declaration_problems = cross_check_declarations()
-    for problem in problems:
-        print(f"kernelcheck: manifest drift: {problem}", file=sys.stderr)
-    for problem in declaration_problems:
-        print(f"kernelcheck: declaration mismatch: {problem}",
-              file=sys.stderr)
-    if problems or declaration_problems:
-        print(f"kernelcheck: {len(problems) + len(declaration_problems)} "
-              f"problem(s); regenerate with --write-manifest",
-              file=sys.stderr)
-        return 1
-    print(f"kernelcheck: manifest up to date ({MANIFEST_PATH})")
-    return 0
-
-
-def _run_manifest_write() -> int:
-    from .kernelcheck import cross_check_declarations, manifest_entries, \
-        write_manifest
-
-    path = write_manifest()
-    print(f"kernelcheck: wrote {len(manifest_entries())} kernel facts "
-          f"to {path}")
-    declaration_problems = cross_check_declarations()
-    for problem in declaration_problems:
-        print(f"kernelcheck: declaration mismatch: {problem}",
-              file=sys.stderr)
-    return 1 if declaration_problems else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -101,11 +59,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule_id, description in sorted(all_rule_ids().items()):
             print(f"{rule_id}  {description}")
         return 0
-
-    if options.check_manifest:
-        return _run_manifest_check()
-    if options.write_manifest:
-        return _run_manifest_write()
 
     paths: List[str] = list(options.paths or [])
     if not paths:

@@ -1,58 +1,28 @@
-"""quackkernel: static kernel-contract analysis for the vector engine.
+"""Kernel contracts checked at test time.
 
 Every scalar function, aggregate, and builtin expression operator is a
-hot-path *contract*: its dtype signature, NULL semantics, allocation
-behaviour, and purity decide both correctness and speed of the vectorized
-interpreter (and of any future compiled-kernel tier selected behind the
-registry).  This package makes those contracts explicit and *verified*:
-
-* :mod:`analyzer` -- an AST-level abstract interpreter over every
-  registered kernel, specialised with the kernel's concrete closure
-  environment (factory-built kernels like ``_numeric_unary_kernel(np.abs)``
-  are analysed with their captured ``result_dtype`` known);
-* :mod:`manifest` -- the inferred facts, emitted as a committed
-  machine-readable manifest (``kernel_manifest.json``) with source
-  fingerprints, plus the drift gate (``--check-manifest``) and the
-  bind-declaration cross-check (QLK001 at the registry level);
-* :mod:`conformance` -- a runtime harness that fuzzes each kernel with
-  NULL-heavy / empty / extreme vectors and asserts the manifest's contract
-  actually holds (NULL propagation, garbage independence at masked lanes,
-  input immutability, dtype conformance);
-* :mod:`fusion` -- the consumer: the physical planner asks which
-  filter->project expression chains are built solely from verified
-  pure+vectorized kernels and marks them ``fusable`` in EXPLAIN, so a JIT
-  tier can select kernels by capability rather than by name.
+hot-path contract: its dtype, NULL semantics and input immutability decide
+the correctness of the vectorized interpreter.  Scalar functions declare
+their NULL contract where they are registered (``functions/scalar.py``);
+operators declare theirs in :data:`conformance.CUSTOM_NULL_OPERATORS`;
+aggregates skip NULLs.  :mod:`conformance` fuzzes every registered kernel
+with NULL-heavy, empty and extreme vectors and reports each contract it
+breaks.  The file-local view of the same contracts is quacklint's QLK/QLV
+rules (:mod:`repro.analysis.rules.kernels`), checked at lint time.
 """
 
 from __future__ import annotations
 
-from .facts import KernelFact, dtype_convertible
-from .analyzer import analyze_registry
-from .manifest import (
-    MANIFEST_PATH,
-    check_manifest,
-    cross_check_declarations,
-    generate_manifest,
-    load_manifest,
-    manifest_entries,
-    write_manifest,
+from .conformance import (
+    ConformanceIssue,
+    KernelContract,
+    kernel_contracts,
+    run_conformance,
 )
-from .conformance import ConformanceIssue, run_conformance
-from .fusion import expression_chain_fusable, kernel_fusable
 
 __all__ = [
-    "KernelFact",
-    "dtype_convertible",
-    "analyze_registry",
-    "MANIFEST_PATH",
-    "generate_manifest",
-    "load_manifest",
-    "manifest_entries",
-    "write_manifest",
-    "check_manifest",
-    "cross_check_declarations",
     "ConformanceIssue",
+    "KernelContract",
+    "kernel_contracts",
     "run_conformance",
-    "expression_chain_fusable",
-    "kernel_fusable",
 ]

@@ -1,7 +1,11 @@
-"""Runtime conformance harness: does each kernel honour its manifest entry?
+"""Runtime conformance harness: does each kernel honour its declared contract?
 
-The static analyzer *claims* contracts; this harness *checks* them by
-fuzzing every kernel with NULL-heavy, empty, and extreme vectors:
+The inventory is the live registries: every scalar function in
+``SCALAR_FUNCTIONS`` (each declares its NULL contract where it is
+registered), every aggregate in ``AGGREGATE_NAMES`` (all skip NULLs), and
+every operator ``ExpressionExecutor`` evaluates (:data:`OPERATORS`; the
+ones with their own NULL semantics are :data:`CUSTOM_NULL_OPERATORS`).
+The harness fuzzes each kernel with NULL-heavy, empty, and extreme vectors:
 
 * garbage independence -- two runs differing only in the poison planted at
   masked-out lanes must agree on every valid output lane (a kernel that
@@ -32,9 +36,56 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .facts import NULL_PROPAGATE, NULL_SKIP, KernelFact
+from ...functions.aggregate import AGGREGATE_NAMES
+from ...functions.scalar import NULL_CUSTOM, NULL_PROPAGATE, SCALAR_FUNCTIONS
+from ..rules.kernels import dtype_convertible
 
-__all__ = ["ConformanceIssue", "run_conformance"]
+__all__ = ["ConformanceIssue", "KernelContract", "OPERATORS",
+           "CUSTOM_NULL_OPERATORS", "NULL_SKIP", "kernel_contracts",
+           "run_conformance"]
+
+#: Aggregate NULL contract: NULL input rows never contribute to a group.
+NULL_SKIP = "skip-nulls"
+
+#: Every operator ``ExpressionExecutor`` evaluates (``BoundOperator`` ops
+#: plus the IS [NOT] NULL, IN, LIKE and CASE expression nodes).
+OPERATORS = ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%",
+             "not", "negate", "concat", "and", "or", "is_null",
+             "is_not_null", "in_list", "like", "case")
+
+#: Operators that define their own NULL semantics: three-valued AND/OR,
+#: IS [NOT] NULL, IN with a NULL item, and CASE.  Every other operator
+#: propagates NULLs.
+CUSTOM_NULL_OPERATORS = frozenset({"and", "or", "case", "in_list",
+                                   "is_null", "is_not_null"})
+
+
+@dataclass(frozen=True)
+class KernelContract:
+    """One kernel and the NULL contract it declares."""
+
+    #: ``scalar`` | ``aggregate`` | ``operator``.
+    kind: str
+    name: str
+    #: NULL_PROPAGATE, NULL_CUSTOM or NULL_SKIP.
+    null_contract: str
+
+    @property
+    def key(self) -> str:
+        return f"{self.kind}:{self.name}"
+
+
+def kernel_contracts() -> List[KernelContract]:
+    """The declared contract of every registered kernel."""
+    contracts = [KernelContract("scalar", name, function.null_contract)
+                 for name, function in sorted(SCALAR_FUNCTIONS.items())]
+    contracts += [KernelContract("aggregate", name, NULL_SKIP)
+                  for name in sorted(AGGREGATE_NAMES)]
+    contracts += [KernelContract("operator", name,
+                                 NULL_CUSTOM if name in CUSTOM_NULL_OPERATORS
+                                 else NULL_PROPAGATE)
+                  for name in OPERATORS]
+    return contracts
 
 
 @dataclass
@@ -209,38 +260,34 @@ def _probe_arg_types(bind: Callable) -> List[List[object]]:
 
 # -- scalar kernels ----------------------------------------------------------
 
-def _check_scalar(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
-    from ...functions.scalar import SCALAR_FUNCTIONS
-    from .facts import dtype_convertible
-
-    function = SCALAR_FUNCTIONS.get(fact.name)
+def _check_scalar(contract: KernelContract,
+                  issues: List[ConformanceIssue]) -> None:
+    function = SCALAR_FUNCTIONS.get(contract.name)
     if function is None:
-        issues.append(ConformanceIssue(fact.key, "registry",
-                                       "manifest entry has no registered kernel"))
+        issues.append(ConformanceIssue(contract.key, "registry",
+                                       "contract names no registered kernel"))
         return
     signatures = _probe_arg_types(function.bind)
     if not signatures:
-        issues.append(ConformanceIssue(fact.key, "bind",
+        issues.append(ConformanceIssue(contract.key, "bind",
                                        "no probe signature binds"))
         return
     for arg_types in signatures:
         try:
             return_type, coerced = function.bind(list(arg_types))
         except Exception as error:
-            issues.append(ConformanceIssue(fact.key, "bind", repr(error)))
+            issues.append(ConformanceIssue(contract.key, "bind", repr(error)))
             continue
         arg_types = list(coerced)
         for size in _SIZES:
             for pattern in _VALIDITY_PATTERNS:
-                _fuzz_scalar_case(fact, function, return_type, arg_types,
+                _fuzz_scalar_case(contract, function, return_type, arg_types,
                                   size, pattern, issues)
 
 
-def _fuzz_scalar_case(fact: KernelFact, function: object, return_type: object,
-                      arg_types: List[object], size: int, pattern: str,
-                      issues: List[ConformanceIssue]) -> None:
-    from .facts import dtype_convertible
-
+def _fuzz_scalar_case(contract: KernelContract, function: object,
+                      return_type: object, arg_types: List[object], size: int,
+                      pattern: str, issues: List[ConformanceIssue]) -> None:
     validities = [_validity(pattern, size, seed)
                   for seed in range(len(arg_types))]
     runs = []
@@ -253,47 +300,47 @@ def _fuzz_scalar_case(fact: KernelFact, function: object, return_type: object,
             result = function.execute(vectors, size)  # type: ignore[attr-defined]
         except Exception as error:
             issues.append(ConformanceIssue(
-                fact.key, "crash",
+                contract.key, "crash",
                 f"size={size} validity={pattern} poison={poison_index}: "
                 f"{error!r}"))
             return
         if _inputs_mutated(vectors, snapshots):
             issues.append(ConformanceIssue(
-                fact.key, "input-immutability",
+                contract.key, "input-immutability",
                 f"size={size} validity={pattern}: kernel wrote into its "
                 "argument arrays"))
             return
         runs.append(result)
-    _check_coded(fact.key, f"size={size} validity={pattern}", runs[1],
+    _check_coded(contract.key, f"size={size} validity={pattern}", runs[1],
                  lambda twins: function.execute(twins, size),  # type: ignore[attr-defined]
                  vectors, issues)
 
     first, second = runs
     if len(first) != size:
         issues.append(ConformanceIssue(
-            fact.key, "shape",
+            contract.key, "shape",
             f"size={size}: result length {len(first)}"))
         return
     produced = np.asarray(first.data).dtype.name
     if dtype_convertible(produced, str(return_type)) is False:
         issues.append(ConformanceIssue(
-            fact.key, "dtype",
+            contract.key, "dtype",
             f"produced {produced}, declared {return_type}"))
         return
     if not _valid_lanes_equal(first, second):
         issues.append(ConformanceIssue(
-            fact.key, "garbage-independence",
+            contract.key, "garbage-independence",
             f"size={size} validity={pattern}: output depends on values at "
             "masked-out (NULL) input lanes"))
         return
-    if fact.null_contract == NULL_PROPAGATE and size:
+    if contract.null_contract == NULL_PROPAGATE and size:
         any_null = np.zeros(size, dtype=np.bool_)
         for validity in validities:
             any_null |= ~validity
         leaked = any_null & np.asarray(first.validity)
         if leaked.any():
             issues.append(ConformanceIssue(
-                fact.key, "null-propagation",
+                contract.key, "null-propagation",
                 f"size={size} validity={pattern}: NULL input lanes "
                 f"{np.flatnonzero(leaked)[:5].tolist()} produced valid "
                 "output"))
@@ -301,32 +348,35 @@ def _fuzz_scalar_case(fact: KernelFact, function: object, return_type: object,
 
 # -- aggregate kernels -------------------------------------------------------
 
-def _check_aggregate(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
+def _check_aggregate(contract: KernelContract,
+                     issues: List[ConformanceIssue]) -> None:
     from ...functions.aggregate import bind_aggregate, compute_aggregate
     from ...types import DOUBLE, VARCHAR
 
-    bases = [DOUBLE] if fact.name not in ("min", "max", "first", "count") \
+    bases = [DOUBLE] if contract.name not in ("min", "max", "first", "count") \
         else [DOUBLE, VARCHAR]
     for base in bases:
         star = False
         try:
-            return_type, coerced = bind_aggregate(fact.name, [base], False)
+            return_type, coerced = bind_aggregate(contract.name, [base], False)
         except Exception:
             try:
-                return_type, coerced = bind_aggregate(fact.name, [], True)
+                return_type, coerced = bind_aggregate(contract.name, [], True)
                 star = True
             except Exception as error:
-                issues.append(ConformanceIssue(fact.key, "bind", repr(error)))
+                issues.append(ConformanceIssue(contract.key, "bind",
+                                               repr(error)))
                 continue
         arg_type = coerced[0] if coerced else base
         for size in (0, 1, 31):
             for pattern in _VALIDITY_PATTERNS:
-                _fuzz_aggregate_case(fact, star, arg_type, return_type, size,
-                                     pattern, compute_aggregate, issues)
+                _fuzz_aggregate_case(contract, star, arg_type, return_type,
+                                     size, pattern, compute_aggregate,
+                                     issues)
 
 
-def _fuzz_aggregate_case(fact: KernelFact, star: bool, arg_type: object,
-                         return_type: object, size: int, pattern: str,
+def _fuzz_aggregate_case(contract: KernelContract, star: bool,
+                         arg_type: object, return_type: object, size: int, pattern: str,
                          compute: Callable,
                          issues: List[ConformanceIssue]) -> None:
     group_count = max(1, min(4, size))
@@ -338,27 +388,28 @@ def _fuzz_aggregate_case(fact: KernelFact, star: bool, arg_type: object,
         argument = None if star else _make_vector(arg_type, size, validity,
                                                   poison_index, 0)
         try:
-            result = compute(fact.name, False, argument, group_ids,
+            result = compute(contract.name, False, argument, group_ids,
                              group_count, return_type)
         except Exception as error:
             issues.append(ConformanceIssue(
-                fact.key, "crash",
+                contract.key, "crash",
                 f"size={size} validity={pattern}: {error!r}"))
             return
         results.append(result)
     if argument is not None:
-        _check_coded(fact.key, f"size={size} validity={pattern}", results[1],
-                     lambda twins: compute(fact.name, False, twins[0],
+        _check_coded(contract.key, f"size={size} validity={pattern}",
+                     results[1],
+                     lambda twins: compute(contract.name, False, twins[0],
                                            group_ids, group_count,
                                            return_type),
                      [argument], issues)
     if not _valid_lanes_equal(results[0], results[1]):
         issues.append(ConformanceIssue(
-            fact.key, "garbage-independence",
+            contract.key, "garbage-independence",
             f"size={size} validity={pattern}: group results depend on "
             "masked-out input rows"))
         return
-    if star or fact.null_contract != NULL_SKIP:
+    if star or contract.null_contract != NULL_SKIP:
         return
     # Skip-NULL equivalence: physically removing NULL rows must not change
     # any group's result.
@@ -369,24 +420,25 @@ def _fuzz_aggregate_case(fact: KernelFact, star: bool, arg_type: object,
                      np.asarray(argument.data)[keep],  # type: ignore[attr-defined]
                      np.ones(len(keep), dtype=np.bool_))
     try:
-        expected = compute(fact.name, False, reduced, group_ids[keep],
+        expected = compute(contract.name, False, reduced, group_ids[keep],
                            group_count, return_type)
     except Exception as error:
         issues.append(ConformanceIssue(
-            fact.key, "skip-nulls",
+            contract.key, "skip-nulls",
             f"size={size} validity={pattern}: NULL-free rerun crashed "
             f"{error!r}"))
         return
     if not _valid_lanes_equal(results[0], expected):
         issues.append(ConformanceIssue(
-            fact.key, "skip-nulls",
+            contract.key, "skip-nulls",
             f"size={size} validity={pattern}: result differs from the "
             "NULL-rows-removed rerun"))
 
 
 # -- builtin operators -------------------------------------------------------
 
-def _operator_expressions(fact: KernelFact) -> List[Tuple[object, List[object]]]:
+def _operator_expressions(
+        contract: KernelContract) -> List[Tuple[object, List[object]]]:
     """Every probe shape of one op: the generic one over column refs, plus
     -- for the predicates evaluated over a dictionary's entries -- VARCHAR
     columns against constants (both operand orders, a NULL list item)."""
@@ -401,10 +453,10 @@ def _operator_expressions(fact: KernelFact) -> List[Tuple[object, List[object]]]
     from ...types import BOOLEAN, VARCHAR
 
     shapes = []
-    generic = _operator_expression(fact)
+    generic = _operator_expression(contract)
     if generic is not None:
         shapes.append(generic)
-    name = fact.name
+    name = contract.name
     column = BoundColumnRef(0, VARCHAR)
 
     def constant(value: Optional[str]) -> object:
@@ -435,9 +487,11 @@ def _operator_expressions(fact: KernelFact) -> List[Tuple[object, List[object]]]
     return shapes
 
 
-def _operator_expression(fact: KernelFact) -> Optional[Tuple[object, List[object]]]:
+def _operator_expression(
+        contract: KernelContract) -> Optional[Tuple[object, List[object]]]:
     """(BoundExpression over column refs, argument LogicalTypes) for one op."""
     from ...planner.expressions import (
+        BoundCase,
         BoundColumnRef,
         BoundInList,
         BoundIsNull,
@@ -446,7 +500,7 @@ def _operator_expression(fact: KernelFact) -> Optional[Tuple[object, List[object
     )
     from ...types import BOOLEAN, DOUBLE, VARCHAR
 
-    name = fact.name
+    name = contract.name
     if name in ("=", "<>", "<", "<=", ">", ">="):
         args = [DOUBLE, DOUBLE]
         return BoundOperator(name, [BoundColumnRef(0, DOUBLE),
@@ -478,19 +532,28 @@ def _operator_expression(fact: KernelFact) -> Optional[Tuple[object, List[object
     if name == "like":
         return BoundLike(BoundColumnRef(0, VARCHAR), BoundColumnRef(1, VARCHAR),
                          False, False), [VARCHAR, VARCHAR]
-    return None  # CASE needs constant branches; covered by engine tests.
+    if name == "case":
+        return BoundCase([(BoundColumnRef(0, BOOLEAN),
+                           BoundColumnRef(1, DOUBLE))],
+                         BoundColumnRef(2, DOUBLE), DOUBLE), \
+            [BOOLEAN, DOUBLE, DOUBLE]
+    return None
 
 
-def _check_operator(fact: KernelFact, issues: List[ConformanceIssue]) -> None:
+def _check_operator(contract: KernelContract,
+                    issues: List[ConformanceIssue]) -> None:
     from ...execution.expression_executor import ExpressionExecutor
-    from ...types.chunk import DataChunk
 
+    shapes = _operator_expressions(contract)
+    if not shapes:
+        issues.append(ConformanceIssue(contract.key, "registry",
+                                       "no probe expression for operator"))
     executor = ExpressionExecutor()
-    for expression, arg_types in _operator_expressions(fact):
-        _fuzz_operator_shape(fact, executor, expression, arg_types, issues)
+    for expression, arg_types in shapes:
+        _fuzz_operator_shape(contract, executor, expression, arg_types, issues)
 
 
-def _fuzz_operator_shape(fact: KernelFact, executor: object,
+def _fuzz_operator_shape(contract: KernelContract, executor: object,
                          expression: object, arg_types: List[object],
                          issues: List[ConformanceIssue]) -> None:
     from ...types.chunk import DataChunk
@@ -514,13 +577,13 @@ def _fuzz_operator_shape(fact: KernelFact, executor: object,
                     result = executor.execute(expression, chunk)  # type: ignore[attr-defined]
                 except Exception as error:
                     issues.append(ConformanceIssue(
-                        fact.key, "crash",
+                        contract.key, "crash",
                         f"size={size} validity={pattern}: {error!r}"))
                     crashed = True
                     break
                 if _inputs_mutated(columns, snapshots):
                     issues.append(ConformanceIssue(
-                        fact.key, "input-immutability",
+                        contract.key, "input-immutability",
                         f"size={size} validity={pattern}: operator wrote "
                         "into its input chunk"))
                     crashed = True
@@ -529,23 +592,23 @@ def _fuzz_operator_shape(fact: KernelFact, executor: object,
             if crashed:
                 return
             _check_coded(
-                fact.key, f"size={size} validity={pattern}", runs[1],
+                contract.key, f"size={size} validity={pattern}", runs[1],
                 lambda twins: executor.execute(  # type: ignore[attr-defined]
                     expression, DataChunk(twins)),
                 columns, issues)
             if not _valid_lanes_equal(runs[0], runs[1]):
                 issues.append(ConformanceIssue(
-                    fact.key, "garbage-independence",
+                    contract.key, "garbage-independence",
                     f"size={size} validity={pattern}: output depends on "
                     "masked-out input lanes"))
                 return
-            if fact.null_contract == NULL_PROPAGATE:
+            if contract.null_contract == NULL_PROPAGATE:
                 any_null = np.zeros(size, dtype=np.bool_)
                 for validity in validities:
                     any_null |= ~validity
                 if (any_null & np.asarray(runs[0].validity)).any():
                     issues.append(ConformanceIssue(
-                        fact.key, "null-propagation",
+                        contract.key, "null-propagation",
                         f"size={size} validity={pattern}: NULL input lanes "
                         "produced valid output"))
                     return
@@ -553,22 +616,15 @@ def _fuzz_operator_shape(fact: KernelFact, executor: object,
 
 # -- entry point -------------------------------------------------------------
 
-def run_conformance(
-        facts: Optional[Sequence[KernelFact]] = None) -> List[ConformanceIssue]:
-    """Fuzz every kernel against its manifest entry; empty list = clean."""
-    if facts is None:
-        from .manifest import manifest_entries
-        try:
-            facts = manifest_entries()
-        except (OSError, ValueError):
-            from .analyzer import analyze_registry
-            facts = analyze_registry()
+def run_conformance(contracts: Optional[Sequence[KernelContract]] = None
+                    ) -> List[ConformanceIssue]:
+    """Fuzz every kernel against its declared contract; empty list = clean."""
     issues: List[ConformanceIssue] = []
-    for fact in facts:
-        if fact.kind == "scalar":
-            _check_scalar(fact, issues)
-        elif fact.kind == "aggregate":
-            _check_aggregate(fact, issues)
-        elif fact.kind == "operator":
-            _check_operator(fact, issues)
+    for contract in kernel_contracts() if contracts is None else contracts:
+        if contract.kind == "scalar":
+            _check_scalar(contract, issues)
+        elif contract.kind == "aggregate":
+            _check_aggregate(contract, issues)
+        elif contract.kind == "operator":
+            _check_operator(contract, issues)
     return issues

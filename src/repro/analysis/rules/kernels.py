@@ -1,10 +1,10 @@
 """QLK -- kernel contract rules: dtype, NULL, copy, and purity discipline.
 
 Every function that constructs a :class:`Vector` is a *kernel*: it sits on
-the per-chunk hot path and participates in the capability manifest
-(``repro.analysis.kernelcheck``).  These rules are the file-local,
-fixture-testable view of the same contracts the manifest verifies
-registry-wide:
+the per-chunk hot path.  These rules check its contracts at lint time, one
+file at a time; the conformance harness (``repro.analysis.kernelcheck``)
+checks every registered kernel against its declared NULL contract at test
+time:
 
 * QLK001 -- the kernel visibly produces a NumPy dtype that cannot convert
   losslessly to the LogicalType it returns (``Vector(DOUBLE,
@@ -15,8 +15,9 @@ registry-wide:
 * QLK003 -- ``<expr>.data.astype(...)`` without ``copy=False`` copies an
   input array even when it already conforms (warning: advisory, the copy
   is sometimes wanted);
-* QLK004 -- the kernel mutates module-global state (``global`` or a store
-  through a module-level name), which breaks purity under morsel workers.
+* QLK004 -- the kernel mutates module-global state (``global``, a store
+  through a module-level name, or a mutating method call such as
+  ``.append`` on one), which breaks purity under morsel workers.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import AnalysisConfig, FileContext, Rule, Violation
-from ..kernelcheck.facts import dtype_convertible
 
-__all__ = ["KernelContractRule"]
+__all__ = ["KernelContractRule", "dtype_convertible"]
 
 #: Bind-time type names a ``Vector(<TYPE>, ...)`` first argument can carry.
 _LOGICAL_NAMES = frozenset({
@@ -39,6 +39,65 @@ _NUMPY_DTYPE_NAMES = frozenset({
     "bool_", "bool", "int8", "int16", "int32", "int64",
     "float32", "float64", "object_", "object",
 })
+
+#: Container methods that mutate their receiver in place.
+_MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "clear", "remove", "discard",
+})
+
+#: dtype kind produced by each logical type name (mirrors
+#: ``LogicalType.numpy_dtype.kind``).
+_LOGICAL_KIND = {
+    "BOOLEAN": "b",
+    "TINYINT": "i",
+    "SMALLINT": "i",
+    "INTEGER": "i",
+    "BIGINT": "i",
+    "FLOAT": "f",
+    "DOUBLE": "f",
+    "VARCHAR": "O",
+    "DATE": "i",
+    "TIMESTAMP": "i",
+    "NULL": "b",
+}
+
+#: numpy dtype name -> kind character.
+_NUMPY_KIND = {
+    "bool": "b",
+    "int8": "i",
+    "int16": "i",
+    "int32": "i",
+    "int64": "i",
+    "float32": "f",
+    "float64": "f",
+    "object": "O",
+}
+
+
+def dtype_convertible(inferred_dtype: str, declared_type: str) -> Optional[bool]:
+    """Is a kernel-produced NumPy dtype convertible to the declared type?
+
+    Returns None when either side is unknown/argument-dependent (nothing to
+    check).  Conversion must be lossless in *kind*: int -> float and
+    bool -> numeric widen fine, float -> int silently truncates (error),
+    and object (VARCHAR) never mixes with numerics.
+    """
+    produced = _NUMPY_KIND.get(inferred_dtype)
+    declared = _LOGICAL_KIND.get(declared_type)
+    if produced is None or declared is None:
+        return None
+    if produced == declared:
+        return True
+    if produced == "O" or declared == "O":
+        return False
+    if declared == "f":
+        return True  # any numeric widens to float
+    if declared == "i":
+        return produced == "b"  # bool widens; float would truncate
+    if declared == "b":
+        return False  # numeric -> BOOLEAN needs an explicit comparison
+    return False
 
 
 def _is_vector_call(node: ast.AST) -> bool:
@@ -250,6 +309,10 @@ class KernelContractRule(Rule):
                 targets = list(node.targets)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATING_METHODS:
+                targets = [node.func]
             for target in targets:
                 if not isinstance(target, (ast.Subscript, ast.Attribute)):
                     continue

@@ -160,10 +160,17 @@ class QueryResult:
             yield chunk
 
     def _drain(self) -> DataChunk:
-        """Every remaining chunk as one (itself, when there is only one),
-        joined while still coded so each VARCHAR column decodes once."""
+        """Every remaining row as one chunk (itself, when there is only
+        one), joined while still coded so each VARCHAR column decodes once.
+        Starts at the row reader's position: the unread rest of the chunk
+        it stands on comes first."""
         self._check_open()
-        collected = [chunk for chunk in chain(self._pieces or (),
+        unread = []
+        if self._current is not None and self._position < self._current.size:
+            unread.append(self._current.slice(slice(self._position, None)))
+        self._current = self._rows = None
+        self._position = 0
+        collected = [chunk for chunk in chain(unread, self._pieces or (),
                                               self._source or ())
                      if chunk.size]
         self._finish()

@@ -39,11 +39,6 @@ class PhysicalProjection(PhysicalOperator):
                          [expression.return_type for expression in expressions],
                          names)
         self.expressions = expressions
-        #: Set by the physical planner when every kernel in this projection
-        #: and the filter directly below it satisfies the fusion contract
-        #: (pure, thread-safe, vectorized, no unchecked NULL handling) per
-        #: the kernel capability manifest.  Advisory: surfaced in EXPLAIN.
-        self.fusable = False
 
     def execute(self) -> Iterator[DataChunk]:
         executor = ExpressionExecutor(self.context)
@@ -57,8 +52,7 @@ class PhysicalProjection(PhysicalOperator):
             yield handoff.pop()
 
     def _explain_line(self) -> str:
-        suffix = " [fusable]" if self.fusable else ""
-        return f"PROJECT [{', '.join(self.names)}]{suffix}"
+        return f"PROJECT [{', '.join(self.names)}]"
 
 
 class PhysicalLimit(PhysicalOperator):

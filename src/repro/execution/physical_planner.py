@@ -190,20 +190,8 @@ def _lower(plan: LogicalOperator,
             # gathers only the columns read above it.
             child.project([e.position for e in plan.expressions], plan.names)
             return child
-        projection = PhysicalProjection(context, child, plan.expressions,
-                                        plan.names)
-        if isinstance(plan.children[0], LogicalFilter):
-            # Filter->project chains whose kernels all satisfy the fusion
-            # contract (kernel capability manifest: pure, thread-safe,
-            # vectorized, NULL-checked) are marked fusable for EXPLAIN.
-            # Imported lazily: the analysis layer must not load during
-            # ordinary query execution.
-            from ..analysis.kernelcheck import expression_chain_fusable
-
-            chain = list(plan.expressions) + [plan.children[0].predicate]
-            if expression_chain_fusable(chain):
-                projection.fusable = True
-        return projection
+        return PhysicalProjection(context, child, plan.expressions,
+                                  plan.names)
     if isinstance(plan, LogicalAggregate):
         child = create_physical_plan(plan.children[0], context)
         morsel_rows = context.morsel_rows

@@ -8,8 +8,10 @@ not once per value.
 The registry maps a lower-case name to a :class:`ScalarFunction` that knows
 how to (a) resolve a return type from argument types at bind time, and
 (b) execute over vectors at run time.  NULL handling defaults to SQL
-semantics: any NULL argument yields NULL, except for functions that define
-their own behaviour (``coalesce``, ``concat``, ...).
+semantics: any NULL argument yields NULL (``NULL_PROPAGATE``), except for
+functions registered with ``NULL_CUSTOM`` that define their own behaviour
+(``coalesce``, ``concat``, ...).  The kernel conformance harness checks
+each kernel against the contract it declares here.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from ..types import (
 )
 
 __all__ = ["ScalarFunction", "SCALAR_FUNCTIONS", "lookup_scalar_function",
-           "like_to_regex"]
+           "like_to_regex", "NULL_PROPAGATE", "NULL_CUSTOM"]
+
+#: NULL contracts a kernel declares.  ``propagate``: a NULL in any argument
+#: lane yields a NULL output lane (extra NULLs for domain errors such as
+#: ``sqrt(-1)`` are allowed).  ``custom``: the kernel defines its own NULL
+#: semantics, so NULL in does not imply NULL out.
+NULL_PROPAGATE = "propagate"
+NULL_CUSTOM = "custom"
 
 
 def like_to_regex(pattern: str, escape: Optional[str] = None) -> str:
@@ -78,12 +87,15 @@ def like_to_regex(pattern: str, escape: Optional[str] = None) -> str:
 class ScalarFunction:
     """One scalar function: bind-time typing plus a vectorized kernel."""
 
-    def __init__(self, name: str, bind: Callable, execute: Callable) -> None:
+    def __init__(self, name: str, bind: Callable, execute: Callable,
+                 null_contract: str = NULL_PROPAGATE) -> None:
         self.name = name
         #: bind(arg_types) -> (return_type, coerced_arg_types)
         self.bind = bind
         #: execute(vectors, count) -> Vector
         self.execute = execute
+        #: NULL_PROPAGATE or NULL_CUSTOM.
+        self.null_contract = null_contract
 
     def __repr__(self) -> str:
         return f"ScalarFunction({self.name})"
@@ -406,8 +418,10 @@ def _date_part_execute(part: str):
 SCALAR_FUNCTIONS = {}
 
 
-def _register(name: str, bind: Callable, execute: Callable) -> None:
-    SCALAR_FUNCTIONS[name] = ScalarFunction(name, bind, execute)
+def _register(name: str, bind: Callable, execute: Callable,
+              null_contract: str = NULL_PROPAGATE) -> None:
+    SCALAR_FUNCTIONS[name] = ScalarFunction(name, bind, execute,
+                                            null_contract)
 
 
 _register("abs", _bind_numeric_unary("abs"), _numeric_unary_kernel(np.abs))
@@ -459,7 +473,7 @@ def _replace_bind(arg_types):
 
 
 _register("replace", _replace_bind, _replace_execute)
-_register("concat", _concat_bind, _concat_execute)
+_register("concat", _concat_bind, _concat_execute, NULL_CUSTOM)
 
 
 def _two_string_bind(name):
@@ -472,9 +486,9 @@ def _two_string_bind(name):
 _register("contains", _two_string_bind("contains"), _contains_execute)
 _register("starts_with", _two_string_bind("starts_with"), _starts_with_execute)
 
-_register("coalesce", _coalesce_bind, _coalesce_execute)
-_register("ifnull", _coalesce_bind, _coalesce_execute)
-_register("nullif", _nullif_bind, _nullif_execute)
+_register("coalesce", _coalesce_bind, _coalesce_execute, NULL_CUSTOM)
+_register("ifnull", _coalesce_bind, _coalesce_execute, NULL_CUSTOM)
+_register("nullif", _nullif_bind, _nullif_execute, NULL_CUSTOM)
 _register("greatest", _greatest_least_bind("greatest"),
           _greatest_least_execute(np.max))
 _register("least", _greatest_least_bind("least"), _greatest_least_execute(np.min))

@@ -387,6 +387,53 @@ class TestRowReader:
             cursor.column_value(0)
 
 
+@pytest.fixture(scope="module")
+def drain_tables():
+    """A 3-row table (one chunk) and one that streams as several chunks."""
+    con = repro.connect()
+    con.execute("CREATE TABLE small (a INTEGER)")
+    con.execute("INSERT INTO small VALUES (1), (2), (3)")
+    con.execute("CREATE TABLE wide (a BIGINT, s VARCHAR)")
+    keys = np.arange(40_000, dtype=np.int64)
+    with con.appender("wide") as appender:
+        appender.append_numpy(
+            {"a": keys,
+             "s": np.array([f"v{key % 5}" for key in keys], dtype=object)})
+    yield con
+    con.close()
+
+
+class TestDrainAfterRowReads:
+    """``fetch_numpy`` and ``to_dict`` take every row the row reader has
+    not handed out, starting inside the chunk it stands on."""
+
+    CASES = [("SELECT a FROM small", False),
+             ("SELECT a, s FROM wide", True)]
+
+    @pytest.mark.parametrize("sql, stream", CASES)
+    @pytest.mark.parametrize("read, drain", [
+        ("one", "numpy"), ("one", "dict"), ("many2", "numpy")])
+    def test_drain_continues_after_row_reads(self, drain_tables, sql, stream,
+                                             read, drain):
+        con = drain_tables
+        expected = con.execute(sql).fetchall()
+        result = con.execute(sql, stream=stream)
+        if stream:
+            assert result.fetch_chunk().size < len(expected)
+            result = con.execute(sql, stream=stream)
+        rows = [result.fetchone()] if read == "one" else result.fetchmany(2)
+        if drain == "numpy":
+            columns = result.fetch_numpy()
+            rest = [tuple(value.item() if hasattr(value, "item") else value
+                          for value in row)
+                    for row in zip(*columns.values())]
+        else:
+            rest = list(zip(*result.to_dict().values()))
+        assert rows + rest == expected
+        assert result.fetchall() == []
+        assert result.fetchone() is None
+
+
 # -- executemany: one statement, stores what the per-set loop stores ----------
 
 DDL = "(a BIGINT, b DOUBLE, s VARCHAR, f BOOLEAN DEFAULT true, n INTEGER)"

@@ -23,6 +23,7 @@ from repro.analysis import (
     analyze_source,
     package_path,
 )
+from repro.analysis.rules.kernels import dtype_convertible
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_TREE = os.path.join(REPO_ROOT, "src", "repro")
@@ -1322,6 +1323,35 @@ class TestKernelContractRules:
         violations = check(source, "repro/functions/fixture.py")
         assert "QLK004" in rule_ids(violations)
 
+    def test_qlk004_mutating_method_call(self):
+        source = """
+        import numpy as np
+        from repro.types import DOUBLE, Vector
+
+        _CALLS = []
+
+        def _logging_execute(vectors, count):
+            source = vectors[0]
+            _CALLS.append(count)
+            return Vector(DOUBLE, source.data.copy(), source.validity.copy())
+        """
+        violations = check(source, "repro/functions/fixture.py")
+        assert rule_ids(violations) == ["QLK004"]
+
+    def test_qlk004_ignores_local_containers_and_numpy(self):
+        source = """
+        import numpy as np
+        from repro.types import DOUBLE, Vector
+
+        def _local_execute(vectors, count):
+            source = vectors[0]
+            seen = []
+            seen.append(count)
+            data = np.add(source.data, 1.0)
+            return Vector(DOUBLE, data, source.validity.copy())
+        """
+        assert check(source, "repro/functions/fixture.py") == []
+
     def test_non_kernel_functions_are_ignored(self):
         # No Vector construction => not a kernel => no QLK scrutiny.
         source = """
@@ -1342,3 +1372,26 @@ class TestKernelContractRules:
             return Vector(DOUBLE, np.zeros(0), np.zeros(0, dtype=bool))
         """
         assert check(source, "repro/storage/fixture.py") == []
+
+
+class TestDtypeConvertible:
+    """QLK001's verdict on a produced NumPy dtype against a declared type."""
+
+    def test_same_kind(self):
+        assert dtype_convertible("float64", "DOUBLE") is True
+        assert dtype_convertible("int32", "INTEGER") is True
+        assert dtype_convertible("object", "VARCHAR") is True
+
+    def test_widening_int_to_float(self):
+        assert dtype_convertible("int64", "DOUBLE") is True
+
+    def test_lossy_float_to_int(self):
+        assert dtype_convertible("float64", "INTEGER") is False
+
+    def test_object_never_mixes(self):
+        assert dtype_convertible("object", "DOUBLE") is False
+        assert dtype_convertible("float64", "VARCHAR") is False
+
+    def test_unknowns_are_indeterminate(self):
+        assert dtype_convertible("unknown", "DOUBLE") is None
+        assert dtype_convertible("float64", "argument") is None
